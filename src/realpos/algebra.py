@@ -505,21 +505,37 @@ def span_algebra(mats, tol: Tolerances = DEFAULT_TOL, label: str = "span") -> Ma
 
 
 def algebra_from_name(name: str) -> MatrixAlgebra:
-    """Resolve canned names: full:n, upper:n, diag:n, blockupper:n1,n2."""
+    """Resolve canned names: full:n, upper:n, diag:n, blockupper:n1,n2.
+
+    The ambient dimension is checked against ``REALPOS_MAX_DIM`` before the
+    basis (n**2 matrices of size n for ``full:n``) is built.
+    """
+    from .generators import max_dim  # local import, no cycle
+
+    builders = {
+        "full": full_algebra,
+        "upper": upper_triangular_algebra,
+        "diag": diagonal_algebra,
+        "blockupper": block_upper_algebra,
+    }
     kind, _, arg = name.partition(":")
+    if kind not in builders:
+        raise ValueError(f"unknown algebra name {name!r}")
+    malformed = f"malformed algebra name {name!r}"
     try:
-        if kind == "full":
-            return full_algebra(int(arg))
-        if kind == "upper":
-            return upper_triangular_algebra(int(arg))
-        if kind == "diag":
-            return diagonal_algebra(int(arg))
-        if kind == "blockupper":
-            n1, n2 = (int(s) for s in arg.split(","))
-            return block_upper_algebra(n1, n2)
+        dims = [int(s) for s in arg.split(",")]
+    except ValueError as exc:
+        raise ValueError(malformed) from exc
+    if len(dims) != (2 if kind == "blockupper" else 1):
+        raise ValueError(malformed)
+    if sum(dims) > max_dim():
+        raise ValueError(
+            f"algebra {name!r} has dimension {sum(dims)} above REALPOS_MAX_DIM={max_dim()}"
+        )
+    try:
+        return builders[kind](*dims)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed algebra name {name!r}") from exc
-    raise ValueError(f"unknown algebra name {name!r}")
+        raise ValueError(malformed) from exc
 
 
 def algebra_to_json(a: MatrixAlgebra) -> dict:
@@ -532,6 +548,11 @@ def algebra_to_json(a: MatrixAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
+    if not isinstance(data, dict):
+        raise ValueError(f"algebra JSON must be an object, got {type(data).__name__}")
+    for key in ("basis", "generators"):
+        if key in data and not isinstance(data[key], list):
+            raise ValueError(f"algebra JSON field {key!r} must be a list of matrices")
     if "basis" in data:
         mats = [matrix_from_json(m) for m in data["basis"]]
         return span_algebra(mats, tol, label=data.get("label", "span"))

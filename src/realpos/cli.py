@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .cones import cone_report, numerical_range
 from .generators import max_dim
-from .matrices import Tolerances, matrix_from_json, matrix_to_json, op_norm
+from .matrices import Tolerances, complex_entries, matrix_from_json, matrix_to_json, op_norm
 from .powers import power, power_balakrishnan, power_spectral, root_series
 from .projections import peak_projection, support_projection
 from .transforms import cayley, f_inverse, f_transform
@@ -59,7 +59,9 @@ def _load_algebra(spec: str):
     if spec.startswith("span:"):
         # span:FILE, the file holding a list of matrices spanning the algebra
         data = _load_json(spec[len("span:"):])
-        mats = data["basis"] if isinstance(data, dict) else data
+        mats = data.get("basis") if isinstance(data, dict) else data
+        if not isinstance(mats, list):
+            raise ValueError("span file must hold a list of matrices or a 'basis' list")
         return span_algebra([matrix_from_json(m) for m in mats])
     if ":" in spec and not spec.endswith(".json") and spec != "-":
         return algebra_from_name(spec)
@@ -240,15 +242,20 @@ def _interp_residuals(theorem: str, data: dict, solution: dict) -> dict:
 def _cmd_interp(args) -> int:
     tol = _tolerances(args)
     data = _load_json(args.problem)
+    if not isinstance(data, dict):
+        raise ValueError("interp problem JSON must be an object")
     alg_spec = data["algebra"]
     alg = algebra_from_name(alg_spec) if isinstance(alg_spec, str) else algebra_from_json(alg_spec)
 
     def mat(key):
         return matrix_from_json(data[key])
 
-    seed = int(data.get("seed", args.seed))
-    eps = float(data.get("eps", 1e-2))
-    near = float(data.get("near_eps", 1e-2))
+    try:
+        seed = int(data.get("seed", args.seed))
+        eps = float(data.get("eps", 1e-2))
+        near = float(data.get("near_eps", 1e-2))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError("interp 'seed', 'eps' and 'near_eps' must be numbers") from exc
     try:
         if args.theorem == "dominate":
             out = {"solution": interp.dominate(alg, mat("b"), eps, seed=seed, tol=tol)}
@@ -264,7 +271,7 @@ def _cmd_interp(args) -> int:
         elif args.theorem == "peak":
             out = {"solution": interp.peak_interpolate(alg, mat("q"), mat("b"), seed=seed, tol=tol)}
         elif args.theorem == "tietze":
-            verts = np.array([complex(re, im) for re, im in data["region"]])
+            verts = complex_entries(data["region"], "tietze region vertices")
             region = interp.ConvexRegion(verts)
             out = {"solution": interp.tietze_lift(alg, mat("q"), mat("b"), region, seed=seed, tol=tol)}
         else:

@@ -18,6 +18,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "SingularMatrixError",
+    "PIVOT_RTOL",
     "as_matrix",
     "dagger",
     "re_part",
@@ -67,6 +68,10 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+# solve() rejects an LU pivot at or below PIVOT_RTOL * op_norm(m).
+PIVOT_RTOL = 1e-13
 
 
 class SingularMatrixError(ValueError):
@@ -133,7 +138,7 @@ def solve(m, b, tol: Tolerances = DEFAULT_TOL, return_residual: bool = False):
     """Solve ``m @ x = b`` by LU with partial pivoting.
 
     Raises :class:`SingularMatrixError` carrying the index of the first
-    pivot whose magnitude falls below ``1e-13 * op_norm(m)``.  With
+    pivot whose magnitude falls below ``PIVOT_RTOL * op_norm(m)``.  With
     ``return_residual`` the pair ``(x, ||m x - b||)`` is returned.
     """
     m = as_matrix(m, "solve lhs")
@@ -144,7 +149,7 @@ def solve(m, b, tol: Tolerances = DEFAULT_TOL, return_residual: bool = False):
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(m, check_finite=True)
     diag = np.abs(np.diag(lu))
-    bad = np.nonzero(diag <= 1e-13 * scale)[0]
+    bad = np.nonzero(diag <= PIVOT_RTOL * scale)[0]
     if bad.size:
         k = int(bad[0])
         raise SingularMatrixError(k, float(diag[k]), scale)
@@ -177,15 +182,40 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def complex_entries(items, what: str = "matrix entries") -> np.ndarray:
+    """Parse a JSON list of ``[re, im]`` number pairs into a complex vector.
+
+    Anything else (a bare number, a pair of strings, booleans, a number too
+    large for a float) raises ``ValueError``.
+    """
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"{what} must be a list of [re, im] pairs")
+    out = np.empty(len(items), dtype=complex)
+    for k, z in enumerate(items):
+        if not (
+            isinstance(z, (list, tuple))
+            and len(z) == 2
+            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in z)
+        ):
+            raise ValueError(
+                f"{what} must be [re, im] pairs of numbers, item {k} is {z!r:.40}"
+            )
+        try:
+            out[k] = complex(z[0], z[1])
+        except OverflowError as exc:
+            raise ValueError(f"{what}: item {k} is too large for a float") from exc
+    return out
+
+
 def matrix_from_json(data: dict) -> np.ndarray:
     try:
         n = int(data["n"])
         entries = data["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("matrix JSON needs fields 'n' and 'entries'") from exc
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError("matrix JSON needs an integer 'n' and 'entries'") from exc
     if n <= 0:
         raise ValueError("matrix dimension must be positive")
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    flat = complex_entries(entries)
+    if flat.size != n * n:
+        raise ValueError(f"expected {n * n} entries, got {flat.size}")
     return as_matrix(flat.reshape(n, n))

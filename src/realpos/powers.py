@@ -22,9 +22,11 @@ from scipy.special import roots_jacobi
 
 from .matrices import (
     DEFAULT_TOL,
+    PIVOT_RTOL,
     Tolerances,
     as_matrix,
     dagger,
+    frob_norm,
     min_real_eig,
     op_norm,
     re_part,
@@ -77,12 +79,14 @@ class PowerResult:
     certified: bool = True
 
 
-def _require_accretive(x: np.ndarray, tol: Tolerances) -> None:
+def _require_accretive(x: np.ndarray, tol: Tolerances) -> float:
+    """Return the accretivity margin lambda_min(Re x), raising below -psd_slack."""
     margin = min_real_eig(x)
     if margin < -tol.psd_slack:
         raise NotAccretiveError(
             f"matrix is not accretive (margin {margin:.3e})"
         )
+    return margin
 
 
 def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
@@ -101,14 +105,20 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     cond = float(np.linalg.cond(v))
     if cond > COND_CAP:
         raise DefectiveMatrixError(cond)
-    cut = 1e-12 * max(op_norm(x), 1e-300)
+    xnorm = max(op_norm(x), 1e-300)
+    cut = 1e-12 * xnorm
     powered = np.where(np.abs(lam) <= cut, 0.0, np.power(lam.astype(complex), alpha))
-    vinv = solve(v, np.eye(x.shape[0], dtype=complex), tol)
+    # No singular-pivot test is needed for v^{-1}.  LU with partial pivoting
+    # takes each pivot as the largest entry in the first column of a Schur
+    # complement S, and S^{-1} is a block of v^{-1}, so
+    # |pivot| >= sigma_min(S)/sqrt(n) >= sigma_min(v)/n.  After the check
+    # above sigma_min(v) >= 1e-8 sigma_max(v), which for n <= 16 is over
+    # 6000 times solve()'s PIVOT_RTOL sigma_max(v) limit, so one plain
+    # inversion replaces solve()'s SVD and LU.
+    vinv = np.linalg.inv(v)
     value = v @ (powered[:, None] * vinv)
     recon = op_norm(v @ (lam[:, None] * vinv) - x)
-    est = (recon / max(op_norm(x), 1e-300) + np.finfo(float).eps * cond) * max(
-        1.0, op_norm(value)
-    )
+    est = (recon / xnorm + np.finfo(float).eps * cond) * max(1.0, op_norm(value))
     return PowerResult(value, "spectral", float(est), x.shape[0])
 
 
@@ -118,17 +128,36 @@ def _jacobi_rule(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
         return roots_jacobi(nodes, -r, r - 1.0)
 
 
-def _balakrishnan_sum(x: np.ndarray, r: float, nodes: int, tol: Tolerances) -> np.ndarray:
+def _balakrishnan_sum(
+    x: np.ndarray, r: float, nodes: int, margin: float, tol: Tolerances
+) -> np.ndarray:
     # After t = u/(1-u) and u = (1+xi)/2 the integral becomes a Gauss-Jacobi
     # quadrature with weight (1-xi)^{-r} (1+xi)^{r-1}; the smooth factor is
     # F(u) = (u + (1-u) x)^{-1} x.
     xi, w = _jacobi_rule(nodes, r)
-    eye = np.eye(x.shape[0], dtype=complex)
-    acc = np.zeros_like(x)
-    for k in range(nodes):
-        u = (1.0 + xi[k]) / 2.0
-        acc = acc + w[k] * solve(u * eye + (1.0 - u) * x, x, tol)
-    return float(np.sin(r * np.pi) / np.pi) * acc
+    u = (1.0 + xi) / 2.0
+    n = x.shape[0]
+    mats = (1.0 - u)[:, None, None] * x
+    mats[:, range(n), range(n)] += u[:, None]
+    # solve() rejects M_k = u_k + (1-u_k) x when an LU pivot is at most
+    # PIVOT_RTOL ||M_k||.  A stacked solve shows no pivots, so it is taken
+    # only when a bound proves that no node can fail that test:
+    # * each pivot of LU with partial pivoting is the largest entry in the
+    #   first column of a Schur complement S, and S^{-1} is a block of
+    #   M_k^{-1}, so |pivot| >= sigma_min(S)/sqrt(n) >= sigma_min(M_k)/n;
+    # * sigma_min(M_k) >= lambda_min(Re M_k) = u_k + (1-u_k) margin, since
+    #   ||M v|| >= Re<M v, v> for unit v;
+    # * ||M_k|| <= u_k + (1-u_k) ||x||_F.
+    # The factor 100 covers rounding in the bounds and in the factorization.
+    # When any node misses the bound the whole rule goes through solve(), so
+    # the same node raises SingularMatrixError with the same pivot index.
+    low = (u + (1.0 - u) * margin) / n
+    high = u + (1.0 - u) * frob_norm(x)
+    if np.all(low > 100.0 * PIVOT_RTOL * high):
+        sols = np.linalg.solve(mats, np.broadcast_to(x, mats.shape))
+    else:
+        sols = np.array([solve(m, x, tol) for m in mats])
+    return float(np.sin(r * np.pi) / np.pi) * np.tensordot(w, sols, axes=1)
 
 
 def power_balakrishnan(
@@ -146,11 +175,11 @@ def power_balakrishnan(
         raise ValueError("the quadrature route needs r in (0, 1)")
     if nodes < 16:
         raise ValueError("need at least 16 quadrature nodes")
-    _require_accretive(x, tol)
-    value = _balakrishnan_sum(x, r, nodes, tol)
-    coarse = _balakrishnan_sum(x, r, nodes // 2, tol)
+    margin = _require_accretive(x, tol)
+    value = _balakrishnan_sum(x, r, nodes, margin, tol)
+    coarse = _balakrishnan_sum(x, r, nodes // 2, margin, tol)
     est = op_norm(value - coarse)
-    certified = not (min_real_eig(x) <= tol.psd_slack and est > 1e-6)
+    certified = not (margin <= tol.psd_slack and est > 1e-6)
     return PowerResult(value, "balakrishnan", float(est), nodes, certified)
 
 

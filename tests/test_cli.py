@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realpos.cli import main
 from realpos.matrices import matrix_from_json, matrix_to_json
@@ -25,11 +29,49 @@ def test_check_reports_and_exit_codes(tmp_path, capsys):
     assert main(["check", ii, "--require", "f"]) == 1
 
 
-def test_check_invalid_input(tmp_path):
+def test_check_invalid_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"n\": 2, \"entries\": []}")
     assert main(["check", str(bad)]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
+    pair = [1, 0]
+    for entries in ([1, 2, 3, 4], [pair] * 3 + ["ab"], [pair] * 3 + [[True, 0]],
+                    [pair] * 3 + [[1, 2, 3]], [[1e400, 0]] * 4, 4):
+        bad.write_text(json.dumps({"n": 2, "entries": entries}))
+        capsys.readouterr()
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# Objects shaped like the matrix wire format, so the property reaches past the
+# missing-field check into the entry and dimension checks.
+MATRIX_LIKE = st.fixed_dictionaries({
+    "n": st.integers(-1, 3) | JSON_VALUES,
+    "entries": st.lists(
+        st.lists(st.integers(-3, 3) | st.floats() | JSON_VALUES, min_size=2, max_size=2)
+        | JSON_VALUES,
+        max_size=9,
+    ) | JSON_VALUES,
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_VALUES | MATRIX_LIKE)
+def test_check_any_json_exits_cleanly(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "any.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_transform_roundtrip(tmp_path, capsys):
@@ -106,6 +148,10 @@ def test_algebra_commands(tmp_path, capsys):
     assert len(data["basis"]) == 4
 
     assert main(["algebra", "identity", "bogus:9"]) == 2
+    # canned names obey REALPOS_MAX_DIM like matrices read from files
+    assert main(["algebra", "identity", "full:20"]) == 2
+    assert "REALPOS_MAX_DIM" in capsys.readouterr().err
+    assert main(["algebra", "identity", "blockupper:10,10"]) == 2
 
 
 def test_interp_command(tmp_path, capsys):
@@ -130,6 +176,14 @@ def test_interp_command(tmp_path, capsys):
 
     problem.write_text(json.dumps({"algebra": "diag:3"}))
     assert main(["interp", str(problem), "--theorem", "dominate"]) == 2
+    b = matrix_to_json(np.eye(2))
+    for bad in ({"algebra": 5, "b": b}, {"algebra": [1, 2]}, {"algebra": {"basis": 3}},
+                {"algebra": "full:20"}, [1, 2], {"algebra": "diag:2", "b": b, "seed": [0]}):
+        problem.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["interp", str(problem), "--theorem", "dominate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_suite_and_determinism(tmp_path):

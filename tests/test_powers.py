@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from realpos.algebra import contains, generate_algebra
 from realpos.cones import sector_angle
 from realpos.generators import gen_accretive, gen_half_f, gen_sectorial, gen_unitary
-from realpos.matrices import im_part, min_real_eig, op_norm
+from realpos.matrices import SingularMatrixError, im_part, min_real_eig, op_norm, solve
 from realpos.powers import (
     DefectiveMatrixError,
     NotAccretiveError,
@@ -54,6 +57,44 @@ def test_balakrishnan_parameter_validation():
         power_balakrishnan(np.eye(2), 1.5)
     with pytest.raises(ValueError):
         power_balakrishnan(np.eye(2), 0.5, nodes=8)
+
+
+def test_balakrishnan_singular_node_raises_at_its_pivot():
+    # the smallest node u_k gives M_k = diag(1e12 (1-u_k), u_k): its second
+    # pivot sits below 1e-13 ||M_k||, so solve() must reject it
+    with pytest.raises(SingularMatrixError) as info:
+        power_balakrishnan(np.diag([1e12, 0.0]), 0.5)
+    assert info.value.pivot_index == 1
+
+
+def _per_node_reference(x, r, nodes):
+    with np.errstate(invalid="ignore"):  # benign internal scipy divide
+        xi, w = roots_jacobi(nodes, -r, r - 1.0)
+    eye = np.eye(x.shape[0], dtype=complex)
+    acc = np.zeros_like(x)
+    for xi_k, w_k in zip(xi, w):
+        u = (1.0 + xi_k) / 2.0
+        acc = acc + w_k * solve(u * eye + (1.0 - u) * x, x)
+    return np.sin(r * np.pi) / np.pi * acc
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_balakrishnan_matches_per_node_solves(n):
+    for k, (r, nodes) in enumerate(itertools.product((0.25, 0.5, 0.75), (16, 64, 128))):
+        x = gen_accretive(n, 900 + 10 * n + k)
+        ref = _per_node_reference(x, r, nodes)
+        value = power_balakrishnan(x, r, nodes).value
+        assert op_norm(value - ref) <= 1e-13 * op_norm(ref)
+
+
+@pytest.mark.parametrize("nodes", [64, 128])
+def test_balakrishnan_matches_per_node_solves_near_singular(nodes):
+    # large norm on the accretivity boundary: the pivot bound cannot clear
+    # every node, yet solve() accepts them all
+    x = np.diag([1e8, 0.0]).astype(complex)
+    ref = _per_node_reference(x, 0.5, nodes)
+    value = power_balakrishnan(x, 0.5, nodes).value
+    assert op_norm(value - ref) <= 1e-13 * op_norm(ref)
 
 
 def test_balakrishnan_defective_fallback():
