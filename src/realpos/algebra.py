@@ -20,12 +20,14 @@ from .matrices import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
+    check_dim,
     dagger,
     frob_norm,
     matrix_from_json,
     matrix_to_json,
     op_norm,
 )
+from .projections import _kernel_complement_projection
 
 __all__ = [
     "MatrixAlgebra",
@@ -228,8 +230,7 @@ def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAl
     if k <= 0:
         raise ValueError("k must be a positive integer")
     n = a.ambient_dim
-    if k * n > 64:
-        raise ValueError(f"amplified dimension {k * n} exceeds the size cap 64")
+    check_dim(k * n, f"the {k}-fold amplification")
     units = np.zeros((k, k, k, k), dtype=complex)
     for i in range(k):
         for j in range(k):
@@ -322,16 +323,6 @@ def _accretive_samples(
     return out
 
 
-def _support_of(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto ker(m)^perp via SVD."""
-    u, s, vh = np.linalg.svd(m)
-    if s.size == 0 or s[0] <= 1e-14:
-        return np.zeros_like(m)
-    keep = s > 1e-10 * s[0]
-    vt = vh[keep]
-    return dagger(vt) @ vt
-
-
 def _snap_to_algebra_projection(
     a: MatrixAlgebra, q_raw: np.ndarray, tol: Tolerances
 ):
@@ -407,10 +398,10 @@ def a_h(
     last_rank = -1
     for _ in range(4):
         samples += _accretive_samples(a, rng, per_round, steps, keep_slack)
-        pool = proj_candidates + [_support_of(x) for x in samples]
+        pool = proj_candidates + [_kernel_complement_projection(x) for x in samples]
         if not pool:
             break
-        q_raw = _support_of(sum(pool))
+        q_raw = _kernel_complement_projection(sum(pool))
         q_cand = _snap_to_algebra_projection(a, q_raw, tol)
         if q_cand is not None:
             q_best = q_cand
@@ -510,8 +501,6 @@ def algebra_from_name(name: str) -> MatrixAlgebra:
     The ambient dimension is checked against ``REALPOS_MAX_DIM`` before the
     basis (n**2 matrices of size n for ``full:n``) is built.
     """
-    from .generators import max_dim  # local import, no cycle
-
     builders = {
         "full": full_algebra,
         "upper": upper_triangular_algebra,
@@ -528,10 +517,7 @@ def algebra_from_name(name: str) -> MatrixAlgebra:
         raise ValueError(malformed) from exc
     if len(dims) != (2 if kind == "blockupper" else 1):
         raise ValueError(malformed)
-    if sum(dims) > max_dim():
-        raise ValueError(
-            f"algebra {name!r} has dimension {sum(dims)} above REALPOS_MAX_DIM={max_dim()}"
-        )
+    check_dim(sum(dims), f"algebra {name!r}")
     try:
         return builders[kind](*dims)
     except (TypeError, ValueError) as exc:
@@ -548,18 +534,24 @@ def algebra_to_json(a: MatrixAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
+    """Algebra from its JSON; every matrix is held to ``REALPOS_MAX_DIM``
+    before the span or the generated algebra is built."""
     if not isinstance(data, dict):
         raise ValueError(f"algebra JSON must be an object, got {type(data).__name__}")
     for key in ("basis", "generators"):
         if key in data and not isinstance(data[key], list):
             raise ValueError(f"algebra JSON field {key!r} must be a list of matrices")
+    label = data.get("label", "span")
+    if not isinstance(label, str):
+        raise ValueError("algebra JSON field 'label' must be a string")
+    mats = [matrix_from_json(m) for m in data.get("basis", data.get("generators", []))]
+    for m in mats:
+        check_dim(m.shape[0], "an algebra matrix")
     if "basis" in data:
-        mats = [matrix_from_json(m) for m in data["basis"]]
-        return span_algebra(mats, tol, label=data.get("label", "span"))
+        return span_algebra(mats, tol, label=label)
     if "generators" in data:
-        gens = [matrix_from_json(m) for m in data["generators"]]
         return generate_algebra(
-            gens,
+            mats,
             mode=data.get("mode", "algebra"),
             with_identity=bool(data.get("with_identity", False)),
             tol=tol,

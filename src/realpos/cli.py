@@ -26,12 +26,10 @@ from .algebra import (
     algebra_to_json,
     amplify,
     identity_of,
-    span_algebra,
     unitize,
 )
 from .cones import cone_report, numerical_range
-from .generators import max_dim
-from .matrices import Tolerances, complex_entries, matrix_from_json, matrix_to_json, op_norm
+from .matrices import Tolerances, check_dim, complex_entries, matrix_from_json, matrix_to_json
 from .powers import power, power_balakrishnan, power_spectral, root_series
 from .projections import peak_projection, support_projection
 from .transforms import cayley, f_inverse, f_transform
@@ -48,10 +46,7 @@ def _load_json(path: str):
 
 def _load_matrix(path: str) -> np.ndarray:
     m = matrix_from_json(_load_json(path))
-    if m.shape[0] > max_dim():
-        raise ValueError(
-            f"matrix dimension {m.shape[0]} exceeds REALPOS_MAX_DIM={max_dim()}"
-        )
+    check_dim(m.shape[0], "matrix")
     return m
 
 
@@ -62,7 +57,7 @@ def _load_algebra(spec: str):
         mats = data.get("basis") if isinstance(data, dict) else data
         if not isinstance(mats, list):
             raise ValueError("span file must hold a list of matrices or a 'basis' list")
-        return span_algebra([matrix_from_json(m) for m in mats])
+        return algebra_from_json({"basis": mats})
     if ":" in spec and not spec.endswith(".json") and spec != "-":
         return algebra_from_name(spec)
     return algebra_from_json(_load_json(spec))
@@ -202,41 +197,10 @@ def _cmd_algebra(args) -> int:
     raise ValueError(f"unknown algebra op {args.op!r}")
 
 
-def _interp_residuals(theorem: str, data: dict, solution: dict) -> dict:
-    """Independent residual table for the solver output (nothing is trusted
-    from solver state)."""
-    from .cones import f_membership
-    from .matrices import im_part, min_real_eig
-
-    g = solution["solution"]
-    n = g.shape[0]
-    eye = np.eye(n, dtype=complex)
-    table = {"half_f_excess": max(0.0, -f_membership(g).half_f_gap)}
-    if theorem == "dominate":
-        b = matrix_from_json(data["b"])
-        table["domination_deficit"] = max(0.0, -min_real_eig(g - b))
-        table["im_norm"] = op_norm(im_part(g))
-    elif theorem == "decompose":
-        b = matrix_from_json(data["b"])
-        y = solution["complement"]
-        table["difference"] = op_norm(b - (g - y))
-        table["half_f_excess_complement"] = max(0.0, -f_membership(y).half_f_gap)
-    elif theorem == "np":
-        c = matrix_from_json(data["c"])
-        block = np.block([[eye - c, (eye - g).conj().T], [eye - g, eye]])
-        table["schur_deficit"] = max(0.0, -min_real_eig(block))
-        table["im_norm"] = op_norm(im_part(g))
-    elif theorem in ("urysohn", "strict-urysohn"):
-        q = matrix_from_json(data["q"])
-        table["corner"] = max(op_norm(g @ q - q), op_norm(q @ g - q))
-    elif theorem in ("peak", "tietze"):
-        q = matrix_from_json(data["q"])
-        b = matrix_from_json(data["b"])
-        table["corner"] = max(op_norm(g @ q - b @ q), op_norm(q @ g - b @ q))
-        if theorem == "tietze":
-            table.pop("half_f_excess")
-            table["norm_excess"] = max(0.0, op_norm(g) - 1.0)
-    return {k: float(v) for k, v in table.items()}
+def _interp_input(key: str, value):
+    if key == "region":
+        return interp.ConvexRegion(complex_entries(value, "region vertices"))
+    return matrix_from_json(value)
 
 
 def _cmd_interp(args) -> int:
@@ -244,38 +208,23 @@ def _cmd_interp(args) -> int:
     data = _load_json(args.problem)
     if not isinstance(data, dict):
         raise ValueError("interp problem JSON must be an object")
+    spec = interp.THEOREMS[args.theorem]
+    needed = ("algebra", *spec.keys)
+    missing = [key for key in needed if key not in data]
+    if missing:
+        raise ValueError(f"--theorem {args.theorem} reads problem keys {', '.join(needed)}; "
+                         f"missing {', '.join(missing)}")
     alg_spec = data["algebra"]
     alg = algebra_from_name(alg_spec) if isinstance(alg_spec, str) else algebra_from_json(alg_spec)
-
-    def mat(key):
-        return matrix_from_json(data[key])
-
+    problem = {key: _interp_input(key, data[key]) for key in spec.keys}
     try:
         seed = int(data.get("seed", args.seed))
-        eps = float(data.get("eps", 1e-2))
-        near = float(data.get("near_eps", 1e-2))
+        problem["eps"] = float(data.get("eps", 1e-2))
+        problem["near_eps"] = float(data.get("near_eps", 1e-2))
     except (TypeError, OverflowError) as exc:
         raise ValueError("interp 'seed', 'eps' and 'near_eps' must be numbers") from exc
     try:
-        if args.theorem == "dominate":
-            out = {"solution": interp.dominate(alg, mat("b"), eps, seed=seed, tol=tol)}
-        elif args.theorem == "decompose":
-            x, y = interp.decompose(alg, mat("b"), seed=seed, tol=tol)
-            out = {"solution": x, "complement": y}
-        elif args.theorem == "np":
-            out = {"solution": interp.interp_np(alg, mat("c"), near, seed=seed, tol=tol)}
-        elif args.theorem == "urysohn":
-            out = {"solution": interp.urysohn_interpolate(alg, mat("q"), mat("u"), eps, near, seed=seed, tol=tol)}
-        elif args.theorem == "strict-urysohn":
-            out = {"solution": interp.strict_urysohn(alg, mat("q"), mat("p"), seed=seed, tol=tol)}
-        elif args.theorem == "peak":
-            out = {"solution": interp.peak_interpolate(alg, mat("q"), mat("b"), seed=seed, tol=tol)}
-        elif args.theorem == "tietze":
-            verts = complex_entries(data["region"], "tietze region vertices")
-            region = interp.ConvexRegion(verts)
-            out = {"solution": interp.tietze_lift(alg, mat("q"), mat("b"), region, seed=seed, tol=tol)}
-        else:
-            raise ValueError(f"unknown theorem {args.theorem!r}")
+        outputs = spec.solve(alg, problem, seed, tol)
     except interp.UnconvergedError as exc:
         payload = {"verdict": "unconverged", "message": str(exc)}
         if exc.solution is not None:
@@ -283,8 +232,8 @@ def _cmd_interp(args) -> int:
             payload["solution"] = matrix_to_json(exc.solution.value)
         _emit(payload, args)
         return 1
-    payload = {"verdict": "feasible", "residuals": _interp_residuals(args.theorem, data, out)}
-    for key, value in out.items():
+    payload = {"verdict": "feasible", "residuals": spec.residual_table(alg, problem, outputs, tol)}
+    for key, value in zip(("solution", "complement"), outputs):
         payload[key] = matrix_to_json(value)
     _emit(payload, args)
     return 0
@@ -372,11 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("interp", help="interpolation theorem solvers")
     p.add_argument("problem", help="problem JSON path or - for stdin")
-    p.add_argument(
-        "--theorem",
-        choices=("dominate", "decompose", "np", "urysohn", "strict-urysohn", "peak", "tietze"),
-        required=True,
-    )
+    p.add_argument("--theorem", choices=tuple(interp.THEOREMS), required=True)
     p.set_defaults(fn=_cmd_interp)
 
     p = add_parser("verify", help="run the acceptance suites")

@@ -6,8 +6,6 @@ seeds give identical instances.  The ambient dimension is capped by the
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .algebra import (
@@ -18,7 +16,7 @@ from .algebra import (
     generate_algebra,
     upper_triangular_algebra,
 )
-from .matrices import DEFAULT_TOL, Tolerances, dagger, op_norm
+from .matrices import DEFAULT_TOL, Tolerances, dagger, max_dim, op_norm
 from .transforms import f_transform
 
 __all__ = [
@@ -33,13 +31,6 @@ __all__ = [
 ]
 
 ALGEBRA_KINDS = ("full", "diag", "upper", "blockupper", "oa")
-
-
-def max_dim() -> int:
-    try:
-        return int(os.environ.get("REALPOS_MAX_DIM", "16"))
-    except ValueError:
-        return 16
 
 
 def _check_dim(n: int) -> None:

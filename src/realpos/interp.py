@@ -16,12 +16,15 @@ half-F decomposition, near-positive interpolation, Urysohn solvers in both
 the in-algebra and ambient flavours, the strict Urysohn solver with
 peak/support verification, peak interpolation, and the numerical-range
 constrained Tietze lift).  Every solver re-verifies its output with
-independent cone/projection/norm checks before returning it.
+independent cone/projection/norm checks before returning it.  ``THEOREMS``
+is the one table of these theorems: the CLI and the interpolation suite
+read their inputs, solver calls and residuals from it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .matrices import (
     op_norm,
     re_part,
 )
-from .projections import peak_projection, support_projection
+from .projections import _require_projection, peak_projection, support_projection
 
 __all__ = [
     "SOLVER_TOL",
@@ -59,6 +62,8 @@ __all__ = [
     "strict_urysohn",
     "peak_interpolate",
     "tietze_lift",
+    "TheoremSpec",
+    "THEOREMS",
 ]
 
 SOLVER_TOL = 1e-6
@@ -187,6 +192,13 @@ def _jacobian(affine: MatrixAffine, algebra: MatrixAlgebra) -> np.ndarray:
     return np.array(cols).T
 
 
+def _pinv(m: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse, dropping singular values below 1e-12 of the largest."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    keep = s > 1e-12 * (s[0] if s.size else 1.0)
+    return (vt[keep].T / s[keep]) @ u[:, keep].T
+
+
 class _AffineSet:
     """Exact projector onto the joint equality set in coordinate space."""
 
@@ -197,9 +209,7 @@ class _AffineSet:
             rhs.append(_cvec(eq.target - eq.map.const))
         self.t = np.vstack(rows)
         self.rhs = np.concatenate(rhs)
-        u, s, vt = np.linalg.svd(self.t, full_matrices=False)
-        keep = s > 1e-12 * (s[0] if s.size else 1.0)
-        self.pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
+        self.pinv = _pinv(self.t)
 
     def project(self, u: np.ndarray) -> np.ndarray:
         return u - self.pinv @ (self.t @ u - self.rhs)
@@ -222,9 +232,7 @@ class _SpectralSet:
         self.const = _cvec(con.map.const)
         self.shape = con.map.const.shape
         self.inner_tol = 0.25 * problem.solver_tol
-        u, s, vt = np.linalg.svd(self.jac, full_matrices=False)
-        keep = s > 1e-12 * (s[0] if s.size else 1.0)
-        self.pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
+        self.pinv = _pinv(self.jac)
 
     def value(self, u: np.ndarray) -> np.ndarray:
         return _cunvec(self.jac @ u + self.const, self.shape)
@@ -350,19 +358,30 @@ def _eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def _identity_equality(left: np.ndarray, right: np.ndarray, target, label: str) -> AffineEquality:
-    n = left.shape[0]
-    amap = MatrixAffine([AffineTerm(left, right)], np.zeros((left.shape[0], right.shape[1]), complex))
-    return AffineEquality(amap, np.asarray(target, complex), label)
+def _zero(n: int) -> np.ndarray:
+    return np.zeros((n, n), dtype=complex)
+
+
+def _corner_equalities(q: np.ndarray, target: np.ndarray, labels: tuple) -> list:
+    """a q = target and q a = target."""
+    eye, zero = _eye(q.shape[0]), _zero(q.shape[0])
+    return [
+        AffineEquality(MatrixAffine([AffineTerm(eye, q)], zero), target, labels[0]),
+        AffineEquality(MatrixAffine([AffineTerm(q, eye)], zero), target, labels[1]),
+    ]
+
+
+def _absorb_equalities(u: np.ndarray, labels: tuple) -> list:
+    """a u = a and u a = a."""
+    eye, zero = _eye(u.shape[0]), _zero(u.shape[0])
+    return [
+        AffineEquality(MatrixAffine([AffineTerm(eye, u), AffineTerm(-eye, eye)], zero), zero, labels[0]),
+        AffineEquality(MatrixAffine([AffineTerm(u, eye), AffineTerm(-eye, eye)], zero), zero, labels[1]),
+    ]
 
 
 def _half_f_cap(n: int, label: str = "1-2a in ball") -> NormCap:
     amap = MatrixAffine([AffineTerm(-2.0 * _eye(n), _eye(n))], _eye(n))
-    return NormCap(amap, 1.0, label)
-
-
-def _ball_cap(n: int, label: str = "a in ball") -> NormCap:
-    amap = MatrixAffine([AffineTerm(_eye(n), _eye(n))], np.zeros((n, n), complex))
     return NormCap(amap, 1.0, label)
 
 
@@ -379,20 +398,19 @@ def _sector_floors(n: int, eps: float, cap: float = 1.0) -> list:
     """Rotated-accretivity pair forcing ||Im a|| below eps for ||a|| <= cap."""
     rho = float(np.arcsin(min(1.0, 0.9 * eps / max(cap, 1e-12))))
     phi = np.pi / 2.0 - rho
-    zero = np.zeros((n, n), complex)
     return [
-        _re_floor(np.exp(1j * phi) * _eye(n), zero, "sector+"),
-        _re_floor(np.exp(-1j * phi) * _eye(n), zero, "sector-"),
+        _re_floor(np.exp(1j * phi) * _eye(n), _zero(n), "sector+"),
+        _re_floor(np.exp(-1j * phi) * _eye(n), _zero(n), "sector-"),
     ]
 
 
 def _schur_floor(s1: np.ndarray, s2: np.ndarray, z: np.ndarray, w: np.ndarray, label: str) -> HermFloor:
     """Block floor [[s1, (z a + w)*], [z a + w, s2]] >= 0."""
     n = z.shape[1]
-    top = np.vstack([_eye(n), np.zeros((n, n), complex)])  # embeds rows 0..n
-    bot = np.vstack([np.zeros((n, n), complex), _eye(n)])
-    left = np.hstack([_eye(n), np.zeros((n, n), complex)])  # embeds cols 0..n
-    right = np.hstack([np.zeros((n, n), complex), _eye(n)])
+    top = np.vstack([_eye(n), _zero(n)])  # embeds rows 0..n
+    bot = np.vstack([_zero(n), _eye(n)])
+    left = np.hstack([_eye(n), _zero(n)])  # embeds cols 0..n
+    right = np.hstack([_zero(n), _eye(n)])
     const = np.block([[s1, dagger(w)], [w, s2]]).astype(complex)
     terms = [
         AffineTerm(bot @ z, left),  # z a in the lower-left block
@@ -401,10 +419,20 @@ def _schur_floor(s1: np.ndarray, s2: np.ndarray, z: np.ndarray, w: np.ndarray, l
     return HermFloor(MatrixAffine(terms, const), label)
 
 
-def _verify(checks: list, what: str) -> None:
-    bad = [f"{label}: {value:.3e}" for label, value, ok in checks if not ok]
-    if bad:
-        raise VerificationFailedError(f"{what} failed post-verification: " + "; ".join(bad))
+def _solve(problem: FeasibilityProblem, seed: int, warm, message: str) -> np.ndarray:
+    """The engine's feasible point, or UnconvergedError carrying its residuals."""
+    sol = solve_feasibility(problem, seed=seed, warm_start=warm)
+    if sol.verdict != "feasible":
+        raise UnconvergedError(message, sol)
+    return sol.value
+
+
+# -- preconditions -----------------------------------------------------------
+
+
+def _require_positive(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _require_unital(a: MatrixAlgebra, tol: Tolerances) -> np.ndarray:
@@ -414,13 +442,161 @@ def _require_unital(a: MatrixAlgebra, tol: Tolerances) -> np.ndarray:
     return e
 
 
-def _require_projection_in(a: Optional[MatrixAlgebra], p: np.ndarray, name: str, tol: Tolerances) -> None:
-    if op_norm(p @ p - p) > 1e-8 or op_norm(p - dagger(p)) > 1e-8:
-        raise ValueError(f"{name} is not an orthogonal projection")
-    if a is not None:
-        ok, res = contains(a, p, tol)
-        if not ok:
-            raise ValueError(f"{name} is not in the algebra (residual {res:.2e})")
+def _require_in(a: MatrixAlgebra, m: np.ndarray, name: str, tol: Tolerances, where: str = "the algebra") -> None:
+    ok, res = contains(a, m, tol)
+    if not ok:
+        raise ValueError(f"{name} is not in {where} (residual {res:.2e})")
+
+
+def _require_projection_in(a: MatrixAlgebra, p: np.ndarray, name: str, tol: Tolerances) -> None:
+    _require_projection(p, name)
+    _require_in(a, p, name, tol)
+
+
+def _require_small_psd_in_cstar(a: MatrixAlgebra, m: np.ndarray, name: str, tol: Tolerances) -> float:
+    """m Hermitian PSD in C*(A) with ||m|| < 1 (domination, near-positive
+    interpolation); returns ||m||."""
+    norm = op_norm(m)
+    if op_norm(m - dagger(m)) > tol.eq_tol * max(1.0, norm):
+        raise ValueError(f"{name} must be Hermitian")
+    if min_real_eig(m) < -tol.psd_slack:
+        raise ValueError(f"{name} must be positive semidefinite")
+    if norm >= 1.0 - tol.eq_tol:
+        raise ValueError(f"||{name}|| < 1 is required strictly")
+    _require_in(generate_algebra(list(a.basis), mode="cstar", tol=tol), m, name, tol, "C*(A)")
+    return norm
+
+
+def _require_commuting(a: MatrixAlgebra, q: np.ndarray, b: np.ndarray, tol: Tolerances) -> None:
+    """q a projection of the unitization, b in A commuting with q, ||b q|| <= 1
+    (peak interpolation, Tietze lifts)."""
+    _require_projection_in(unitize(a, tol), q, "q", tol)
+    _require_in(a, b, "b", tol)
+    if op_norm(b @ q - q @ b) > tol.eq_tol * max(1.0, op_norm(b)):
+        raise ValueError("b must commute with q")
+    if op_norm(b @ q) > 1.0 + tol.eq_tol:
+        raise ValueError("||b q|| <= 1 is required")
+
+
+# -- post-verification -------------------------------------------------------
+#
+# A check is a (label, value, ok) triple; value measures the violation, so the
+# CLI's residual table is read off the values (see TheoremSpec).
+
+
+def _verify(checks: list, what: str) -> None:
+    bad = [f"{label}: {value:.3e}" for label, value, ok in checks if not ok]
+    if bad:
+        raise VerificationFailedError(f"{what} failed post-verification: " + "; ".join(bad))
+
+
+def _below(label: str, value: float, bound: float) -> tuple:
+    return (label, value, value < bound)
+
+
+def _eq_check(label: str, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    d = op_norm(lhs - rhs)
+    return (label, d, d <= SOLVER_TOL)
+
+
+def _psd_check(label: str, m: np.ndarray) -> tuple:
+    low = min_real_eig(m)
+    return (label, -low, low >= -SOLVER_TOL)
+
+
+def _half_f_check(x: np.ndarray, tol: Tolerances, label: str = "half-F") -> tuple:
+    gap = f_membership(x, tol).half_f_gap
+    return (label, -gap, gap >= -SOLVER_TOL)
+
+
+def _sided_checks(x: np.ndarray, m: np.ndarray, target: np.ndarray, labels: tuple) -> list:
+    """x m = target and m x = target: corners (target q) and absorption (target x)."""
+    return [_eq_check(labels[0], x @ m, target), _eq_check(labels[1], m @ x, target)]
+
+
+def _check_dominate(a, prob: dict, out: tuple, tol: Tolerances) -> list:
+    x, = out
+    return [
+        _half_f_check(x, tol),
+        _psd_check("Re(a)-b PSD", x - prob["b"]),
+        _below("Im small", op_norm(im_part(x)), prob["eps"]),
+    ]
+
+
+def _check_decompose(a, prob: dict, out: tuple, tol: Tolerances) -> list:
+    x, y = out
+    return [
+        _half_f_check(x, tol, "x in half-F"),
+        _half_f_check(y, tol, "y in half-F"),
+        _eq_check("b = x - y", prob["b"], x - y),
+    ]
+
+
+def _check_np(a, prob: dict, out: tuple, tol: Tolerances) -> list:
+    x, = out
+    eye, c = _eye(x.shape[0]), prob["c"]
+    return [
+        _half_f_check(x, tol),
+        _psd_check("Schur block PSD", np.block([[eye - c, dagger(eye - x)], [eye - x, eye]])),
+        _below("Im small", op_norm(im_part(x)), prob["near_eps"]),
+    ]
+
+
+def _check_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
+    x, = out
+    q, u, eps = prob["q"], prob["u"], prob["eps"]
+    checks = [
+        _half_f_check(x, tol),
+        *_sided_checks(x, q, q, ("x q = q", "q x = q")),
+        _below("Im small", op_norm(im_part(x)), prob["near_eps"]),
+    ]
+    if contains(a, u, tol)[0]:
+        return checks + _sided_checks(x, u, x, ("x u = x", "u x = x"))
+    comp = _eye(x.shape[0]) - u
+    return checks + [
+        _below("x(1-u) < eps", op_norm(x @ comp), eps),
+        _below("(1-u)x < eps", op_norm(comp @ x), eps),
+    ]
+
+
+def _check_strict_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
+    x, = out
+    q, p = prob["q"], prob["p"]
+    peak = peak_projection(x, method="iterative", tol=tol)
+    supp = support_projection(x, method="iterative", tol=tol)
+    prod = support_projection(x @ (_eye(x.shape[0]) - x), method="oracle", tol=tol)
+    inside, res = contains(a, x, tol)
+    d_peak, d_supp, d_prod = (op_norm(peak.proj - q), op_norm(supp.proj - p),
+                              op_norm(prod.proj - (p - q)))
+    return [
+        ("in algebra", res, inside),
+        _half_f_check(x, tol),
+        *_sided_checks(x, q, q, ("x q = q", "q x = q")),
+        *_sided_checks(x, p, x, ("x p = x", "p x = x")),
+        ("u(x) = q", d_peak, peak.status != "diverged" and d_peak <= 1e-5),
+        ("s(x) = p", d_supp, supp.status != "diverged" and d_supp <= 1e-5),
+        ("s(x(1-x)) = p-q", d_prod, d_prod <= 1e-5),
+    ]
+
+
+def _check_peak(a, prob: dict, out: tuple, tol: Tolerances) -> list:
+    g, = out
+    q = prob["q"]
+    return [_half_f_check(g, tol), *_sided_checks(g, q, prob["b"] @ q, ("g q = b q", "q g = b q"))]
+
+
+def _check_tietze(a, prob: dict, out: tuple, tol: Tolerances) -> list:
+    g, = out
+    q = prob["q"]
+    norm = op_norm(g)
+    checks = [
+        ("contraction", norm - 1.0, norm <= 1.0 + SOLVER_TOL),
+        *_sided_checks(g, q, prob["b"] @ q, ("g q = b q", "q g = b q")),
+    ]
+    for k, (theta, h) in enumerate(prob["region"].half_planes()):
+        top = float(np.linalg.eigvalsh(re_part(np.exp(-1j * theta) * g))[-1])
+        checks.append((f"W(g) halfplane {k}", top - h, top <= h + SOLVER_TOL))
+    return checks
 
 
 # -- theorem solvers ---------------------------------------------------------
@@ -440,36 +616,17 @@ def dominate(
     within solver_tol) and ||Im x|| < eps.
     """
     b = as_matrix(b)
+    _require_positive(eps, "eps")
     e = _require_unital(a, tol)
     n = a.ambient_dim
-    if op_norm(b - dagger(b)) > tol.eq_tol * max(1.0, op_norm(b)):
-        raise ValueError("b must be Hermitian")
-    if min_real_eig(b) < -tol.psd_slack:
-        raise ValueError("b must be positive semidefinite")
-    if op_norm(b) >= 1.0 - tol.eq_tol:
-        raise ValueError("domination needs ||b|| < 1 strictly")
-    cstar = generate_algebra(list(a.basis), mode="cstar", tol=tol)
-    ok, res = contains(cstar, b, tol)
-    if not ok:
-        raise ValueError(f"b is not in C*(A) (residual {res:.2e})")
-
+    norm = _require_small_psd_in_cstar(a, b, "b", tol)
     problem = FeasibilityProblem(
         algebra=a,
         floors=[_re_floor(_eye(n), -b, "Re(a) >= b"), *_sector_floors(n, eps)],
         caps=[_half_f_cap(n)],
     )
-    warm = 0.5 * (1.0 + op_norm(b)) * e
-    sol = solve_feasibility(problem, seed=seed, warm_start=warm)
-    if sol.verdict != "feasible":
-        raise UnconvergedError("domination solve unconverged", sol)
-    x = sol.value
-    fm = f_membership(x, tol)
-    checks = [
-        ("half-F", -fm.half_f_gap, fm.half_f_gap >= -SOLVER_TOL),
-        ("Re(a)-b PSD", -min_real_eig(x - b), min_real_eig(x - b) >= -SOLVER_TOL),
-        ("Im small", op_norm(im_part(x)), op_norm(im_part(x)) < eps),
-    ]
-    _verify(checks, "dominate")
+    x = _solve(problem, seed, 0.5 * (1.0 + norm) * e, "domination solve unconverged")
+    _verify(_check_dominate(a, {"b": b, "eps": eps}, (x,), tol), "dominate")
     return x
 
 
@@ -480,9 +637,7 @@ def decompose(
     b = as_matrix(b)
     e = _require_unital(a, tol)
     n = a.ambient_dim
-    ok, res = contains(a, b, tol)
-    if not ok:
-        raise ValueError(f"b is not in the algebra (residual {res:.2e})")
+    _require_in(a, b, "b", tol)
     if op_norm(b) >= 1.0 - tol.eq_tol:
         raise ValueError("decomposition needs ||b|| < 1 strictly")
 
@@ -492,20 +647,9 @@ def decompose(
         algebra=a,
         caps=[_half_f_cap(n), NormCap(shifted, 1.0, "1-2(x-b) in ball")],
     )
-    warm = (e + b) / 2.0
-    sol = solve_feasibility(problem, seed=seed, warm_start=warm)
-    if sol.verdict != "feasible":
-        raise UnconvergedError("decomposition solve unconverged", sol)
-    x = sol.value
+    x = _solve(problem, seed, (e + b) / 2.0, "decomposition solve unconverged")
     y = x - b
-    fx = f_membership(x, tol)
-    fy = f_membership(y, tol)
-    checks = [
-        ("x in half-F", -fx.half_f_gap, fx.half_f_gap >= -SOLVER_TOL),
-        ("y in half-F", -fy.half_f_gap, fy.half_f_gap >= -SOLVER_TOL),
-        ("b = x - y", op_norm(b - (x - y)), op_norm(b - (x - y)) <= SOLVER_TOL),
-    ]
-    _verify(checks, "decompose")
+    _verify(_check_decompose(a, {"b": b}, (x, y), tol), "decompose")
     return x, y
 
 
@@ -518,40 +662,18 @@ def interp_np(
 ) -> np.ndarray:
     """Nearly positive x in half-F with |1 - x|^2 <= 1 - c (Schur encoded)."""
     c = as_matrix(c)
+    _require_positive(near_eps, "near_eps")
     e = _require_unital(a, tol)
     n = a.ambient_dim
-    if op_norm(c - dagger(c)) > tol.eq_tol * max(1.0, op_norm(c)):
-        raise ValueError("c must be Hermitian")
-    if min_real_eig(c) < -tol.psd_slack:
-        raise ValueError("c must be positive semidefinite")
-    if op_norm(c) >= 1.0 - tol.eq_tol:
-        raise ValueError("need ||c|| < 1 strictly")
-    cstar = generate_algebra(list(a.basis), mode="cstar", tol=tol)
-    ok, res = contains(cstar, c, tol)
-    if not ok:
-        raise ValueError(f"c is not in C*(A) (residual {res:.2e})")
-
+    norm = _require_small_psd_in_cstar(a, c, "c", tol)
     block = _schur_floor(_eye(n) - c, _eye(n), -_eye(n), _eye(n), "|1-a|^2 <= 1-c")
     problem = FeasibilityProblem(
         algebra=a,
         floors=[block, _re_floor(_eye(n), -c, "Re(a) >= c"), *_sector_floors(n, near_eps)],
         caps=[_half_f_cap(n)],
     )
-    warm = 0.5 * (1.0 + op_norm(c)) * e
-    sol = solve_feasibility(problem, seed=seed, warm_start=warm)
-    if sol.verdict != "feasible":
-        raise UnconvergedError("near-positive interpolation unconverged", sol)
-    x = sol.value
-    fm = f_membership(x, tol)
-    big = np.block(
-        [[_eye(n) - c, dagger(_eye(n) - x)], [_eye(n) - x, _eye(n)]]
-    )
-    checks = [
-        ("half-F", -fm.half_f_gap, fm.half_f_gap >= -SOLVER_TOL),
-        ("Schur block PSD", -min_real_eig(big), min_real_eig(big) >= -SOLVER_TOL),
-        ("Im small", op_norm(im_part(x)), op_norm(im_part(x)) < near_eps),
-    ]
-    _verify(checks, "interp_np")
+    x = _solve(problem, seed, 0.5 * (1.0 + norm) * e, "near-positive interpolation unconverged")
+    _verify(_check_np(a, {"c": c, "near_eps": near_eps}, (x,), tol), "interp_np")
     return x
 
 
@@ -572,79 +694,31 @@ def urysohn_interpolate(
     """
     q = as_matrix(q)
     u = as_matrix(u)
+    _require_positive(eps, "eps")
+    _require_positive(near_eps, "near_eps")
     n = a.ambient_dim
     _require_projection_in(a, q, "q", tol)
-    _require_projection_in(None, u, "u", tol)
+    _require_projection(u, "u")
     if min_real_eig(u - q) < -tol.psd_slack:
         raise ValueError("u must dominate q")
-    u_in_algebra = contains(a, u, tol)[0]
 
-    eye = _eye(n)
-    equalities = [
-        _identity_equality(eye, q, q, "a q = q"),
-        _identity_equality(q, eye, q, "q a = q"),
-    ]
+    equalities = _corner_equalities(q, q, ("a q = q", "q a = q"))
     caps = [_half_f_cap(n)]
-    if u_in_algebra:
-        au = MatrixAffine([AffineTerm(eye, u), AffineTerm(-eye, eye)], np.zeros((n, n), complex))
-        ua = MatrixAffine([AffineTerm(u, eye), AffineTerm(-eye, eye)], np.zeros((n, n), complex))
-        equalities += [
-            AffineEquality(au, np.zeros((n, n), complex), "a u = a"),
-            AffineEquality(ua, np.zeros((n, n), complex), "u a = a"),
-        ]
+    if contains(a, u, tol)[0]:
+        equalities += _absorb_equalities(u, ("a u = a", "u a = a"))
     else:
-        comp = eye - u
+        eye, comp = _eye(n), _eye(n) - u
         caps += [
-            NormCap(MatrixAffine([AffineTerm(eye, comp)], np.zeros((n, n), complex)), 0.9 * eps, "a(1-u) small"),
-            NormCap(MatrixAffine([AffineTerm(comp, eye)], np.zeros((n, n), complex)), 0.9 * eps, "(1-u)a small"),
+            NormCap(MatrixAffine([AffineTerm(eye, comp)], _zero(n)), 0.9 * eps, "a(1-u) small"),
+            NormCap(MatrixAffine([AffineTerm(comp, eye)], _zero(n)), 0.9 * eps, "(1-u)a small"),
         ]
     problem = FeasibilityProblem(
         algebra=a, equalities=equalities, floors=_sector_floors(n, near_eps), caps=caps
     )
-    sol = solve_feasibility(problem, seed=seed, warm_start=q)
-    if sol.verdict != "feasible":
-        raise UnconvergedError("Urysohn solve unconverged", sol)
-    x = sol.value
-    fm = f_membership(x, tol)
-    checks = [
-        ("half-F", -fm.half_f_gap, fm.half_f_gap >= -SOLVER_TOL),
-        ("x q = q", op_norm(x @ q - q), op_norm(x @ q - q) <= SOLVER_TOL),
-        ("q x = q", op_norm(q @ x - q), op_norm(q @ x - q) <= SOLVER_TOL),
-        ("Im small", op_norm(im_part(x)), op_norm(im_part(x)) < near_eps),
-    ]
-    if u_in_algebra:
-        checks += [
-            ("x u = x", op_norm(x @ u - x), op_norm(x @ u - x) <= SOLVER_TOL),
-            ("u x = x", op_norm(u @ x - x), op_norm(u @ x - x) <= SOLVER_TOL),
-        ]
-    else:
-        comp = eye - u
-        checks += [
-            ("x(1-u) < eps", op_norm(x @ comp), op_norm(x @ comp) < eps),
-            ("(1-u)x < eps", op_norm(comp @ x), op_norm(comp @ x) < eps),
-        ]
-    _verify(checks, "urysohn_interpolate")
+    x = _solve(problem, seed, q, "Urysohn solve unconverged")
+    prob = {"q": q, "u": u, "eps": eps, "near_eps": near_eps}
+    _verify(_check_urysohn(a, prob, (x,), tol), "urysohn_interpolate")
     return x
-
-
-def _verify_strict_urysohn(a, q, p, x, tol) -> list:
-    fm = f_membership(x, tol)
-    peak = peak_projection(x, method="iterative", tol=tol)
-    supp = support_projection(x, method="iterative", tol=tol)
-    eye = _eye(x.shape[0])
-    prod_supp = support_projection(x @ (eye - x), method="oracle", tol=tol)
-    checks = [
-        ("in algebra", contains(a, x, tol)[1], contains(a, x, tol)[0]),
-        ("half-F", -fm.half_f_gap, fm.half_f_gap >= -SOLVER_TOL),
-        ("x q = q", op_norm(x @ q - q), op_norm(x @ q - q) <= SOLVER_TOL),
-        ("q x = q", op_norm(q @ x - q), op_norm(q @ x - q) <= SOLVER_TOL),
-        ("x p = x", op_norm(x @ p - x), op_norm(x @ p - x) <= SOLVER_TOL),
-        ("p x = x", op_norm(p @ x - x), op_norm(p @ x - x) <= SOLVER_TOL),
-        ("u(x) = q", op_norm(peak.proj - q), peak.status != "diverged" and op_norm(peak.proj - q) <= 1e-5),
-        ("s(x) = p", op_norm(supp.proj - p), supp.status != "diverged" and op_norm(supp.proj - p) <= 1e-5),
-        ("s(x(1-x)) = p-q", op_norm(prod_supp.proj - (p - q)), op_norm(prod_supp.proj - (p - q)) <= 1e-5),
-    ]
-    return checks
 
 
 def strict_urysohn(
@@ -672,13 +746,14 @@ def strict_urysohn(
         raise ValueError("p must dominate q")
     n = a.ambient_dim
     eye = _eye(n)
+    prob = {"q": q, "p": p}
 
     # Commuting shortcut.
     b = (p - q) / 2.0
     r = q
     if fast_path and op_norm(b @ r - r @ b) <= 1e-10:
         x = (eye - r) @ b + (eye - b) @ r
-        checks = _verify_strict_urysohn(a, q, p, x, tol)
+        checks = _check_strict_urysohn(a, prob, (x,), tol)
         if all(ok for _, _, ok in checks):
             return x
 
@@ -686,28 +761,18 @@ def strict_urysohn(
     last_checks = None
     for attempt in range(max(1, retries)):
         comp = eye - q
-        offq = MatrixAffine([AffineTerm(comp, comp)], np.zeros((n, n), complex))
+        offq = MatrixAffine([AffineTerm(comp, comp)], _zero(n))
         problem = FeasibilityProblem(
             algebra=a,
             equalities=[
-                _identity_equality(eye, q, q, "x q = q"),
-                _identity_equality(q, eye, q, "q x = q"),
-                AffineEquality(
-                    MatrixAffine([AffineTerm(eye, p), AffineTerm(-eye, eye)], np.zeros((n, n), complex)),
-                    np.zeros((n, n), complex),
-                    "x p = x",
-                ),
-                AffineEquality(
-                    MatrixAffine([AffineTerm(p, eye), AffineTerm(-eye, eye)], np.zeros((n, n), complex)),
-                    np.zeros((n, n), complex),
-                    "p x = x",
-                ),
+                *_corner_equalities(q, q, ("x q = q", "q x = q")),
+                *_absorb_equalities(p, ("x p = x", "p x = x")),
             ],
             caps=[_half_f_cap(n), NormCap(offq, 1.0 - margin, "strict off q")],
         )
         sol = solve_feasibility(problem, seed=seed + attempt, warm_start=(p + q) / 2.0)
         if sol.verdict == "feasible":
-            checks = _verify_strict_urysohn(a, q, p, sol.value, tol)
+            checks = _check_strict_urysohn(a, prob, (sol.value,), tol)
             if all(ok for _, _, ok in checks):
                 return sol.value
             last_checks = checks
@@ -731,38 +796,17 @@ def peak_interpolate(
     q = as_matrix(q)
     b = as_matrix(b)
     n = a.ambient_dim
-    _require_projection_in(unitize(a, tol), q, "q", tol)
-    ok, res = contains(a, b, tol)
-    if not ok:
-        raise ValueError(f"b is not in the algebra (residual {res:.2e})")
-    if op_norm(b @ q - q @ b) > tol.eq_tol * max(1.0, op_norm(b)):
-        raise ValueError("b must commute with q")
-    if op_norm(b @ q) > 1.0 + tol.eq_tol:
-        raise ValueError("||b q|| <= 1 is required")
-    eye = _eye(n)
-    if op_norm((eye - 2.0 * b) @ q) > 1.0 + tol.eq_tol:
+    _require_commuting(a, q, b, tol)
+    if op_norm((_eye(n) - 2.0 * b) @ q) > 1.0 + tol.eq_tol:
         raise ValueError("||(1 - 2b) q|| <= 1 is required")
 
-    target = b @ q
     problem = FeasibilityProblem(
         algebra=a,
-        equalities=[
-            _identity_equality(eye, q, target, "g q = b q"),
-            _identity_equality(q, eye, target, "q g = b q"),
-        ],
+        equalities=_corner_equalities(q, b @ q, ("g q = b q", "q g = b q")),
         caps=[_half_f_cap(n)],
     )
-    sol = solve_feasibility(problem, seed=seed, warm_start=b)
-    if sol.verdict != "feasible":
-        raise UnconvergedError("peak interpolation unconverged", sol)
-    g = sol.value
-    fm = f_membership(g, tol)
-    checks = [
-        ("half-F", -fm.half_f_gap, fm.half_f_gap >= -SOLVER_TOL),
-        ("g q = b q", op_norm(g @ q - target), op_norm(g @ q - target) <= SOLVER_TOL),
-        ("q g = b q", op_norm(q @ g - target), op_norm(q @ g - target) <= SOLVER_TOL),
-    ]
-    _verify(checks, "peak_interpolate")
+    g = _solve(problem, seed, b, "peak interpolation unconverged")
+    _verify(_check_peak(a, {"q": q, "b": b}, (g,), tol), "peak_interpolate")
     return g
 
 
@@ -775,6 +819,8 @@ class ConvexRegion:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("region vertices must be finite")
         if v.size < 3:
             raise ValueError("a region needs at least 3 vertices")
         area = 0.5 * float(
@@ -828,14 +874,7 @@ def tietze_lift(
     q = as_matrix(q)
     b = as_matrix(b)
     n = a.ambient_dim
-    _require_projection_in(unitize(a, tol), q, "q", tol)
-    ok, res = contains(a, b, tol)
-    if not ok:
-        raise ValueError(f"b is not in the algebra (residual {res:.2e})")
-    if op_norm(b @ q - q @ b) > tol.eq_tol * max(1.0, op_norm(b)):
-        raise ValueError("b must commute with q")
-    if op_norm(b @ q) > 1.0 + tol.eq_tol:
-        raise ValueError("||b q|| <= 1 is required")
+    _require_commuting(a, q, b, tol)
     planes = region.half_planes()
     if identity_of(a, tol) is None and not region.contains_point(0.0, tol.psd_slack):
         raise ValueError("a nonunital algebra requires 0 inside the region")
@@ -854,32 +893,75 @@ def tietze_lift(
                 )
 
     eye = _eye(n)
-    target = b @ q
     floors = [
         _re_floor(-np.exp(-1j * theta) * eye, h * eye, f"W(g) halfplane {k}")
         for k, (theta, h) in enumerate(planes)
     ]
+    ball = NormCap(MatrixAffine([AffineTerm(eye, eye)], _zero(n)), 1.0, "a in ball")
     problem = FeasibilityProblem(
         algebra=a,
-        equalities=[
-            _identity_equality(eye, q, target, "g q = b q"),
-            _identity_equality(q, eye, target, "q g = b q"),
-        ],
+        equalities=_corner_equalities(q, b @ q, ("g q = b q", "q g = b q")),
         floors=floors,
-        caps=[_ball_cap(n)],
+        caps=[ball],
     )
     warm = q @ b @ q + region.centroid() * (eye - q)
-    sol = solve_feasibility(problem, seed=seed, warm_start=warm)
-    if sol.verdict != "feasible":
-        raise UnconvergedError("Tietze lift unconverged", sol)
-    g = sol.value
-    checks = [
-        ("contraction", op_norm(g), op_norm(g) <= 1.0 + SOLVER_TOL),
-        ("g q = b q", op_norm(g @ q - target), op_norm(g @ q - target) <= SOLVER_TOL),
-        ("q g = b q", op_norm(q @ g - target), op_norm(q @ g - target) <= SOLVER_TOL),
-    ]
-    for k, (theta, h) in enumerate(planes):
-        top = float(np.linalg.eigvalsh(re_part(np.exp(-1j * theta) * g))[-1])
-        checks.append((f"W(g) halfplane {k}", top - h, top <= h + SOLVER_TOL))
-    _verify(checks, "tietze_lift")
+    g = _solve(problem, seed, warm, "Tietze lift unconverged")
+    _verify(_check_tietze(a, {"q": q, "b": b, "region": region}, (g,), tol), "tietze_lift")
     return g
+
+
+# -- the theorem table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """One interpolation theorem as the CLI and the suites drive it.
+
+    ``keys`` are the problem entries it reads besides ``algebra``, ``eps`` and
+    ``near_eps``.  ``solve(a, problem, seed, tol)`` returns the public
+    solver's outputs as a tuple; ``check(a, problem, outputs, tol)`` returns
+    its post-verification triples.  Each residual is the largest value of its
+    check labels, floored at 0; ``gate`` names the one the interpolation suite
+    holds below 1e-5 (None: the suite measures its own).
+    """
+
+    keys: tuple
+    solve: Callable
+    check: Callable
+    residuals: dict
+    gate: Optional[str] = None
+
+    def residual_table(self, a: MatrixAlgebra, problem: dict, outputs: tuple, tol: Tolerances = DEFAULT_TOL) -> dict:
+        values = {label: value for label, value, _ in self.check(a, problem, outputs, tol)}
+        return {name: float(max(0.0, *(values[label] for label in labels)))
+                for name, labels in self.residuals.items()}
+
+
+_HALF_F = {"half_f_excess": ("half-F",)}
+
+THEOREMS = {
+    "dominate": TheoremSpec(
+        ("b",), lambda a, p, s, tol: (dominate(a, p["b"], p["eps"], seed=s, tol=tol),), _check_dominate,
+        {**_HALF_F, "domination_deficit": ("Re(a)-b PSD",), "im_norm": ("Im small",)}, "domination_deficit"),
+    "decompose": TheoremSpec(
+        ("b",), lambda a, p, s, tol: decompose(a, p["b"], seed=s, tol=tol), _check_decompose,
+        {"half_f_excess": ("x in half-F",), "half_f_excess_complement": ("y in half-F",),
+         "difference": ("b = x - y",)}, "difference"),
+    "np": TheoremSpec(
+        ("c",), lambda a, p, s, tol: (interp_np(a, p["c"], p["near_eps"], seed=s, tol=tol),), _check_np,
+        {**_HALF_F, "schur_deficit": ("Schur block PSD",), "im_norm": ("Im small",)}, "schur_deficit"),
+    "urysohn": TheoremSpec(
+        ("q", "u"), lambda a, p, s, tol: (urysohn_interpolate(
+            a, p["q"], p["u"], p["eps"], p["near_eps"], seed=s, tol=tol),), _check_urysohn,
+        {**_HALF_F, "corner": ("x q = q", "q x = q")}, "corner"),
+    "strict-urysohn": TheoremSpec(
+        ("q", "p"), lambda a, p, s, tol: (strict_urysohn(a, p["q"], p["p"], seed=s, tol=tol),),
+        _check_strict_urysohn, {**_HALF_F, "corner": ("x q = q", "q x = q")}),
+    "peak": TheoremSpec(
+        ("q", "b"), lambda a, p, s, tol: (peak_interpolate(a, p["q"], p["b"], seed=s, tol=tol),), _check_peak,
+        {**_HALF_F, "corner": ("g q = b q", "q g = b q")}, "corner"),
+    "tietze": TheoremSpec(
+        ("q", "b", "region"), lambda a, p, s, tol: (tietze_lift(
+            a, p["q"], p["b"], p["region"], seed=s, tol=tol),), _check_tietze,
+        {"corner": ("g q = b q", "q g = b q"), "norm_excess": ("contraction",)}, "corner"),
+}

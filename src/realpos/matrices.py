@@ -8,6 +8,7 @@ All functions here are pure; arrays are never mutated in place.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +29,8 @@ __all__ = [
     "op_norm",
     "solve",
     "min_real_eig",
-    "max_real_eig",
+    "max_dim",
+    "check_dim",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -56,15 +58,6 @@ class Tolerances:
             raise ValueError("max_iter must be a positive integer")
         if self.psd_slack < self.eq_tol:
             raise ValueError("psd_slack must be at least eq_tol")
-
-    def close(self, a, b) -> tuple[bool, float]:
-        """Operator-norm equality test; returns (verdict, raw distance)."""
-        d = op_norm(np.asarray(a) - np.asarray(b))
-        return d <= self.eq_tol * max(1.0, op_norm(a)), d
-
-    def psd(self, margin: float) -> bool:
-        """Is a matrix with smallest eigenvalue ``margin`` PSD up to slack?"""
-        return margin >= -self.psd_slack
 
 
 DEFAULT_TOL = Tolerances()
@@ -168,9 +161,18 @@ def min_real_eig(m) -> float:
     return float(np.linalg.eigvalsh(re_part(m))[0])
 
 
-def max_real_eig(m) -> float:
-    m = as_matrix(m, "max_real_eig input")
-    return float(np.linalg.eigvalsh(re_part(m))[-1])
+def max_dim() -> int:
+    """The ambient-dimension cap REALPOS_MAX_DIM (default 16)."""
+    try:
+        return int(os.environ.get("REALPOS_MAX_DIM", "16"))
+    except ValueError:
+        return 16
+
+
+def check_dim(n: int, what: str) -> None:
+    """Refuse an ambient dimension above REALPOS_MAX_DIM before building."""
+    if n > max_dim():
+        raise ValueError(f"{what} has dimension {n} above REALPOS_MAX_DIM={max_dim()}")
 
 
 def matrix_to_json(m) -> dict:

@@ -167,8 +167,9 @@ def power_balakrishnan(
 
     Works for defective matrices since only linear solves are needed.  The
     error estimate compares against the half-node rule; the result is
-    flagged uncertified when the input sits on the accretivity boundary and
-    that estimate is above 1e-6.
+    flagged uncertified when that estimate is above ``1e-6 max(1,
+    ||value||_F)``, or above 1e-6 when the input sits on the accretivity
+    boundary.
     """
     x = as_matrix(x)
     if not 0.0 < r < 1.0:
@@ -179,7 +180,9 @@ def power_balakrishnan(
     value = _balakrishnan_sum(x, r, nodes, margin, tol)
     coarse = _balakrishnan_sum(x, r, nodes // 2, margin, tol)
     est = op_norm(value - coarse)
-    certified = not (margin <= tol.psd_slack and est > 1e-6)
+    certified = not (margin <= tol.psd_slack and est > 1e-6) and est <= 1e-6 * max(
+        1.0, frob_norm(value)
+    )
     return PowerResult(value, "balakrishnan", float(est), nodes, certified)
 
 

@@ -462,32 +462,20 @@ def _corner_half_f(alg: MatrixAlgebra, q: np.ndarray, rng: np.random.Generator) 
     return out
 
 
-def _interp_instance_runner(theorem: str, k: int, seed: int, tol: Tolerances, attempt: int = 0):
-    """Build one instance and run its solver; returns residual payload.
-
-    Retries keep the instance fixed and only re-seed the solver.
-    """
-    inst = _case_seed(seed, sum(map(ord, theorem)) % 997 + 31 * k)
-    s = inst + 104729 * attempt  # solver seed only
+def _interp_instance(theorem: str, k: int, inst: int, tol: Tolerances) -> tuple:
+    """One instance of a theorem: its algebra and its problem dict."""
     rng = np.random.default_rng(inst)
     alg = _interp_algebra(k, inst)
     n = alg.ambient_dim
     eye = np.eye(n, dtype=complex)
-
+    problem = {"eps": 0.05, "near_eps": 0.05}
     if theorem == "dominate":
-        b = _random_cstar_psd(alg, rng, 0.2 + 0.7 * rng.random(), tol)
-        x = interp.dominate(alg, b, eps=0.05, seed=s, tol=tol)
-        return {"residual": max(0.0, -min_real_eig(x - b))}
-    if theorem == "decompose":
-        b = _random_algebra_element(alg, rng, 0.2 + 0.6 * rng.random())
-        x, y = interp.decompose(alg, b, seed=s, tol=tol)
-        return {"residual": op_norm(b - (x - y))}
-    if theorem == "np":
-        c = _random_cstar_psd(alg, rng, 0.2 + 0.6 * rng.random(), tol)
-        x = interp.interp_np(alg, c, near_eps=0.05, seed=s, tol=tol)
-        block = np.block([[eye - c, dagger(eye - x)], [eye - x, eye]])
-        return {"residual": max(0.0, -min_real_eig(block))}
-    if theorem == "urysohn":
+        problem["b"] = _random_cstar_psd(alg, rng, 0.2 + 0.7 * rng.random(), tol)
+    elif theorem == "decompose":
+        problem["b"] = _random_algebra_element(alg, rng, 0.2 + 0.6 * rng.random())
+    elif theorem == "np":
+        problem["c"] = _random_cstar_psd(alg, rng, 0.2 + 0.6 * rng.random(), tol)
+    elif theorem == "urysohn":
         q = _diag_mask_projection(n, rng, 1, n - 1)
         if k % 2 == 0:
             u = q.copy()
@@ -504,41 +492,33 @@ def _interp_instance_runner(theorem: str, k: int, seed: int, tol: Tolerances, at
                 if j:
                     rot = comp_vecs @ gen_unitary(m, inst + 3)[:, :j]
                     u = q + rot @ dagger(rot)
-        x = interp.urysohn_interpolate(alg, q, u, eps=0.05, near_eps=0.05, seed=s, tol=tol)
-        return {"residual": max(op_norm(x @ q - q), op_norm(q @ x - q))}
-    if theorem == "strict-urysohn":
+        problem.update(q=q, u=u)
+    elif theorem == "strict-urysohn":
         q = _diag_mask_projection(n, rng, 0, n - 1)
         p = q.copy()
         for i in range(n):
             if p[i, i].real < 0.5 and rng.random() < 0.6:
                 p[i, i] = 1.0
-        x = interp.strict_urysohn(alg, q, p, retries=3, seed=s, tol=tol)
-        peak = peak_projection(x, method="iterative", tol=tol).proj
-        supp = support_projection(x, method="iterative", tol=tol).proj
-        prod = support_projection(x @ (eye - x), method="oracle", tol=tol).proj
-        return {
-            "residual": max(
-                op_norm(peak - q), op_norm(supp - p), op_norm(prod - (p - q))
-            )
-        }
-    if theorem == "peak":
+        problem.update(q=q, p=p)
+    else:  # peak, tietze
         q = _diag_mask_projection(n, rng, 1, n - 1)
         b1 = _corner_half_f(alg, q, rng)
         b2 = (eye - q) @ _random_algebra_element(alg, rng, 0.4) @ (eye - q)
         b = b1 + alg.project(b2)
-        g = interp.peak_interpolate(alg, q, b, seed=s, tol=tol)
-        return {"residual": max(op_norm(g @ q - b @ q), op_norm(q @ g - b @ q))}
-    if theorem == "tietze":
-        q = _diag_mask_projection(n, rng, 1, n - 1)
-        b1 = _corner_half_f(alg, q, rng)
-        b2 = (eye - q) @ _random_algebra_element(alg, rng, 0.4) @ (eye - q)
-        b = b1 + alg.project(b2)
-        idx = [i for i in range(n) if q[i, i].real > 0.5]
-        comp = b[np.ix_(idx, idx)]
-        region = _outer_polygon(comp)
-        g = interp.tietze_lift(alg, q, b, region, seed=s, tol=tol)
-        return {"residual": max(op_norm(g @ q - b @ q), op_norm(q @ g - b @ q))}
-    raise ValueError(f"unknown theorem {theorem!r}")
+        problem.update(q=q, b=b)
+        if theorem == "tietze":
+            idx = [i for i in range(n) if q[i, i].real > 0.5]
+            problem["region"] = _outer_polygon(b[np.ix_(idx, idx)])
+    return alg, problem
+
+
+def _strict_urysohn_residual(problem: dict, x: np.ndarray, tol: Tolerances) -> float:
+    """Peak, support and s(x(1-x)) against q, p and p - q."""
+    q, p = problem["q"], problem["p"]
+    peak = peak_projection(x, method="iterative", tol=tol).proj
+    supp = support_projection(x, method="iterative", tol=tol).proj
+    prod = support_projection(x @ (np.eye(x.shape[0], dtype=complex) - x), method="oracle", tol=tol).proj
+    return max(op_norm(peak - q), op_norm(supp - p), op_norm(prod - (p - q)))
 
 
 def _outer_polygon(m: np.ndarray, directions: int = 8, pad: float = 0.1) -> interp.ConvexRegion:
@@ -556,22 +536,20 @@ def _outer_polygon(m: np.ndarray, directions: int = 8, pad: float = 0.1) -> inte
     return interp.ConvexRegion(np.array(verts))
 
 
-_INTERP_THEOREMS = (
-    "dominate", "decompose", "np", "urysohn", "strict-urysohn", "peak", "tietze",
-)
-
-
 def _suite_interpolation(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
     unconverged: dict = {}
-    for theorem in _INTERP_THEOREMS:
+    for theorem, spec in interp.THEOREMS.items():
         misses = 0
         for k in range(50):
             payload = {"theorem": theorem, "case": k}
             try:
+                # Retries keep the instance fixed and only re-seed the solver.
+                inst = _case_seed(seed, sum(map(ord, theorem)) % 997 + 31 * k)
+                alg, problem = _interp_instance(theorem, k, inst, tol)
                 out = None
                 for attempt in range(3):  # retry budget per instance
                     try:
-                        out = _interp_instance_runner(theorem, k, seed, tol, attempt)
+                        out = spec.solve(alg, problem, inst + 104729 * attempt, tol)
                         break
                     except interp.UnconvergedError:
                         continue
@@ -580,7 +558,10 @@ def _suite_interpolation(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> d
                     payload["outcome"] = "unconverged"
                     rec.note(seed, payload)  # tallied against the 5% budget below
                     continue
-                residual = out["residual"]
+                if spec.gate is None:
+                    residual = _strict_urysohn_residual(problem, out[0], tol)
+                else:
+                    residual = spec.residual_table(alg, problem, out, tol)[spec.gate]
                 rec.case(residual <= 1e-5, 1e-5 - residual, seed, payload)
             except (interp.VerificationFailedError, ValueError, ArithmeticError) as exc:
                 payload["error"] = str(exc)

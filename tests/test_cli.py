@@ -152,6 +152,20 @@ def test_algebra_commands(tmp_path, capsys):
     assert main(["algebra", "identity", "full:20"]) == 2
     assert "REALPOS_MAX_DIM" in capsys.readouterr().err
     assert main(["algebra", "identity", "blockupper:10,10"]) == 2
+    # ... and so do span files, algebra JSON and amplification
+    big = matrix_to_json(np.eye(20, dtype=complex))
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps([big]))
+    gen = tmp_path / "big.json"
+    gen.write_text(json.dumps({"generators": [big]}))
+    for argv in (["algebra", "identity", f"span:{span}"], ["algebra", "generate", str(gen)],
+                 ["algebra", "amplify", "upper:8", "--k", "5"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "REALPOS_MAX_DIM" in capsys.readouterr().err
+    # a label that is not a string is refused, not concatenated
+    spec.write_text(json.dumps({"basis": [matrix_to_json(np.eye(2))], "label": [None]}))
+    assert main(["algebra", "unitize", str(spec)]) == 2
 
 
 def test_interp_command(tmp_path, capsys):
@@ -177,13 +191,140 @@ def test_interp_command(tmp_path, capsys):
     problem.write_text(json.dumps({"algebra": "diag:3"}))
     assert main(["interp", str(problem), "--theorem", "dominate"]) == 2
     b = matrix_to_json(np.eye(2))
-    for bad in ({"algebra": 5, "b": b}, {"algebra": [1, 2]}, {"algebra": {"basis": 3}},
-                {"algebra": "full:20"}, [1, 2], {"algebra": "diag:2", "b": b, "seed": [0]}):
+    half = matrix_to_json(0.5 * np.eye(2))
+    e11 = matrix_to_json(np.diag([1.0, 0.0]))
+    square = [[0, -0.25], [1, -0.25], [1, 0.25], [0, 0.25]]
+    cases = [({"algebra": 5, "b": b}, "dominate", None),
+             ({"algebra": [1, 2]}, "dominate", None),
+             ({"algebra": {"basis": 3}}, "dominate", None),
+             ({"algebra": "full:20"}, "dominate", None),
+             ([1, 2], "dominate", None),
+             ({"algebra": "diag:2", "b": b, "seed": [0]}, "dominate", None),
+             ({"algebra": "diag:2", "q": e11}, "urysohn", "missing u"),
+             ({"algebra": "diag:2", "q": e11, "b": half,
+               "region": [[float("nan"), 0]] + square[1:]}, "tietze", "finite")]
+    for key, theorem in (("eps", "dominate"), ("near_eps", "np"), ("eps", "urysohn"),
+                         ("near_eps", "urysohn")):
+        for value in (0, -1, float("nan")):
+            data = {"algebra": "diag:2", "b": half, "c": half, "q": e11, "u": e11, key: value}
+            cases.append((data, theorem, key))
+    for bad, theorem, needle in cases:
         problem.write_text(json.dumps(bad))
         capsys.readouterr()
-        assert main(["interp", str(problem), "--theorem", "dominate"]) == 2
+        assert main(["interp", str(problem), "--theorem", theorem]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle is None or needle in err
+
+
+def _diag(*values):
+    return matrix_to_json(np.diag(values).astype(complex))
+
+
+_SQUARE = [[0, -0.25], [1, -0.25], [1, 0.25], [0, 0.25]]
+_E11_3 = _diag(1, 0, 0)
+_UPPER_B = matrix_to_json(np.array([[0.4, 0.2], [0.2, 0.3]], complex))
+_AMBIENT_U = matrix_to_json(np.diag([1.0, 0.5, 0.5]) + np.array([[0, 0, 0], [0, 0, 0.5], [0, 0.5, 0]]))
+_HALF_F_CORNER = {"half_f_excess", "corner"}
+# (theorem, problem, residual keys): every theorem on diag:3 and upper:2, and
+# the README example
+INTERP_CASES = [
+    ("dominate", {"algebra": "diag:3", "b": _diag(.3, .5, .1), "eps": .05},
+     {"half_f_excess", "domination_deficit", "im_norm"}),
+    ("dominate", {"algebra": "upper:2", "b": _UPPER_B, "seed": 2},
+     {"half_f_excess", "domination_deficit", "im_norm"}),
+    ("decompose", {"algebra": "diag:3", "b": _diag(.2, -.3, .5j)},
+     {"half_f_excess", "half_f_excess_complement", "difference"}),
+    ("decompose", {"algebra": "upper:2", "b": matrix_to_json(np.array([[.3, .2], [0, -.1j]]))},
+     {"half_f_excess", "half_f_excess_complement", "difference"}),
+    ("np", {"algebra": "diag:3", "c": _diag(.2, .4, .1), "near_eps": .05},
+     {"half_f_excess", "schur_deficit", "im_norm"}),
+    ("np", {"algebra": "upper:2", "c": _UPPER_B}, {"half_f_excess", "schur_deficit", "im_norm"}),
+    ("urysohn", {"algebra": "diag:3", "q": _E11_3, "u": _diag(1, 1, 0)}, _HALF_F_CORNER),
+    ("urysohn", {"algebra": "diag:3", "q": _E11_3, "u": _AMBIENT_U, "eps": .05}, _HALF_F_CORNER),
+    ("urysohn", {"algebra": "upper:2", "q": _diag(1, 0), "u": _diag(1, 1)}, _HALF_F_CORNER),
+    ("strict-urysohn", {"algebra": "diag:3", "q": _E11_3, "p": _diag(1, 1, 0)}, _HALF_F_CORNER),
+    ("strict-urysohn", {"algebra": "upper:2", "q": _diag(1, 0), "p": _diag(1, 1)}, _HALF_F_CORNER),
+    ("strict-urysohn", {"algebra": "upper:3", "q": _E11_3, "p": _diag(1, 1, 0), "eps": 0.05,
+                        "seed": 3}, _HALF_F_CORNER),
+    ("peak", {"algebra": "diag:3", "q": _E11_3, "b": _diag(.5, .3, .2)}, _HALF_F_CORNER),
+    ("peak", {"algebra": "upper:2", "q": _diag(1, 0), "b": _diag(.5, 2.0)}, _HALF_F_CORNER),
+    ("tietze", {"algebra": "diag:3", "q": _E11_3, "b": _diag(.5, .2, .1), "region": _SQUARE},
+     {"corner", "norm_excess"}),
+    ("tietze", {"algebra": "upper:2", "q": _diag(1, 0), "b": _diag(.5, .3j), "region": _SQUARE},
+     {"corner", "norm_excess"}),
+]
+
+
+@pytest.mark.parametrize("theorem,data,keys", INTERP_CASES)
+def test_interp_every_theorem(tmp_path, capsys, theorem, data, keys):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(data))
+    assert main(["interp", str(problem), "--theorem", theorem]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "feasible"
+    assert set(out["residuals"]) == keys
+    assert max(out["residuals"].values()) <= 1e-5
+    assert set(out) == {"verdict", "residuals", "solution"} | (
+        {"complement"} if theorem == "decompose" else set())
+
+
+# Problems and algebras shaped like the real ones: canned names and matrices
+# of one dimension n, so that the property reaches past the parsers into the
+# preconditions and the solvers; arbitrary JSON stands in for any field.
+_POOL = {n: [matrix_to_json(m) for m in (
+    np.zeros((n, n)), np.eye(n), 0.5 * np.eye(n), np.diag([1.0] + [0.0] * (n - 1)),
+    np.diag([0.3] + [0.6] * (n - 1)), np.triu(np.full((n, n), 0.4)), 1j * np.eye(n))]
+    for n in (1, 2)}
+
+
+@st.composite
+def _shaped(draw, kind):
+    n = draw(st.sampled_from([1, 2]))
+    valid = st.sampled_from(_POOL[n])
+    mat = st.one_of(valid, valid, valid, MATRIX_LIKE, JSON_VALUES)
+    if kind == "algebra":
+        mats = st.lists(valid, min_size=1, max_size=3) | st.lists(mat, max_size=3) | JSON_VALUES
+        return draw(st.fixed_dictionaries({}, optional={
+            "basis": mats, "generators": mats, "label": JSON_VALUES,
+            "mode": st.sampled_from(["algebra", "cstar"]) | JSON_VALUES,
+            "with_identity": st.booleans() | JSON_VALUES,
+        }))
+    number = st.sampled_from([0.05, 0.5]) | st.floats() | JSON_VALUES
+    return draw(st.fixed_dictionaries(
+        {"algebra": st.one_of(*[st.just(f"{kind}:{n}") for kind in ("diag", "upper", "full")],
+                              JSON_VALUES),
+         **{key: mat for key in ("b", "c", "q", "u", "p")},
+         "region": st.sampled_from([_SQUARE]) | st.lists(
+             st.lists(st.floats(), min_size=2, max_size=2), max_size=4) | JSON_VALUES},
+        optional={"eps": number, "near_eps": number, "seed": st.integers(-2, 2) | JSON_VALUES},
+    ))
+
+
+def _exits_cleanly(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=JSON_VALUES | _shaped("problem"),
+       theorem=st.sampled_from(["dominate", "decompose", "np", "urysohn", "strict-urysohn",
+                                "peak", "tietze"]))
+def test_interp_any_json_exits_cleanly(tmp_path_factory, doc, theorem):
+    path = tmp_path_factory.getbasetemp() / "problem.json"
+    path.write_text(json.dumps(doc))
+    _exits_cleanly(["interp", str(path), "--theorem", theorem])
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=JSON_VALUES | _shaped("algebra"), op=st.sampled_from(["identity", "generate", "unitize"]))
+def test_algebra_any_json_exits_cleanly(tmp_path_factory, doc, op):
+    path = tmp_path_factory.getbasetemp() / "algebra.json"
+    path.write_text(json.dumps(doc))
+    _exits_cleanly(["algebra", op, str(path)])
 
 
 def test_verify_suite_and_determinism(tmp_path):

@@ -50,6 +50,12 @@ def test_balakrishnan_values():
     assert op_norm(r.value - np.eye(3)) <= 1e-10
     r = power_balakrishnan(1j * np.eye(1), 0.5, nodes=64)
     assert abs(r.value[0, 0] - np.exp(1j * np.pi / 4.0)) <= 1e-8
+    assert r.certified
+    # a spectrum wider than the 64-node rule resolves: 127.9 against sqrt(1e7)
+    # = 3162, with an estimate of 63.9, must not be certified
+    r = power_balakrishnan(np.diag([1e7, 1.0]).astype(complex), 0.5, nodes=64)
+    assert abs(r.value[0, 0] - np.sqrt(1e7)) > 1e3
+    assert not r.certified
 
 
 def test_balakrishnan_parameter_validation():
