@@ -16,7 +16,7 @@ from .algebra import (
     generate_algebra,
     upper_triangular_algebra,
 )
-from .matrices import DEFAULT_TOL, Tolerances, dagger, max_dim, op_norm
+from .matrices import DEFAULT_TOL, Tolerances, check_dim, dagger, max_dim, op_norm
 from .transforms import f_transform
 
 __all__ = [
@@ -31,12 +31,6 @@ __all__ = [
 ]
 
 ALGEBRA_KINDS = ("full", "diag", "upper", "blockupper", "oa")
-
-
-def _check_dim(n: int) -> None:
-    cap = max_dim()
-    if not 1 <= n <= cap:
-        raise ValueError(f"dimension {n} outside 1..{cap} (REALPOS_MAX_DIM)")
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -55,7 +49,7 @@ def gen_accretive(
     ``min_margin`` shifts the Hermitian part so lambda_min(Re) >= min_margin
     (incompatible with a rank constraint).
     """
-    _check_dim(n)
+    check_dim(n, "a generated matrix")
     if rank is not None and min_margin > 0.0:
         raise ValueError("min_margin and rank cannot be combined")
     rng = np.random.default_rng(seed)
@@ -94,7 +88,7 @@ def gen_peaked_half_f(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Built as U (I_k + T) U* with T a strict half-F contraction on the
     complement; the peak projection is the U-rotated rank-k corner.
     """
-    _check_dim(n)
+    check_dim(n, "a generated matrix")
     if n < 2:
         raise ValueError("need n >= 2 for a nontrivial peak")
     rng = np.random.default_rng(seed)
@@ -117,7 +111,7 @@ def gen_sectorial(
     Built as h^{1/2} (1 + ic) h^{1/2} with h PSD (optionally rank-deficient)
     and ||c|| <= tan(rho).
     """
-    _check_dim(n)
+    check_dim(n, "a generated matrix")
     if not 0.0 <= rho < np.pi / 2.0:
         raise ValueError("rho must be in [0, pi/2)")
     rng = np.random.default_rng(seed)
@@ -139,7 +133,7 @@ def gen_sectorial(
 
 
 def gen_unitary(n: int, seed: int) -> np.ndarray:
-    _check_dim(n)
+    check_dim(n, "a generated matrix")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(_ginibre(rng, n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -147,7 +141,7 @@ def gen_unitary(n: int, seed: int) -> np.ndarray:
 
 def gen_algebra(kind: str, n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
     """Canned unital test algebras plus the singly generated oa(x)."""
-    _check_dim(n)
+    check_dim(n, "a generated algebra")
     if kind == "full":
         return full_algebra(n)
     if kind == "diag":

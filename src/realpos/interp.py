@@ -161,9 +161,6 @@ class FeasibilitySolution:
     verdict: str  # 'feasible' | 'unconverged'
     iterations: int
 
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
-
 
 # -- realification helpers ---------------------------------------------------
 
@@ -481,7 +478,11 @@ def _require_commuting(a: MatrixAlgebra, q: np.ndarray, b: np.ndarray, tol: Tole
 # -- post-verification -------------------------------------------------------
 #
 # A check is a (label, value, ok) triple; value measures the violation, so the
-# CLI's residual table is read off the values (see TheoremSpec).
+# CLI's residual table is read off the values (see TheoremSpec), whose corner
+# residuals name these labels.
+
+_X_CORNER = ("x q = q", "q x = q")
+_G_CORNER = ("g q = b q", "q g = b q")
 
 
 def _verify(checks: list, what: str) -> None:
@@ -547,7 +548,7 @@ def _check_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
     q, u, eps = prob["q"], prob["u"], prob["eps"]
     checks = [
         _half_f_check(x, tol),
-        *_sided_checks(x, q, q, ("x q = q", "q x = q")),
+        *_sided_checks(x, q, q, _X_CORNER),
         _below("Im small", op_norm(im_part(x)), prob["near_eps"]),
     ]
     if contains(a, u, tol)[0]:
@@ -556,6 +557,17 @@ def _check_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
     return checks + [
         _below("x(1-u) < eps", op_norm(x @ comp), eps),
         _below("(1-u)x < eps", op_norm(comp @ x), eps),
+    ]
+
+
+def _strict_urysohn_table_checks(a, prob: dict, out: tuple, tol: Tolerances) -> list:
+    """The cheap half of strict_urysohn's checks: all its residual table reads."""
+    x, = out
+    q, p = prob["q"], prob["p"]
+    return [
+        _half_f_check(x, tol),
+        *_sided_checks(x, q, q, _X_CORNER),
+        *_sided_checks(x, p, x, ("x p = x", "p x = x")),
     ]
 
 
@@ -570,9 +582,7 @@ def _check_strict_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
                               op_norm(prod.proj - (p - q)))
     return [
         ("in algebra", res, inside),
-        _half_f_check(x, tol),
-        *_sided_checks(x, q, q, ("x q = q", "q x = q")),
-        *_sided_checks(x, p, x, ("x p = x", "p x = x")),
+        *_strict_urysohn_table_checks(a, prob, out, tol),
         ("u(x) = q", d_peak, peak.status != "diverged" and d_peak <= 1e-5),
         ("s(x) = p", d_supp, supp.status != "diverged" and d_supp <= 1e-5),
         ("s(x(1-x)) = p-q", d_prod, d_prod <= 1e-5),
@@ -582,7 +592,7 @@ def _check_strict_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
 def _check_peak(a, prob: dict, out: tuple, tol: Tolerances) -> list:
     g, = out
     q = prob["q"]
-    return [_half_f_check(g, tol), *_sided_checks(g, q, prob["b"] @ q, ("g q = b q", "q g = b q"))]
+    return [_half_f_check(g, tol), *_sided_checks(g, q, prob["b"] @ q, _G_CORNER)]
 
 
 def _check_tietze(a, prob: dict, out: tuple, tol: Tolerances) -> list:
@@ -591,7 +601,7 @@ def _check_tietze(a, prob: dict, out: tuple, tol: Tolerances) -> list:
     norm = op_norm(g)
     checks = [
         ("contraction", norm - 1.0, norm <= 1.0 + SOLVER_TOL),
-        *_sided_checks(g, q, prob["b"] @ q, ("g q = b q", "q g = b q")),
+        *_sided_checks(g, q, prob["b"] @ q, _G_CORNER),
     ]
     for k, (theta, h) in enumerate(prob["region"].half_planes()):
         top = float(np.linalg.eigvalsh(re_part(np.exp(-1j * theta) * g))[-1])
@@ -777,9 +787,7 @@ def strict_urysohn(
                 return sol.value
             last_checks = checks
         margin *= 0.4
-    detail = ""
-    if last_checks:
-        detail = "; ".join(f"{c[0]}: {c[1]:.2e}" for c in last_checks if not c[2])
+    detail = "; ".join(f"{c[0]}: {c[1]:.2e}" for c in last_checks or () if not c[2])
     raise VerificationFailedError(
         f"strict Urysohn verification failed after {retries} retries ({detail})"
     )
@@ -921,20 +929,29 @@ class TheoremSpec:
     ``near_eps``.  ``solve(a, problem, seed, tol)`` returns the public
     solver's outputs as a tuple; ``check(a, problem, outputs, tol)`` returns
     its post-verification triples.  Each residual is the largest value of its
-    check labels, floored at 0; ``gate`` names the one the interpolation suite
-    holds below 1e-5 (None: the suite measures its own).
+    check labels, floored at 0, read from ``table_check`` when it is set (a
+    cheaper part of ``check``); ``gate`` names the check labels the
+    interpolation suite holds below 1e-5 in the same way.
     """
 
     keys: tuple
     solve: Callable
     check: Callable
     residuals: dict
-    gate: Optional[str] = None
+    gate: tuple
+    table_check: Optional[Callable] = None
 
     def residual_table(self, a: MatrixAlgebra, problem: dict, outputs: tuple, tol: Tolerances = DEFAULT_TOL) -> dict:
-        values = {label: value for label, value, _ in self.check(a, problem, outputs, tol)}
-        return {name: float(max(0.0, *(values[label] for label in labels)))
-                for name, labels in self.residuals.items()}
+        checks = (self.table_check or self.check)(a, problem, outputs, tol)
+        return {name: _worst(checks, labels) for name, labels in self.residuals.items()}
+
+    def gate_residual(self, a: MatrixAlgebra, problem: dict, outputs: tuple, tol: Tolerances = DEFAULT_TOL) -> float:
+        return _worst(self.check(a, problem, outputs, tol), self.gate)
+
+
+def _worst(checks: list, labels: tuple) -> float:
+    values = {label: value for label, value, _ in checks}
+    return float(max(0.0, *(values[label] for label in labels)))
 
 
 _HALF_F = {"half_f_excess": ("half-F",)}
@@ -942,26 +959,27 @@ _HALF_F = {"half_f_excess": ("half-F",)}
 THEOREMS = {
     "dominate": TheoremSpec(
         ("b",), lambda a, p, s, tol: (dominate(a, p["b"], p["eps"], seed=s, tol=tol),), _check_dominate,
-        {**_HALF_F, "domination_deficit": ("Re(a)-b PSD",), "im_norm": ("Im small",)}, "domination_deficit"),
+        {**_HALF_F, "domination_deficit": ("Re(a)-b PSD",), "im_norm": ("Im small",)}, ("Re(a)-b PSD",)),
     "decompose": TheoremSpec(
         ("b",), lambda a, p, s, tol: decompose(a, p["b"], seed=s, tol=tol), _check_decompose,
         {"half_f_excess": ("x in half-F",), "half_f_excess_complement": ("y in half-F",),
-         "difference": ("b = x - y",)}, "difference"),
+         "difference": ("b = x - y",)}, ("b = x - y",)),
     "np": TheoremSpec(
         ("c",), lambda a, p, s, tol: (interp_np(a, p["c"], p["near_eps"], seed=s, tol=tol),), _check_np,
-        {**_HALF_F, "schur_deficit": ("Schur block PSD",), "im_norm": ("Im small",)}, "schur_deficit"),
+        {**_HALF_F, "schur_deficit": ("Schur block PSD",), "im_norm": ("Im small",)}, ("Schur block PSD",)),
     "urysohn": TheoremSpec(
         ("q", "u"), lambda a, p, s, tol: (urysohn_interpolate(
             a, p["q"], p["u"], p["eps"], p["near_eps"], seed=s, tol=tol),), _check_urysohn,
-        {**_HALF_F, "corner": ("x q = q", "q x = q")}, "corner"),
+        {**_HALF_F, "corner": _X_CORNER}, _X_CORNER),
     "strict-urysohn": TheoremSpec(
         ("q", "p"), lambda a, p, s, tol: (strict_urysohn(a, p["q"], p["p"], seed=s, tol=tol),),
-        _check_strict_urysohn, {**_HALF_F, "corner": ("x q = q", "q x = q")}),
+        _check_strict_urysohn, {**_HALF_F, "corner": _X_CORNER}, ("u(x) = q", "s(x) = p", "s(x(1-x)) = p-q"),
+        _strict_urysohn_table_checks),
     "peak": TheoremSpec(
         ("q", "b"), lambda a, p, s, tol: (peak_interpolate(a, p["q"], p["b"], seed=s, tol=tol),), _check_peak,
-        {**_HALF_F, "corner": ("g q = b q", "q g = b q")}, "corner"),
+        {**_HALF_F, "corner": _G_CORNER}, _G_CORNER),
     "tietze": TheoremSpec(
         ("q", "b", "region"), lambda a, p, s, tol: (tietze_lift(
             a, p["q"], p["b"], p["region"], seed=s, tol=tol),), _check_tietze,
-        {"corner": ("g q = b q", "q g = b q"), "norm_excess": ("contraction",)}, "corner"),
+        {"corner": _G_CORNER, "norm_excess": ("contraction",)}, _G_CORNER),
 }

@@ -170,7 +170,9 @@ def max_dim() -> int:
 
 
 def check_dim(n: int, what: str) -> None:
-    """Refuse an ambient dimension above REALPOS_MAX_DIM before building."""
+    """Refuse an ambient dimension below 1 or above REALPOS_MAX_DIM before building."""
+    if n < 1:
+        raise ValueError(f"{what} has dimension {n}; it must be at least 1")
     if n > max_dim():
         raise ValueError(f"{what} has dimension {n} above REALPOS_MAX_DIM={max_dim()}")
 

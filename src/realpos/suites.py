@@ -512,15 +512,6 @@ def _interp_instance(theorem: str, k: int, inst: int, tol: Tolerances) -> tuple:
     return alg, problem
 
 
-def _strict_urysohn_residual(problem: dict, x: np.ndarray, tol: Tolerances) -> float:
-    """Peak, support and s(x(1-x)) against q, p and p - q."""
-    q, p = problem["q"], problem["p"]
-    peak = peak_projection(x, method="iterative", tol=tol).proj
-    supp = support_projection(x, method="iterative", tol=tol).proj
-    prod = support_projection(x @ (np.eye(x.shape[0], dtype=complex) - x), method="oracle", tol=tol).proj
-    return max(op_norm(peak - q), op_norm(supp - p), op_norm(prod - (p - q)))
-
-
 def _outer_polygon(m: np.ndarray, directions: int = 8, pad: float = 0.1) -> interp.ConvexRegion:
     """Circumscribing polygon of the numerical range of m, padded outward."""
     thetas = 2.0 * np.pi * np.arange(directions) / directions
@@ -558,10 +549,7 @@ def _suite_interpolation(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> d
                     payload["outcome"] = "unconverged"
                     rec.note(seed, payload)  # tallied against the 5% budget below
                     continue
-                if spec.gate is None:
-                    residual = _strict_urysohn_residual(problem, out[0], tol)
-                else:
-                    residual = spec.residual_table(alg, problem, out, tol)[spec.gate]
+                residual = spec.gate_residual(alg, problem, out, tol)
                 rec.case(residual <= 1e-5, 1e-5 - residual, seed, payload)
             except (interp.VerificationFailedError, ValueError, ArithmeticError) as exc:
                 payload["error"] = str(exc)

@@ -32,8 +32,10 @@ def test_gen_accretive_options():
     assert (w <= 1e-10).sum() >= 2
     with pytest.raises(ValueError):
         gen_accretive(5, 0, min_margin=0.1, rank=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="REALPOS_MAX_DIM"):
         gen_accretive(max_dim() + 1, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        gen_accretive(0, 0)
 
 
 def test_gen_accretive_deterministic():
