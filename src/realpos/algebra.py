@@ -11,7 +11,6 @@ Algebra JSON is either ``{"ambient": n, "basis": [matrix, ...]}`` or
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,15 +250,15 @@ def hermitian_elements(a: MatrixAlgebra) -> list[np.ndarray]:
     d = a.dim
     if d == 0:
         return []
-    # Real-linear map u -> vec(x(u) - x(u)*) on the 2d real coordinates.
+    # Real-linear map u -> vec(x(u) - x(u)*) on the real coordinates
+    # u = (Re c, Im c) of x(u) = sum_j c_j b_j: the columns for b_j come first,
+    # then those for i b_j.
     cols = []
-    for j in range(d):
-        for direction in (a.basis[j], 1j * a.basis[j]):
-            v = (direction - dagger(direction)).reshape(-1)
-            cols.append(np.concatenate([v.real, v.imag]))
-    sys = np.array(cols).T  # (2n^2, 2d)
-    _, s, vt = np.linalg.svd(sys)
-    null = [vt[i] for i in range(vt.shape[0]) if i >= len(s) or s[i] <= RANK_TOL * max(1.0, s[0] if len(s) else 1.0)]
+    for direction in (*a.basis, *(1j * a.basis)):
+        v = (direction - dagger(direction)).reshape(-1)
+        cols.append(np.concatenate([v.real, v.imag]))
+    _, s, vt = np.linalg.svd(np.array(cols).T)  # (2n^2, 2d): one singular value per column
+    null = vt[s <= RANK_TOL * max(1.0, s[0])]
     out = []
     for u in null:
         x = a.reconstruct(u[:d] + 1j * u[d:])
@@ -269,177 +268,45 @@ def hermitian_elements(a: MatrixAlgebra) -> list[np.ndarray]:
     return out
 
 
-def _spectral_projection_candidates(h: np.ndarray) -> list[np.ndarray]:
-    """Projections onto the upper eigenspaces of a Hermitian matrix, one per
-    spectral gap (both signs of h are worth passing in)."""
-    w, v = np.linalg.eigh(h)
-    cands = []
-    for i in range(len(w) - 1):
-        if w[i + 1] - w[i] > 1e-8 and w[i + 1] > 1e-8:
-            vecs = v[:, i + 1:]
-            cands.append(vecs @ dagger(vecs))
-    return cands
-
-
-def _accretive_samples(
-    a: MatrixAlgebra,
-    rng: np.random.Generator,
-    directions: int,
-    steps: int,
-    keep_slack: float,
-) -> list[np.ndarray]:
-    """Projected subgradient ascent on lambda_min(x + x*) over the unit ball
-    of A's coordinates; keeps end points that are accretive up to
-    ``keep_slack`` and not numerically zero."""
-    d = a.dim
-    if d == 0 or directions == 0:
-        return []
-    c = rng.standard_normal((directions, d)) + 1j * rng.standard_normal((directions, d))
-    c /= np.linalg.norm(c, axis=1)[:, None]
-    adj = np.conj(a.basis).transpose(0, 2, 1)  # b_j* for each basis direction
-    herm_dirs = a.basis + adj
-    skew_dirs = 1j * (a.basis - adj)
-    for k in range(steps):
-        x = np.tensordot(c, a.basis, axes=1)  # (directions, n, n)
-        h = x + np.conj(x).transpose(0, 2, 1)
-        w, v = np.linalg.eigh(h)
-        bottom = v[:, :, 0]  # (directions, n)
-        # gradient of lambda_min wrt Re c_j and Im c_j
-        g_re = np.einsum("si,jik,sk->sj", np.conj(bottom), herm_dirs, bottom).real
-        g_im = np.einsum("si,jik,sk->sj", np.conj(bottom), skew_dirs, bottom).real
-        g = g_re + 1j * g_im
-        gn = np.maximum(np.linalg.norm(g, axis=1), 1e-14)
-        step = 0.5 / (1.0 + 0.03 * k)
-        c = c + step * g / gn[:, None]
-        cn = np.linalg.norm(c, axis=1)
-        c[cn > 1.0] /= cn[cn > 1.0, None]
-    x = np.tensordot(c, a.basis, axes=1)
-    h = x + np.conj(x).transpose(0, 2, 1)
-    margins = np.linalg.eigvalsh(h)[:, 0]
-    out = []
-    for i in range(directions):
-        if margins[i] >= -keep_slack and frob_norm(x[i]) >= 1e-4:
-            out.append(x[i])
-    return out
-
-
-def _snap_to_algebra_projection(
-    a: MatrixAlgebra, q_raw: np.ndarray, tol: Tolerances
-):
-    """Round a candidate projection into A: project onto the span, then snap
-    eigenvalues across each spectral gap and keep the largest projection that
-    verifies membership and idempotency."""
-    direct_ok, _ = contains(a, q_raw, tol)
-    g = a.project(q_raw)
-    g = (g + dagger(g)) / 2.0
-    w, v = np.linalg.eigh(g)
-    thresholds = [0.5]
-    for i in range(len(w) - 1):
-        if w[i + 1] - w[i] > 1e-6:
-            thresholds.append((w[i] + w[i + 1]) / 2.0)
-    best = None
-    for t in thresholds:
-        keep = w > t
-        if not keep.any():
-            continue
-        vecs = v[:, keep]
-        p = vecs @ dagger(vecs)
-        ok, res = contains(a, p, tol)
-        if not ok and res > 1e-7 * max(1.0, op_norm(p)):
-            continue
-        if op_norm(p @ p - p) > 1e-8 or op_norm(p - dagger(p)) > 1e-8:
-            continue
-        if best is None or np.trace(p).real > np.trace(best).real + 0.5:
-            best = p
-    if best is None and direct_ok and op_norm(q_raw @ q_raw - q_raw) <= 1e-8:
-        best = (q_raw + dagger(q_raw)) / 2.0
-    return best
-
-
 def a_h(
-    a: MatrixAlgebra,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-    directions: int = 64,
-    steps: int = 500,
+    a: MatrixAlgebra, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[MatrixAlgebra, np.ndarray]:
     """Largest unital corner of A: returns (A_H, q) with A_H = q A q.
 
-    The projection q is assembled as the join of supports of sampled
-    accretive elements of A together with spectral projections of Hermitian
-    elements of A, then snapped back into A and verified.  q is certified as
-    a projection in A acting as an identity on every accretive sample; its
-    maximality is a lower-bound claim only.
+    q is the join of the supports s(x) of the accretive elements x of A, and
+    it is exact.  The support s(x) = lim x^{1/n} lies in A, because the roots
+    of x stay in the algebra that x generates.  So every support is a
+    projection in the finite-dimensional C*-algebra A ∩ A*.  The unit of
+    A ∩ A* is one of them (a projection is accretive and is its own support),
+    and it dominates every projection in A ∩ A*.  Hence q = 1_{A ∩ A*}, the
+    range projection of the Hermitian elements of A, and q = 0 when A has
+    none.  q is checked to lie in A; ``ArithmeticError`` is raised if it
+    does not.
+
+    ``seed`` is accepted and ignored: nothing here is random.
     """
     n = a.ambient_dim
-    zero = np.zeros((n, n), dtype=complex)
+    q = np.zeros((n, n), dtype=complex)
     if a.dim == 0:
-        return MatrixAlgebra(n, np.zeros((0, n, n), complex), False, a.label + "_H"), zero
-
-    rng = np.random.default_rng(seed)
-
-    # Deterministic candidates: spectral projections of Hermitian elements
-    # of A that happen to lie in A.  Any projection in A is the support of
-    # an accretive element of A (itself), so these belong in the join.
-    proj_candidates = []
-    for h in hermitian_elements(a):
-        for sgn in (h, -h):
-            for p in _spectral_projection_candidates(sgn):
-                ok, _ = contains(a, p, tol)
-                if ok and op_norm(p @ p - p) <= 1e-8:
-                    proj_candidates.append(p)
-
-    # Sampled accretive elements, in rounds; stop when the rank of the
-    # snapped join is stable across a full round.
-    samples: list[np.ndarray] = []
-    keep_slack = 1e-3
-    per_round = max(1, directions // 4)
-    q_best = None
-    last_rank = -1
-    for _ in range(4):
-        samples += _accretive_samples(a, rng, per_round, steps, keep_slack)
-        pool = proj_candidates + [_kernel_complement_projection(x) for x in samples]
-        if not pool:
-            break
-        q_raw = _kernel_complement_projection(sum(pool))
-        q_cand = _snap_to_algebra_projection(a, q_raw, tol)
-        if q_cand is not None:
-            q_best = q_cand
-            rank = int(round(np.trace(q_cand).real))
-            if rank == last_rank:
-                break
-            last_rank = rank
-
-    if q_best is None:
-        if not samples and not proj_candidates:
-            warnings.warn(
-                "accretive-element search found nothing and the algebra "
-                "contains no detectable projection; returning q = 0",
-                RuntimeWarning,
+        return MatrixAlgebra(n, np.zeros((0, n, n), complex), False, a.label + "_H"), q
+    herm = hermitian_elements(a)
+    if herm:
+        # range [h_1 ... h_k] = ker([h_1 ... h_k]*)^perp
+        q = _kernel_complement_projection(dagger(np.hstack(herm)))
+        ok, residual = contains(a, q, tol)
+        if not ok:
+            raise ArithmeticError(
+                "the range projection of the Hermitian elements of A is not in A "
+                f"(residual {residual:.2e})"
             )
-        q_best = zero
-
-    # q must act as an identity on the accretive samples (loose tolerance:
-    # the samples themselves are only accretive up to keep_slack).
-    act_tol = 10.0 * np.sqrt(keep_slack)
-    for x in samples:
-        defect = max(op_norm(q_best @ x - x), op_norm(x @ q_best - x))
-        if defect > act_tol * max(1.0, op_norm(x)):
-            warnings.warn(
-                f"computed q fails to act as identity on an accretive sample "
-                f"(defect {defect:.2e}); q may undershoot",
-                RuntimeWarning,
-            )
-            break
-
-    corner = orthonormalize([q_best @ b @ q_best for b in a.basis])
+    corner = orthonormalize([q @ b @ q for b in a.basis])
     ah = MatrixAlgebra(
         n,
         corner,
-        contains_identity=bool(op_norm(q_best - np.eye(n)) <= tol.eq_tol),
+        contains_identity=bool(op_norm(q - np.eye(n)) <= tol.eq_tol),
         label=(a.label + "_H") if a.label else "",
     )
-    return ah, q_best
+    return ah, q
 
 
 # -- canned algebras ---------------------------------------------------------

@@ -181,7 +181,7 @@ def _cmd_algebra(args) -> int:
         return 0
     alg = _load_algebra(args.spec)
     if args.op == "a-h":
-        corner, q = a_h(alg, seed=args.seed, tol=tol)
+        corner, q = a_h(alg, tol=tol)
         _emit({"a_h": algebra_to_json(corner), "q": matrix_to_json(q)}, args)
         return 0
     if args.op == "amplify":

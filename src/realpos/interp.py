@@ -263,11 +263,11 @@ class _SpectralSet:
         return max(0.0, op_norm(m) - self.con.cap)
 
 
-def _residuals(problem, affine_set, spectral_sets, u) -> dict:
+def _residuals(problem, spectral_sets, u) -> dict:
     out = {}
-    if affine_set is not None:
+    if problem.equalities:
+        a = problem.algebra.reconstruct(_coords_from_real(u, problem.algebra.dim))
         for eq in problem.equalities:
-            a = problem.algebra.reconstruct(_coords_from_real(u, problem.algebra.dim))
             out[eq.label] = op_norm(eq.map(a) - eq.target)
     for s in spectral_sets:
         out[s.con.label] = s.residual(u)
@@ -319,7 +319,7 @@ def solve_feasibility(
             memory[i] = y - u_new
             u = u_new
         if rounds_used <= 5 or rounds_used % 5 == 0 or rounds_used == max_rounds:
-            res = _residuals(problem, affine_set, spectral_sets, u)
+            res = _residuals(problem, spectral_sets, u)
             worst = max(res.values()) if res else 0.0
             if worst < best_res:
                 best_res, best_u, since_best = worst, u.copy(), 0
@@ -339,7 +339,7 @@ def solve_feasibility(
         candidates += [affine_set.project(best_u), affine_set.project(u)]
     scored = []
     for cand in candidates:
-        res = _residuals(problem, affine_set, spectral_sets, cand)
+        res = _residuals(problem, spectral_sets, cand)
         scored.append((max(res.values()) if res else 0.0, cand, res))
     worst, u, res = min(scored, key=lambda t: t[0])
 
@@ -818,6 +818,11 @@ def peak_interpolate(
     return g
 
 
+# Largest vertex magnitude: products of two vertex coordinates, the area and
+# the edge cross products below stay finite up to it.
+_VERTEX_CAP = 1e100
+
+
 @dataclass(frozen=True)
 class ConvexRegion:
     """A compact convex polygon in the plane, counterclockwise vertices."""
@@ -831,10 +836,13 @@ class ConvexRegion:
             raise ValueError("region vertices must be finite")
         if v.size < 3:
             raise ValueError("a region needs at least 3 vertices")
+        radius = float(np.abs(v).max())
+        if radius > _VERTEX_CAP:
+            raise ValueError(f"region vertices must have magnitude at most {_VERTEX_CAP:g}")
         area = 0.5 * float(
             np.sum((v.real * np.roll(v, -1).imag - np.roll(v, -1).real * v.imag))
         )
-        scale = max(1.0, float(np.abs(v).max()) ** 2)
+        scale = max(1.0, radius**2)
         if abs(area) <= 1e-12 * scale:
             raise ValueError("region is degenerate (a line segment or a point)")
         if area < 0:

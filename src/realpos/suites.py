@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,32 +362,30 @@ def _worked_algebras():
 def _suite_ah_amplification(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
     upper, nil, corner, e11, e12 = _worked_algebras()
     eye2 = np.eye(2, dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
 
-        ah, q = a_h(upper, seed=seed, tol=tol)
-        gap = max(op_norm(q - eye2), _mutual_residual(ah, upper))
-        rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "upper:2"})
+    ah, q = a_h(upper, tol=tol)
+    gap = max(op_norm(q - eye2), _mutual_residual(ah, upper))
+    rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "upper:2"})
 
-        ah, q = a_h(nil, seed=seed, tol=tol)
-        gap = op_norm(q) + ah.dim
-        rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "span{E12}"})
+    ah, q = a_h(nil, tol=tol)
+    gap = op_norm(q) + ah.dim
+    rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "span{E12}"})
 
-        expected = span_algebra([e11], label="span{E11}")
-        ah, q = a_h(corner, seed=seed, tol=tol)
-        gap = max(op_norm(q - e11), _mutual_residual(ah, expected))
-        rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "span{E11,E12}"})
+    expected = span_algebra([e11], label="span{E11}")
+    ah, q = a_h(corner, tol=tol)
+    gap = max(op_norm(q - e11), _mutual_residual(ah, expected))
+    rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "span{E11,E12}"})
 
-        for base in (upper, nil, corner):
-            ah_base, _ = a_h(base, seed=seed, tol=tol)
-            for k in (2, 3):
-                big, _ = a_h(amplify(base, k, tol), seed=seed, tol=tol)
-                expected_big = amplify(ah_base, k, tol)
-                gap = _mutual_residual(big, expected_big)
-                rec.case(
-                    gap <= 1e-6, 1e-6 - gap, seed,
-                    {"algebra": base.label, "k": k},
-                )
+    for base in (upper, nil, corner):
+        ah_base, _ = a_h(base, tol=tol)
+        for k in (2, 3):
+            big, _ = a_h(amplify(base, k, tol), tol=tol)
+            expected_big = amplify(ah_base, k, tol)
+            gap = _mutual_residual(big, expected_big)
+            rec.case(
+                gap <= 1e-6, 1e-6 - gap, seed,
+                {"algebra": base.label, "k": k},
+            )
     return {}
 
 

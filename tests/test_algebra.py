@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from realpos.algebra import (
     diagonal_algebra,
     full_algebra,
     generate_algebra,
+    hermitian_elements,
     identity_of,
     span_algebra,
     unitize,
@@ -87,7 +90,8 @@ def test_a_h_worked_examples(e11, e12):
     assert op_norm(q - np.eye(2)) <= 1e-8
     assert ah.dim == 3
 
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ah, q = a_h(span_algebra([e12]), seed=0)
     assert op_norm(q) <= 1e-10 and ah.dim == 0
 
@@ -95,6 +99,40 @@ def test_a_h_worked_examples(e11, e12):
     assert op_norm(q - e11) <= 1e-8
     assert ah.dim == 1
     assert contains(ah, e11)[0]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_h_finds_projection_beside_nilpotent(n):
+    # A = alg{N, E11} with N strictly upper all-ones: q = E11, A_H = span{E11}
+    nil = np.triu(np.ones((n, n), complex), 1)
+    e11 = unit(n, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ah, q = a_h(generate_algebra([nil, e11]))
+    assert op_norm(q - e11) <= 1e-10
+    assert ah.dim == 1 and contains(ah, e11)[0]
+
+
+def test_a_h_of_accretive_generator_is_unit():
+    # A10: the algebra generated by an accretive x has an identity, and q is it
+    for k in range(10):
+        n = 2 + k % 5
+        alg = generate_algebra([gen_accretive(n, 211 + k)], mode="algebra")
+        ah, q = a_h(alg)
+        assert op_norm(q - identity_of(alg)) <= 1e-8
+        assert ah.dim == alg.dim
+
+
+def test_hermitian_elements(e12):
+    cases = [(algebra_from_name("diag:3"), 3), (algebra_from_name("upper:2"), 2),
+             (algebra_from_name("full:2"), 4), (algebra_from_name("blockupper:1,2"), 5),
+             (span_algebra([e12]), 0)]
+    for alg, count in cases:
+        herm = hermitian_elements(alg)
+        assert len(herm) == count, alg.label
+        for h in herm:
+            assert op_norm(h - h.conj().T) <= 1e-12
+            assert contains(alg, h)[0], alg.label
 
 
 def test_a_h_fixed_point(e11, e12):

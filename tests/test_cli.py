@@ -202,7 +202,9 @@ def test_interp_command(tmp_path, capsys):
              ({"algebra": "diag:2", "b": b, "seed": [0]}, "dominate", "must be numbers"),
              ({"algebra": "diag:2", "q": e11}, "urysohn", "missing u"),
              ({"algebra": "diag:2", "q": e11, "b": half,
-               "region": [[float("nan"), 0]] + square[1:]}, "tietze", "finite")]
+               "region": [[float("nan"), 0]] + square[1:]}, "tietze", "finite"),
+             ({"algebra": "diag:2", "q": e11, "b": half,
+               "region": [[1e200 * x, 1e200 * y] for x, y in square]}, "tietze", "magnitude")]
     for key, theorem in (("eps", "dominate"), ("near_eps", "np"), ("eps", "urysohn"),
                          ("near_eps", "urysohn")):
         for value in (0, -1, float("nan")):
@@ -320,7 +322,8 @@ def test_interp_any_json_exits_cleanly(tmp_path_factory, doc, theorem):
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=JSON_VALUES | _shaped("algebra"), op=st.sampled_from(["identity", "generate", "unitize"]))
+@given(doc=JSON_VALUES | _shaped("algebra"),
+       op=st.sampled_from(["identity", "generate", "unitize", "a-h"]))
 def test_algebra_any_json_exits_cleanly(tmp_path_factory, doc, op):
     path = tmp_path_factory.getbasetemp() / "algebra.json"
     path.write_text(json.dumps(doc))
