@@ -173,7 +173,7 @@ def generate_algebra(
         seed.append(np.eye(n, dtype=complex))
 
     basis = orthonormalize(seed)
-    while basis.shape[0] < n * n:
+    while 0 < basis.shape[0] < n * n:  # zero generators generate the zero algebra
         products = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, n, n)
         new = orthonormalize(list(basis) + list(products))
         if new.shape[0] == basis.shape[0]:
@@ -287,8 +287,9 @@ def a_h(
     """
     n = a.ambient_dim
     q = np.zeros((n, n), dtype=complex)
+    label = (a.label + "_H") if a.label else ""
     if a.dim == 0:
-        return MatrixAlgebra(n, np.zeros((0, n, n), complex), False, a.label + "_H"), q
+        return MatrixAlgebra(n, np.zeros((0, n, n), complex), False, label), q
     herm = hermitian_elements(a)
     if herm:
         # range [h_1 ... h_k] = ker([h_1 ... h_k]*)^perp
@@ -304,7 +305,7 @@ def a_h(
         n,
         corner,
         contains_identity=bool(op_norm(q - np.eye(n)) <= tol.eq_tol),
-        label=(a.label + "_H") if a.label else "",
+        label=label,
     )
     return ah, q
 
@@ -408,7 +409,7 @@ def algebra_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebr
     for key in ("basis", "generators"):
         if key in data and not isinstance(data[key], list):
             raise ValueError(f"algebra JSON field {key!r} must be a list of matrices")
-    label = data.get("label", "span")
+    label = data.get("label", "span" if "basis" in data else "")
     if not isinstance(label, str):
         raise ValueError("algebra JSON field 'label' must be a string")
     mats = [matrix_from_json(m) for m in data.get("basis", data.get("generators", []))]
@@ -422,5 +423,6 @@ def algebra_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebr
             mode=data.get("mode", "algebra"),
             with_identity=bool(data.get("with_identity", False)),
             tol=tol,
+            label=label,
         )
     raise ValueError("algebra JSON needs either 'basis' or 'generators'")

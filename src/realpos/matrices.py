@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Tolerances",
@@ -134,6 +133,8 @@ def solve(m, b, tol: Tolerances = DEFAULT_TOL, return_residual: bool = False):
     pivot whose magnitude falls below ``PIVOT_RTOL * op_norm(m)``.  With
     ``return_residual`` the pair ``(x, ||m x - b||)`` is returned.
     """
+    import scipy.linalg  # for the pivots of lu_factor; kept off the import path
+
     m = as_matrix(m, "solve lhs")
     b = np.asarray(b, dtype=complex)
     scale = op_norm(m)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-from scipy.special import roots_jacobi
 
 from .matrices import (
     DEFAULT_TOL,
@@ -101,7 +99,7 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _require_accretive(x, tol)
-    lam, v = scipy.linalg.eig(x)
+    lam, v = np.linalg.eig(x)
     cond = float(np.linalg.cond(v))
     if cond > COND_CAP:
         raise DefectiveMatrixError(cond)
@@ -124,6 +122,8 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
 
 @lru_cache(maxsize=256)
 def _jacobi_rule(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_jacobi  # scipy loads on the quadrature route only
+
     with np.errstate(invalid="ignore"):  # benign internal scipy divide
         return roots_jacobi(nodes, -r, r - 1.0)
 

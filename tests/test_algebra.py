@@ -163,6 +163,17 @@ def test_oa_of_accretive_sets_has_identity():
         assert identity_of(alg) is not None
 
 
+@pytest.mark.parametrize("mode", ["algebra", "cstar"])
+def test_generate_zero_algebra(mode):
+    zero = np.zeros((2, 2), complex)
+    alg = generate_algebra([zero, zero], mode=mode)
+    assert alg.ambient_dim == 2 and alg.dim == 0 and alg.basis.shape == (0, 2, 2)
+    assert identity_of(alg) is None
+    ah, q = a_h(alg)
+    assert ah.dim == 0 and op_norm(q) == 0.0
+    assert generate_algebra([zero], with_identity=True).dim == 1
+
+
 def test_span_algebra_rejects_non_closed(e12):
     with pytest.raises(ValueError):
         span_algebra([e12 + e12.T.conj()])  # span{E12+E21} is not an algebra
@@ -180,3 +191,8 @@ def test_algebra_names_and_json():
         {"generators": [{"n": 1, "entries": [[2.0, 0.0]]}], "mode": "algebra"}
     )
     assert gens.dim == 1
+    assert gens.label == ""
+    # a label is kept for generators as it is for a basis
+    named = algebra_from_json({"generators": [{"n": 1, "entries": [[2.0, 0.0]]}], "label": "N"})
+    assert named.label == "N" and a_h(named)[0].label == "N_H"
+    assert algebra_from_json({"basis": [{"n": 1, "entries": [[1.0, 0.0]]}]}).label == "span"

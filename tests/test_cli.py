@@ -3,13 +3,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realpos
 from realpos.cli import main
+from realpos.generators import gen_accretive
 from realpos.matrices import matrix_from_json, matrix_to_json
 
 
@@ -102,6 +107,44 @@ def test_power_command(tmp_path, capsys):
     assert main(["power", half, "--alpha", "0.3", "--method", "series"]) == 2  # not 1/m
 
 
+# Runs realpos.cli.main(argv) in a fresh interpreter and prints the exit code
+# and the scipy modules loaded by then.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import realpos.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = realpos.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh_cli(argv, cwd):
+    src = os.path.dirname(os.path.dirname(realpos.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_cli_loads_scipy_only_for_quadrature(tmp_path):
+    # The commands a cold shell call runs most need numpy only; scipy is
+    # imported by the quadrature rule and by solve(), on first use.
+    x = _write_matrix(tmp_path / "x.json", gen_accretive(4, 5))
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "algebra": "diag:2", "b": matrix_to_json(0.5 * np.eye(2, dtype=complex)), "eps": 0.05,
+    }))
+    for argv in (["check", x], ["power", x, "--alpha", "0.5", "--method", "auto"],
+                 ["project", x, "--kind", "support"], ["algebra", "identity", "upper:3"],
+                 ["interp", str(problem), "--theorem", "dominate"]):
+        assert _fresh_cli(argv, tmp_path) == [0, []], argv
+    code, loaded = _fresh_cli(["power", x, "--alpha", "0.5", "--method", "balakrishnan"],
+                              tmp_path)
+    assert code == 0 and "scipy.special" in loaded
+
+
 def test_project_command(tmp_path, capsys):
     src = _write_matrix(tmp_path / "x.json", np.diag([0.0, 1.0, 1.0j]))
     assert main(["project", src, "--kind", "support", "--method", "both"]) == 0
@@ -163,6 +206,16 @@ def test_algebra_commands(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         assert "REALPOS_MAX_DIM" in capsys.readouterr().err
+    # generator JSON keeps its label, and zero generators give the zero algebra
+    spec.write_text(json.dumps({"generators": [matrix_to_json(np.zeros((2, 2)))],
+                                "label": "Z"}))
+    capsys.readouterr()
+    assert main(["algebra", "generate", str(spec)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["label"] == "Z" and data["ambient"] == 2 and data["basis"] == []
+    assert main(["algebra", "a-h", str(spec)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["a_h"]["label"] == "Z_H" and not matrix_from_json(data["q"]).any()
     # a label that is not a string is refused, not concatenated
     spec.write_text(json.dumps({"basis": [matrix_to_json(np.eye(2))], "label": [None]}))
     assert main(["algebra", "unitize", str(spec)]) == 2
