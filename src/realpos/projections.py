@@ -1,9 +1,14 @@
 """Support and peak projections, the peak criterion, and lattice operations.
 
 The support projection s(x) of an accretive x is the limit of the roots
-x^{1/2^k}; the kernel-based oracle (projection onto ker(x)^perp) is exact in
-finite dimensions because accretivity forces ker x = ker x* to reduce x
-orthogonally.  The peak projection u(x) of a contraction is the limit of the
+x^{1/2^k}.  The iterative route jumps to k = 10 with one principal power,
+where the spectrum is already split into {0} and a small disc about 1, and
+finishes with McWeeny purification y <- 3y^2 - 2y^3, a polynomial in that
+root which converges quadratically to the same limit.  The kernel-based
+oracle (projection onto ker(x)^perp) is exact in finite dimensions because
+accretivity forces ker x = ker x* to reduce x orthogonally; it reads
+singular values and the iteration eigenvalues, so each checks the other.
+The peak projection u(x) of a contraction is the limit of the
 powers x^{2^k} when it exists; for x in half-F with norm 1 it is the
 projection onto ker(x - 1).
 """
@@ -46,6 +51,7 @@ class ProjectionResult:
     oracle_residual: Optional[float]  # ||iterative - oracle|| when both ran
     status: str  # 'converged' | 'diverged' | 'zero'
     trace: list = field(default_factory=list)  # per-iteration defect norms
+    purifications: int = 0  # McWeeny steps among the iterations
 
 
 def _round_to_projection(m: np.ndarray) -> np.ndarray:
@@ -58,13 +64,45 @@ def _round_to_projection(m: np.ndarray) -> np.ndarray:
     return vecs @ dagger(vecs)
 
 
+# Both support routes call s(x) = 0 when ||x|| is at most ZERO_FLOOR.
+ZERO_FLOOR = 1e-14
+
+
 def _kernel_complement_projection(m: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
     """Projection onto ker(m)^perp via singular values."""
     _, s, vh = np.linalg.svd(m)
-    if s.size == 0 or s[0] <= 1e-14:
+    if s.size == 0 or s[0] <= ZERO_FLOOR:
         return np.zeros_like(m)
     vt = vh[s > rel_cut * s[0]]
     return dagger(vt) @ vt
+
+
+# The iterative route starts from y = (x/||x||)^DEEP_ROOT.  power_spectral
+# maps every eigenvalue with |lambda| <= 1e-12 ||x/||x|| || = 1e-12 to 0, and
+# a kept eigenvalue lambda = |lambda| e^{i theta}, |lambda| <= 1,
+# |theta| <= pi/2, goes to |lambda|^{1/1024} e^{i theta/1024}, of modulus
+# in ((1e-12)^{1/1024}, 1] = (0.973.., 1] and argument at most pi/2048.  So
+# the spectrum of y is {0} plus a disc of radius 0.03 about 1: the kernel
+# is split from the rest after one root, however small the kept
+# eigenvalues of x are.  Scaling is harmless since s(cx) = s(x) for c > 0,
+# and principal roots of accretive matrices compose, so y is x^{1/2^10} up
+# to a positive factor.
+DEEP_ROOT = 2.0**-10
+
+# McWeeny's step y <- 3y^2 - 2y^3 runs while the defect e = y^2 - y has
+# ||e|| <= PURIFY_START.  For y' = 3y^2 - 2y^3 one has y'^2 - y' =
+# 4e^3 - 3e^2, so ||e'|| <= ||e|| (3||e|| + 4||e||^2) <= 0.16 ||e||: the
+# defect falls quadratically in norm.  The step is a polynomial in y, so it
+# sends the eigenvalues near 1 to 1 and 0 to 0, and the limit is the
+# spectral projection of y for the disc about 1.  The defect is a start
+# rule only after the deep root: purifying x^{1/2^k} as soon as its defect
+# is at most 0.05 would send a kept eigenvalue of 1e-6, whose defect is
+# 1e-6, to 0.  After the deep root a large defect means a non-normal y
+# whose norm defect outruns its spectrum; square roots keep the spectrum
+# in {0} plus the disc and shrink that excess until the bound holds.
+PURIFY_START = 0.05
+
+_MAX_STEPS = 60
 
 
 def support_projection(
@@ -72,9 +110,24 @@ def support_projection(
 ) -> ProjectionResult:
     """Support projection s(x) of an accretive matrix.
 
-    method 'iterative' runs repeated square roots until x^{1/2^k} is nearly
-    idempotent and rounds spectrally; 'oracle' projects onto ker(x)^perp;
-    'both' runs the iteration and records the distance to the oracle.
+    method 'iterative' takes one deep principal root
+    y = (x/||x||)^{2^-10}, then loops on the defect ||y^2 - y||: McWeeny
+    purification y <- 3y^2 - 2y^3 while the defect is at most 0.05, a
+    square root while it is above, until it is within ``iter_tol``; the
+    result is rounded spectrally.  It uses eigenvalues, never the SVD, so
+    it stays independent of 'oracle', which projects onto ker(x)^perp by
+    singular values; 'both' runs the iteration and records the distance
+    to the oracle.  Both routes return 0 for ||x|| <= 1e-14.
+
+    The routes cut small values differently: the iteration drops
+    eigenvalues with |lambda| <= 1e-12 ||x||, the oracle singular values
+    at most 1e-10 ||x||.  For x with a value in the relative band
+    (1e-12, 1e-10] the iteration keeps a direction that the oracle drops;
+    outside it they agree.
+
+    ``iterations`` counts every step, the deep root included;
+    ``purifications`` counts the McWeeny steps among them, and ``trace``
+    holds the defect before each step and at the end.
     """
     x = as_matrix(x)
     if min_real_eig(x) < -tol.psd_slack:
@@ -89,25 +142,36 @@ def support_projection(
         _verify_support(result.proj, x, tol)
         return result
 
-    y = x.copy()
+    xnorm = op_norm(x)
     trace: list[float] = []
     status = "diverged"
-    iterations = 0
-    for k in range(60):
-        defect = op_norm(y @ y - y)
-        trace.append(float(defect))
-        if defect <= tol.iter_tol:
-            status = "converged"
-            iterations = k
-            break
-        y = power(y, 0.5, tol=tol).value
+    iterations = purifications = 0
+    if xnorm <= ZERO_FLOOR:
+        y = np.zeros_like(x)
+        status = "zero"
     else:
-        iterations = 60
+        y = power(x / xnorm, DEEP_ROOT, tol=tol).value
+        iterations = 1
+        while iterations < _MAX_STEPS:
+            defect = op_norm(y @ y - y)
+            trace.append(float(defect))
+            if defect <= tol.iter_tol:
+                status = "converged"
+                break
+            if defect <= PURIFY_START:
+                y2 = y @ y
+                y = 3.0 * y2 - 2.0 * (y2 @ y)
+                purifications += 1
+            else:
+                y = power(y, 0.5, tol=tol).value
+            iterations += 1
     proj = _round_to_projection(y)
     if op_norm(proj) <= tol.eq_tol and status == "converged":
         status = "zero"
     residual = op_norm(proj - oracle) if oracle is not None else None
-    result = ProjectionResult(proj, "iterative", iterations, residual, status, trace)
+    result = ProjectionResult(
+        proj, "iterative", iterations, residual, status, trace, purifications
+    )
     if status != "diverged":
         _verify_support(result.proj, x, tol)
     return result

@@ -157,6 +157,27 @@ def test_project_command(tmp_path, capsys):
     assert main(["project", div, "--kind", "peak", "--method", "iterative"]) == 1
 
 
+PROJECT_KEYS = {"proj", "method", "iterations", "oracle_residual", "status", "trace"}
+
+
+@pytest.mark.parametrize("method", ["iterative", "oracle", "both"])
+def test_project_support_of_tiny_inputs(tmp_path, capsys, method):
+    # The iterative stop test once read 1e-13 I as already idempotent: P = 0.
+    tiny = _write_matrix(tmp_path / "tiny.json", 1e-13 * np.eye(3))
+    assert main(["project", tiny, "--kind", "support", "--method", method]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == PROJECT_KEYS
+    assert data["status"] == "converged"
+    assert np.allclose(matrix_from_json(data["proj"]), np.eye(3), atol=1e-10)
+
+    floor = _write_matrix(tmp_path / "floor.json", 1e-15 * np.eye(3))
+    assert main(["project", floor, "--kind", "support", "--method", method]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == PROJECT_KEYS
+    assert data["status"] == "zero"
+    assert not matrix_from_json(data["proj"]).any()
+
+
 def test_range_command(tmp_path):
     src = _write_matrix(tmp_path / "x.json", np.array([[0.0, 1.0], [0.0, 0.0]]))
     out = tmp_path / "range.csv"

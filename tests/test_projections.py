@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from realpos import projections
 from realpos.algebra import contains, full_algebra, identity_of, upper_triangular_algebra
 from realpos.cones import f_membership
 from realpos.generators import gen_accretive, gen_half_f, gen_peaked_half_f, gen_sectorial, gen_unitary
@@ -47,6 +52,93 @@ def test_support_iterative_vs_oracle_random():
         assert res.status != "diverged"
         assert res.oracle_residual <= 1e-6
         assert max(op_norm(res.proj @ x - x), op_norm(x @ res.proj - x)) <= 1e-7 * max(1.0, op_norm(x))
+
+
+def _rank(p) -> int:
+    return int(round(np.trace(p).real))
+
+
+def _iterative_vs_oracle(x):
+    """Run both routes; fail on any warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = support_projection(x, method="both")
+        oracle = support_projection(x, method="oracle")
+    return res, oracle
+
+
+def test_support_of_tiny_inputs():
+    # An absolute stop test once called every x with ||x|| below ~1e-10 zero.
+    res, oracle = _iterative_vs_oracle(1e-13 * np.eye(3))
+    assert res.status == "converged" and np.allclose(res.proj, np.eye(3), atol=1e-10)
+    assert res.oracle_residual <= 1e-6
+    u = gen_unitary(3, 3)
+    res, oracle = _iterative_vs_oracle(1e-11 * u @ np.diag([1.0, 0.5, 0.0]) @ dagger(u))
+    assert _rank(res.proj) == _rank(oracle.proj) == 2
+    assert res.oracle_residual <= 1e-6
+    for method in ("iterative", "oracle", "both"):
+        floor = support_projection(1e-15 * np.eye(3), method=method)
+        assert floor.status == "zero" and not floor.proj.any()
+
+
+def test_support_of_jordan_blocks():
+    # P = I passes p x = x p = x, so only the oracle sees an over-large support.
+    u = gen_unitary(3, 3)
+    jordan = np.zeros((3, 3), dtype=complex)
+    jordan[0, 0] = jordan[1, 1] = jordan[0, 1] = 1.0
+    res, oracle = _iterative_vs_oracle(u @ jordan @ dagger(u))
+    assert _rank(oracle.proj) == 2
+    assert res.status == "converged" and res.oracle_residual <= 1e-6
+    shift = np.diag([1.0, 1.0], 1)
+    x = 2.0 * np.eye(3) + shift
+    assert power(x / op_norm(x), projections.DEEP_ROOT).method == "balakrishnan"
+    res, _ = _iterative_vs_oracle(x)
+    assert res.status == "converged" and res.oracle_residual <= 1e-6
+
+
+def test_support_separation_band():
+    # One kept eigenvalue of 1e-6 ||x|| has defect 1e-6 in x itself; it must
+    # survive purification.
+    res, _ = _iterative_vs_oracle(np.diag([1.0, 1e-6, 0.0]))
+    assert _rank(res.proj) == 2 and res.oracle_residual <= 1e-6
+    assert res.purifications > 0 and res.iterations > res.purifications
+    assert len(res.trace) == res.iterations
+    # Relative values in (1e-12, 1e-10]: the eigenvalue cut keeps what the
+    # singular-value cut drops.  Below and above the band the routes agree.
+    for rel, rank_it, rank_or in ((1e-13, 1, 1), (1e-11, 2, 1), (1e-9, 2, 2)):
+        res, oracle = _iterative_vs_oracle(np.diag([0.5, 0.5 * rel, 0.0]))
+        assert (_rank(res.proj), _rank(oracle.proj)) == (rank_it, rank_or), rel
+        assert res.status == "converged"
+
+
+def test_support_square_roots_until_purification_may_start(monkeypatch):
+    # Accretive inputs seldom leave the deep root with a defect above the
+    # 0.05 start; a shallow first root exercises the square-root branch.
+    monkeypatch.setattr(projections, "DEEP_ROOT", 0.5)
+    x = gen_accretive(4, 7050, rank=2)
+    res, _ = _iterative_vs_oracle(x)
+    roots = res.iterations - 1 - res.purifications
+    assert roots > 0 and res.purifications > 0
+    assert res.trace[roots] <= projections.PURIFY_START < res.trace[roots - 1]
+    assert res.oracle_residual <= 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    k_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31),
+    log_scale=st.floats(-8.0, 2.0),
+)
+def test_support_iterative_matches_oracle_on_compressions(n, k_frac, seed, log_scale):
+    k = 1 + int(k_frac * (n - 1))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    v, _ = np.linalg.qr(g)
+    x = 10.0**log_scale * v @ gen_accretive(k, seed) @ dagger(v)
+    res, _ = _iterative_vs_oracle(x)
+    assert res.status != "diverged"
+    assert res.oracle_residual <= 1e-6
 
 
 def test_support_root_invariance():
