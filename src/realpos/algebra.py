@@ -5,6 +5,9 @@ An algebra is stored as an orthonormal basis under the trace inner product
 generators; membership, unitization, matrix amplification and the largest
 unital corner ``q A q`` are all computed against that basis.
 
+The real coordinates of ``x = sum_j c_j b_j`` are ``u = (Re c, Im c)``;
+``real_matrix`` is the one writer of that layout for real-linear maps on A.
+
 Algebra JSON is either ``{"ambient": n, "basis": [matrix, ...]}`` or
 ``{"generators": [matrix, ...], "mode": "algebra"|"cstar",
 "with_identity": bool}`` with matrices in the matrix JSON format.
@@ -38,6 +41,7 @@ __all__ = [
     "a_h",
     "amplify",
     "hermitian_elements",
+    "real_matrix",
     "full_algebra",
     "diagonal_algebra",
     "upper_triangular_algebra",
@@ -195,19 +199,11 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     d = a.dim
     if d == 0:
         return None
-    n = a.ambient_dim
-    # Columns: action of each basis direction as a left and right multiplier.
-    rows = []
-    rhs = []
-    for b in a.basis:
-        left = np.array([bi @ b for bi in a.basis])  # (d, n, n)
-        right = np.array([b @ bi for bi in a.basis])
-        rows.append(left.reshape(d, -1).T)
-        rows.append(right.reshape(d, -1).T)
-        rhs.append(b.reshape(-1))
-        rhs.append(b.reshape(-1))
-    system = np.vstack(rows)
-    target = np.concatenate(rhs)
+    basis = a.basis
+    # products[k, :, i] = (b_i b_k, b_k b_i): b_i acting on b_k from the left and the right
+    products = np.stack([basis[None] @ basis[:, None], basis[:, None] @ basis[None]], axis=1)
+    system = np.moveaxis(products, 2, -1).reshape(-1, d)
+    target = np.stack([basis, basis], axis=1).reshape(-1)
     c, *_ = np.linalg.lstsq(system, target, rcond=None)
     e = a.reconstruct(c)
     worst = max(
@@ -245,23 +241,41 @@ def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAl
     )
 
 
+def _to_real(z: np.ndarray) -> np.ndarray:
+    """The real vector (Re, Im) of a complex array, flattened."""
+    flat = np.asarray(z, complex).reshape(-1)
+    return np.concatenate([flat.real, flat.imag])
+
+
+def _from_real(v: np.ndarray, shape) -> np.ndarray:
+    """The complex array of the given shape whose real vector is v."""
+    half = v.size // 2
+    return (v[:half] + 1j * v[half:]).reshape(shape)
+
+
+def real_matrix(linear: np.ndarray, antilinear: np.ndarray) -> np.ndarray:
+    """Real matrix of ``sum_j c_j b_j -> sum_j c_j L_j + conj(c_j) K_j``.
+
+    ``linear[j] = L_j`` and ``antilinear[j] = K_j`` are stacks of one shape.
+    The result, ``(2 * size, 2 * dim)``, takes u = (Re c, Im c) to the real
+    vector of the value: columns of b_j (L_j + K_j), then of i b_j (i (L_j - K_j)).
+    """
+    cols = np.concatenate([linear + antilinear, 1j * (linear - antilinear)])
+    cols = cols.reshape(len(cols), int(np.prod(cols.shape[1:])))
+    return np.concatenate([cols.real, cols.imag], axis=1).T
+
+
 def hermitian_elements(a: MatrixAlgebra) -> list[np.ndarray]:
     """A real basis of {x in A : x = x*}."""
     d = a.dim
     if d == 0:
         return []
-    # Real-linear map u -> vec(x(u) - x(u)*) on the real coordinates
-    # u = (Re c, Im c) of x(u) = sum_j c_j b_j: the columns for b_j come first,
-    # then those for i b_j.
-    cols = []
-    for direction in (*a.basis, *(1j * a.basis)):
-        v = (direction - dagger(direction)).reshape(-1)
-        cols.append(np.concatenate([v.real, v.imag]))
-    _, s, vt = np.linalg.svd(np.array(cols).T)  # (2n^2, 2d): one singular value per column
+    # the kernel of x -> x - x* in real coordinates
+    _, s, vt = np.linalg.svd(real_matrix(a.basis, -dagger(a.basis)))
     null = vt[s <= RANK_TOL * max(1.0, s[0])]
     out = []
     for u in null:
-        x = a.reconstruct(u[:d] + 1j * u[d:])
+        x = a.reconstruct(_from_real(u, (d,)))
         x = (x + dagger(x)) / 2.0
         if frob_norm(x) > 1e-8:
             out.append(x / frob_norm(x))

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -118,8 +119,9 @@ def _cmd_power(args) -> int:
     elif args.method == "balakrishnan":
         res = power_balakrishnan(x, args.alpha, nodes=args.nodes, tol=tol)
     elif args.method == "series":
-        root = int(round(1.0 / args.alpha))
-        if abs(1.0 / args.alpha - root) > 1e-12 or root < 2:
+        inverse = 1.0 / args.alpha if args.alpha > 0.0 else math.inf
+        root = round(inverse) if math.isfinite(inverse) else 0
+        if root < 2 or abs(inverse - root) > 1e-12:
             raise ValueError("series method needs alpha = 1/m for integer m >= 2")
         res = root_series(x, root, terms=args.terms, tol=tol)
     else:

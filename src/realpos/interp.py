@@ -1,9 +1,11 @@
 """Convex spectral feasibility over an algebra, and the interpolation solvers.
 
-The engine: the unknown ranges over the real coordinates of a
+The engine: the unknown ranges over the real coordinates u of a
 :class:`~realpos.algebra.MatrixAlgebra`; constraints are affine equalities
 ``sum_i P_i a Q_i = R`` plus spectral sets (Hermitian-valued affine maps
-required PSD, and norm caps on affine maps).  Feasible points are searched by
+required PSD, and norm caps on affine maps).  Each constraint is compiled
+once, with its problem, to a real affine map ``u -> J u + c``; projections
+and residuals read only that map.  Feasible points are searched by
 Dykstra-corrected alternating projections: exact least-squares projection
 onto the affine set, eigenvalue clipping for PSD floors, singular-value
 clipping for norm caps, each followed by a least-squares pullback into the
@@ -22,17 +24,18 @@ read their inputs, solver calls and residuals from it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, contains, generate_algebra, identity_of, unitize
+from .algebra import (MatrixAlgebra, _from_real, _to_real, contains, generate_algebra,
+                      identity_of, real_matrix, unitize)
 from .cones import f_membership
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
+    _require_positive,
     as_matrix,
     dagger,
     im_part,
@@ -95,20 +98,11 @@ class AffineTerm:
 
 @dataclass
 class MatrixAffine:
-    """Matrix-valued real-affine map a -> const + sum of sandwich terms."""
+    """Matrix-valued real-affine map a -> const + sum of sandwich terms; a
+    description, which :class:`FeasibilityProblem` compiles to a real map."""
 
     terms: list
     const: np.ndarray
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        out = self.const.astype(complex).copy()
-        for t in self.terms:
-            arg = dagger(a) if t.conj else a
-            out = out + t.left @ arg @ t.right
-        return out
-
-    def linear(self, a: np.ndarray) -> np.ndarray:
-        return self(a) - self.const
 
 
 @dataclass
@@ -135,23 +129,59 @@ class NormCap:
     label: str
 
 
+@dataclass(frozen=True)
+class _Compiled:
+    """A constraint compiled to A's real coordinates u: ``value(u)`` is its map
+    at u, less the target for an equality, read from ``jac @ u + const``."""
+
+    con: object
+    jac: np.ndarray
+    const: np.ndarray
+    shape: tuple
+
+    def value(self, u: np.ndarray) -> np.ndarray:
+        return _from_real(self.jac @ u + self.const, self.shape)
+
+    def residual(self, u: np.ndarray) -> float:
+        m = self.value(u)
+        if isinstance(self.con, AffineEquality):
+            return op_norm(m)
+        if isinstance(self.con, HermFloor):
+            return max(0.0, -min_real_eig(m))
+        return max(0.0, op_norm(m) - self.con.cap)
+
+
+def _compile(con, algebra: MatrixAlgebra) -> _Compiled:
+    """One batched sandwich product per term over the whole basis; conj terms
+    act on the conjugate-transposed basis."""
+    const = np.asarray(con.map.const, complex)
+    target = con.target if isinstance(con, AffineEquality) else np.zeros_like(const)
+    shapes = {np.shape(target), *((t.left.shape[0], t.right.shape[1]) for t in con.map.terms)}
+    if shapes != {const.shape}:
+        raise ValueError(f"constraint {con.label!r} has inconsistent shapes")
+    basis = {False: algebra.basis, True: dagger(algebra.basis)}
+    images = {conj: np.zeros((algebra.dim, *const.shape), complex) for conj in basis}
+    for t in con.map.terms:
+        images[t.conj] = images[t.conj] + t.left @ basis[t.conj] @ t.right
+    return _Compiled(con, real_matrix(images[False], images[True]), _to_real(const - target), const.shape)
+
+
 @dataclass
 class FeasibilityProblem:
+    """Constraints over A, each compiled once, here (``compiled`` holds them
+    in the order equalities, floors, caps)."""
+
     algebra: MatrixAlgebra
     equalities: list = field(default_factory=list)
     floors: list = field(default_factory=list)
     caps: list = field(default_factory=list)
     solver_tol: float = SOLVER_TOL
+    compiled: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.equalities or self.floors or self.caps):
             raise ValueError("a feasibility problem needs at least one constraint")
-        n = self.algebra.ambient_dim
-        probe = np.zeros((n, n), dtype=complex)
-        for con in [*self.equalities, *self.floors, *self.caps]:
-            value = con.map(probe)
-            if isinstance(con, AffineEquality) and value.shape != con.target.shape:
-                raise ValueError(f"constraint {con.label!r} has inconsistent shapes")
+        self.compiled = [_compile(c, self.algebra) for c in [*self.equalities, *self.floors, *self.caps]]
 
 
 @dataclass
@@ -162,31 +192,10 @@ class FeasibilitySolution:
     iterations: int
 
 
-# -- realification helpers ---------------------------------------------------
+# -- the engine --------------------------------------------------------------
 
-
-def _cvec(m: np.ndarray) -> np.ndarray:
-    flat = np.asarray(m, complex).reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
-
-
-def _cunvec(v: np.ndarray, shape) -> np.ndarray:
-    half = v.size // 2
-    return (v[:half] + 1j * v[half:]).reshape(shape)
-
-
-def _jacobian(affine: MatrixAffine, algebra: MatrixAlgebra) -> np.ndarray:
-    """Real Jacobian of the linear part over the 2*dim real coordinates."""
-    d = algebra.dim
-    cols = []
-    for j in range(d):
-        cols.append(_cvec(affine.linear(algebra.basis[j])))
-    for j in range(d):
-        cols.append(_cvec(affine.linear(1j * algebra.basis[j])))
-    if not cols:
-        probe = affine.linear(np.zeros((algebra.ambient_dim,) * 2, complex))
-        return np.zeros((2 * probe.size, 0))
-    return np.array(cols).T
+# Random restarts allowed on stagnation per solve.
+RESTARTS = 2
 
 
 def _pinv(m: np.ndarray) -> np.ndarray:
@@ -199,17 +208,13 @@ def _pinv(m: np.ndarray) -> np.ndarray:
 class _AffineSet:
     """Exact projector onto the joint equality set in coordinate space."""
 
-    def __init__(self, problem: FeasibilityProblem):
-        rows, rhs = [], []
-        for eq in problem.equalities:
-            rows.append(_jacobian(eq.map, problem.algebra))
-            rhs.append(_cvec(eq.target - eq.map.const))
-        self.t = np.vstack(rows)
-        self.rhs = np.concatenate(rhs)
+    def __init__(self, equalities: list):
+        self.t = np.vstack([c.jac for c in equalities])
+        self.const = np.concatenate([c.const for c in equalities])
         self.pinv = _pinv(self.t)
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        return u - self.pinv @ (self.t @ u - self.rhs)
+        return u - self.pinv @ (self.t @ u + self.const)
 
 
 class _SpectralSet:
@@ -222,17 +227,11 @@ class _SpectralSet:
     lands in the set.
     """
 
-    def __init__(self, con, problem: FeasibilityProblem):
-        self.con = con
-        self.is_floor = isinstance(con, HermFloor)
-        self.jac = _jacobian(con.map, problem.algebra)
-        self.const = _cvec(con.map.const)
-        self.shape = con.map.const.shape
-        self.inner_tol = 0.25 * problem.solver_tol
-        self.pinv = _pinv(self.jac)
-
-    def value(self, u: np.ndarray) -> np.ndarray:
-        return _cunvec(self.jac @ u + self.const, self.shape)
+    def __init__(self, compiled: _Compiled, solver_tol: float):
+        self.map = compiled
+        self.is_floor = isinstance(compiled.con, HermFloor)
+        self.inner_tol = 0.25 * solver_tol
+        self.pinv = _pinv(compiled.jac)
 
     def _clip(self, m: np.ndarray):
         """Nearest in-set matrix, or None when m already satisfies the set."""
@@ -243,39 +242,22 @@ class _SpectralSet:
                 return None
             return (v * np.maximum(w, 0.0)) @ dagger(v)
         sv_l, sv, sv_r = np.linalg.svd(m)
-        if sv.size == 0 or sv[0] <= self.con.cap + self.inner_tol:
+        if sv.size == 0 or sv[0] <= self.map.con.cap + self.inner_tol:
             return None
-        return (sv_l * np.minimum(sv, self.con.cap)) @ sv_r
+        return (sv_l * np.minimum(sv, self.map.con.cap)) @ sv_r
 
     def project(self, u: np.ndarray) -> np.ndarray:
         for _ in range(40):
-            flat = self.jac @ u + self.const
-            clipped = self._clip(_cunvec(flat, self.shape))
+            flat = self.map.jac @ u + self.map.const
+            clipped = self._clip(_from_real(flat, self.map.shape))
             if clipped is None:
                 break
-            u = u + self.pinv @ (_cvec(clipped) - flat)
+            u = u + self.pinv @ (_to_real(clipped) - flat)
         return u
 
-    def residual(self, u: np.ndarray) -> float:
-        m = self.value(u)
-        if self.is_floor:
-            return max(0.0, -min_real_eig(m))
-        return max(0.0, op_norm(m) - self.con.cap)
 
-
-def _residuals(problem, spectral_sets, u) -> dict:
-    out = {}
-    if problem.equalities:
-        a = problem.algebra.reconstruct(_coords_from_real(u, problem.algebra.dim))
-        for eq in problem.equalities:
-            out[eq.label] = op_norm(eq.map(a) - eq.target)
-    for s in spectral_sets:
-        out[s.con.label] = s.residual(u)
-    return out
-
-
-def _coords_from_real(u: np.ndarray, d: int) -> np.ndarray:
-    return u[:d] + 1j * u[d:]
+def _residuals(problem: FeasibilityProblem, u: np.ndarray) -> dict:
+    return {c.con.label: c.residual(u) for c in problem.compiled}
 
 
 def solve_feasibility(
@@ -283,34 +265,30 @@ def solve_feasibility(
     seed: int = 0,
     max_rounds: int = 2000,
     warm_start=None,
-    restarts: int = 2,
 ) -> FeasibilitySolution:
     """Dykstra-corrected alternating projections over the constraint sets.
 
-    Deterministic given ``(problem, seed, warm_start)``.  Random restarts
-    kick in on stagnation.  The verdict is ``feasible`` only when every
-    residual is within ``problem.solver_tol``; otherwise ``unconverged``
-    with the best residuals seen.
+    Deterministic given ``(problem, seed, warm_start)``.  Up to ``RESTARTS``
+    random restarts kick in on stagnation.  The verdict is ``feasible`` only
+    when every residual is within ``problem.solver_tol``; otherwise
+    ``unconverged`` with the best residuals seen.
     """
     alg = problem.algebra
-    d = alg.dim
-    affine_set = _AffineSet(problem) if problem.equalities else None
-    spectral_sets = [_SpectralSet(c, problem) for c in [*problem.floors, *problem.caps]]
-    sets: list = ([affine_set] if affine_set is not None else []) + spectral_sets
+    n_eq = len(problem.equalities)
+    affine_set = _AffineSet(problem.compiled[:n_eq]) if n_eq else None
+    sets: list = ([affine_set] if affine_set is not None else []) + [
+        _SpectralSet(c, problem.solver_tol) for c in problem.compiled[n_eq:]
+    ]
 
     rng = np.random.default_rng(seed)
-    if warm_start is not None:
-        c0 = alg.coords(as_matrix(warm_start))
-        u = np.concatenate([c0.real, c0.imag])
-    else:
-        u = np.zeros(2 * d)
+    u = np.zeros(2 * alg.dim) if warm_start is None else _to_real(alg.coords(as_matrix(warm_start)))
 
     memory = [np.zeros_like(u) for _ in sets]
     best_u = u.copy()
     best_res = np.inf
     since_best = 0
     rounds_used = 0
-    restarts_left = restarts
+    restarts_left = RESTARTS
 
     for rounds_used in range(1, max_rounds + 1):
         for i, s in enumerate(sets):
@@ -319,8 +297,8 @@ def solve_feasibility(
             memory[i] = y - u_new
             u = u_new
         if rounds_used <= 5 or rounds_used % 5 == 0 or rounds_used == max_rounds:
-            res = _residuals(problem, spectral_sets, u)
-            worst = max(res.values()) if res else 0.0
+            res = _residuals(problem, u)
+            worst = max(res.values())
             if worst < best_res:
                 best_res, best_u, since_best = worst, u.copy(), 0
             else:
@@ -337,14 +315,10 @@ def solve_feasibility(
     candidates = [best_u, u]
     if affine_set is not None:
         candidates += [affine_set.project(best_u), affine_set.project(u)]
-    scored = []
-    for cand in candidates:
-        res = _residuals(problem, spectral_sets, cand)
-        scored.append((max(res.values()) if res else 0.0, cand, res))
-    worst, u, res = min(scored, key=lambda t: t[0])
+    res, u = min(((_residuals(problem, c), c) for c in candidates), key=lambda t: max(t[0].values()))
 
-    value = alg.reconstruct(_coords_from_real(u, d))
-    verdict = "feasible" if worst <= problem.solver_tol else "unconverged"
+    value = alg.reconstruct(_from_real(u, (alg.dim,)))
+    verdict = "feasible" if max(res.values()) <= problem.solver_tol else "unconverged"
     return FeasibilitySolution(value, res, verdict, rounds_used)
 
 
@@ -425,11 +399,6 @@ def _solve(problem: FeasibilityProblem, seed: int, warm, message: str) -> np.nda
 
 
 # -- preconditions -----------------------------------------------------------
-
-
-def _require_positive(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _require_unital(a: MatrixAlgebra, tol: Tolerances) -> np.ndarray:

@@ -8,9 +8,10 @@ All functions here are pure; arrays are never mutated in place.
 """
 from __future__ import annotations
 
+import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 
+def _require_positive(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric thresholds used by every approximate predicate.
@@ -51,10 +57,8 @@ class Tolerances:
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if min(self.eq_tol, self.psd_slack, self.iter_tol) <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be a positive integer")
+        for f in fields(self):
+            _require_positive(getattr(self, f.name), f.name)
         if self.psd_slack < self.eq_tol:
             raise ValueError("psd_slack must be at least eq_tol")
 
@@ -89,7 +93,8 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """Conjugate transpose; on a stack of matrices, of each one."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def re_part(m: np.ndarray) -> np.ndarray:

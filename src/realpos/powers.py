@@ -22,6 +22,7 @@ from .matrices import (
     DEFAULT_TOL,
     PIVOT_RTOL,
     Tolerances,
+    _require_positive,
     as_matrix,
     dagger,
     frob_norm,
@@ -96,8 +97,7 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     eigenvector matrix has condition number above 1e8.
     """
     x = as_matrix(x)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _require_positive(alpha, "alpha")
     _require_accretive(x, tol)
     lam, v = np.linalg.eig(x)
     cond = float(np.linalg.cond(v))
@@ -224,8 +224,7 @@ def power(x, alpha: float, nodes: int = 96, tol: Tolerances = DEFAULT_TOL) -> Po
     quadrature route on defectiveness.
     """
     x = as_matrix(x)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _require_positive(alpha, "alpha")
     _require_accretive(x, tol)
     m = int(np.floor(alpha))
     r = alpha - m

@@ -178,12 +178,20 @@ def support_projection(
 
 
 def _verify_support(p: np.ndarray, x: np.ndarray, tol: Tolerances) -> None:
+    """Warn when p x = x p = x fails (p too small) or x vanishes on a
+    direction of ran(p) (p too large; p = I passes the first test for every x)."""
+    xnorm = op_norm(x)
     defect = max(op_norm(p @ x - x), op_norm(x @ p - x))
-    if defect > 1e-7 * max(1.0, op_norm(x)):
+    if defect > 1e-7 * max(1.0, xnorm):
         warnings.warn(
             f"support projection fails p x = x p = x (defect {defect:.2e})",
             RuntimeWarning,
         )
+    w, v = np.linalg.eigh(p)
+    low = np.linalg.svd(x @ v[:, w > 0.5], compute_uv=False)  # x on ran(p)
+    if low.size and low[-1] <= 1e-14 * xnorm:
+        warnings.warn(f"support projection exceeds the support of x (x vanishes on ran p: "
+                      f"{low[-1]:.2e})", RuntimeWarning)
 
 
 def peak_projection(

@@ -21,8 +21,8 @@ from realpos.algebra import (
     unitize,
     upper_triangular_algebra,
 )
-from realpos.generators import gen_accretive
-from realpos.matrices import op_norm
+from realpos.generators import gen_accretive, gen_unitary
+from realpos.matrices import dagger, op_norm
 
 from conftest import unit
 
@@ -133,6 +133,43 @@ def test_hermitian_elements(e12):
         for h in herm:
             assert op_norm(h - h.conj().T) <= 1e-12
             assert contains(alg, h)[0], alg.label
+
+
+def _reference_algebras():
+    u = gen_unitary(3, 2)
+    conjugated = generate_algebra([u @ b @ dagger(u) for b in algebra_from_name("upper:3").basis])
+    return [algebra_from_name(name) for name in ("diag:4", "upper:3", "full:2", "blockupper:2,2")] + [
+        conjugated, generate_algebra([gen_accretive(3, 5)], with_identity=True),
+        generate_algebra([gen_accretive(4, 6), gen_accretive(4, 7)])]
+
+
+def test_identity_of_and_hermitian_elements_match_their_loop_references():
+    # The batched assembly does the same arithmetic as these loops, one basis
+    # element at a time, so the results agree exactly.
+    for alg in _reference_algebras():
+        d = alg.dim
+        rows, rhs = [], []
+        for b in alg.basis:
+            rows += [np.array([bi @ b for bi in alg.basis]).reshape(d, -1).T,
+                     np.array([b @ bi for bi in alg.basis]).reshape(d, -1).T]
+            rhs += [b.reshape(-1), b.reshape(-1)]
+        c, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+        e = identity_of(alg)
+        assert e is not None and np.array_equal(e, alg.reconstruct(c)), alg.label
+
+        cols = []
+        for direction in (*alg.basis, *(1j * alg.basis)):
+            v = (direction - direction.conj().T).reshape(-1)
+            cols.append(np.concatenate([v.real, v.imag]))
+        _, s, vt = np.linalg.svd(np.array(cols).T)
+        expected = []
+        for v in vt[s <= 1e-10 * max(1.0, s[0])]:
+            x = alg.reconstruct(v[:d] + 1j * v[d:])
+            x = (x + x.conj().T) / 2.0
+            if np.linalg.norm(x) > 1e-8:
+                expected.append(x / np.linalg.norm(x))
+        herm = hermitian_elements(alg)
+        assert len(herm) == len(expected) and all(map(np.array_equal, herm, expected)), alg.label
 
 
 def test_a_h_fixed_point(e11, e12):

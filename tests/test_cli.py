@@ -49,6 +49,15 @@ def test_check_invalid_input(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
+    # -diag(1, 0.5) fails both predicates; a non-finite --tol must not pass it
+    neg = _write_matrix(tmp_path / "neg.json", -np.diag([1.0, 0.5]))
+    assert main(["check", neg, "--tol", tol, "--require", "accretive", "half-f"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eq_tol must be finite") and err.count("\n") == 1
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=5)
@@ -105,6 +114,17 @@ def test_power_command(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["method"] == "series"
     assert main(["power", half, "--alpha", "0.3", "--method", "series"]) == 2  # not 1/m
+
+    # invalid alpha exits 2 with a one-line message naming it, on every route
+    for method in ("auto", "spectral", "series"):
+        for alpha in ("inf", "nan", "0", "1e-320"):
+            if alpha == "1e-320" and method != "series":
+                continue  # a valid positive power
+            capsys.readouterr()
+            assert main(["power", src, f"--alpha={alpha}", "--method", method]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "alpha" in err
 
 
 # Runs realpos.cli.main(argv) in a fresh interpreter and prints the exit code

@@ -3,19 +3,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from realpos import interp
 from realpos.algebra import (
     contains,
     diagonal_algebra,
     full_algebra,
+    generate_algebra,
     span_algebra,
     upper_triangular_algebra,
 )
 from realpos.cones import f_membership
+from realpos.generators import gen_unitary
 from realpos.interp import (
     AffineEquality,
     AffineTerm,
     ConvexRegion,
     FeasibilityProblem,
+    HermFloor,
     MatrixAffine,
     UnconvergedError,
     decompose,
@@ -30,6 +34,8 @@ from realpos.interp import (
 from realpos.matrices import dagger, im_part, min_real_eig, op_norm
 from realpos.powers import power
 from realpos.projections import peak_projection, support_projection
+
+from conftest import unit
 
 
 def _fixed_target_problem(alg, target):
@@ -58,6 +64,106 @@ def test_solve_feasibility_infeasible_target_reports_distance(e11, e12):
 def test_feasibility_problem_needs_constraints():
     with pytest.raises(ValueError):
         FeasibilityProblem(full_algebra(2))
+
+
+def test_feasibility_problem_rejects_inconsistent_shapes():
+    alg = full_algebra(2)
+    eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        FeasibilityProblem(alg, equalities=[
+            AffineEquality(MatrixAffine([AffineTerm(eye2, eye2)], np.zeros((2, 2))), eye3, "a = I")])
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        FeasibilityProblem(alg, floors=[
+            HermFloor(MatrixAffine([AffineTerm(eye2, eye2)], np.zeros((3, 3))), "a >= 0")])
+
+
+class _Stop(Exception):
+    pass
+
+
+def _recorded_problems(monkeypatch, calls) -> list:
+    """The feasibility problems the solver calls build, recorded as they
+    reach the engine (which is never run)."""
+    problems = []
+
+    def record(problem, **kwargs):
+        problems.append(problem)
+        raise _Stop
+
+    monkeypatch.setattr(interp, "solve_feasibility", record)
+    for call in calls:
+        with pytest.raises(_Stop):
+            call()
+    return problems
+
+
+def _conjugated(mats, seed):
+    w = gen_unitary(mats[0].shape[0], seed)
+    return w, generate_algebra([w @ m @ dagger(w) for m in mats])
+
+
+def _reference_value(con, alg, u):
+    """const + sum left (a or a*) right, at a = sum_j (u_j + i u_{d+j}) b_j."""
+    d = alg.dim
+    a = np.tensordot(u[:d] + 1j * u[d:], alg.basis, axes=1)
+    out = np.array(con.map.const, dtype=complex)
+    for t in con.map.terms:
+        out = out + t.left @ (a.conj().T if t.conj else a) @ t.right
+    return out - con.target if isinstance(con, AffineEquality) else out
+
+
+def test_compiled_maps_match_their_sandwich_terms(monkeypatch):
+    w, unital = _conjugated(list(upper_triangular_algebra(3).basis), 4)
+    assert unital.contains_identity
+    q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
+    p = w @ np.diag([1.0, 1.0, 0]) @ dagger(w)
+    b = w @ np.diag([0.3, 0.5, 0.2]) @ dagger(w)
+    bq = w @ np.diag([0.5, 0.2, 0.1]) @ dagger(w)
+    ambient = np.array([[1.0, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])  # dominates E11, not in A
+    ambient_u = w @ ambient @ dagger(w)
+    region = ConvexRegion(np.array([-0.5 - 0.5j, 1 - 0.5j, 1 + 0.5j, -0.5 + 0.5j]))
+    v, nonunital = _conjugated([unit(3, 0, 0), unit(3, 0, 1)], 5)
+    assert not nonunital.contains_identity
+    q1 = v @ np.diag([1.0, 0, 0]) @ dagger(v)
+    calls = [
+        lambda: dominate(unital, b, eps=0.05),
+        lambda: decompose(unital, 0.5 * b),
+        lambda: interp_np(unital, b, near_eps=0.05),
+        lambda: urysohn_interpolate(unital, q, np.eye(3)),
+        lambda: urysohn_interpolate(unital, q, ambient_u),
+        lambda: strict_urysohn(unital, q, p, fast_path=False),
+        lambda: peak_interpolate(unital, q, bq),
+        lambda: tietze_lift(unital, q, bq, region),
+        lambda: urysohn_interpolate(nonunital, q1, q1),
+        lambda: urysohn_interpolate(nonunital, q1, np.eye(3)),
+        lambda: strict_urysohn(nonunital, q1, q1, fast_path=False),
+        lambda: peak_interpolate(nonunital, q1, 0.5 * q1),
+        lambda: tietze_lift(nonunital, q1, 0.5 * q1, region),
+    ]
+    problems = _recorded_problems(monkeypatch, calls)
+    rng = np.random.default_rng(0)
+    labels = set()
+    for problem in problems:
+        alg = problem.algebra
+        constraints = [*problem.equalities, *problem.floors, *problem.caps]
+        assert len(constraints) == len(problem.compiled)
+        for con, compiled in zip(constraints, problem.compiled):
+            labels.add(con.label)
+            assert compiled.jac.shape == (2 * np.size(con.map.const), 2 * alg.dim)
+            for _ in range(3):
+                u = rng.standard_normal(2 * alg.dim)
+                flat = compiled.jac @ u + compiled.const
+                half = flat.size // 2
+                got = (flat[:half] + 1j * flat[half:]).reshape(np.shape(con.map.const))
+                want = _reference_value(con, alg, u)
+                assert op_norm(got - want) <= 1e-12 * max(1.0, op_norm(want)), con.label
+    assert {problem.algebra.contains_identity for problem in problems} == {True, False}
+    assert labels >= {
+        "Re(a) >= b", "sector+", "sector-", "1-2a in ball", "1-2(x-b) in ball",
+        "|1-a|^2 <= 1-c", "Re(a) >= c", "a q = q", "q a = q", "a u = a", "u a = a",
+        "a(1-u) small", "(1-u)a small", "x q = q", "x p = x", "p x = x", "strict off q",
+        "g q = b q", "q g = b q", "a in ball", "W(g) halfplane 0", "W(g) halfplane 3",
+    }
 
 
 def test_dominate_examples(e11):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,10 @@ def test_tolerances_validation():
         Tolerances(eq_tol=1e-3, psd_slack=1e-9)
     with pytest.raises(ValueError):
         Tolerances(max_iter=0)
+    for bad in (math.inf, math.nan):
+        for name in ("eq_tol", "psd_slack", "iter_tol", "max_iter"):
+            with pytest.raises(ValueError, match="finite"):
+                Tolerances(**{name: bad})
 
 
 def test_matrix_json_roundtrip(lemerdy):

@@ -11,7 +11,7 @@ from realpos import projections
 from realpos.algebra import contains, full_algebra, identity_of, upper_triangular_algebra
 from realpos.cones import f_membership
 from realpos.generators import gen_accretive, gen_half_f, gen_peaked_half_f, gen_sectorial, gen_unitary
-from realpos.matrices import dagger, op_norm
+from realpos.matrices import DEFAULT_TOL, dagger, op_norm
 from realpos.powers import NotAccretiveError, power, root_series
 from realpos.projections import (
     hsa_and_ideal,
@@ -94,6 +94,20 @@ def test_support_of_jordan_blocks():
     assert power(x / op_norm(x), projections.DEEP_ROOT).method == "balakrishnan"
     res, _ = _iterative_vs_oracle(x)
     assert res.status == "converged" and res.oracle_residual <= 1e-6
+
+
+def test_verify_support_sees_an_over_large_support():
+    u = gen_unitary(3, 3)
+    jordan = np.zeros((3, 3), dtype=complex)
+    jordan[0, 0] = jordan[1, 1] = jordan[0, 1] = 1.0
+    x = u @ jordan @ dagger(u)
+    with pytest.warns(RuntimeWarning, match="exceeds the support"):
+        projections._verify_support(np.eye(3), x, DEFAULT_TOL)
+    support = u @ np.diag([1.0, 1.0, 0.0]) @ dagger(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        projections._verify_support(support, x, DEFAULT_TOL)
+        projections._verify_support(np.zeros((3, 3)), np.zeros((3, 3)), DEFAULT_TOL)
 
 
 def test_support_separation_band():
