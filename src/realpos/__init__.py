@@ -21,6 +21,7 @@ from .algebra import (
     a_h,
     amplify,
     contains,
+    cstar,
     generate_algebra,
     identity_of,
     unitize,

@@ -1,9 +1,14 @@
 """Finite-dimensional operator algebras A inside M_n.
 
-An algebra is stored as an orthonormal basis under the trace inner product
-``<X, Y> = tr(Y* X)``.  Construction is by span closure of words in a set of
-generators; membership, unitization, matrix amplification and the largest
-unital corner ``q A q`` are all computed against that basis.
+An algebra is a frozen :class:`MatrixAlgebra`: an orthonormal basis under the
+trace inner product ``<X, Y> = tr(Y* X)``, held as one ``(dim, n, n)`` stack.
+Construction is by span closure of words in a set of generators; membership,
+unitization, matrix amplification, the C*-algebra ``cstar(A)`` it generates
+and the largest unital corner ``q A q`` are all computed against that basis.
+
+Every builder decides ``contains_identity`` by one rule, ``contains(A, I,
+tol)``, before it constructs the algebra.  ``MatrixAlgebra.residual`` measures
+a whole stack's distance from the span at once, for gates.
 
 The real coordinates of ``x = sum_j c_j b_j`` are ``u = (Re c, Im c)``;
 ``real_matrix`` is the one writer of that layout for real-linear maps on A.
@@ -14,7 +19,7 @@ Algebra JSON is either ``{"ambient": n, "basis": [matrix, ...]}`` or
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .matrices import (
     frob_norm,
     matrix_from_json,
     matrix_to_json,
+    max_op_norm,
     op_norm,
 )
 from .projections import _kernel_complement_projection
@@ -35,6 +41,7 @@ __all__ = [
     "MatrixAlgebra",
     "orthonormalize",
     "generate_algebra",
+    "cstar",
     "contains",
     "identity_of",
     "unitize",
@@ -59,17 +66,15 @@ CLOSURE_TOL = 1e-8
 def orthonormalize(mats, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of span(mats) by modified Gram-Schmidt.
 
-    One re-orthogonalization pass; directions whose residual falls below
+    ``mats`` is a ``(k, n, n)`` stack (or a list of n x n matrices).  One
+    re-orthogonalization pass; directions whose residual falls below
     ``rank_tol`` (relative to max(1, original norm)) are dropped.  Returns a
-    ``(dim, n, n)`` array.
+    ``(dim, n, n)`` array; an empty stack keeps its n.
     """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    if not mats:
-        return np.zeros((0, 0, 0), dtype=complex)
-    n = mats[0].shape[0]
+    mats = np.asarray(mats, dtype=complex)
+    n = mats.shape[-1] if mats.ndim == 3 else 0  # an empty list carries no n
     rows: list[np.ndarray] = []  # flattened orthonormal vectors
-    for m in mats:
-        v = m.reshape(-1).copy()
+    for v in mats.reshape(len(mats), n * n):
         scale = float(np.linalg.norm(v))
         if scale <= rank_tol:
             continue
@@ -80,12 +85,10 @@ def orthonormalize(mats, rank_tol: float = RANK_TOL) -> np.ndarray:
         r = float(np.linalg.norm(v))
         if r > rank_tol * max(1.0, scale):
             rows.append(v / r)
-    if not rows:
-        return np.zeros((0, n, n), dtype=complex)
-    return np.array(rows).reshape(len(rows), n, n)
+    return np.array(rows, dtype=complex).reshape(len(rows), n, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixAlgebra:
     """A span-closed subalgebra of M_n given by an orthonormal basis."""
 
@@ -95,7 +98,7 @@ class MatrixAlgebra:
     label: str = ""
 
     def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=complex)
+        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=complex))
         if self.basis.ndim != 3 or self.basis.shape[1:] != (self.ambient_dim,) * 2:
             raise ValueError(
                 f"basis shape {self.basis.shape} inconsistent with ambient "
@@ -111,8 +114,6 @@ class MatrixAlgebra:
         return np.tensordot(np.conj(self.basis), np.asarray(m, complex), axes=2)
 
     def reconstruct(self, c: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim,) * 2, dtype=complex)
         return np.tensordot(np.asarray(c, complex), self.basis, axes=1)
 
     def project(self, m: np.ndarray) -> np.ndarray:
@@ -120,20 +121,23 @@ class MatrixAlgebra:
 
     def gram_defect(self) -> float:
         """How far the basis is from orthonormal."""
-        if self.dim == 0:
-            return 0.0
-        flat = self.basis.reshape(self.dim, -1)
+        flat = self.basis.reshape(self.dim, self.ambient_dim ** 2)
         g = np.conj(flat) @ flat.T
-        return float(np.abs(g - np.eye(self.dim)).max())
+        return float(np.abs(g - np.eye(self.dim)).max(initial=0.0))
+
+    def residual(self, stack) -> float:
+        """Largest op-norm distance of a ``(k, n, n)`` stack from the span; one
+        GEMM projects it, so it may differ from ``contains`` in the last bits."""
+        stack = np.asarray(stack, dtype=complex)
+        size = self.ambient_dim ** 2
+        flat = stack.reshape(len(stack), size)
+        b = self.basis.reshape(self.dim, size)
+        return max_op_norm((flat - (flat @ np.conj(b).T) @ b).reshape(stack.shape))
 
     def closure_defect(self) -> float:
         """Largest residual of a basis product outside the span."""
-        worst = 0.0
-        for bi in self.basis:
-            for bj in self.basis:
-                p = bi @ bj
-                worst = max(worst, op_norm(p - self.project(p)))
-        return worst
+        n = self.ambient_dim
+        return self.residual((self.basis[:, None] @ self.basis[None]).reshape(-1, n, n))
 
 
 def contains(
@@ -145,6 +149,14 @@ def contains(
         raise ValueError("dimension mismatch between algebra and matrix")
     residual = op_norm(m - a.project(m))
     return residual <= tol.eq_tol * max(1.0, op_norm(m)), residual
+
+
+def _algebra(basis: np.ndarray, label: str, tol: Tolerances) -> MatrixAlgebra:
+    """The algebra spanned by an orthonormal ``(dim, n, n)`` basis; the one
+    place ``contains_identity`` is decided, by ``contains(A, I, tol)``."""
+    n = basis.shape[-1]
+    probe = MatrixAlgebra(n, basis, False, label)
+    return replace(probe, contains_identity=contains(probe, np.eye(n), tol)[0])
 
 
 def generate_algebra(
@@ -170,24 +182,26 @@ def generate_algebra(
     if any(g.shape[0] != n for g in gens):
         raise ValueError("generators must share one ambient dimension")
 
-    seed = list(gens)
+    seed = np.array(gens)
     if mode == "cstar":
-        seed += [dagger(g) for g in gens]
+        seed = np.concatenate([seed, dagger(seed)])
     if with_identity:
-        seed.append(np.eye(n, dtype=complex))
+        seed = np.concatenate([seed, np.eye(n, dtype=complex)[None]])
 
     basis = orthonormalize(seed)
     while 0 < basis.shape[0] < n * n:  # zero generators generate the zero algebra
         products = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, n, n)
-        new = orthonormalize(list(basis) + list(products))
+        new = orthonormalize(np.concatenate([basis, products]))
         if new.shape[0] == basis.shape[0]:
             basis = new
             break
         basis = new
+    return _algebra(basis, label, tol)
 
-    alg = MatrixAlgebra(n, basis, contains_identity=False, label=label)
-    alg.contains_identity = contains(alg, np.eye(n), tol)[0]
-    return alg
+
+def cstar(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
+    """C*(A), the C*-algebra generated by A: the span closure of A and A*."""
+    return generate_algebra(a.basis, mode="cstar", tol=tol)
 
 
 def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
@@ -206,18 +220,20 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     target = np.stack([basis, basis], axis=1).reshape(-1)
     c, *_ = np.linalg.lstsq(system, target, rcond=None)
     e = a.reconstruct(c)
-    worst = max(
-        max(op_norm(e @ b - b), op_norm(b @ e - b)) for b in a.basis
-    )
-    return e if worst <= tol.eq_tol else None
+    return e if _unit_defect(e, basis) <= tol.eq_tol else None
+
+
+def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
+    """How far e is from a two-sided identity on a ``(k, n, n)`` stack:
+    the largest of ``||e b - b||`` and ``||b e - b||``."""
+    return max_op_norm(np.concatenate([e @ stack - stack, stack @ e - stack]))
 
 
 def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
     """Adjoin the ambient identity; idempotent when I is already in A."""
-    n = a.ambient_dim
-    basis = orthonormalize(list(a.basis) + [np.eye(n, dtype=complex)])
+    basis = orthonormalize(np.concatenate([a.basis, np.eye(a.ambient_dim, dtype=complex)[None]]))
     label = a.label + "^1" if a.label and not a.contains_identity else a.label
-    return MatrixAlgebra(n, basis, contains_identity=True, label=label)
+    return _algebra(basis, label, tol)
 
 
 def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
@@ -226,19 +242,11 @@ def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAl
         raise ValueError("k must be a positive integer")
     n = a.ambient_dim
     check_dim(k * n, f"the {k}-fold amplification")
-    units = np.zeros((k, k, k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            units[i, j, i, j] = 1.0
-    basis = [np.kron(units[i, j], b) for i in range(k) for j in range(k) for b in a.basis]
-    if not basis:
-        return MatrixAlgebra(k * n, np.zeros((0, k * n, k * n), complex), False, a.label)
-    return MatrixAlgebra(
-        k * n,
-        np.array(basis),
-        contains_identity=a.contains_identity,
-        label=f"M_{k}({a.label})" if a.label else "",
-    )
+    units = np.eye(k * k, dtype=complex).reshape(k, k, k, k)  # units[i, j] = E_ij
+    # basis[(i, j, b)] = kron(E_ij, b), the same products np.kron forms
+    basis = units[:, :, None, :, None, :, None] * a.basis[None, None, :, None, :, None, :]
+    label = f"M_{k}({a.label})" if a.label else ""
+    return _algebra(basis.reshape(k * k * a.dim, k * n, k * n), label, tol)
 
 
 def _to_real(z: np.ndarray) -> np.ndarray:
@@ -301,9 +309,6 @@ def a_h(
     """
     n = a.ambient_dim
     q = np.zeros((n, n), dtype=complex)
-    label = (a.label + "_H") if a.label else ""
-    if a.dim == 0:
-        return MatrixAlgebra(n, np.zeros((0, n, n), complex), False, label), q
     herm = hermitian_elements(a)
     if herm:
         # range [h_1 ... h_k] = ker([h_1 ... h_k]*)^perp
@@ -314,66 +319,63 @@ def a_h(
                 "the range projection of the Hermitian elements of A is not in A "
                 f"(residual {residual:.2e})"
             )
-    corner = orthonormalize([q @ b @ q for b in a.basis])
-    ah = MatrixAlgebra(
-        n,
-        corner,
-        contains_identity=bool(op_norm(q - np.eye(n)) <= tol.eq_tol),
-        label=label,
-    )
-    return ah, q
+    corner = orthonormalize(q @ a.basis @ q)
+    return _algebra(corner, (a.label + "_H") if a.label else "", tol), q
 
 
 # -- canned algebras ---------------------------------------------------------
 
 
-def _units(n: int, pairs) -> np.ndarray:
-    basis = []
-    for i, j in pairs:
-        e = np.zeros((n, n), dtype=complex)
-        e[i, j] = 1.0
-        basis.append(e)
-    return np.array(basis)
+def _units(n: int, pairs, label: str) -> MatrixAlgebra:
+    """The algebra spanned by the matrix units E_ij, (i, j) in pairs."""
+    basis = np.zeros((len(pairs), n, n), dtype=complex)
+    for k, (i, j) in enumerate(pairs):
+        basis[k, i, j] = 1.0
+    return _algebra(basis, label, DEFAULT_TOL)
 
 
 def full_algebra(n: int) -> MatrixAlgebra:
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    return MatrixAlgebra(n, _units(n, pairs), True, f"full:{n}")
+    return _units(n, [(i, j) for i in range(n) for j in range(n)], f"full:{n}")
 
 
 def diagonal_algebra(n: int) -> MatrixAlgebra:
-    return MatrixAlgebra(n, _units(n, [(i, i) for i in range(n)]), True, f"diag:{n}")
+    return _units(n, [(i, i) for i in range(n)], f"diag:{n}")
 
 
 def upper_triangular_algebra(n: int) -> MatrixAlgebra:
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return MatrixAlgebra(n, _units(n, pairs), True, f"upper:{n}")
+    return _units(n, [(i, j) for i in range(n) for j in range(i, n)], f"upper:{n}")
 
 
 def block_upper_algebra(n1: int, n2: int) -> MatrixAlgebra:
     n = n1 + n2
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if not (i >= n1 and j < n1)
-    ]
-    return MatrixAlgebra(n, _units(n, pairs), True, f"blockupper:{n1},{n2}")
+    pairs = [(i, j) for i in range(n) for j in range(n) if i < n1 or j >= n1]
+    return _units(n, pairs, f"blockupper:{n1},{n2}")
+
+
+# kind -> builder of the canned algebra; blockupper takes (n1, n2), the rest n
+CANNED = {
+    "full": full_algebra,
+    "upper": upper_triangular_algebra,
+    "diag": diagonal_algebra,
+    "blockupper": block_upper_algebra,
+}
 
 
 def span_algebra(mats, tol: Tolerances = DEFAULT_TOL, label: str = "span") -> MatrixAlgebra:
     """Algebra from an explicit spanning set; the span must be product-closed."""
-    basis = orthonormalize([as_matrix(m) for m in mats])
+    mats = [as_matrix(m) for m in mats]
+    if len({m.shape for m in mats}) > 1:
+        raise ValueError("span matrices must share one ambient dimension")
+    basis = orthonormalize(mats)
     if basis.shape[0] == 0:
         raise ValueError("span is empty")
-    alg = MatrixAlgebra(basis.shape[1], basis, False, label)
+    alg = _algebra(basis, label, tol)
     defect = alg.closure_defect()
     if defect > CLOSURE_TOL:
         raise ValueError(
             f"span is not closed under multiplication (residual {defect:.2e}); "
             "use generate_algebra instead"
         )
-    alg.contains_identity = contains(alg, np.eye(alg.ambient_dim), tol)[0]
     return alg
 
 
@@ -383,14 +385,8 @@ def algebra_from_name(name: str) -> MatrixAlgebra:
     The ambient dimension is checked against ``REALPOS_MAX_DIM`` before the
     basis (n**2 matrices of size n for ``full:n``) is built.
     """
-    builders = {
-        "full": full_algebra,
-        "upper": upper_triangular_algebra,
-        "diag": diagonal_algebra,
-        "blockupper": block_upper_algebra,
-    }
     kind, _, arg = name.partition(":")
-    if kind not in builders:
+    if kind not in CANNED:
         raise ValueError(f"unknown algebra name {name!r}")
     malformed = f"malformed algebra name {name!r}"
     try:
@@ -401,7 +397,7 @@ def algebra_from_name(name: str) -> MatrixAlgebra:
         raise ValueError(malformed)
     check_dim(sum(dims), f"algebra {name!r}")
     try:
-        return builders[kind](*dims)
+        return CANNED[kind](*dims)
     except (TypeError, ValueError) as exc:
         raise ValueError(malformed) from exc
 
@@ -432,10 +428,13 @@ def algebra_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebr
     if "basis" in data:
         return span_algebra(mats, tol, label=label)
     if "generators" in data:
+        with_identity = data.get("with_identity", False)
+        if not isinstance(with_identity, bool):
+            raise ValueError("algebra JSON field 'with_identity' must be true or false")
         return generate_algebra(
             mats,
             mode=data.get("mode", "algebra"),
-            with_identity=bool(data.get("with_identity", False)),
+            with_identity=with_identity,
             tol=tol,
             label=label,
         )

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, contains, generate_algebra, identity_of
+from .algebra import MatrixAlgebra, contains, cstar, identity_of
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
@@ -214,8 +214,7 @@ def is_strictly_real_positive(
     if identity_of(a, tol) is None:
         raise ValueError("the algebra has no identity; strict real positivity "
                          "for nonunital algebras is out of scope")
-    cstar = generate_algebra(list(a.basis), mode="cstar", tol=tol)
-    e = identity_of(cstar, tol)
+    e = identity_of(cstar(a, tol), tol)
     if e is None:
         raise ArithmeticError("generated C*-algebra has no computable unit")
     h = re_part(x)

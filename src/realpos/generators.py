@@ -8,14 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
-    MatrixAlgebra,
-    block_upper_algebra,
-    diagonal_algebra,
-    full_algebra,
-    generate_algebra,
-    upper_triangular_algebra,
-)
+from .algebra import CANNED, MatrixAlgebra, generate_algebra
 from .matrices import DEFAULT_TOL, Tolerances, check_dim, dagger, max_dim, op_norm
 from .transforms import f_transform
 
@@ -142,16 +135,10 @@ def gen_unitary(n: int, seed: int) -> np.ndarray:
 def gen_algebra(kind: str, n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
     """Canned unital test algebras plus the singly generated oa(x)."""
     check_dim(n, "a generated algebra")
-    if kind == "full":
-        return full_algebra(n)
-    if kind == "diag":
-        return diagonal_algebra(n)
-    if kind == "upper":
-        return upper_triangular_algebra(n)
-    if kind == "blockupper":
-        n1 = max(1, n // 2)
-        return block_upper_algebra(n1, n - n1)
     if kind == "oa":
         x = gen_accretive(n, seed)
         return generate_algebra([x], mode="algebra", with_identity=False, tol=tol, label=f"oa:{n}")
-    raise ValueError(f"unknown algebra kind {kind!r}; choose from {ALGEBRA_KINDS}")
+    if kind not in CANNED:
+        raise ValueError(f"unknown algebra kind {kind!r}; choose from {ALGEBRA_KINDS}")
+    n1 = max(1, n // 2)
+    return CANNED[kind](*((n1, n - n1) if kind == "blockupper" else (n,)))

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (MatrixAlgebra, _from_real, _to_real, contains, generate_algebra,
+from .algebra import (MatrixAlgebra, _from_real, _to_real, contains, cstar,
                       identity_of, real_matrix, unitize)
 from .cones import f_membership
 from .matrices import (
@@ -429,7 +429,7 @@ def _require_small_psd_in_cstar(a: MatrixAlgebra, m: np.ndarray, name: str, tol:
         raise ValueError(f"{name} must be positive semidefinite")
     if norm >= 1.0 - tol.eq_tol:
         raise ValueError(f"||{name}|| < 1 is required strictly")
-    _require_in(generate_algebra(list(a.basis), mode="cstar", tol=tol), m, name, tol, "C*(A)")
+    _require_in(cstar(a, tol), m, name, tol, "C*(A)")
     return norm
 
 

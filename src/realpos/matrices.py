@@ -27,6 +27,7 @@ __all__ = [
     "frob_norm",
     "herm_eig",
     "op_norm",
+    "max_op_norm",
     "solve",
     "min_real_eig",
     "max_dim",
@@ -129,6 +130,12 @@ def op_norm(m) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def max_op_norm(stack) -> float:
+    """Largest :func:`op_norm` in a ``(k, n, n)`` stack; 0 for an empty one."""
+    stack = np.asarray(stack, dtype=complex)
+    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max(initial=0.0))
 
 
 def solve(m, b, tol: Tolerances = DEFAULT_TOL, return_residual: bool = False):

@@ -174,6 +174,10 @@ def power_balakrishnan(
     x = as_matrix(x)
     if not 0.0 < r < 1.0:
         raise ValueError("the quadrature route needs r in (0, 1)")
+    if r - 1.0 <= -1.0:  # the Jacobi weight (1 - t)^(r - 1) needs an exponent above -1
+        raise ValueError(
+            f"r = {r!r} is too small for the quadrature route: r - 1 rounds to -1"
+        )
     if nodes < 16:
         raise ValueError("need at least 16 quadrature nodes")
     margin = _require_accretive(x, tol)

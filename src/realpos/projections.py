@@ -333,7 +333,7 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
     Verifies D A D inside D and that s(x) is a two-sided identity on D.
     Returns (D, J) as algebras.
     """
-    from .algebra import MatrixAlgebra, contains, orthonormalize  # no cycle
+    from .algebra import _algebra, _unit_defect, contains, orthonormalize  # no cycle
 
     x = as_matrix(x)
     ok, residual = contains(algebra, x, tol)
@@ -343,24 +343,16 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
         raise NotAccretiveError("hereditary subalgebras here require accretive x")
 
     n = algebra.ambient_dim
-    d_basis = orthonormalize([x @ b @ x for b in algebra.basis])
-    j_basis = orthonormalize([x @ b for b in algebra.basis] + [x])
-    hsa = MatrixAlgebra(n, d_basis, False, label="xAx")
-    ideal = MatrixAlgebra(n, j_basis, False, label="xA+Cx")
-    hsa.contains_identity = contains(hsa, np.eye(n), tol)[0]
-    ideal.contains_identity = contains(ideal, np.eye(n), tol)[0]
+    a = algebra.basis
+    hsa = _algebra(orthonormalize(x @ a @ x), "xAx", tol)
+    ideal = _algebra(orthonormalize(np.concatenate([x @ a, x[None]])), "xA+Cx", tol)
 
-    worst = 0.0
-    for di in hsa.basis:
-        for b in algebra.basis:
-            for dk in hsa.basis:
-                prod = di @ b @ dk
-                worst = max(worst, op_norm(prod - hsa.project(prod)))
+    d = hsa.basis
+    worst = hsa.residual((d[:, None, None] @ a[None, :, None] @ d[None, None]).reshape(-1, n, n))
     if worst > 1e-7:
         raise ArithmeticError(f"D A D escapes D (residual {worst:.2e})")
 
     s = support_projection(x, method="oracle", tol=tol).proj
-    for b in hsa.basis:
-        if max(op_norm(s @ b - b), op_norm(b @ s - b)) > 1e-7:
-            raise ArithmeticError("s(x) is not an identity on the hereditary subalgebra")
+    if _unit_defect(s, d) > 1e-7:
+        raise ArithmeticError("s(x) is not an identity on the hereditary subalgebra")
     return hsa, ideal

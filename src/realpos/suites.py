@@ -20,6 +20,7 @@ from .algebra import (
     a_h,
     amplify,
     contains,
+    cstar,
     generate_algebra,
     identity_of,
     span_algebra,
@@ -128,12 +129,7 @@ def _case_seed(seed: int, k: int) -> int:
 def _mutual_residual(x: MatrixAlgebra, y: MatrixAlgebra) -> float:
     if x.dim != y.dim:
         return 1.0 + abs(x.dim - y.dim)
-    worst = 0.0
-    for b in x.basis:
-        worst = max(worst, op_norm(b - y.project(b)))
-    for b in y.basis:
-        worst = max(worst, op_norm(b - x.project(b)))
-    return worst
+    return max(y.residual(x.basis), x.residual(y.basis))
 
 
 # -- A1 ----------------------------------------------------------------------
@@ -418,14 +414,14 @@ def _interp_algebra(k: int, seed: int) -> MatrixAlgebra:
 
 
 def _random_cstar_psd(alg: MatrixAlgebra, rng: np.random.Generator, target: float, tol: Tolerances) -> np.ndarray:
-    cstar = generate_algebra(list(alg.basis), mode="cstar", tol=tol)
-    raw = cstar.reconstruct(rng.standard_normal(cstar.dim) + 1j * rng.standard_normal(cstar.dim))
+    c = cstar(alg, tol)
+    raw = c.reconstruct(rng.standard_normal(c.dim) + 1j * rng.standard_normal(c.dim))
     b = raw @ dagger(raw)
-    b = cstar.project(b)
+    b = c.project(b)
     b = re_part(b)
     shift = min(0.0, min_real_eig(b))
     b = b - shift * np.eye(alg.ambient_dim)  # stay PSD after the projection noise
-    b = cstar.project(b)
+    b = c.project(b)
     norm = op_norm(b)
     return b * (target / norm) if norm > 0 else b
 

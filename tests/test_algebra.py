@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from realpos.algebra import (
+    _unit_defect,
     a_h,
     algebra_from_json,
     algebra_from_name,
     algebra_to_json,
     amplify,
     contains,
+    cstar,
     diagonal_algebra,
     full_algebra,
     generate_algebra,
@@ -21,8 +24,9 @@ from realpos.algebra import (
     unitize,
     upper_triangular_algebra,
 )
-from realpos.generators import gen_accretive, gen_unitary
+from realpos.generators import gen_accretive, gen_algebra, gen_unitary
 from realpos.matrices import dagger, op_norm
+from realpos.projections import hsa_and_ideal
 
 from conftest import unit
 
@@ -172,6 +176,81 @@ def test_identity_of_and_hermitian_elements_match_their_loop_references():
         assert len(herm) == len(expected) and all(map(np.array_equal, herm, expected)), alg.label
 
 
+_E11, _E12, _ZERO = unit(2, 0, 0), unit(2, 0, 1), np.zeros((2, 2), complex)
+# every library constructor, with unital and non-unital results
+_CONSTRUCTED = {
+    **{name: (lambda name=name: algebra_from_name(name))
+       for name in ("full:3", "upper:3", "diag:4", "blockupper:2,2", "blockupper:1,2")},
+    "gen_algebra blockupper:1,0": lambda: gen_algebra("blockupper", 1, 0),
+    "gen_algebra oa:3": lambda: gen_algebra("oa", 3, 5),
+    "generate accretive": lambda: generate_algebra([gen_accretive(3, 5)]),
+    "generate nilpotent": lambda: generate_algebra([_E12]),
+    "generate cstar": lambda: generate_algebra([_E12], mode="cstar"),
+    "generate with identity": lambda: generate_algebra([_E12], with_identity=True),
+    "generate zero": lambda: generate_algebra([_ZERO]),
+    "generate zero cstar": lambda: generate_algebra([_ZERO], mode="cstar"),
+    "span{E12}": lambda: span_algebra([_E12]),
+    "span{E11,E12}": lambda: span_algebra([_E11, _E12]),
+    "span{I}": lambda: span_algebra([np.eye(2)]),
+    "unitize span{E12}": lambda: unitize(span_algebra([_E12])),
+    "unitize full:2": lambda: unitize(full_algebra(2)),
+    "amplify span{E12}": lambda: amplify(span_algebra([_E12]), 2),
+    "amplify upper:2": lambda: amplify(upper_triangular_algebra(2), 3),
+    "amplify zero": lambda: amplify(generate_algebra([_ZERO]), 2),
+    "a_h upper:2": lambda: a_h(upper_triangular_algebra(2))[0],
+    "a_h span{E11,E12}": lambda: a_h(span_algebra([_E11, _E12]))[0],
+    "a_h span{E12}": lambda: a_h(span_algebra([_E12]))[0],
+    "hsa full:2": lambda: hsa_and_ideal(full_algebra(2), _E11)[0],
+    "ideal full:2": lambda: hsa_and_ideal(full_algebra(2), _E11)[1],
+    "hsa upper:2": lambda: hsa_and_ideal(upper_triangular_algebra(2), np.eye(2))[0],
+    "ideal upper:2": lambda: hsa_and_ideal(upper_triangular_algebra(2), np.eye(2))[1],
+    "cstar upper:2": lambda: cstar(upper_triangular_algebra(2)),
+}
+
+
+@pytest.mark.parametrize("build", _CONSTRUCTED.values(), ids=_CONSTRUCTED.keys())
+def test_every_constructor_decides_the_identity_by_one_rule(build):
+    alg = build()
+    assert alg.contains_identity == contains(alg, np.eye(alg.ambient_dim))[0]
+    for f in dataclasses.fields(alg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(alg, f.name, getattr(alg, f.name))
+
+
+def test_the_rule_sees_both_verdicts():
+    verdicts = {name: build().contains_identity for name, build in _CONSTRUCTED.items()}
+    assert verdicts["full:3"] and verdicts["unitize span{E12}"] and verdicts["hsa upper:2"]
+    assert not verdicts["span{E12}"] and not verdicts["a_h span{E11,E12}"]
+    assert not verdicts["amplify zero"] and not verdicts["hsa full:2"]
+
+
+def test_cstar_spans_the_generated_c_star_algebra():
+    full = cstar(upper_triangular_algebra(2))
+    assert full.dim == 4 and full.residual(full_algebra(2).basis) <= 1e-12
+    diag = cstar(diagonal_algebra(3))
+    assert diag.dim == 3 and diag.residual(diagonal_algebra(3).basis) <= 1e-12
+    assert diagonal_algebra(3).residual(diag.basis) <= 1e-12
+
+
+def test_batched_residuals_match_their_loop_references():
+    rng = np.random.default_rng(0)
+    for alg in _reference_algebras() + [span_algebra([_E11, _E12]), generate_algebra([_E12])]:
+        products = [bi @ bj for bi in alg.basis for bj in alg.basis]
+        loop = max(op_norm(p - alg.project(p)) for p in products)
+        assert abs(alg.closure_defect() - loop) <= 1e-14, alg.label
+
+        n = alg.ambient_dim
+        stack = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        loop = max(contains(alg, m)[1] for m in stack)
+        assert abs(alg.residual(stack) - loop) <= 1e-14 * max(1.0, loop), alg.label
+
+        e = identity_of(alg)
+        if e is None:
+            e = np.eye(n)
+        loop = max(max(op_norm(e @ b - b), op_norm(b @ e - b)) for b in alg.basis)
+        assert abs(_unit_defect(e, alg.basis) - loop) <= 1e-14, alg.label
+
+
 def test_a_h_fixed_point(e11, e12):
     ah, q = a_h(span_algebra([e11, e12]), seed=1)
     ah2, q2 = a_h(ah, seed=2)
@@ -189,6 +268,13 @@ def test_amplify(e12):
     assert up.dim == 12
     with pytest.raises(ValueError):
         amplify(full_algebra(8), 9)
+
+
+def test_amplify_labels_every_algebra_alike():
+    zero = generate_algebra([np.zeros((2, 2))], label="Z")
+    assert amplify(zero, 2).label == "M_2(Z)" and amplify(zero, 2).basis.shape == (0, 4, 4)
+    assert amplify(upper_triangular_algebra(2), 2).label == "M_2(upper:2)"
+    assert amplify(generate_algebra([np.zeros((2, 2))]), 2).label == ""
 
 
 def test_oa_of_accretive_sets_has_identity():

@@ -127,6 +127,15 @@ def test_power_command(tmp_path, capsys):
             assert "alpha" in err
 
 
+@pytest.mark.parametrize("alpha", ["1e-320", "1e-17"])
+def test_quadrature_rejects_an_exponent_that_rounds_away(tmp_path, capsys, alpha):
+    src = _write_matrix(tmp_path / "x.json", np.diag([1.0, 4.0]))
+    assert main(["power", src, "--alpha", alpha, "--method", "balakrishnan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"r = {float(alpha)!r}" in err and "alpha and beta" not in err
+
+
 # Runs realpos.cli.main(argv) in a fresh interpreter and prints the exit code
 # and the scipy modules loaded by then.
 SCIPY_PROBE = """
@@ -257,6 +266,19 @@ def test_algebra_commands(tmp_path, capsys):
     assert main(["algebra", "a-h", str(spec)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["a_h"]["label"] == "Z_H" and not matrix_from_json(data["q"]).any()
+    # with_identity must be a JSON boolean: the string "false" is refused,
+    # not read as true
+    for flag in ("false", "true", 0, 1, None):
+        spec.write_text(json.dumps({"generators": [matrix_to_json(np.diag([1.0, 0.0]))],
+                                    "with_identity": flag}))
+        capsys.readouterr()
+        assert main(["algebra", "generate", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "with_identity" in err
+    spec.write_text(json.dumps({"generators": [matrix_to_json(np.diag([1.0, 0.0]))],
+                                "with_identity": False}))
+    assert main(["algebra", "generate", str(spec)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["basis"]) == 1
     # a label that is not a string is refused, not concatenated
     spec.write_text(json.dumps({"basis": [matrix_to_json(np.eye(2))], "label": [None]}))
     assert main(["algebra", "unitize", str(spec)]) == 2

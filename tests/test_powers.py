@@ -65,6 +65,15 @@ def test_balakrishnan_parameter_validation():
         power_balakrishnan(np.eye(2), 0.5, nodes=8)
 
 
+@pytest.mark.parametrize("r", [1e-320, 1e-17])
+def test_balakrishnan_rejects_r_whose_weight_exponent_rounds_to_minus_one(r):
+    # the Jacobi weight exponent r - 1 is -1.0 in floating point here; the
+    # check must fire before scipy sees it, with a message that names r
+    with pytest.raises(ValueError, match=f"r = {r!r}") as info:
+        power_balakrishnan(np.eye(2), r)
+    assert "greater than -1" not in str(info.value)
+
+
 def test_balakrishnan_singular_node_raises_at_its_pivot():
     # the smallest node u_k gives M_k = diag(1e12 (1-u_k), u_k): its second
     # pivot sits below 1e-13 ||M_k||, so solve() must reject it
