@@ -51,16 +51,22 @@ def _load_matrix(path: str) -> np.ndarray:
     return m
 
 
-def _load_algebra(spec: str):
+def _named_algebra(spec: str):
+    """A canned algebra name, or span:FILE with FILE holding a list of
+    matrices spanning the algebra; the algebra command and interp problems
+    both read their string algebras here."""
     if spec.startswith("span:"):
-        # span:FILE, the file holding a list of matrices spanning the algebra
         data = _load_json(spec[len("span:"):])
         mats = data.get("basis") if isinstance(data, dict) else data
         if not isinstance(mats, list):
             raise ValueError("span file must hold a list of matrices or a 'basis' list")
         return algebra_from_json({"basis": mats})
-    if ":" in spec and not spec.endswith(".json") and spec != "-":
-        return algebra_from_name(spec)
+    return algebra_from_name(spec)
+
+
+def _load_algebra(spec: str):
+    if spec.startswith("span:") or (":" in spec and not spec.endswith(".json") and spec != "-"):
+        return _named_algebra(spec)
     return algebra_from_json(_load_json(spec))
 
 
@@ -217,7 +223,7 @@ def _cmd_interp(args) -> int:
         raise ValueError(f"--theorem {args.theorem} reads problem keys {', '.join(needed)}; "
                          f"missing {', '.join(missing)}")
     alg_spec = data["algebra"]
-    alg = algebra_from_name(alg_spec) if isinstance(alg_spec, str) else algebra_from_json(alg_spec)
+    alg = _named_algebra(alg_spec) if isinstance(alg_spec, str) else algebra_from_json(alg_spec)
     problem = {key: _interp_input(key, data[key]) for key in spec.keys}
     try:
         seed = int(data.get("seed", args.seed))
@@ -226,7 +232,7 @@ def _cmd_interp(args) -> int:
     except (TypeError, OverflowError) as exc:
         raise ValueError("interp 'seed', 'eps' and 'near_eps' must be numbers") from exc
     try:
-        outputs = spec.solve(alg, problem, seed, tol)
+        outputs, checks = spec.solve(alg, problem, seed, tol)
     except interp.UnconvergedError as exc:
         payload = {"verdict": "unconverged", "message": str(exc)}
         if exc.solution is not None:
@@ -234,7 +240,7 @@ def _cmd_interp(args) -> int:
             payload["solution"] = matrix_to_json(exc.solution.value)
         _emit(payload, args)
         return 1
-    payload = {"verdict": "feasible", "residuals": spec.residual_table(alg, problem, outputs, tol)}
+    payload = {"verdict": "feasible", "residuals": spec.residual_table(checks)}
     for key, value in zip(("solution", "complement"), outputs):
         payload[key] = matrix_to_json(value)
     _emit(payload, args)

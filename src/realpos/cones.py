@@ -44,6 +44,10 @@ __all__ = [
     "cone_report",
 ]
 
+# Largest numerical-range grid: the sweep holds one n x n matrix and its
+# eigenvectors per angle.
+MAX_GRID = 10_000
+
 
 @dataclass(frozen=True)
 class ConeReport:
@@ -186,8 +190,8 @@ def near_positive_report(x, eps: float, tol: Tolerances = DEFAULT_TOL) -> NearPo
 
 def numerical_range(x, grid_size: int = 720) -> NumericalRange:
     """Support function and boundary points of W(x) on an angle grid."""
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
+    if not 8 <= grid_size <= MAX_GRID:
+        raise ValueError(f"grid_size must be between 8 and {MAX_GRID}, got {grid_size}")
     x = as_matrix(x)
     thetas = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     rotated = np.array([re_part(np.exp(-1j * t) * x) for t in thetas])

@@ -20,7 +20,9 @@ peak/support verification, peak interpolation, and the numerical-range
 constrained Tietze lift).  Every solver re-verifies its output with
 independent cone/projection/norm checks before returning it.  ``THEOREMS``
 is the one table of these theorems: the CLI and the interpolation suite
-read their inputs, solver calls and residuals from it.
+read their inputs and solver calls from it.  Each table solve returns its
+outputs together with the checks it verified, and the residual table and
+the suite's gate read those checks, so each solve's checks are computed once.
 """
 from __future__ import annotations
 
@@ -175,7 +177,6 @@ class FeasibilityProblem:
     equalities: list = field(default_factory=list)
     floors: list = field(default_factory=list)
     caps: list = field(default_factory=list)
-    solver_tol: float = SOLVER_TOL
     compiled: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -227,10 +228,10 @@ class _SpectralSet:
     lands in the set.
     """
 
-    def __init__(self, compiled: _Compiled, solver_tol: float):
+    def __init__(self, compiled: _Compiled):
         self.map = compiled
         self.is_floor = isinstance(compiled.con, HermFloor)
-        self.inner_tol = 0.25 * solver_tol
+        self.inner_tol = 0.25 * SOLVER_TOL
         self.pinv = _pinv(compiled.jac)
 
     def _clip(self, m: np.ndarray):
@@ -270,14 +271,14 @@ def solve_feasibility(
 
     Deterministic given ``(problem, seed, warm_start)``.  Up to ``RESTARTS``
     random restarts kick in on stagnation.  The verdict is ``feasible`` only
-    when every residual is within ``problem.solver_tol``; otherwise
+    when every residual is within ``SOLVER_TOL``; otherwise
     ``unconverged`` with the best residuals seen.
     """
     alg = problem.algebra
     n_eq = len(problem.equalities)
     affine_set = _AffineSet(problem.compiled[:n_eq]) if n_eq else None
     sets: list = ([affine_set] if affine_set is not None else []) + [
-        _SpectralSet(c, problem.solver_tol) for c in problem.compiled[n_eq:]
+        _SpectralSet(c) for c in problem.compiled[n_eq:]
     ]
 
     rng = np.random.default_rng(seed)
@@ -303,7 +304,7 @@ def solve_feasibility(
                 best_res, best_u, since_best = worst, u.copy(), 0
             else:
                 since_best += 5
-            if worst <= 0.5 * problem.solver_tol:
+            if worst <= 0.5 * SOLVER_TOL:
                 break
             if since_best > 300 and restarts_left > 0:
                 restarts_left -= 1
@@ -318,7 +319,7 @@ def solve_feasibility(
     res, u = min(((_residuals(problem, c), c) for c in candidates), key=lambda t: max(t[0].values()))
 
     value = alg.reconstruct(_from_real(u, (alg.dim,)))
-    verdict = "feasible" if max(res.values()) <= problem.solver_tol else "unconverged"
+    verdict = "feasible" if max(res.values()) <= SOLVER_TOL else "unconverged"
     return FeasibilitySolution(value, res, verdict, rounds_used)
 
 
@@ -446,18 +447,23 @@ def _require_commuting(a: MatrixAlgebra, q: np.ndarray, b: np.ndarray, tol: Tole
 
 # -- post-verification -------------------------------------------------------
 #
-# A check is a (label, value, ok) triple; value measures the violation, so the
-# CLI's residual table is read off the values (see TheoremSpec), whose corner
-# residuals name these labels.
+# A check is a (label, value, ok) triple; value measures the violation.  Each
+# table solve returns the checks its output passed, and the CLI's residual
+# table and the suite's gate read their values (see TheoremSpec).  The corner
+# and absorption labels are shared with the constraints that impose them, so
+# an unconverged solve reports its residuals under the same names.
 
 _X_CORNER = ("x q = q", "q x = q")
 _G_CORNER = ("g q = b q", "q g = b q")
+_P_ABSORB = ("x p = x", "p x = x")
 
 
-def _verify(checks: list, what: str) -> None:
+def _verify(checks: list, what: str) -> list:
+    """The checks, once every one of them has passed."""
     bad = [f"{label}: {value:.3e}" for label, value, ok in checks if not ok]
     if bad:
         raise VerificationFailedError(f"{what} failed post-verification: " + "; ".join(bad))
+    return checks
 
 
 def _below(label: str, value: float, bound: float) -> tuple:
@@ -484,43 +490,39 @@ def _sided_checks(x: np.ndarray, m: np.ndarray, target: np.ndarray, labels: tupl
     return [_eq_check(labels[0], x @ m, target), _eq_check(labels[1], m @ x, target)]
 
 
-def _check_dominate(a, prob: dict, out: tuple, tol: Tolerances) -> list:
-    x, = out
+def _check_dominate(x: np.ndarray, b: np.ndarray, eps: float, tol: Tolerances) -> list:
     return [
         _half_f_check(x, tol),
-        _psd_check("Re(a)-b PSD", x - prob["b"]),
-        _below("Im small", op_norm(im_part(x)), prob["eps"]),
+        _psd_check("Re(a)-b PSD", x - b),
+        _below("Im small", op_norm(im_part(x)), eps),
     ]
 
 
-def _check_decompose(a, prob: dict, out: tuple, tol: Tolerances) -> list:
-    x, y = out
+def _check_decompose(x: np.ndarray, y: np.ndarray, b: np.ndarray, tol: Tolerances) -> list:
     return [
         _half_f_check(x, tol, "x in half-F"),
         _half_f_check(y, tol, "y in half-F"),
-        _eq_check("b = x - y", prob["b"], x - y),
+        _eq_check("b = x - y", b, x - y),
     ]
 
 
-def _check_np(a, prob: dict, out: tuple, tol: Tolerances) -> list:
-    x, = out
-    eye, c = _eye(x.shape[0]), prob["c"]
+def _check_np(x: np.ndarray, c: np.ndarray, near_eps: float, tol: Tolerances) -> list:
+    eye = _eye(x.shape[0])
     return [
         _half_f_check(x, tol),
         _psd_check("Schur block PSD", np.block([[eye - c, dagger(eye - x)], [eye - x, eye]])),
-        _below("Im small", op_norm(im_part(x)), prob["near_eps"]),
+        _below("Im small", op_norm(im_part(x)), near_eps),
     ]
 
 
-def _check_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
-    x, = out
-    q, u, eps = prob["q"], prob["u"], prob["eps"]
+def _check_urysohn(x: np.ndarray, q: np.ndarray, u: np.ndarray, u_in_a: bool, eps: float,
+                   near_eps: float, tol: Tolerances) -> list:
     checks = [
         _half_f_check(x, tol),
         *_sided_checks(x, q, q, _X_CORNER),
-        _below("Im small", op_norm(im_part(x)), prob["near_eps"]),
+        _below("Im small", op_norm(im_part(x)), near_eps),
     ]
-    if contains(a, u, tol)[0]:
+    if u_in_a:
         return checks + _sided_checks(x, u, x, ("x u = x", "u x = x"))
     comp = _eye(x.shape[0]) - u
     return checks + [
@@ -529,20 +531,8 @@ def _check_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
     ]
 
 
-def _strict_urysohn_table_checks(a, prob: dict, out: tuple, tol: Tolerances) -> list:
-    """The cheap half of strict_urysohn's checks: all its residual table reads."""
-    x, = out
-    q, p = prob["q"], prob["p"]
-    return [
-        _half_f_check(x, tol),
-        *_sided_checks(x, q, q, _X_CORNER),
-        *_sided_checks(x, p, x, ("x p = x", "p x = x")),
-    ]
-
-
-def _check_strict_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
-    x, = out
-    q, p = prob["q"], prob["p"]
+def _check_strict_urysohn(a: MatrixAlgebra, x: np.ndarray, q: np.ndarray, p: np.ndarray,
+                          tol: Tolerances) -> list:
     peak = peak_projection(x, method="iterative", tol=tol)
     supp = support_projection(x, method="iterative", tol=tol)
     prod = support_projection(x @ (_eye(x.shape[0]) - x), method="oracle", tol=tol)
@@ -551,34 +541,52 @@ def _check_strict_urysohn(a, prob: dict, out: tuple, tol: Tolerances) -> list:
                               op_norm(prod.proj - (p - q)))
     return [
         ("in algebra", res, inside),
-        *_strict_urysohn_table_checks(a, prob, out, tol),
+        _half_f_check(x, tol),
+        *_sided_checks(x, q, q, _X_CORNER),
+        *_sided_checks(x, p, x, _P_ABSORB),
         ("u(x) = q", d_peak, peak.status != "diverged" and d_peak <= 1e-5),
         ("s(x) = p", d_supp, supp.status != "diverged" and d_supp <= 1e-5),
         ("s(x(1-x)) = p-q", d_prod, d_prod <= 1e-5),
     ]
 
 
-def _check_peak(a, prob: dict, out: tuple, tol: Tolerances) -> list:
-    g, = out
-    q = prob["q"]
-    return [_half_f_check(g, tol), *_sided_checks(g, q, prob["b"] @ q, _G_CORNER)]
+def _check_peak(g: np.ndarray, q: np.ndarray, b: np.ndarray, tol: Tolerances) -> list:
+    return [_half_f_check(g, tol), *_sided_checks(g, q, b @ q, _G_CORNER)]
 
 
-def _check_tietze(a, prob: dict, out: tuple, tol: Tolerances) -> list:
-    g, = out
-    q = prob["q"]
+def _check_tietze(g: np.ndarray, q: np.ndarray, b: np.ndarray, region: ConvexRegion) -> list:
     norm = op_norm(g)
     checks = [
         ("contraction", norm - 1.0, norm <= 1.0 + SOLVER_TOL),
-        *_sided_checks(g, q, prob["b"] @ q, _G_CORNER),
+        *_sided_checks(g, q, b @ q, _G_CORNER),
     ]
-    for k, (theta, h) in enumerate(prob["region"].half_planes()):
+    for k, (theta, h) in enumerate(region.half_planes()):
         top = float(np.linalg.eigvalsh(re_part(np.exp(-1j * theta) * g))[-1])
         checks.append((f"W(g) halfplane {k}", top - h, top <= h + SOLVER_TOL))
     return checks
 
 
 # -- theorem solvers ---------------------------------------------------------
+#
+# Each theorem's solve(a, problem, seed, tol) -> (outputs, checks) runs its
+# preconditions, the engine (through the module global solve_feasibility,
+# which tests and tracers replace) and one post-verification; its public
+# solver is a one-line call of it.
+
+
+def _dominate(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+    b, eps = as_matrix(prob["b"]), prob["eps"]
+    _require_positive(eps, "eps")
+    e = _require_unital(a, tol)
+    n = a.ambient_dim
+    norm = _require_small_psd_in_cstar(a, b, "b", tol)
+    problem = FeasibilityProblem(
+        algebra=a,
+        floors=[_re_floor(_eye(n), -b, "Re(a) >= b"), *_sector_floors(n, eps)],
+        caps=[_half_f_cap(n)],
+    )
+    x = _solve(problem, seed, 0.5 * (1.0 + norm) * e, "domination solve unconverged")
+    return (x,), _verify(_check_dominate(x, b, eps, tol), "dominate")
 
 
 def dominate(
@@ -594,26 +602,11 @@ def dominate(
     ||b|| < 1; the output x satisfies ||1 - 2x|| <= 1, Re(x) >= b (both
     within solver_tol) and ||Im x|| < eps.
     """
-    b = as_matrix(b)
-    _require_positive(eps, "eps")
-    e = _require_unital(a, tol)
-    n = a.ambient_dim
-    norm = _require_small_psd_in_cstar(a, b, "b", tol)
-    problem = FeasibilityProblem(
-        algebra=a,
-        floors=[_re_floor(_eye(n), -b, "Re(a) >= b"), *_sector_floors(n, eps)],
-        caps=[_half_f_cap(n)],
-    )
-    x = _solve(problem, seed, 0.5 * (1.0 + norm) * e, "domination solve unconverged")
-    _verify(_check_dominate(a, {"b": b, "eps": eps}, (x,), tol), "dominate")
-    return x
+    return _dominate(a, {"b": b, "eps": eps}, seed, tol)[0][0]
 
 
-def decompose(
-    a: MatrixAlgebra, b, seed: int = 0, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Write b = x - y with both x and y in half-F of A (||b|| < 1)."""
-    b = as_matrix(b)
+def _decompose(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+    b = as_matrix(prob["b"])
     e = _require_unital(a, tol)
     n = a.ambient_dim
     _require_in(a, b, "b", tol)
@@ -628,19 +621,18 @@ def decompose(
     )
     x = _solve(problem, seed, (e + b) / 2.0, "decomposition solve unconverged")
     y = x - b
-    _verify(_check_decompose(a, {"b": b}, (x, y), tol), "decompose")
-    return x, y
+    return (x, y), _verify(_check_decompose(x, y, b, tol), "decompose")
 
 
-def interp_np(
-    a: MatrixAlgebra,
-    c,
-    near_eps: float = 1e-2,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Nearly positive x in half-F with |1 - x|^2 <= 1 - c (Schur encoded)."""
-    c = as_matrix(c)
+def decompose(
+    a: MatrixAlgebra, b, seed: int = 0, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write b = x - y with both x and y in half-F of A (||b|| < 1)."""
+    return _decompose(a, {"b": b}, seed, tol)[0]
+
+
+def _interp_np(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+    c, near_eps = as_matrix(prob["c"]), prob["near_eps"]
     _require_positive(near_eps, "near_eps")
     e = _require_unital(a, tol)
     n = a.ambient_dim
@@ -652,8 +644,47 @@ def interp_np(
         caps=[_half_f_cap(n)],
     )
     x = _solve(problem, seed, 0.5 * (1.0 + norm) * e, "near-positive interpolation unconverged")
-    _verify(_check_np(a, {"c": c, "near_eps": near_eps}, (x,), tol), "interp_np")
-    return x
+    return (x,), _verify(_check_np(x, c, near_eps, tol), "interp_np")
+
+
+def interp_np(
+    a: MatrixAlgebra,
+    c,
+    near_eps: float = 1e-2,
+    seed: int = 0,
+    tol: Tolerances = DEFAULT_TOL,
+) -> np.ndarray:
+    """Nearly positive x in half-F with |1 - x|^2 <= 1 - c (Schur encoded)."""
+    return _interp_np(a, {"c": c, "near_eps": near_eps}, seed, tol)[0][0]
+
+
+def _urysohn(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+    q, u = as_matrix(prob["q"]), as_matrix(prob["u"])
+    eps, near_eps = prob["eps"], prob["near_eps"]
+    _require_positive(eps, "eps")
+    _require_positive(near_eps, "near_eps")
+    n = a.ambient_dim
+    _require_projection_in(a, q, "q", tol)
+    _require_projection(u, "u")
+    if min_real_eig(u - q) < -tol.psd_slack:
+        raise ValueError("u must dominate q")
+
+    equalities = _corner_equalities(q, q, ("a q = q", "q a = q"))
+    caps = [_half_f_cap(n)]
+    u_in_a = contains(a, u, tol)[0]
+    if u_in_a:
+        equalities += _absorb_equalities(u, ("a u = a", "u a = a"))
+    else:
+        eye, comp = _eye(n), _eye(n) - u
+        caps += [
+            NormCap(MatrixAffine([AffineTerm(eye, comp)], _zero(n)), 0.9 * eps, "a(1-u) small"),
+            NormCap(MatrixAffine([AffineTerm(comp, eye)], _zero(n)), 0.9 * eps, "(1-u)a small"),
+        ]
+    problem = FeasibilityProblem(
+        algebra=a, equalities=equalities, floors=_sector_floors(n, near_eps), caps=caps
+    )
+    x = _solve(problem, seed, q, "Urysohn solve unconverged")
+    return (x,), _verify(_check_urysohn(x, q, u, u_in_a, eps, near_eps, tol), "urysohn_interpolate")
 
 
 def urysohn_interpolate(
@@ -671,33 +702,49 @@ def urysohn_interpolate(
     solver_tol); when u is only an ambient projection dominating q, the
     products x(1-u) and (1-u)x are made smaller than eps.
     """
-    q = as_matrix(q)
-    u = as_matrix(u)
-    _require_positive(eps, "eps")
-    _require_positive(near_eps, "near_eps")
-    n = a.ambient_dim
-    _require_projection_in(a, q, "q", tol)
-    _require_projection(u, "u")
-    if min_real_eig(u - q) < -tol.psd_slack:
-        raise ValueError("u must dominate q")
+    return _urysohn(a, {"q": q, "u": u, "eps": eps, "near_eps": near_eps}, seed, tol)[0][0]
 
-    equalities = _corner_equalities(q, q, ("a q = q", "q a = q"))
-    caps = [_half_f_cap(n)]
-    if contains(a, u, tol)[0]:
-        equalities += _absorb_equalities(u, ("a u = a", "u a = a"))
-    else:
-        eye, comp = _eye(n), _eye(n) - u
-        caps += [
-            NormCap(MatrixAffine([AffineTerm(eye, comp)], _zero(n)), 0.9 * eps, "a(1-u) small"),
-            NormCap(MatrixAffine([AffineTerm(comp, eye)], _zero(n)), 0.9 * eps, "(1-u)a small"),
-        ]
-    problem = FeasibilityProblem(
-        algebra=a, equalities=equalities, floors=_sector_floors(n, near_eps), caps=caps
+
+def _strict_urysohn(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances,
+                    retries: int = 3, fast_path: bool = True) -> tuple:
+    q, p = as_matrix(prob["q"]), as_matrix(prob["p"])
+    _require_projection_in(a, q, "q", tol)
+    _require_projection_in(a, p, "p", tol)
+    if min_real_eig(p - q) < -tol.psd_slack:
+        raise ValueError("p must dominate q")
+    n = a.ambient_dim
+    eye = _eye(n)
+
+    # Commuting shortcut.
+    b = (p - q) / 2.0
+    r = q
+    if fast_path and op_norm(b @ r - r @ b) <= 1e-10:
+        x = (eye - r) @ b + (eye - b) @ r
+        checks = _check_strict_urysohn(a, x, q, p, tol)
+        if all(ok for _, _, ok in checks):
+            return (x,), checks
+
+    margin = 0.25
+    last_checks = None
+    for attempt in range(max(1, retries)):
+        comp = eye - q
+        offq = MatrixAffine([AffineTerm(comp, comp)], _zero(n))
+        problem = FeasibilityProblem(
+            algebra=a,
+            equalities=[*_corner_equalities(q, q, _X_CORNER), *_absorb_equalities(p, _P_ABSORB)],
+            caps=[_half_f_cap(n), NormCap(offq, 1.0 - margin, "strict off q")],
+        )
+        sol = solve_feasibility(problem, seed=seed + attempt, warm_start=(p + q) / 2.0)
+        if sol.verdict == "feasible":
+            checks = _check_strict_urysohn(a, sol.value, q, p, tol)
+            if all(ok for _, _, ok in checks):
+                return (sol.value,), checks
+            last_checks = checks
+        margin *= 0.4
+    detail = "; ".join(f"{c[0]}: {c[1]:.2e}" for c in last_checks or () if not c[2])
+    raise VerificationFailedError(
+        f"strict Urysohn verification failed after {retries} retries ({detail})"
     )
-    x = _solve(problem, seed, q, "Urysohn solve unconverged")
-    prob = {"q": q, "u": u, "eps": eps, "near_eps": near_eps}
-    _verify(_check_urysohn(a, prob, (x,), tol), "urysohn_interpolate")
-    return x
 
 
 def strict_urysohn(
@@ -717,49 +764,23 @@ def strict_urysohn(
     norm margin on the q-complement.  ``fast_path=False`` forces the solver
     route.
     """
-    q = as_matrix(q)
-    p = as_matrix(p)
-    _require_projection_in(a, q, "q", tol)
-    _require_projection_in(a, p, "p", tol)
-    if min_real_eig(p - q) < -tol.psd_slack:
-        raise ValueError("p must dominate q")
+    return _strict_urysohn(a, {"q": q, "p": p}, seed, tol, retries, fast_path)[0][0]
+
+
+def _peak(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+    q, b = as_matrix(prob["q"]), as_matrix(prob["b"])
     n = a.ambient_dim
-    eye = _eye(n)
-    prob = {"q": q, "p": p}
+    _require_commuting(a, q, b, tol)
+    if op_norm((_eye(n) - 2.0 * b) @ q) > 1.0 + tol.eq_tol:
+        raise ValueError("||(1 - 2b) q|| <= 1 is required")
 
-    # Commuting shortcut.
-    b = (p - q) / 2.0
-    r = q
-    if fast_path and op_norm(b @ r - r @ b) <= 1e-10:
-        x = (eye - r) @ b + (eye - b) @ r
-        checks = _check_strict_urysohn(a, prob, (x,), tol)
-        if all(ok for _, _, ok in checks):
-            return x
-
-    margin = 0.25
-    last_checks = None
-    for attempt in range(max(1, retries)):
-        comp = eye - q
-        offq = MatrixAffine([AffineTerm(comp, comp)], _zero(n))
-        problem = FeasibilityProblem(
-            algebra=a,
-            equalities=[
-                *_corner_equalities(q, q, ("x q = q", "q x = q")),
-                *_absorb_equalities(p, ("x p = x", "p x = x")),
-            ],
-            caps=[_half_f_cap(n), NormCap(offq, 1.0 - margin, "strict off q")],
-        )
-        sol = solve_feasibility(problem, seed=seed + attempt, warm_start=(p + q) / 2.0)
-        if sol.verdict == "feasible":
-            checks = _check_strict_urysohn(a, prob, (sol.value,), tol)
-            if all(ok for _, _, ok in checks):
-                return sol.value
-            last_checks = checks
-        margin *= 0.4
-    detail = "; ".join(f"{c[0]}: {c[1]:.2e}" for c in last_checks or () if not c[2])
-    raise VerificationFailedError(
-        f"strict Urysohn verification failed after {retries} retries ({detail})"
+    problem = FeasibilityProblem(
+        algebra=a,
+        equalities=_corner_equalities(q, b @ q, _G_CORNER),
+        caps=[_half_f_cap(n)],
     )
+    g = _solve(problem, seed, b, "peak interpolation unconverged")
+    return (g,), _verify(_check_peak(g, q, b, tol), "peak_interpolate")
 
 
 def peak_interpolate(
@@ -770,21 +791,7 @@ def peak_interpolate(
     q is a projection in the unitization commuting with b, subject to
     ||b q|| <= 1 and ||(1 - 2b) q|| <= 1.
     """
-    q = as_matrix(q)
-    b = as_matrix(b)
-    n = a.ambient_dim
-    _require_commuting(a, q, b, tol)
-    if op_norm((_eye(n) - 2.0 * b) @ q) > 1.0 + tol.eq_tol:
-        raise ValueError("||(1 - 2b) q|| <= 1 is required")
-
-    problem = FeasibilityProblem(
-        algebra=a,
-        equalities=_corner_equalities(q, b @ q, ("g q = b q", "q g = b q")),
-        caps=[_half_f_cap(n)],
-    )
-    g = _solve(problem, seed, b, "peak interpolation unconverged")
-    _verify(_check_peak(a, {"q": q, "b": b}, (g,), tol), "peak_interpolate")
-    return g
+    return _peak(a, {"q": q, "b": b}, seed, tol)[0][0]
 
 
 # Largest vertex magnitude: products of two vertex coordinates, the area and
@@ -797,7 +804,6 @@ class ConvexRegion:
     """A compact convex polygon in the plane, counterclockwise vertices."""
 
     vertices: np.ndarray
-    kind: str = "polygon"
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=complex).reshape(-1)
@@ -842,22 +848,8 @@ class ConvexRegion:
         return complex(np.mean(self.vertices))
 
 
-def tietze_lift(
-    a: MatrixAlgebra,
-    q,
-    b,
-    region: ConvexRegion,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Contractive g in A with g q = q g = b q and W(g) inside the region.
-
-    The numerical range of the compression of b to the range of q must sit
-    inside the region, which must not be a line segment; when A has no
-    identity the region must contain 0.
-    """
-    q = as_matrix(q)
-    b = as_matrix(b)
+def _tietze(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+    q, b, region = as_matrix(prob["q"]), as_matrix(prob["b"]), prob["region"]
     n = a.ambient_dim
     _require_commuting(a, q, b, tol)
     planes = region.half_planes()
@@ -885,14 +877,30 @@ def tietze_lift(
     ball = NormCap(MatrixAffine([AffineTerm(eye, eye)], _zero(n)), 1.0, "a in ball")
     problem = FeasibilityProblem(
         algebra=a,
-        equalities=_corner_equalities(q, b @ q, ("g q = b q", "q g = b q")),
+        equalities=_corner_equalities(q, b @ q, _G_CORNER),
         floors=floors,
         caps=[ball],
     )
     warm = q @ b @ q + region.centroid() * (eye - q)
     g = _solve(problem, seed, warm, "Tietze lift unconverged")
-    _verify(_check_tietze(a, {"q": q, "b": b, "region": region}, (g,), tol), "tietze_lift")
-    return g
+    return (g,), _verify(_check_tietze(g, q, b, region), "tietze_lift")
+
+
+def tietze_lift(
+    a: MatrixAlgebra,
+    q,
+    b,
+    region: ConvexRegion,
+    seed: int = 0,
+    tol: Tolerances = DEFAULT_TOL,
+) -> np.ndarray:
+    """Contractive g in A with g q = q g = b q and W(g) inside the region.
+
+    The numerical range of the compression of b to the range of q must sit
+    inside the region, which must not be a line segment; when A has no
+    identity the region must contain 0.
+    """
+    return _tietze(a, {"q": q, "b": b, "region": region}, seed, tol)[0][0]
 
 
 # -- the theorem table -------------------------------------------------------
@@ -903,27 +911,25 @@ class TheoremSpec:
     """One interpolation theorem as the CLI and the suites drive it.
 
     ``keys`` are the problem entries it reads besides ``algebra``, ``eps`` and
-    ``near_eps``.  ``solve(a, problem, seed, tol)`` returns the public
-    solver's outputs as a tuple; ``check(a, problem, outputs, tol)`` returns
-    its post-verification triples.  Each residual is the largest value of its
-    check labels, floored at 0, read from ``table_check`` when it is set (a
-    cheaper part of ``check``); ``gate`` names the check labels the
-    interpolation suite holds below 1e-5 in the same way.
+    ``near_eps``.  ``solve(a, problem, seed, tol)`` runs the preconditions,
+    the engine and the post-verification once and returns ``(outputs,
+    checks)``: the public solver's outputs as a tuple and the (label, value,
+    ok) checks they passed.  Each residual is the largest value of its check
+    labels, floored at 0; ``gate`` names the check labels the interpolation
+    suite holds below 1e-5 in the same way.  Both read the returned checks,
+    so no check runs twice.
     """
 
     keys: tuple
     solve: Callable
-    check: Callable
     residuals: dict
     gate: tuple
-    table_check: Optional[Callable] = None
 
-    def residual_table(self, a: MatrixAlgebra, problem: dict, outputs: tuple, tol: Tolerances = DEFAULT_TOL) -> dict:
-        checks = (self.table_check or self.check)(a, problem, outputs, tol)
+    def residual_table(self, checks: list) -> dict:
         return {name: _worst(checks, labels) for name, labels in self.residuals.items()}
 
-    def gate_residual(self, a: MatrixAlgebra, problem: dict, outputs: tuple, tol: Tolerances = DEFAULT_TOL) -> float:
-        return _worst(self.check(a, problem, outputs, tol), self.gate)
+    def gate_residual(self, checks: list) -> float:
+        return _worst(checks, self.gate)
 
 
 def _worst(checks: list, labels: tuple) -> float:
@@ -935,28 +941,20 @@ _HALF_F = {"half_f_excess": ("half-F",)}
 
 THEOREMS = {
     "dominate": TheoremSpec(
-        ("b",), lambda a, p, s, tol: (dominate(a, p["b"], p["eps"], seed=s, tol=tol),), _check_dominate,
+        ("b",), _dominate,
         {**_HALF_F, "domination_deficit": ("Re(a)-b PSD",), "im_norm": ("Im small",)}, ("Re(a)-b PSD",)),
     "decompose": TheoremSpec(
-        ("b",), lambda a, p, s, tol: decompose(a, p["b"], seed=s, tol=tol), _check_decompose,
+        ("b",), _decompose,
         {"half_f_excess": ("x in half-F",), "half_f_excess_complement": ("y in half-F",),
          "difference": ("b = x - y",)}, ("b = x - y",)),
     "np": TheoremSpec(
-        ("c",), lambda a, p, s, tol: (interp_np(a, p["c"], p["near_eps"], seed=s, tol=tol),), _check_np,
+        ("c",), _interp_np,
         {**_HALF_F, "schur_deficit": ("Schur block PSD",), "im_norm": ("Im small",)}, ("Schur block PSD",)),
-    "urysohn": TheoremSpec(
-        ("q", "u"), lambda a, p, s, tol: (urysohn_interpolate(
-            a, p["q"], p["u"], p["eps"], p["near_eps"], seed=s, tol=tol),), _check_urysohn,
-        {**_HALF_F, "corner": _X_CORNER}, _X_CORNER),
+    "urysohn": TheoremSpec(("q", "u"), _urysohn, {**_HALF_F, "corner": _X_CORNER}, _X_CORNER),
     "strict-urysohn": TheoremSpec(
-        ("q", "p"), lambda a, p, s, tol: (strict_urysohn(a, p["q"], p["p"], seed=s, tol=tol),),
-        _check_strict_urysohn, {**_HALF_F, "corner": _X_CORNER}, ("u(x) = q", "s(x) = p", "s(x(1-x)) = p-q"),
-        _strict_urysohn_table_checks),
-    "peak": TheoremSpec(
-        ("q", "b"), lambda a, p, s, tol: (peak_interpolate(a, p["q"], p["b"], seed=s, tol=tol),), _check_peak,
-        {**_HALF_F, "corner": _G_CORNER}, _G_CORNER),
+        ("q", "p"), _strict_urysohn, {**_HALF_F, "corner": _X_CORNER},
+        ("u(x) = q", "s(x) = p", "s(x(1-x)) = p-q")),
+    "peak": TheoremSpec(("q", "b"), _peak, {**_HALF_F, "corner": _G_CORNER}, _G_CORNER),
     "tietze": TheoremSpec(
-        ("q", "b", "region"), lambda a, p, s, tol: (tietze_lift(
-            a, p["q"], p["b"], p["region"], seed=s, tol=tol),), _check_tietze,
-        {"corner": _G_CORNER, "norm_excess": ("contraction",)}, _G_CORNER),
+        ("q", "b", "region"), _tietze, {"corner": _G_CORNER, "norm_excess": ("contraction",)}, _G_CORNER),
 }

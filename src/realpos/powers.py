@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 COND_CAP = 1e8
+# Largest quadrature node count and series term count: a rule of MAX_NODES
+# nodes holds MAX_NODES n x n systems, and each series term is one product.
+MAX_NODES = 4096
+MAX_TERMS = 100_000
 
 
 class NotAccretiveError(ValueError):
@@ -169,7 +173,8 @@ def power_balakrishnan(
     error estimate compares against the half-node rule; the result is
     flagged uncertified when that estimate is above ``1e-6 max(1,
     ||value||_F)``, or above 1e-6 when the input sits on the accretivity
-    boundary.
+    boundary, or when the rounding of the weight exponent r - 1 moves r by
+    more than 1e-6 r.
     """
     x = as_matrix(x)
     if not 0.0 < r < 1.0:
@@ -178,14 +183,21 @@ def power_balakrishnan(
         raise ValueError(
             f"r = {r!r} is too small for the quadrature route: r - 1 rounds to -1"
         )
-    if nodes < 16:
-        raise ValueError("need at least 16 quadrature nodes")
+    if not 16 <= nodes <= MAX_NODES:
+        raise ValueError(f"need between 16 and {MAX_NODES} quadrature nodes, got {nodes}")
     margin = _require_accretive(x, tol)
     value = _balakrishnan_sum(x, r, nodes, margin, tol)
     coarse = _balakrishnan_sum(x, r, nodes // 2, margin, tol)
     est = op_norm(value - coarse)
-    certified = not (margin <= tol.psd_slack and est > 1e-6) and est <= 1e-6 * max(
-        1.0, frob_norm(value)
+    # The rule integrates against the weight exponent fl(r - 1) = (r - d) - 1,
+    # so the value is off by a relative d / r that the half-node estimate,
+    # built on the same weight, cannot see.  d is the exact rounding error of
+    # r - 1 (Fast2Sum, exact since |r| < 1); it is 0 for r >= 0.5.
+    d = r - ((r - 1.0) + 1.0)
+    certified = (
+        not (margin <= tol.psd_slack and est > 1e-6)
+        and est <= 1e-6 * max(1.0, frob_norm(value))
+        and abs(d) <= 1e-6 * r
     )
     return PowerResult(value, "balakrishnan", float(est), nodes, certified)
 
@@ -200,8 +212,8 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
     x = as_matrix(x)
     if m < 2 or int(m) != m:
         raise ValueError("m must be an integer >= 2")
-    if terms < 1:
-        raise ValueError("need at least one term")
+    if not 1 <= terms <= MAX_TERMS:
+        raise ValueError(f"need between 1 and {MAX_TERMS} series terms, got {terms}")
     eye = np.eye(x.shape[0], dtype=complex)
     y = eye - x
     if op_norm(y) > 1.0 + tol.eq_tol:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,23 @@ from realpos.matrices import DEFAULT_TOL
 @pytest.fixture
 def tol():
     return DEFAULT_TOL
+
+
+@contextlib.contextmanager
+def returns_of(fn):
+    """Collect what each run of fn's code returns, however it is reached
+    (module global, table entry or stored reference)."""
+    code, returned = fn.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            returned.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        yield returned
+    finally:
+        sys.setprofile(None)
 
 
 def unit(n: int, i: int, j: int) -> np.ndarray:

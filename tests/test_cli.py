@@ -13,9 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realpos
+from realpos import interp
 from realpos.cli import main
+from realpos.cones import MAX_GRID
 from realpos.generators import gen_accretive
 from realpos.matrices import matrix_from_json, matrix_to_json
+from realpos.powers import MAX_NODES, MAX_TERMS
+
+from conftest import returns_of
 
 
 def _write_matrix(path, m):
@@ -134,6 +139,27 @@ def test_quadrature_rejects_an_exponent_that_rounds_away(tmp_path, capsys, alpha
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"r = {float(alpha)!r}" in err and "alpha and beta" not in err
+
+
+@pytest.mark.parametrize("alpha", ["6e-17", "1e-16"])
+def test_quadrature_does_not_certify_an_exponent_moved_by_rounding(tmp_path, capsys, alpha):
+    src = _write_matrix(tmp_path / "x.json", np.diag([1.0, 4.0]))
+    assert main(["power", src, "--alpha", alpha, "--method", "balakrishnan"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert abs(data["value"]["entries"][0][0] - 1.0) > 0.05
+    assert data["certified"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["range", "--grid", str(MAX_GRID + 1)],
+    ["power", "--alpha", "0.5", "--method", "balakrishnan", "--nodes", str(MAX_NODES + 1)],
+    ["power", "--alpha", "0.5", "--method", "series", "--terms", str(MAX_TERMS + 1)],
+])
+def test_counts_above_their_caps_exit_2(tmp_path, capsys, argv):
+    src = _write_matrix(tmp_path / "x.json", np.diag([1.0, 0.5]))
+    assert main([argv[0], src, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and argv[-1] in err
 
 
 # Runs realpos.cli.main(argv) in a fresh interpreter and prints the exit code
@@ -385,6 +411,36 @@ def test_interp_every_theorem(tmp_path, capsys, theorem, data, keys):
     assert max(out["residuals"].values()) <= 1e-5
     assert set(out) == {"verdict", "residuals", "solution"} | (
         {"complement"} if theorem == "decompose" else set())
+
+
+@pytest.mark.parametrize("theorem,data", list({t: d for t, d, _ in INTERP_CASES}.items()))
+def test_interp_verifies_each_solve_once(tmp_path, capsys, theorem, data):
+    # the theorem's check function runs once, in the solve, and the residual
+    # table is the largest value of each of its labels in the checks it returned
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(data))
+    with returns_of(getattr(interp, "_check_" + theorem.replace("-", "_"))) as runs:
+        assert main(["interp", str(problem), "--theorem", theorem]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(runs) == 1
+    values = {label: value for label, value, _ in runs[0]}
+    assert out["residuals"] == {key: max(0.0, *(values[label] for label in labels))
+                                for key, labels in interp.THEOREMS[theorem].residuals.items()}
+
+
+def test_interp_reads_span_algebras(tmp_path, capsys):
+    basis = [matrix_to_json(np.array(m, complex)) for m in (
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]])]
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps(basis))
+    problem = tmp_path / "p.json"
+    outs = []
+    for algebra in ({"basis": basis}, f"span:{span}"):
+        problem.write_text(json.dumps({"algebra": algebra, "q": _E11_3, "p": _diag(1, 1, 0)}))
+        assert main(["interp", str(problem), "--theorem", "strict-urysohn"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["verdict"] == "feasible"
 
 
 # Problems and algebras shaped like the real ones: canned names and matrices

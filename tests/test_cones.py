@@ -5,6 +5,7 @@ import pytest
 
 from realpos.algebra import full_algebra, span_algebra
 from realpos.cones import (
+    MAX_GRID,
     c_certificate,
     cone_report,
     f_membership,
@@ -97,6 +98,8 @@ def test_numerical_range_invariants():
 def test_numerical_range_grid_validation():
     with pytest.raises(ValueError):
         numerical_range(np.eye(2), 4)
+    with pytest.raises(ValueError, match=str(MAX_GRID)):
+        numerical_range(np.eye(2), MAX_GRID + 1)
 
 
 def test_strictly_real_positive(e11):

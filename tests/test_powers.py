@@ -11,6 +11,8 @@ from realpos.cones import sector_angle
 from realpos.generators import gen_accretive, gen_half_f, gen_sectorial, gen_unitary
 from realpos.matrices import SingularMatrixError, im_part, min_real_eig, op_norm, solve
 from realpos.powers import (
+    MAX_NODES,
+    MAX_TERMS,
     DefectiveMatrixError,
     NotAccretiveError,
     disk_order_check,
@@ -63,6 +65,8 @@ def test_balakrishnan_parameter_validation():
         power_balakrishnan(np.eye(2), 1.5)
     with pytest.raises(ValueError):
         power_balakrishnan(np.eye(2), 0.5, nodes=8)
+    with pytest.raises(ValueError, match=str(MAX_NODES)):
+        power_balakrishnan(np.eye(2), 0.5, nodes=MAX_NODES + 1)
 
 
 @pytest.mark.parametrize("r", [1e-320, 1e-17])
@@ -72,6 +76,19 @@ def test_balakrishnan_rejects_r_whose_weight_exponent_rounds_to_minus_one(r):
     with pytest.raises(ValueError, match=f"r = {r!r}") as info:
         power_balakrishnan(np.eye(2), r)
     assert "greater than -1" not in str(info.value)
+
+
+@pytest.mark.parametrize("r", [6e-17, 1e-16])
+def test_balakrishnan_does_not_certify_r_moved_by_the_weight_rounding(r):
+    # fl(r - 1) = -1 + 2^-53 integrates as if r were 1.1e-16, so the rule
+    # returns about r / 1.1e-16 (0.54, 0.90) in place of 1; the half-node
+    # estimate shares the rounded weight and stays near 1e-11
+    x = np.diag([1.0, 4.0]).astype(complex)
+    res = power_balakrishnan(x, r)
+    assert abs(res.value[0, 0] - 1.0) > 0.05 and res.est_error < 1e-6
+    assert not res.certified
+    # r - 1 is exact for r >= 0.5 and for r = 0.25
+    assert all(power_balakrishnan(x, exact).certified for exact in (0.25, 0.5, 0.75))
 
 
 def test_balakrishnan_singular_node_raises_at_its_pivot():
@@ -135,6 +152,8 @@ def test_root_series_values():
         root_series(3.0 * np.eye(2), 2)
     with pytest.raises(ValueError):
         root_series(np.eye(2), 1)
+    with pytest.raises(ValueError, match=str(MAX_TERMS)):
+        root_series(np.eye(2), 2, terms=MAX_TERMS + 1)
 
 
 def test_power_general():

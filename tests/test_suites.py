@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from realpos import interp
 from realpos.suites import run_suite, suite_names
+
+from conftest import returns_of
 
 
 def test_registry_is_complete():
@@ -32,3 +35,12 @@ def test_report_shape_and_determinism(tmp_path):
     }
     assert d1["tolerances"]["solver_tol"] == 1e-6
     assert not list(tmp_path.iterdir())  # nothing failed, nothing dumped
+
+
+def test_interpolation_suite_verifies_each_solve_once():
+    # the gate reads the checks the solve returned instead of running the
+    # peak/support checks again
+    with returns_of(interp._check_strict_urysohn) as runs:
+        report = run_suite("interpolation", seed=0)
+    assert report.passed
+    assert len(runs) == 50 - report.extra["unconverged"]["strict-urysohn"]
