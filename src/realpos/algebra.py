@@ -26,6 +26,8 @@ import numpy as np
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
+    _kernel_complement_projection,
+    _unit_defect,
     as_matrix,
     check_dim,
     dagger,
@@ -35,7 +37,6 @@ from .matrices import (
     max_op_norm,
     op_norm,
 )
-from .projections import _kernel_complement_projection
 
 __all__ = [
     "MatrixAlgebra",
@@ -221,12 +222,6 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     c, *_ = np.linalg.lstsq(system, target, rcond=None)
     e = a.reconstruct(c)
     return e if _unit_defect(e, basis) <= tol.eq_tol else None
-
-
-def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
-    """How far e is from a two-sided identity on a ``(k, n, n)`` stack:
-    the largest of ``||e b - b||`` and ``||b e - b||``."""
-    return max_op_norm(np.concatenate([e @ stack - stack, stack @ e - stack]))
 
 
 def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:

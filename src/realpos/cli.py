@@ -30,7 +30,8 @@ from .algebra import (
     unitize,
 )
 from .cones import cone_report, numerical_range
-from .matrices import Tolerances, check_dim, complex_entries, matrix_from_json, matrix_to_json
+from .matrices import (Tolerances, check_dim, complex_entries, json_number, matrix_from_json,
+                       matrix_to_json)
 from .powers import power, power_balakrishnan, power_spectral, root_series
 from .projections import peak_projection, support_projection
 from .transforms import cayley, f_inverse, f_transform
@@ -225,12 +226,14 @@ def _cmd_interp(args) -> int:
     alg_spec = data["algebra"]
     alg = _named_algebra(alg_spec) if isinstance(alg_spec, str) else algebra_from_json(alg_spec)
     problem = {key: _interp_input(key, data[key]) for key in spec.keys}
+    seed = data.get("seed", args.seed)
+    eps, near_eps = data.get("eps", 1e-2), data.get("near_eps", 1e-2)
+    if not (json_number(seed, integer=True) and json_number(eps) and json_number(near_eps)):
+        raise ValueError("interp 'seed' must be an integer, 'eps' and 'near_eps' must be numbers")
     try:
-        seed = int(data.get("seed", args.seed))
-        problem["eps"] = float(data.get("eps", 1e-2))
-        problem["near_eps"] = float(data.get("near_eps", 1e-2))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError("interp 'seed', 'eps' and 'near_eps' must be numbers") from exc
+        problem["eps"], problem["near_eps"] = float(eps), float(near_eps)
+    except OverflowError as exc:
+        raise ValueError("interp 'eps' and 'near_eps' must fit in a float") from exc
     try:
         outputs, checks = spec.solve(alg, problem, seed, tol)
     except interp.UnconvergedError as exc:

@@ -26,6 +26,7 @@ from .matrices import (
     im_part,
     min_real_eig,
     op_norm,
+    range_basis,
     re_part,
 )
 
@@ -40,6 +41,7 @@ __all__ = [
     "sector_angle",
     "near_positive_report",
     "numerical_range",
+    "support_function",
     "is_strictly_real_positive",
     "cone_report",
 ]
@@ -188,14 +190,28 @@ def near_positive_report(x, eps: float, tol: Tolerances = DEFAULT_TOL) -> NearPo
     return NearPositiveReport(accretive, im_norm, accretive and im_norm < eps)
 
 
+def _rotations(x: np.ndarray, thetas) -> np.ndarray:
+    """The ``(len(thetas), n, n)`` stack Re(e^{-i theta} x).  Each matrix is
+    formed on its own: numpy's broadcast complex product can differ from
+    the scalar one in the last bit."""
+    n = x.shape[0]
+    return np.array([re_part(np.exp(-1j * t) * x) for t in thetas]).reshape(-1, n, n)
+
+
+def support_function(x, thetas) -> np.ndarray:
+    """h(theta) = lambda_max(Re(e^{-i theta} x)) for every angle, from one
+    batched eigenvalue call; W(x) lies in the half-plane
+    Re(e^{-i theta} z) <= h(theta)."""
+    return np.linalg.eigvalsh(_rotations(as_matrix(x), thetas))[:, -1]
+
+
 def numerical_range(x, grid_size: int = 720) -> NumericalRange:
     """Support function and boundary points of W(x) on an angle grid."""
     if not 8 <= grid_size <= MAX_GRID:
         raise ValueError(f"grid_size must be between 8 and {MAX_GRID}, got {grid_size}")
     x = as_matrix(x)
     thetas = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-    rotated = np.array([re_part(np.exp(-1j * t) * x) for t in thetas])
-    w, v = np.linalg.eigh(rotated)
+    w, v = np.linalg.eigh(_rotations(x, thetas))
     support = w[:, -1].copy()
     top = v[:, :, -1]
     boundary = np.einsum("si,ij,sj->s", np.conj(top), x, top)
@@ -224,8 +240,7 @@ def is_strictly_real_positive(
     h = re_part(x)
     if min_real_eig(x) < -tol.psd_slack:
         return False
-    w, v = np.linalg.eigh(re_part(e))
-    rng_vecs = v[:, w > 0.5]
+    rng_vecs = range_basis(e)
     if rng_vecs.shape[1] == 0:
         return False
     compressed = dagger(rng_vecs) @ h @ rng_vecs

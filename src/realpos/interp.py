@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import (MatrixAlgebra, _from_real, _to_real, contains, cstar,
                       identity_of, real_matrix, unitize)
-from .cones import f_membership
+from .cones import f_membership, support_function
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
@@ -43,7 +43,7 @@ from .matrices import (
     im_part,
     min_real_eig,
     op_norm,
-    re_part,
+    range_basis,
 )
 from .projections import _require_projection, peak_projection, support_projection
 
@@ -560,8 +560,9 @@ def _check_tietze(g: np.ndarray, q: np.ndarray, b: np.ndarray, region: ConvexReg
         ("contraction", norm - 1.0, norm <= 1.0 + SOLVER_TOL),
         *_sided_checks(g, q, b @ q, _G_CORNER),
     ]
-    for k, (theta, h) in enumerate(region.half_planes()):
-        top = float(np.linalg.eigvalsh(re_part(np.exp(-1j * theta) * g))[-1])
+    planes = region.half_planes()
+    tops = support_function(g, [theta for theta, _ in planes])
+    for k, ((_, h), top) in enumerate(zip(planes, tops.tolist())):
         checks.append((f"W(g) halfplane {k}", top - h, top <= h + SOLVER_TOL))
     return checks
 
@@ -857,12 +858,11 @@ def _tietze(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
         raise ValueError("a nonunital algebra requires 0 inside the region")
 
     # Numerical range of the compression q b q restricted to range(q).
-    w, v = np.linalg.eigh(re_part(q))
-    rng_vecs = v[:, w > 0.5]
+    rng_vecs = range_basis(q)
     if rng_vecs.shape[1] > 0:
         comp = dagger(rng_vecs) @ b @ rng_vecs
-        for theta, h in planes:
-            top = float(np.linalg.eigvalsh(re_part(np.exp(-1j * theta) * comp))[-1])
+        tops = support_function(comp, [theta for theta, _ in planes])
+        for (theta, h), top in zip(planes, tops.tolist()):
             if top > h + tol.psd_slack:
                 raise ValueError(
                     "numerical range of the compression leaves the region "

@@ -1,8 +1,14 @@
 """Dense complex matrix kernels shared by every other module.
 
-Everything operates on plain square complex ``numpy`` arrays.  The JSON wire
-format for a matrix is ``{"n": n, "entries": [[re, im], ...]}`` with the
-entries row-major (length ``n**2``).
+Everything operates on plain square complex ``numpy`` arrays.  This module
+is the bottom layer and the one home of the subspace kernels the others
+share: ``range_basis`` (eigenvectors of Re p above 1/2),
+``_kernel_complement_projection`` (ker(m)^perp by singular values) and
+``_unit_defect`` (distance of e from a two-sided identity on a stack).
+
+The JSON wire format for a matrix is ``{"n": n, "entries": [[re, im],
+...]}`` with ``n`` a JSON integer and the entries row-major (length
+``n**2``).
 
 All functions here are pure; arrays are never mutated in place.
 """
@@ -26,6 +32,7 @@ __all__ = [
     "im_part",
     "frob_norm",
     "herm_eig",
+    "range_basis",
     "op_norm",
     "max_op_norm",
     "solve",
@@ -112,7 +119,7 @@ def frob_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def herm_eig(h, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     The input is symmetrized internally, so callers may pass matrices that
@@ -136,6 +143,36 @@ def max_op_norm(stack) -> float:
     """Largest :func:`op_norm` in a ``(k, n, n)`` stack; 0 for an empty one."""
     stack = np.asarray(stack, dtype=complex)
     return float(np.linalg.norm(stack, 2, axis=(1, 2)).max(initial=0.0))
+
+
+def range_basis(p) -> np.ndarray:
+    """Orthonormal columns spanning the range of a near-projection p: the
+    eigenvectors of Re p with eigenvalue above 1/2, an ``(n, 0)`` array
+    when there are none."""
+    w, v = herm_eig(p)
+    return v[:, w > 0.5]
+
+
+# _kernel_complement_projection calls m zero when ||m|| <= ZERO_FLOOR and
+# drops singular values at most SINGULAR_RTOL ||m||; the support and
+# eigenspace oracles read these cuts.
+ZERO_FLOOR = 1e-14
+SINGULAR_RTOL = 1e-10
+
+
+def _kernel_complement_projection(m: np.ndarray) -> np.ndarray:
+    """Projection onto ker(m)^perp via singular values."""
+    _, s, vh = np.linalg.svd(m)
+    if s.size == 0 or s[0] <= ZERO_FLOOR:
+        return np.zeros_like(m)
+    vt = vh[s > SINGULAR_RTOL * s[0]]
+    return dagger(vt) @ vt
+
+
+def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
+    """How far e is from a two-sided identity on a ``(k, n, n)`` stack:
+    the largest of ``||e b - b||`` and ``||b e - b||``."""
+    return max_op_norm(np.concatenate([e @ stack - stack, stack @ e - stack]))
 
 
 def solve(m, b, tol: Tolerances = DEFAULT_TOL, return_residual: bool = False):
@@ -199,6 +236,12 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def json_number(value, integer: bool = False) -> bool:
+    """Is value a JSON number (a JSON integer when ``integer``)?  Booleans,
+    which Python counts as integers, are not."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 def complex_entries(items, what: str = "matrix entries") -> np.ndarray:
     """Parse a JSON list of ``[re, im]`` number pairs into a complex vector.
 
@@ -212,7 +255,7 @@ def complex_entries(items, what: str = "matrix entries") -> np.ndarray:
         if not (
             isinstance(z, (list, tuple))
             and len(z) == 2
-            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in z)
+            and all(json_number(t) for t in z)
         ):
             raise ValueError(
                 f"{what} must be [re, im] pairs of numbers, item {k} is {z!r:.40}"
@@ -225,11 +268,10 @@ def complex_entries(items, what: str = "matrix entries") -> np.ndarray:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    try:
-        n = int(data["n"])
-        entries = data["entries"]
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError("matrix JSON needs an integer 'n' and 'entries'") from exc
+    if not (isinstance(data, dict) and json_number(data.get("n"), integer=True)
+            and "entries" in data):
+        raise ValueError("matrix JSON needs an integer 'n' and 'entries'")
+    n, entries = data["n"], data["entries"]
     if n <= 0:
         raise ValueError("matrix dimension must be positive")
     flat = complex_entries(entries)

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cones import f_membership
 from .matrices import (
     DEFAULT_TOL,
     PIVOT_RTOL,
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 COND_CAP = 1e8
+# power_spectral maps eigenvalues with |lambda| <= EIG_RTOL ||x|| to 0.
+EIG_RTOL = 1e-12
 # Largest quadrature node count and series term count: a rule of MAX_NODES
 # nodes holds MAX_NODES n x n systems, and each series term is one product.
 MAX_NODES = 4096
@@ -95,7 +98,7 @@ def _require_accretive(x: np.ndarray, tol: Tolerances) -> float:
 def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
     """Principal power via eigendecomposition.
 
-    Eigenvalues of magnitude below ``1e-12 * ||x||`` are mapped to 0 (they
+    Eigenvalues of magnitude at most ``EIG_RTOL * ||x||`` are mapped to 0 (they
     are semisimple for accretive input); the rest are powered on the
     principal branch.  Raises :class:`DefectiveMatrixError` when the
     eigenvector matrix has condition number above 1e8.
@@ -108,7 +111,7 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     if cond > COND_CAP:
         raise DefectiveMatrixError(cond)
     xnorm = max(op_norm(x), 1e-300)
-    cut = 1e-12 * xnorm
+    cut = EIG_RTOL * xnorm
     powered = np.where(np.abs(lam) <= cut, 0.0, np.power(lam.astype(complex), alpha))
     # No singular-pivot test is needed for v^{-1}.  LU with partial pivoting
     # takes each pivot as the largest entry in the first column of a Schur
@@ -122,6 +125,11 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     recon = op_norm(v @ (lam[:, None] * vinv) - x)
     est = (recon / xnorm + np.finfo(float).eps * cond) * max(1.0, op_norm(value))
     return PowerResult(value, "spectral", float(est), x.shape[0])
+
+
+def _require_nodes(nodes: int) -> None:
+    if not 16 <= nodes <= MAX_NODES:
+        raise ValueError(f"need between 16 and {MAX_NODES} quadrature nodes, got {nodes}")
 
 
 @lru_cache(maxsize=256)
@@ -183,8 +191,7 @@ def power_balakrishnan(
         raise ValueError(
             f"r = {r!r} is too small for the quadrature route: r - 1 rounds to -1"
         )
-    if not 16 <= nodes <= MAX_NODES:
-        raise ValueError(f"need between 16 and {MAX_NODES} quadrature nodes, got {nodes}")
+    _require_nodes(nodes)
     margin = _require_accretive(x, tol)
     value = _balakrishnan_sum(x, r, nodes, margin, tol)
     coarse = _balakrishnan_sum(x, r, nodes // 2, margin, tol)
@@ -237,10 +244,12 @@ def power(x, alpha: float, nodes: int = 96, tol: Tolerances = DEFAULT_TOL) -> Po
     """General positive power: integer part times fractional part.
 
     The fractional part goes through the spectral route, falling back to the
-    quadrature route on defectiveness.
+    quadrature route on defectiveness.  ``nodes`` is checked up front, so a
+    bad count fails whichever route the matrix takes.
     """
     x = as_matrix(x)
     _require_positive(alpha, "alpha")
+    _require_nodes(nodes)
     _require_accretive(x, tol)
     m = int(np.floor(alpha))
     r = alpha - m
@@ -268,7 +277,7 @@ def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
 
     r must be in (0, 1) or a positive integer.
     """
-    from .projections import support_projection  # local import, no cycle
+    from .projections import support_projection  # projections imports powers
 
     a = as_matrix(a)
     v = as_matrix(v)
@@ -320,8 +329,6 @@ def rescaled_root_check(x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.nda
     half = power(x, 0.5, tol=tol).value
     c = (2.0 * op_norm(re_part(half))) ** 2
     scaled = x / c
-    from .cones import f_membership  # local import, no cycle
-
     if not f_membership(power(scaled, 0.5, tol=tol).value, tol).in_half_f:
         raise ArithmeticError("rescaled square root left the half-F set")
     roots = [power(scaled, 1.0 / m, tol=tol).value for m in range(2, 9)]

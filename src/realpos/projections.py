@@ -20,16 +20,21 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import _algebra, contains, orthonormalize
 from .matrices import (
     DEFAULT_TOL,
+    SINGULAR_RTOL,
+    ZERO_FLOOR,
     Tolerances,
+    _kernel_complement_projection,
+    _unit_defect,
     as_matrix,
     dagger,
     min_real_eig,
     op_norm,
-    re_part,
+    range_basis,
 )
-from .powers import NotAccretiveError, power
+from .powers import EIG_RTOL, NotAccretiveError, power
 
 __all__ = [
     "ProjectionResult",
@@ -56,30 +61,13 @@ class ProjectionResult:
 
 def _round_to_projection(m: np.ndarray) -> np.ndarray:
     """Snap a nearly idempotent, nearly Hermitian matrix to a projection."""
-    w, v = np.linalg.eigh(re_part(m))
-    keep = w >= 0.5
-    if not keep.any():
-        return np.zeros_like(m)
-    vecs = v[:, keep]
+    vecs = range_basis(m)
     return vecs @ dagger(vecs)
 
 
-# Both support routes call s(x) = 0 when ||x|| is at most ZERO_FLOOR.
-ZERO_FLOOR = 1e-14
-
-
-def _kernel_complement_projection(m: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
-    """Projection onto ker(m)^perp via singular values."""
-    _, s, vh = np.linalg.svd(m)
-    if s.size == 0 or s[0] <= ZERO_FLOOR:
-        return np.zeros_like(m)
-    vt = vh[s > rel_cut * s[0]]
-    return dagger(vt) @ vt
-
-
 # The iterative route starts from y = (x/||x||)^DEEP_ROOT.  power_spectral
-# maps every eigenvalue with |lambda| <= 1e-12 ||x/||x|| || = 1e-12 to 0, and
-# a kept eigenvalue lambda = |lambda| e^{i theta}, |lambda| <= 1,
+# maps every eigenvalue with |lambda| <= EIG_RTOL ||x/||x|| || = 1e-12 to 0,
+# and a kept eigenvalue lambda = |lambda| e^{i theta}, |lambda| <= 1,
 # |theta| <= pi/2, goes to |lambda|^{1/1024} e^{i theta/1024}, of modulus
 # in ((1e-12)^{1/1024}, 1] = (0.973.., 1] and argument at most pi/2048.  So
 # the spectrum of y is {0} plus a disc of radius 0.03 about 1: the kernel
@@ -117,13 +105,13 @@ def support_projection(
     result is rounded spectrally.  It uses eigenvalues, never the SVD, so
     it stays independent of 'oracle', which projects onto ker(x)^perp by
     singular values; 'both' runs the iteration and records the distance
-    to the oracle.  Both routes return 0 for ||x|| <= 1e-14.
+    to the oracle.  Both routes return 0 for ||x|| <= ZERO_FLOOR = 1e-14.
 
     The routes cut small values differently: the iteration drops
-    eigenvalues with |lambda| <= 1e-12 ||x||, the oracle singular values
-    at most 1e-10 ||x||.  For x with a value in the relative band
-    (1e-12, 1e-10] the iteration keeps a direction that the oracle drops;
-    outside it they agree.
+    eigenvalues with |lambda| <= EIG_RTOL ||x|| = 1e-12 ||x||, the oracle
+    singular values at most SINGULAR_RTOL ||x|| = 1e-10 ||x||.  For x with
+    a value in the relative band (EIG_RTOL, SINGULAR_RTOL] the iteration
+    keeps a direction that the oracle drops; outside it they agree.
 
     ``iterations`` counts every step, the deep root included;
     ``purifications`` counts the McWeeny steps among them, and ``trace``
@@ -181,14 +169,13 @@ def _verify_support(p: np.ndarray, x: np.ndarray, tol: Tolerances) -> None:
     """Warn when p x = x p = x fails (p too small) or x vanishes on a
     direction of ran(p) (p too large; p = I passes the first test for every x)."""
     xnorm = op_norm(x)
-    defect = max(op_norm(p @ x - x), op_norm(x @ p - x))
+    defect = _unit_defect(p, x[None])
     if defect > 1e-7 * max(1.0, xnorm):
         warnings.warn(
             f"support projection fails p x = x p = x (defect {defect:.2e})",
             RuntimeWarning,
         )
-    w, v = np.linalg.eigh(p)
-    low = np.linalg.svd(x @ v[:, w > 0.5], compute_uv=False)  # x on ran(p)
+    low = np.linalg.svd(x @ range_basis(p), compute_uv=False)  # x on ran(p)
     if low.size and low[-1] <= 1e-14 * xnorm:
         warnings.warn(f"support projection exceeds the support of x (x vanishes on ran p: "
                       f"{low[-1]:.2e})", RuntimeWarning)
@@ -217,7 +204,7 @@ def peak_projection(
             if method == "oracle":
                 raise ValueError("the eigenspace oracle needs x in half-F")
         else:
-            oracle = _kernel_complement_projection_of_eigenspace(x)
+            oracle = _eigenspace_projection(x)
     if method == "oracle":
         status = "zero" if op_norm(oracle) <= tol.eq_tol else "converged"
         return ProjectionResult(oracle, "oracle", 0, None, status)
@@ -247,12 +234,10 @@ def peak_projection(
         iterations = squarings
 
     proj = _round_to_projection(z) if status == "converged" else np.zeros_like(z)
-    if status == "zero":
-        proj = np.zeros_like(z)
     if status == "converged":
         # Squaring only sees the powers x^{2^k}; the candidate is a genuine
         # limit of the full power sequence iff it absorbs x on both sides.
-        defect = max(op_norm(proj @ x - proj), op_norm(x @ proj - proj))
+        defect = _unit_defect(x, proj[None])
         if defect > 1e-7 * max(1.0, op_norm(x)):
             status = "diverged"
             proj = np.zeros_like(z)
@@ -260,13 +245,12 @@ def peak_projection(
     return ProjectionResult(proj, "iterative", iterations, residual, status, trace)
 
 
-def _kernel_complement_projection_of_eigenspace(x: np.ndarray) -> np.ndarray:
+def _eigenspace_projection(x: np.ndarray) -> np.ndarray:
+    """Projection onto ker(x - 1): the right singular vectors of x - 1 with
+    singular value at most SINGULAR_RTOL max(||x - 1||, 1)."""
     eye = np.eye(x.shape[0], dtype=complex)
     _, s, vh = np.linalg.svd(x - eye)
-    cut = 1e-10 * max(s[0], 1.0)
-    vt = vh[s <= cut]
-    if vt.shape[0] == 0:
-        return np.zeros_like(x)
+    vt = vh[s <= SINGULAR_RTOL * max(s[0], 1.0)]
     return dagger(vt) @ vt
 
 
@@ -333,8 +317,6 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
     Verifies D A D inside D and that s(x) is a two-sided identity on D.
     Returns (D, J) as algebras.
     """
-    from .algebra import _algebra, _unit_defect, contains, orthonormalize  # no cycle
-
     x = as_matrix(x)
     ok, residual = contains(algebra, x, tol)
     if not ok:

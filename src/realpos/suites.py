@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .cones import (
     c_certificate,
+    support_function,
     f_membership,
     is_accretive,
     is_strictly_real_positive,
@@ -508,9 +509,7 @@ def _interp_instance(theorem: str, k: int, inst: int, tol: Tolerances) -> tuple:
 def _outer_polygon(m: np.ndarray, directions: int = 8, pad: float = 0.1) -> interp.ConvexRegion:
     """Circumscribing polygon of the numerical range of m, padded outward."""
     thetas = 2.0 * np.pi * np.arange(directions) / directions
-    h = np.array(
-        [np.linalg.eigvalsh(re_part(np.exp(-1j * t) * m))[-1] + pad for t in thetas]
-    )
+    h = support_function(m, thetas) + pad
     verts = []
     for j in range(directions):
         t1, t2 = thetas[j], thetas[(j + 1) % directions]

@@ -162,6 +162,41 @@ def test_counts_above_their_caps_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and argv[-1] in err
 
 
+@pytest.mark.parametrize("nodes", ["5", str(MAX_NODES + 1)])
+def test_power_checks_nodes_on_every_matrix(tmp_path, capsys, nodes):
+    # diag(1, 4) takes the spectral route and the Jordan block the quadrature
+    # fallback; a bad node count fails both with the same message
+    errors = []
+    for name, m in (("d", np.diag([1.0, 4.0])), ("j", [[1.0, 1.0], [0.0, 1.0]])):
+        src = _write_matrix(tmp_path / f"{name}.json", m)
+        assert main(["power", src, "--alpha", "0.5", "--nodes", nodes]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1 and nodes in errors[0]
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", True])
+def test_matrix_json_needs_an_integer_n(tmp_path, capsys, n):
+    # as many entries as int(n) asks for, so only the type of n is wrong
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps({"n": n, "entries": [[1, 0]] * int(n) ** 2}))
+    assert main(["check", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "integer 'n'" in err
+
+
+@pytest.mark.parametrize("key,value", [("seed", True), ("seed", "3"), ("seed", 2.9),
+                                       ("seed", 2.0), ("eps", "0.1"), ("eps", True),
+                                       ("near_eps", "0.1"), ("near_eps", False)])
+def test_interp_numbers_are_typed(tmp_path, capsys, key, value):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"algebra": "diag:2", "b": matrix_to_json(0.5 * np.eye(2)),
+                                   key: value}))
+    assert main(["interp", str(problem), "--theorem", "dominate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "must be numbers" in err
+
+
 # Runs realpos.cli.main(argv) in a fresh interpreter and prints the exit code
 # and the scipy modules loaded by then.
 SCIPY_PROBE = """

@@ -14,6 +14,7 @@ from realpos.cones import (
     near_positive_report,
     numerical_range,
     sector_angle,
+    support_function,
 )
 from realpos.generators import gen_accretive, gen_sectorial
 from realpos.matrices import dagger, min_real_eig, op_norm, re_part
@@ -93,6 +94,19 @@ def test_numerical_range_invariants():
         # state consistency at theta = 0 and pi
         assert -nr.support[90] == pytest.approx(min_real_eig(x), abs=1e-9)
         assert nr.support[0] == pytest.approx(-min_real_eig(-x), abs=1e-9)
+
+
+def test_support_function_matches_the_numerical_range_sweep():
+    rng = np.random.default_rng(11)
+    for k in range(30):
+        n = int(rng.integers(1, 9))
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        nr = numerical_range(x, 64)
+        assert np.abs(support_function(x, nr.thetas) - nr.support).max() <= 1e-12
+        # one angle at a time, as the half-plane checks ask
+        theta = float(rng.uniform(-np.pi, np.pi))
+        top = np.linalg.eigvalsh(re_part(np.exp(-1j * theta) * x))[-1]
+        assert abs(support_function(x, [theta])[0] - top) <= 1e-12
 
 
 def test_numerical_range_grid_validation():
