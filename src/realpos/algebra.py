@@ -69,24 +69,29 @@ def orthonormalize(mats, rank_tol: float = RANK_TOL) -> np.ndarray:
 
     ``mats`` is a ``(k, n, n)`` stack (or a list of n x n matrices).  One
     re-orthogonalization pass; directions whose residual falls below
-    ``rank_tol`` (relative to max(1, original norm)) are dropped.  Returns a
-    ``(dim, n, n)`` array; an empty stack keeps its n.
+    ``rank_tol`` (relative to max(1, original norm)) are dropped, and so is
+    every candidate once the basis spans M_n (two passes leave it O(eps ||v||)).
+    Returns a ``(dim, n, n)`` array; an empty stack keeps its n.
     """
     mats = np.asarray(mats, dtype=complex)
     n = mats.shape[-1] if mats.ndim == 3 else 0  # an empty list carries no n
-    rows: list[np.ndarray] = []  # flattened orthonormal vectors
+    rows = np.empty((min(len(mats), n * n), n * n), dtype=complex)  # flattened, orthonormal
+    dim = 0
     for v in mats.reshape(len(mats), n * n):
+        if dim == n * n:
+            break
         scale = float(np.linalg.norm(v))
         if scale <= rank_tol:
             continue
         for _ in range(2):
-            if rows:
-                b = np.array(rows)
+            if dim:
+                b = rows[:dim]
                 v = v - b.T @ (np.conj(b) @ v)
         r = float(np.linalg.norm(v))
         if r > rank_tol * max(1.0, scale):
-            rows.append(v / r)
-    return np.array(rows, dtype=complex).reshape(len(rows), n, n)
+            rows[dim] = v / r
+            dim += 1
+    return rows[:dim].reshape(dim, n, n)
 
 
 @dataclass(frozen=True)
@@ -112,10 +117,12 @@ class MatrixAlgebra:
 
     def coords(self, m: np.ndarray) -> np.ndarray:
         """Coefficients of the orthogonal projection of m onto span(basis)."""
-        return np.tensordot(np.conj(self.basis), np.asarray(m, complex), axes=2)
+        flat = np.conj(self.basis).reshape(self.dim, self.ambient_dim ** 2)  # the operands np.tensordot builds
+        return np.dot(flat, np.asarray(m, complex).reshape(-1, 1)).reshape(self.dim)
 
     def reconstruct(self, c: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(c, complex), self.basis, axes=1)
+        flat = self.basis.reshape(self.dim, self.ambient_dim ** 2)
+        return np.dot(np.asarray(c, complex).reshape(1, self.dim), flat).reshape(self.basis.shape[1:])
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return self.reconstruct(self.coords(m))

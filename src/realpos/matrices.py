@@ -132,17 +132,19 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def op_norm(m) -> float:
-    """Operator (spectral) norm, sqrt of the largest eigenvalue of m*m."""
+    """Operator (spectral) norm of a 2-d array, its largest singular value."""
     m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"op_norm needs a 2-d array, got shape {m.shape}")
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def max_op_norm(stack) -> float:
     """Largest :func:`op_norm` in a ``(k, n, n)`` stack; 0 for an empty one."""
     stack = np.asarray(stack, dtype=complex)
-    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max(initial=0.0))
+    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()) if stack.size else 0.0
 
 
 def range_basis(p) -> np.ndarray:

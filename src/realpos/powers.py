@@ -107,7 +107,8 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     _require_positive(alpha, "alpha")
     _require_accretive(x, tol)
     lam, v = np.linalg.eig(x)
-    cond = float(np.linalg.cond(v))
+    s = np.linalg.svd(v, compute_uv=False)
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if cond > COND_CAP:
         raise DefectiveMatrixError(cond)
     xnorm = max(op_norm(x), 1e-300)

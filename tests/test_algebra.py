@@ -20,6 +20,7 @@ from realpos.algebra import (
     generate_algebra,
     hermitian_elements,
     identity_of,
+    orthonormalize,
     span_algebra,
     unitize,
     upper_triangular_algebra,
@@ -249,6 +250,56 @@ def test_batched_residuals_match_their_loop_references():
             e = np.eye(n)
         loop = max(max(op_norm(e @ b - b), op_norm(b @ e - b)) for b in alg.basis)
         assert abs(_unit_defect(e, alg.basis) - loop) <= 1e-14, alg.label
+
+
+def _list_orthonormalize(mats, rank_tol=1e-10):
+    """Reference: the same modified Gram-Schmidt with the accepted vectors in a
+    list rebuilt into an array for every candidate, and no early stop."""
+    mats = np.asarray(mats, dtype=complex)
+    n = mats.shape[-1] if mats.ndim == 3 else 0
+    rows = []
+    for v in mats.reshape(len(mats), n * n):
+        scale = float(np.linalg.norm(v))
+        if scale <= rank_tol:
+            continue
+        for _ in range(2):
+            if rows:
+                b = np.array(rows)
+                v = v - b.T @ (np.conj(b) @ v)
+        r = float(np.linalg.norm(v))
+        if r > rank_tol * max(1.0, scale):
+            rows.append(v / r)
+    return np.array(rows, dtype=complex).reshape(len(rows), n, n)
+
+
+def test_orthonormalize_is_bit_identical_to_the_list_reference():
+    rng = np.random.default_rng(5)
+    stacks = [[], np.zeros((3, 2, 2))]
+    for n in (1, 2, 3, 4):
+        k = 2 * n * n + 3  # more spanning candidates than n^2
+        full = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        low = np.einsum("ij,jab->iab", rng.standard_normal((k, n)), full[:n])  # rank n
+        holes = full.copy()
+        holes[::3] = 0.0
+        holes[4] = holes[1] - 1e-12 * holes[2]  # dependent up to rounding
+        stacks += [full, low, holes]
+        assert orthonormalize(full).shape[0] == n * n < k  # the early stop is taken
+    alg = generate_algebra([gen_accretive(4, 3), gen_accretive(4, 4)])
+    products = (alg.basis[:, None] @ alg.basis[None]).reshape(-1, 4, 4)
+    stacks.append(np.concatenate([alg.basis, products]))  # a closure sweep of M_4
+    for stack in stacks:
+        got, want = orthonormalize(stack), _list_orthonormalize(stack)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_coords_and_reconstruct_are_bit_identical_to_tensordot():
+    rng = np.random.default_rng(6)
+    for alg in _reference_algebras() + [generate_algebra([_ZERO])]:
+        n, d = alg.ambient_dim, alg.dim
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        assert np.array_equal(alg.coords(m), np.tensordot(np.conj(alg.basis), m, axes=2))
+        assert np.array_equal(alg.reconstruct(c), np.tensordot(c, alg.basis, axes=1))
 
 
 def test_a_h_fixed_point(e11, e12):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from realpos.matrices import (
     herm_eig,
     matrix_from_json,
     matrix_to_json,
+    max_op_norm,
     min_real_eig,
     op_norm,
     solve,
@@ -105,6 +107,31 @@ def test_op_norm_submultiplicative_triangle():
         a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
         assert op_norm(a @ b) <= op_norm(a) * op_norm(b) + 1e-9
         assert op_norm(a + b) <= op_norm(a) + op_norm(b) + 1e-9
+
+
+def test_op_norms_are_bit_identical_to_numpy_two_norm():
+    # both take the largest singular value from the complex LAPACK SVD that
+    # np.linalg.norm(., 2) wraps, so they agree to the last bit on real
+    # entries too once those are made complex
+    rng = np.random.default_rng(11)
+    for n in range(1, 17):
+        k = max(1, n // 2)
+        tall = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        cases = [rng.standard_normal((n, n)), np.zeros((n, n)),
+                 rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                 rng.standard_normal((n, k)) @ rng.standard_normal((k, n)),  # rank <= k
+                 tall @ tall.conj().T * 1e-9]
+        for m in cases:
+            assert op_norm(m) == np.linalg.norm(np.asarray(m, complex), 2), n
+        stack = np.array(cases, dtype=complex)
+        assert max_op_norm(stack) == np.linalg.norm(stack, 2, axis=(1, 2)).max(), n
+        assert max_op_norm(stack[:0]) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3, 3)])
+def test_op_norm_rejects_input_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        op_norm(np.ones(shape))
 
 
 def test_tolerances_validation():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,9 +42,17 @@ def test_spectral_rejects_non_accretive():
         power_spectral(-np.eye(2), 0.5)
 
 
-def test_spectral_defective_raises():
-    with pytest.raises(DefectiveMatrixError):
-        power_spectral(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)
+def test_spectral_defective_raises(monkeypatch):
+    # the condition number comes from the singular values of the eigenvectors;
+    # an exactly singular eigenvector matrix gives an infinite one, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefectiveMatrixError):
+            power_spectral(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)
+        monkeypatch.setattr(np.linalg, "eig", lambda x: (np.ones(2), np.array([[1, 1], [0, 0j]])))
+        with pytest.raises(DefectiveMatrixError) as exc:
+            power_spectral(np.eye(2), 0.5)
+    assert exc.value.cond == math.inf
 
 
 def test_balakrishnan_values():
