@@ -46,6 +46,7 @@ from .powers import (
     disk_order_check,
     holder_check,
     power,
+    power_all,
     power_balakrishnan,
     power_spectral,
     rescaled_root_check,

@@ -34,6 +34,7 @@ __all__ = [
     "herm_eig",
     "range_basis",
     "op_norm",
+    "op_norms",
     "max_op_norm",
     "solve",
     "min_real_eig",
@@ -141,10 +142,21 @@ def op_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def op_norms(stack) -> np.ndarray:
+    """:func:`op_norm` of each matrix in a ``(k, n, n)`` stack, by one batched
+    SVD; the batched LAPACK call gives each the same bits as :func:`op_norm`."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3:
+        raise ValueError(f"op_norms needs a 3-d stack, got shape {stack.shape}")
+    if stack.size == 0:
+        return np.zeros(stack.shape[0])
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 def max_op_norm(stack) -> float:
     """Largest :func:`op_norm` in a ``(k, n, n)`` stack; 0 for an empty one."""
-    stack = np.asarray(stack, dtype=complex)
-    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()) if stack.size else 0.0
+    norms = op_norms(stack)
+    return float(norms.max()) if norms.size else 0.0
 
 
 def range_basis(p) -> np.ndarray:

@@ -8,6 +8,13 @@ Three routes, kept independent so they can cross-check each other:
   evaluated with Gauss-Jacobi nodes after mapping t = u/(1-u);
 * series: the binomial expansion of ``(1 - (1-x))^{1/m}`` for x in F.
 
+``power_all(x, alphas)`` gives one result per exponent and factors x once:
+the fractional parts all power one eigendecomposition (Higham, *Functions
+of Matrices*, 2008, ch. 4), or all take the quadrature route when x is
+defective.  ``power(x, alpha)`` is ``power_all(x, (alpha,))[0]``, and
+``power_spectral`` powers the same factorization, so there is one spectral
+implementation.  Nothing is cached across calls.
+
 Also houses the root-law checks (scaling, monotonicity of rescaled roots,
 commuting Hoelder ratios, disk-function-calculus ordering).
 """
@@ -41,6 +48,7 @@ __all__ = [
     "power_balakrishnan",
     "root_series",
     "power",
+    "power_all",
     "vav_identity_check",
     "root_monotonicity_report",
     "rescaled_root_check",
@@ -95,37 +103,54 @@ def _require_accretive(x: np.ndarray, tol: Tolerances) -> float:
     return margin
 
 
-def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
-    """Principal power via eigendecomposition.
+class _SpectralFactor:
+    """One eigendecomposition x = v diag(lam) v^{-1} of an accretive x, with
+    the checks every power of it shares; :meth:`power` takes one exponent.
 
-    Eigenvalues of magnitude at most ``EIG_RTOL * ||x||`` are mapped to 0 (they
-    are semisimple for accretive input); the rest are powered on the
+    Eigenvalues of magnitude at most ``EIG_RTOL * ||x||`` are mapped to 0
+    (they are semisimple for accretive input); the rest are powered on the
     principal branch.  Raises :class:`DefectiveMatrixError` when the
-    eigenvector matrix has condition number above 1e8.
+    eigenvector matrix has condition number above ``COND_CAP``.
+    """
+
+    def __init__(self, x: np.ndarray):
+        lam, v = np.linalg.eig(x)
+        s = np.linalg.svd(v, compute_uv=False)
+        cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+        if cond > COND_CAP:
+            raise DefectiveMatrixError(cond)
+        xnorm = max(op_norm(x), 1e-300)
+        # No singular-pivot test is needed for v^{-1}.  LU with partial
+        # pivoting takes each pivot as the largest entry in the first column
+        # of a Schur complement S, and S^{-1} is a block of v^{-1}, so
+        # |pivot| >= sigma_min(S)/sqrt(n) >= sigma_min(v)/n.  After the check
+        # above sigma_min(v) >= 1e-8 sigma_max(v), which for n <= 16 is over
+        # 6000 times solve()'s PIVOT_RTOL sigma_max(v) limit, so one plain
+        # inversion replaces solve()'s SVD and LU.
+        self.v = v
+        self.vinv = np.linalg.inv(v)
+        self.lam = lam.astype(complex)
+        self.cut = np.abs(lam) <= EIG_RTOL * xnorm
+        recon = op_norm(v @ (lam[:, None] * self.vinv) - x)
+        self.rel_error = recon / xnorm + np.finfo(float).eps * cond
+
+    def power(self, alpha: float) -> PowerResult:
+        powered = np.where(self.cut, 0.0, np.power(self.lam, alpha))
+        value = self.v @ (powered[:, None] * self.vinv)
+        est = self.rel_error * max(1.0, op_norm(value))
+        return PowerResult(value, "spectral", float(est), self.v.shape[0])
+
+
+def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
+    """Principal power via eigendecomposition (see :class:`_SpectralFactor`).
+
+    Raises :class:`DefectiveMatrixError` when the eigenvector matrix has
+    condition number above 1e8.
     """
     x = as_matrix(x)
     _require_positive(alpha, "alpha")
     _require_accretive(x, tol)
-    lam, v = np.linalg.eig(x)
-    s = np.linalg.svd(v, compute_uv=False)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    if cond > COND_CAP:
-        raise DefectiveMatrixError(cond)
-    xnorm = max(op_norm(x), 1e-300)
-    cut = EIG_RTOL * xnorm
-    powered = np.where(np.abs(lam) <= cut, 0.0, np.power(lam.astype(complex), alpha))
-    # No singular-pivot test is needed for v^{-1}.  LU with partial pivoting
-    # takes each pivot as the largest entry in the first column of a Schur
-    # complement S, and S^{-1} is a block of v^{-1}, so
-    # |pivot| >= sigma_min(S)/sqrt(n) >= sigma_min(v)/n.  After the check
-    # above sigma_min(v) >= 1e-8 sigma_max(v), which for n <= 16 is over
-    # 6000 times solve()'s PIVOT_RTOL sigma_max(v) limit, so one plain
-    # inversion replaces solve()'s SVD and LU.
-    vinv = np.linalg.inv(v)
-    value = v @ (powered[:, None] * vinv)
-    recon = op_norm(v @ (lam[:, None] * vinv) - x)
-    est = (recon / xnorm + np.finfo(float).eps * cond) * max(1.0, op_norm(value))
-    return PowerResult(value, "spectral", float(est), x.shape[0])
+    return _SpectralFactor(x).power(alpha)
 
 
 def _require_nodes(nodes: int) -> None:
@@ -241,36 +266,60 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
     return PowerResult(total, "series", float(est), terms)
 
 
-def power(x, alpha: float, nodes: int = 96, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
-    """General positive power: integer part times fractional part.
+def _split(alpha: float) -> tuple[int, float]:
+    """Integer part m and fractional part alpha - m of alpha."""
+    m = int(np.floor(alpha))
+    return m, alpha - m
 
-    The fractional part goes through the spectral route, falling back to the
-    quadrature route on defectiveness.  ``nodes`` is checked up front, so a
-    bad count fails whichever route the matrix takes.
+
+def power_all(
+    x, alphas, nodes: int = 96, tol: Tolerances = DEFAULT_TOL
+) -> list[PowerResult]:
+    """General positive powers of one x: one :class:`PowerResult` per exponent.
+
+    Each exponent splits into an integer part and a fractional part.  An
+    exponent within 1e-14 above an integer is that integer power.  Every
+    fractional part powers one eigendecomposition of x, made once per call;
+    when x is defective, every fractional part takes the quadrature route
+    instead.  ``nodes`` is checked up front, so a bad count fails whichever
+    route the matrix takes.
     """
     x = as_matrix(x)
-    _require_positive(alpha, "alpha")
+    alphas = tuple(alphas)
+    for alpha in alphas:
+        _require_positive(alpha, "alpha")
     _require_nodes(nodes)
     _require_accretive(x, tol)
-    m = int(np.floor(alpha))
-    r = alpha - m
-    if r < 1e-14:
-        value = np.linalg.matrix_power(x, m)
-        return PowerResult(value, "spectral", 0.0, 0)
-    try:
-        frac = power_spectral(x, r, tol)
-    except DefectiveMatrixError:
-        frac = power_balakrishnan(x, r, nodes, tol)
-    if m == 0:
-        return frac
-    xm = np.linalg.matrix_power(x, m)
-    return PowerResult(
-        xm @ frac.value,
-        frac.method,
-        frac.est_error * max(1.0, op_norm(xm)),
-        frac.nodes_or_terms,
-        frac.certified,
-    )
+    parts = [_split(alpha) for alpha in alphas]
+    factor = None  # stays None when no part is fractional or x is defective
+    if any(r >= 1e-14 for _, r in parts):
+        try:
+            factor = _SpectralFactor(x)
+        except DefectiveMatrixError:
+            pass
+    results = []
+    for m, r in parts:
+        if r < 1e-14:
+            results.append(PowerResult(np.linalg.matrix_power(x, m), "spectral", 0.0, 0))
+            continue
+        frac = factor.power(r) if factor is not None else power_balakrishnan(x, r, nodes, tol)
+        if m == 0:
+            results.append(frac)
+            continue
+        xm = np.linalg.matrix_power(x, m)
+        results.append(PowerResult(
+            xm @ frac.value,
+            frac.method,
+            frac.est_error * max(1.0, op_norm(xm)),
+            frac.nodes_or_terms,
+            frac.certified,
+        ))
+    return results
+
+
+def power(x, alpha: float, nodes: int = 96, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
+    """General positive power: :func:`power_all` at one exponent."""
+    return power_all(x, (alpha,), nodes, tol)[0]
 
 
 def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -300,6 +349,14 @@ def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     return op_norm(lhs - rhs)
 
 
+def _increment_margins(roots) -> np.ndarray:
+    """lambda_min(Re(roots[k+1] - roots[k])) for each k, by one batched eigvalsh."""
+    roots = np.asarray(roots)
+    if len(roots) < 2:
+        return np.array([])
+    return np.linalg.eigvalsh(re_part(roots[1:] - roots[:-1]))[:, 0]
+
+
 def root_monotonicity_report(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Margins lambda_min(Re(x^{1/(n+1)}) - Re(x^{1/n})), n = 1..n_max-1.
 
@@ -309,11 +366,8 @@ def root_monotonicity_report(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> np
     x = as_matrix(x)
     if n_max > 12:
         raise ValueError("n_max capped at 12")
-    _require_accretive(x, tol)
-    roots = [power(x, 1.0 / n, tol=tol).value for n in range(1, n_max + 1)]
-    return np.array(
-        [min_real_eig(roots[n] - roots[n - 1]) for n in range(1, n_max)]
-    )
+    roots = power_all(x, [1.0 / n for n in range(1, n_max + 1)], tol=tol)
+    return _increment_margins([root.value for root in roots])
 
 
 def rescaled_root_check(x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -329,13 +383,10 @@ def rescaled_root_check(x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.nda
         raise ValueError("x must be nonzero")
     half = power(x, 0.5, tol=tol).value
     c = (2.0 * op_norm(re_part(half))) ** 2
-    scaled = x / c
-    if not f_membership(power(scaled, 0.5, tol=tol).value, tol).in_half_f:
+    roots = [r.value for r in power_all(x / c, [1.0 / m for m in range(2, 9)], tol=tol)]
+    if not f_membership(roots[0], tol).in_half_f:
         raise ArithmeticError("rescaled square root left the half-F set")
-    roots = [power(scaled, 1.0 / m, tol=tol).value for m in range(2, 9)]
-    return float(c), np.array(
-        [min_real_eig(roots[i + 1] - roots[i]) for i in range(len(roots) - 1)]
-    )
+    return float(c), _increment_margins(roots)
 
 
 def holder_check(

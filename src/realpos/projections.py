@@ -32,6 +32,7 @@ from .matrices import (
     dagger,
     min_real_eig,
     op_norm,
+    op_norms,
     range_basis,
 )
 from .powers import EIG_RTOL, NotAccretiveError, power
@@ -215,7 +216,8 @@ def peak_projection(
     iterations = 0
     squarings = min(tol.max_iter, 200)
     for k in range(squarings):
-        norm = op_norm(z)
+        z2 = z @ z
+        norm, defect = op_norms(np.stack([z, z2 - z]))
         trace.append(float(norm))
         if norm < 1e-8:
             status = "zero"
@@ -224,12 +226,11 @@ def peak_projection(
             break
         if norm > 10.0:
             break
-        defect = op_norm(z @ z - z)
         if defect <= tol.iter_tol:
             status = "converged"
             iterations = k
             break
-        z = z @ z
+        z = z2
     else:
         iterations = squarings
 

@@ -46,6 +46,7 @@ from .matrices import (
 )
 from .powers import (
     power,
+    power_all,
     power_balakrishnan,
     power_spectral,
     root_monotonicity_report,
@@ -164,32 +165,29 @@ def _suite_f_bijection(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dic
 
 
 def _suite_root_laws(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
+    near_half = [0.5 + 10.0**-j for j in (1, 2, 3, 4)]
+    alphas = [0.3, 0.7, 0.5, 1.0 / 3.0, 1.5, *near_half]
     for k in range(200):
         s = _case_seed(seed, k)
         n = sizes[k % len(sizes)]
         x = gen_accretive(n, s)
         slack = []
+        p = {a: r.value for a, r in zip(alphas, power_all(x, alphas, tol=tol))}
 
-        semi = op_norm(power(x, 0.3, tol=tol).value @ power(x, 0.7, tol=tol).value - x)
+        semi = op_norm(p[0.3] @ p[0.7] - x)
         slack.append(1e-6 - semi)
 
         for c in (0.5, 2.0, 10.0):
-            for alpha in (0.5, 0.7):
-                scaled = op_norm(
-                    power(c * x, alpha, tol=tol).value
-                    - c**alpha * power(x, alpha, tol=tol).value
-                )
+            for alpha, pc in zip((0.5, 0.7), power_all(c * x, (0.5, 0.7), tol=tol)):
+                scaled = op_norm(pc.value - c**alpha * p[alpha])
                 slack.append(1e-8 - scaled)
 
         oa = generate_algebra([x], mode="algebra", with_identity=False, tol=tol)
         for alpha in (0.5, 1.0 / 3.0, 1.5):
-            _, residual = contains(oa, power(x, alpha, tol=tol).value, tol)
+            _, residual = contains(oa, p[alpha], tol)
             slack.append(1e-6 - residual)
 
-        base = power(x, 0.5, tol=tol).value
-        diffs = [
-            op_norm(power(x, 0.5 + 10.0**-j, tol=tol).value - base) for j in (1, 2, 3, 4)
-        ]
+        diffs = [op_norm(p[alpha] - p[0.5]) for alpha in near_half]
         slack.append(min(diffs[j] - diffs[j + 1] for j in range(3)))
 
         margin = min(slack)
@@ -601,9 +599,8 @@ def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) 
                 vec = v[:, i]
                 slack.append(1e-5 - float(np.linalg.norm(x @ vec)))
                 slack.append(1e-5 - float(np.linalg.norm(supp @ vec)))
-        for m in (2, 3, 4):
-            y = power(x, 1.0 / m, tol=tol).value
-            wy, vy = np.linalg.eigh(re_part(y))
+        for root in power_all(x, [1.0 / m for m in (2, 3, 4)], tol=tol):
+            wy, vy = np.linalg.eigh(re_part(root.value))
             for i in range(len(wy)):
                 if wy[i] <= 1e-12:
                     vec = vy[:, i]
@@ -623,8 +620,8 @@ def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) 
         ok = is_strictly_real_positive(alg, x, tol)
         slack = [0.0 if ok else -1.0]
         if ok:
-            for m in (2, 3, 4):
-                y = power(x, 1.0 / m, tol=tol).value
+            for root in power_all(x, [1.0 / m for m in (2, 3, 4)], tol=tol):
+                y = root.value
                 _, res = contains(alg, y, tol)
                 slack.append(1e-6 - res)
                 ok = ok and is_strictly_real_positive(alg, alg.project(y), tol)

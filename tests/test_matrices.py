@@ -16,6 +16,7 @@ from realpos.matrices import (
     max_op_norm,
     min_real_eig,
     op_norm,
+    op_norms,
     solve,
 )
 
@@ -126,6 +127,21 @@ def test_op_norms_are_bit_identical_to_numpy_two_norm():
         stack = np.array(cases, dtype=complex)
         assert max_op_norm(stack) == np.linalg.norm(stack, 2, axis=(1, 2)).max(), n
         assert max_op_norm(stack[:0]) == 0.0
+
+
+def test_op_norms_match_op_norm_per_matrix():
+    rng = np.random.default_rng(13)
+    for n in range(1, 17):
+        stack = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        stack[1] = 0.0
+        stack[2] = stack[2][:, :1] @ stack[2][:1]  # rank one
+        norms = op_norms(stack)
+        assert norms.dtype == np.float64
+        assert [float(v) for v in norms] == [op_norm(m) for m in stack], n
+        assert op_norms(stack[:0]).shape == (0,)
+    assert op_norms(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="3-d"):
+        op_norms(np.eye(2))
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 3)])

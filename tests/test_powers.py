@@ -20,6 +20,7 @@ from realpos.powers import (
     disk_order_check,
     holder_check,
     power,
+    power_all,
     power_balakrishnan,
     power_spectral,
     rescaled_root_check,
@@ -259,6 +260,73 @@ def test_root_monotonicity(lemerdy):
     assert root_monotonicity_report(lemerdy, 8).min() <= -1e-3
     with pytest.raises(ValueError):
         root_monotonicity_report(np.eye(2), 13)
+
+
+def _same_result(a, b) -> bool:
+    return (a.value.tobytes() == b.value.tobytes()
+            and (a.method, a.est_error, a.nodes_or_terms, a.certified)
+            == (b.method, b.est_error, b.nodes_or_terms, b.certified))
+
+
+ALPHAS = (1e-3, 0.5, 1.0, 1.5, 2.0, 1.0 / 3.0, 2.75)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_power_all_equals_power_at_each_exponent(n):
+    for x in (gen_accretive(n, 100 + n), gen_half_f(n, 200 + n),
+              gen_accretive(n, 300 + n, rank=max(1, n - 1))):
+        results = power_all(x, ALPHAS)
+        assert len(results) == len(ALPHAS)
+        for alpha, res in zip(ALPHAS, results):
+            assert _same_result(res, power(x, alpha)), alpha
+            if alpha < 1.0:
+                assert _same_result(res, power_spectral(x, alpha)), alpha
+    assert power_all(gen_accretive(n, 400 + n), ()) == []
+
+
+def test_power_all_factors_a_defective_matrix_once(monkeypatch):
+    jordan = np.array([[4.0, 1.0], [0.0, 4.0]])
+    expected = [power(jordan, alpha) for alpha in ALPHAS]
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    results = power_all(jordan, ALPHAS)
+    assert len(calls) == 1
+    for alpha, res, ref in zip(ALPHAS, results, expected):
+        assert _same_result(res, ref), alpha
+        assert res.method == ("spectral" if alpha in (1.0, 2.0) else "balakrishnan")
+    # integer exponents never factor x
+    power_all(jordan, (1.0, 2.0, 3.0))
+    assert len(calls) == 1
+
+
+def test_power_all_validates_every_exponent_and_the_input():
+    with pytest.raises(ValueError, match="alpha"):
+        power_all(np.eye(2), (0.5, -1.0))
+    with pytest.raises(ValueError, match="4097"):
+        power_all(np.eye(2), (2.0,), nodes=4097)
+    with pytest.raises(NotAccretiveError):
+        power_all(-np.eye(2), ())
+
+
+def test_root_monotonicity_report_factors_x_once(monkeypatch):
+    x = gen_half_f(5, 53)
+    roots = [power(x, 1.0 / n).value for n in range(1, 9)]
+    expected = np.array([min_real_eig(roots[n] - roots[n - 1]) for n in range(1, 8)])
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    margins = root_monotonicity_report(x, 8)
+    assert len(calls) == 1
+    assert margins.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_root_monotonicity_report_without_pairs_is_empty(n_max):
+    margins = root_monotonicity_report(gen_half_f(3, 59), n_max)
+    assert margins.dtype == np.float64 and margins.shape == (0,)
+    with pytest.raises(NotAccretiveError):
+        root_monotonicity_report(-np.eye(2), n_max)
 
 
 def test_rescaled_root_check(lemerdy):
