@@ -9,9 +9,12 @@ and residuals read only that map.  Feasible points are searched by
 Dykstra-corrected alternating projections: exact least-squares projection
 onto the affine set, eigenvalue clipping for PSD floors, singular-value
 clipping for norm caps, each followed by a least-squares pullback into the
-coordinate parametrization.  Verdicts are one-sided: ``feasible`` (all
-residuals within tolerance) or ``unconverged`` -- the method cannot certify
-infeasibility.
+coordinate parametrization.  One round projects once onto each set; a
+floor or cap builds its pull-back pseudo-inverse at its first clip, so a
+solve that never clips builds only the affine set's.  Residuals take one
+batched LAPACK call per kind (floor, or equality and cap) and shape of
+constraint.  Verdicts are one-sided: ``feasible`` (all residuals within
+tolerance) or ``unconverged`` -- the method cannot certify infeasibility.
 
 On top of the engine sit the interpolation solvers (domination,
 half-F decomposition, near-positive interpolation, Urysohn solvers in both
@@ -27,6 +30,7 @@ the suite's gate read those checks, so each solve's checks are computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +47,9 @@ from .matrices import (
     im_part,
     min_real_eig,
     op_norm,
+    op_norms,
     range_basis,
+    re_part,
 )
 from .projections import _require_projection, peak_projection, support_projection
 
@@ -144,14 +150,6 @@ class _Compiled:
     def value(self, u: np.ndarray) -> np.ndarray:
         return _from_real(self.jac @ u + self.const, self.shape)
 
-    def residual(self, u: np.ndarray) -> float:
-        m = self.value(u)
-        if isinstance(self.con, AffineEquality):
-            return op_norm(m)
-        if isinstance(self.con, HermFloor):
-            return max(0.0, -min_real_eig(m))
-        return max(0.0, op_norm(m) - self.con.cap)
-
 
 def _compile(con, algebra: MatrixAlgebra) -> _Compiled:
     """One batched sandwich product per term over the whole basis; conj terms
@@ -171,18 +169,31 @@ def _compile(con, algebra: MatrixAlgebra) -> _Compiled:
 @dataclass
 class FeasibilityProblem:
     """Constraints over A, each compiled once, here (``compiled`` holds them
-    in the order equalities, floors, caps)."""
+    in the order equalities, floors, caps).  Residuals are keyed by label, so
+    labels must be distinct.  ``batches`` groups the compiled indices by kind
+    (floor, or equality and cap) and shape, one batched LAPACK call each."""
 
     algebra: MatrixAlgebra
     equalities: list = field(default_factory=list)
     floors: list = field(default_factory=list)
     caps: list = field(default_factory=list)
     compiled: list = field(init=False, repr=False)
+    batches: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.equalities or self.floors or self.caps):
+        constraints = [*self.equalities, *self.floors, *self.caps]
+        if not constraints:
             raise ValueError("a feasibility problem needs at least one constraint")
-        self.compiled = [_compile(c, self.algebra) for c in [*self.equalities, *self.floors, *self.caps]]
+        labels = set()
+        for con in constraints:
+            if con.label in labels:
+                raise ValueError(f"constraint label {con.label!r} is repeated")
+            labels.add(con.label)
+        self.compiled = [_compile(c, self.algebra) for c in constraints]
+        batches: dict = {}
+        for i, c in enumerate(self.compiled):
+            batches.setdefault((isinstance(c.con, HermFloor), c.shape), []).append(i)
+        self.batches = [(floor, idx) for (floor, _), idx in batches.items()]
 
 
 @dataclass
@@ -232,7 +243,11 @@ class _SpectralSet:
         self.map = compiled
         self.is_floor = isinstance(compiled.con, HermFloor)
         self.inner_tol = 0.25 * SOLVER_TOL
-        self.pinv = _pinv(compiled.jac)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """The pull-back pseudo-inverse, built at the first clip."""
+        return _pinv(self.map.jac)
 
     def _clip(self, m: np.ndarray):
         """Nearest in-set matrix, or None when m already satisfies the set."""
@@ -258,7 +273,21 @@ class _SpectralSet:
 
 
 def _residuals(problem: FeasibilityProblem, u: np.ndarray) -> dict:
-    return {c.con.label: c.residual(u) for c in problem.compiled}
+    """Each constraint's violation at u, by label: ``||m||`` for an equality
+    (m its map less the target), ``max(0, -lambda_min(Re m))`` for a floor and
+    ``max(0, ||m|| - cap)`` for a cap.  Each of ``problem.batches`` takes one
+    batched LAPACK call, which gives each matrix the bits of its own call."""
+    res = [0.0] * len(problem.compiled)
+    for floor, idx in problem.batches:
+        stack = np.stack([problem.compiled[i].value(u) for i in idx])
+        if floor:
+            for i, low in zip(idx, np.linalg.eigvalsh(re_part(stack))[:, 0].tolist()):
+                res[i] = max(0.0, -low)
+            continue
+        for i, norm in zip(idx, op_norms(stack).tolist()):
+            con = problem.compiled[i].con
+            res[i] = max(0.0, norm - con.cap) if isinstance(con, NormCap) else norm
+    return {c.con.label: r for c, r in zip(problem.compiled, res)}
 
 
 def solve_feasibility(
@@ -268,6 +297,12 @@ def solve_feasibility(
     warm_start=None,
 ) -> FeasibilitySolution:
     """Dykstra-corrected alternating projections over the constraint sets.
+
+    One round projects onto the affine set (if there are equalities) and
+    then onto each floor and cap; rounds 1-5, every fifth round and the last
+    one also score every residual.  A floor or cap builds its pull-back
+    pseudo-inverse at its first clip, so a round whose iterate already
+    satisfies it spends one ``eigh`` or SVD on it and nothing more.
 
     Deterministic given ``(problem, seed, warm_start)``.  Up to ``RESTARTS``
     random restarts kick in on stagnation.  The verdict is ``feasible`` only
@@ -281,12 +316,13 @@ def solve_feasibility(
         _SpectralSet(c) for c in problem.compiled[n_eq:]
     ]
 
-    rng = np.random.default_rng(seed)
+    rng = None  # made at the first restart
     u = np.zeros(2 * alg.dim) if warm_start is None else _to_real(alg.coords(as_matrix(warm_start)))
 
     memory = [np.zeros_like(u) for _ in sets]
     best_u = u.copy()
     best_res = np.inf
+    best_scored = last_scored = None  # (bytes, residuals) of the best and the last point scored
     since_best = 0
     rounds_used = 0
     restarts_left = RESTARTS
@@ -299,24 +335,31 @@ def solve_feasibility(
             u = u_new
         if rounds_used <= 5 or rounds_used % 5 == 0 or rounds_used == max_rounds:
             res = _residuals(problem, u)
+            last_scored = (u.tobytes(), res)
             worst = max(res.values())
             if worst < best_res:
-                best_res, best_u, since_best = worst, u.copy(), 0
+                best_res, best_u, best_scored, since_best = worst, u.copy(), last_scored, 0
             else:
                 since_best += 5
             if worst <= 0.5 * SOLVER_TOL:
                 break
             if since_best > 300 and restarts_left > 0:
+                rng = np.random.default_rng(seed) if rng is None else rng
                 restarts_left -= 1
                 since_best = 0
                 u = best_u + 0.1 * rng.standard_normal(u.shape)
                 memory = [np.zeros_like(u) for _ in sets]
 
-    # Final polish: land exactly on the equality flat if that helps.
+    # Final polish: land exactly on the equality flat if that helps.  Each
+    # distinct candidate is scored once; min keeps the first of equal ones.
     candidates = [best_u, u]
     if affine_set is not None:
         candidates += [affine_set.project(best_u), affine_set.project(u)]
-    res, u = min(((_residuals(problem, c), c) for c in candidates), key=lambda t: max(t[0].values()))
+    scored = dict(s for s in (best_scored, last_scored) if s is not None)
+    for c in candidates:
+        if c.tobytes() not in scored:
+            scored[c.tobytes()] = _residuals(problem, c)
+    res, u = min(((scored[c.tobytes()], c) for c in candidates), key=lambda t: max(t[0].values()))
 
     value = alg.reconstruct(_from_real(u, (alg.dim,)))
     verdict = "feasible" if max(res.values()) <= SOLVER_TOL else "unconverged"

@@ -378,7 +378,8 @@ def rescaled_root_check(x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.nda
     m = 2..8) certify that numerically.
     """
     x = as_matrix(x)
-    _require_accretive(x, tol)
+    # power() checks accretivity; a margin below -psd_slack makes ||x|| exceed
+    # psd_slack >= eq_tol, so the nonzero check cannot pre-empt that error.
     if op_norm(x) <= tol.eq_tol:
         raise ValueError("x must be nonzero")
     half = power(x, 0.5, tol=tol).value

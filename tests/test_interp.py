@@ -5,6 +5,8 @@ import pytest
 
 from realpos import interp
 from realpos.algebra import (
+    _from_real,
+    _to_real,
     contains,
     diagonal_algebra,
     full_algebra,
@@ -21,6 +23,7 @@ from realpos.interp import (
     FeasibilityProblem,
     HermFloor,
     MatrixAffine,
+    NormCap,
     UnconvergedError,
     decompose,
     dominate,
@@ -31,7 +34,7 @@ from realpos.interp import (
     tietze_lift,
     urysohn_interpolate,
 )
-from realpos.matrices import dagger, im_part, min_real_eig, op_norm
+from realpos.matrices import as_matrix, dagger, im_part, min_real_eig, op_norm
 from realpos.powers import power
 from realpos.projections import peak_projection, support_projection
 
@@ -77,17 +80,38 @@ def test_feasibility_problem_rejects_inconsistent_shapes():
             HermFloor(MatrixAffine([AffineTerm(eye2, eye2)], np.zeros((3, 3))), "a >= 0")])
 
 
+def test_feasibility_problem_rejects_repeated_labels():
+    # residuals are keyed by label: a repeated one would hide the violation
+    # of every constraint but the last that carries it
+    alg = full_algebra(2)
+    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), complex)
+    a = MatrixAffine([AffineTerm(eye, eye)], zero)
+    re_a_minus_1 = MatrixAffine([AffineTerm(eye / 2.0, eye), AffineTerm(eye / 2.0, eye, conj=True)], -eye)
+
+    def problem(eq_label, floor_label):
+        return FeasibilityProblem(alg, equalities=[AffineEquality(a, zero, eq_label)],
+                                  floors=[HermFloor(re_a_minus_1, floor_label)])
+
+    with pytest.raises(ValueError, match="'x' is repeated"):
+        problem("x", "x")
+    sol = solve_feasibility(problem("eq", "floor"), max_rounds=50)
+    assert sol.verdict == "unconverged"
+    assert sol.residuals["eq"] == pytest.approx(1.0, abs=1e-9)
+    assert sol.residuals["floor"] == 0.0
+
+
 class _Stop(Exception):
     pass
 
 
 def _recorded_problems(monkeypatch, calls) -> list:
-    """The feasibility problems the solver calls build, recorded as they
-    reach the engine (which is never run)."""
+    """The feasibility problems the solver calls build and the keyword
+    arguments (seed, warm start) they pass, recorded as they reach the
+    engine (which is never run)."""
     problems = []
 
     def record(problem, **kwargs):
-        problems.append(problem)
+        problems.append((problem, kwargs))
         raise _Stop
 
     monkeypatch.setattr(interp, "solve_feasibility", record)
@@ -112,7 +136,9 @@ def _reference_value(con, alg, u):
     return out - con.target if isinstance(con, AffineEquality) else out
 
 
-def test_compiled_maps_match_their_sandwich_terms(monkeypatch):
+def _theorem_problems(monkeypatch) -> list:
+    """(problem, engine keyword arguments) of every theorem builder, on a
+    unital and a nonunital algebra in a conjugated basis."""
     w, unital = _conjugated(list(upper_triangular_algebra(3).basis), 4)
     assert unital.contains_identity
     q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
@@ -140,13 +166,18 @@ def test_compiled_maps_match_their_sandwich_terms(monkeypatch):
         lambda: peak_interpolate(nonunital, q1, 0.5 * q1),
         lambda: tietze_lift(nonunital, q1, 0.5 * q1, region),
     ]
-    problems = _recorded_problems(monkeypatch, calls)
+    return _recorded_problems(monkeypatch, calls)
+
+
+def test_compiled_maps_match_their_sandwich_terms(monkeypatch):
+    problems = [problem for problem, _ in _theorem_problems(monkeypatch)]
     rng = np.random.default_rng(0)
     labels = set()
     for problem in problems:
         alg = problem.algebra
         constraints = [*problem.equalities, *problem.floors, *problem.caps]
         assert len(constraints) == len(problem.compiled)
+        assert len({con.label for con in constraints}) == len(constraints)
         for con, compiled in zip(constraints, problem.compiled):
             labels.add(con.label)
             assert compiled.jac.shape == (2 * np.size(con.map.const), 2 * alg.dim)
@@ -164,6 +195,121 @@ def test_compiled_maps_match_their_sandwich_terms(monkeypatch):
         "a(1-u) small", "(1-u)a small", "x q = q", "x p = x", "p x = x", "strict off q",
         "g q = b q", "q g = b q", "a in ball", "W(g) halfplane 0", "W(g) halfplane 3",
     }
+
+
+def _loop_residuals(problem, u) -> dict:
+    """One kernel call per constraint: the loop the batched residuals replace."""
+    out = {}
+    for c in problem.compiled:
+        m = c.value(u)
+        if isinstance(c.con, AffineEquality):
+            out[c.con.label] = op_norm(m)
+        elif isinstance(c.con, HermFloor):
+            out[c.con.label] = max(0.0, -min_real_eig(m))
+        else:
+            out[c.con.label] = max(0.0, op_norm(m) - c.con.cap)
+    return out
+
+
+def _bits(res: dict) -> list:
+    return [(label, value.hex()) for label, value in res.items()]
+
+
+def _warm_coords(problem, kwargs) -> np.ndarray:
+    return _to_real(problem.algebra.coords(as_matrix(kwargs["warm_start"])))
+
+
+def test_batched_residuals_equal_the_per_constraint_loop(monkeypatch):
+    rng = np.random.default_rng(1)
+    violated = set()
+    for problem, kwargs in _theorem_problems(monkeypatch):
+        warm = _warm_coords(problem, kwargs)
+        for u in (warm, warm + 0.3 * rng.standard_normal(warm.shape), 3.0 * rng.standard_normal(warm.shape)):
+            got = interp._residuals(problem, u)
+            assert _bits(got) == _bits(_loop_residuals(problem, u))
+            violated |= {type(c.con) for c in problem.compiled if got[c.con.label] > 0.0}
+    assert violated == {AffineEquality, HermFloor, NormCap}
+
+
+class _Counted:
+    """Counts the calls of the function it wraps."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_feasible_warm_start_builds_only_the_affine_pseudo_inverse(monkeypatch):
+    # a warm start already feasible stops at round 1, where no floor or cap
+    # clips, so only the equality set's pseudo-inverse is built, and the final
+    # polish scores only the projected warm start anew
+    recorded = _theorem_problems(monkeypatch)
+    for problem, kwargs in recorded:
+        pinv, scores = _Counted(interp._pinv), _Counted(interp._residuals)
+        make_rng = _Counted(np.random.default_rng)
+        monkeypatch.setattr(interp, "_pinv", pinv)
+        monkeypatch.setattr(interp, "_residuals", scores)
+        monkeypatch.setattr(np.random, "default_rng", make_rng)
+        sol = solve_feasibility(problem, **kwargs)
+        monkeypatch.undo()
+        assert (sol.verdict, sol.iterations) == ("feasible", 1)
+        assert pinv.calls == (1 if problem.equalities else 0)
+        assert scores.calls == (2 if problem.equalities else 1)
+        assert make_rng.calls == 0
+
+
+def test_zero_rounds_scores_the_warm_start(monkeypatch):
+    for problem, kwargs in _theorem_problems(monkeypatch):
+        warm = _warm_coords(problem, kwargs)
+        sol = solve_feasibility(problem, max_rounds=0, **kwargs)
+        assert sol.iterations == 0
+        candidates = [warm]
+        if problem.equalities:
+            candidates.append(interp._AffineSet(problem.compiled[:len(problem.equalities)]).project(warm))
+        res, u = min(((_loop_residuals(problem, c), c) for c in candidates),
+                     key=lambda t: max(t[0].values()))
+        assert _bits(sol.residuals) == _bits(res)
+        assert np.array_equal(sol.value, problem.algebra.reconstruct(_from_real(u, (problem.algebra.dim,))))
+
+
+def _restarting_problem() -> FeasibilityProblem:
+    """An infeasible floor and cap on upper:2, whose rounds stagnate."""
+    rng = np.random.default_rng(1)
+    eye = np.eye(2, dtype=complex)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    s = rng.standard_normal((2, 2))
+    s = (s + s.T) / 2.0 - 1.5 * np.eye(2)
+    floor = MatrixAffine([AffineTerm(z / 2.0, eye), AffineTerm(eye / 2.0, dagger(z), conj=True)], s)
+    cap = MatrixAffine([AffineTerm(w, eye)], np.zeros((2, 2), complex))
+    return FeasibilityProblem(upper_triangular_algebra(2), floors=[HermFloor(floor, "f")],
+                              caps=[NormCap(cap, 0.3, "c")])
+
+
+def test_clipping_and_restarting_solve_keeps_its_result(monkeypatch):
+    # pinned from the engine that built every pseudo-inverse and the random
+    # generator up front and scored all four polish candidates
+    pinned = {
+        0: (1.9052753002498086, [[0.18209422 - 0.14714432j, -0.0149291 - 0.02857998j],
+                                 [0.0, -0.10036205 - 0.28158096j]]),
+        1: (1.9055880974402826, [[0.17770787 - 0.15541103j, -0.01946275 - 0.02734201j],
+                                 [0.0, -0.10539998 - 0.28241092j]]),
+    }
+    for seed, (floor_res, value) in pinned.items():
+        problem = _restarting_problem()
+        pinv, make_rng = _Counted(interp._pinv), _Counted(np.random.default_rng)
+        monkeypatch.setattr(interp, "_pinv", pinv)
+        monkeypatch.setattr(np.random, "default_rng", make_rng)
+        sol = solve_feasibility(problem, seed=seed, max_rounds=800)
+        monkeypatch.undo()
+        assert (pinv.calls, make_rng.calls) == (2, 1)  # both sets clipped; a restart drew
+        assert (sol.verdict, sol.iterations) == ("unconverged", 800)
+        assert sol.residuals["f"] == pytest.approx(floor_res, rel=1e-9)
+        assert sol.residuals["c"] <= interp.SOLVER_TOL
+        assert np.allclose(sol.value, value, rtol=0.0, atol=1e-8)
 
 
 def test_dominate_examples(e11):

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from realpos import powers as powers_module
 from realpos.algebra import contains, generate_algebra
 from realpos.cones import sector_angle
 from realpos.generators import gen_accretive, gen_half_f, gen_sectorial, gen_unitary
-from realpos.matrices import SingularMatrixError, im_part, min_real_eig, op_norm, solve
+from realpos.matrices import (DEFAULT_TOL, SingularMatrixError, Tolerances, im_part, min_real_eig,
+                              op_norm, solve)
 from realpos.powers import (
     MAX_NODES,
     MAX_TERMS,
@@ -340,6 +342,27 @@ def test_rescaled_root_check(lemerdy):
     c10, margins10 = rescaled_root_check(10.0 * np.eye(2))
     assert c10 == pytest.approx(10.0 * c_eye, abs=1e-8)
     assert np.allclose(margins10, margins_eye, atol=1e-9)
+
+
+def test_rescaled_root_check_tests_accretivity_once_per_matrix(monkeypatch):
+    # x itself is checked inside power(x, 0.5) and x / c inside power_all
+    margins = []
+
+    def counted(m):
+        margins.append(min_real_eig(m))
+        return margins[-1]
+
+    monkeypatch.setattr(powers_module, "min_real_eig", counted)
+    rescaled_root_check(gen_half_f(4, 3))
+    assert len(margins) == 2
+    # a margin below -psd_slack makes ||x|| > psd_slack >= eq_tol, so the
+    # nonzero check never pre-empts the accretivity error
+    tight = Tolerances(eq_tol=1e-7, psd_slack=1e-7)
+    for x, tol in ((-np.eye(2), DEFAULT_TOL), (-1.5e-7 * np.eye(3), tight)):
+        with pytest.raises(NotAccretiveError, match="not accretive"):
+            rescaled_root_check(x, tol)
+    with pytest.raises(ValueError, match="nonzero"):
+        rescaled_root_check(np.zeros((2, 2)))
 
 
 def test_holder_check():
