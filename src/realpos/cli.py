@@ -226,7 +226,7 @@ def _cmd_interp(args) -> int:
     alg_spec = data["algebra"]
     alg = _named_algebra(alg_spec) if isinstance(alg_spec, str) else algebra_from_json(alg_spec)
     problem = {key: _interp_input(key, data[key]) for key in spec.keys}
-    seed = data.get("seed", args.seed)
+    seed = data.get("seed", args.seed)  # validated, then ignored: the solvers are deterministic
     eps, near_eps = data.get("eps", 1e-2), data.get("near_eps", 1e-2)
     if not (json_number(seed, integer=True) and json_number(eps) and json_number(near_eps)):
         raise ValueError("interp 'seed' must be an integer, 'eps' and 'near_eps' must be numbers")
@@ -235,7 +235,7 @@ def _cmd_interp(args) -> int:
     except OverflowError as exc:
         raise ValueError("interp 'eps' and 'near_eps' must fit in a float") from exc
     try:
-        outputs, checks = spec.solve(alg, problem, seed, tol)
+        outputs, checks = spec.solve(alg, problem, tol)
     except interp.UnconvergedError as exc:
         payload = {"verdict": "unconverged", "message": str(exc)}
         if exc.solution is not None:

@@ -5,11 +5,13 @@ The engine: the unknown ranges over the real coordinates u of a
 ``sum_i P_i a Q_i = R`` plus spectral sets (Hermitian-valued affine maps
 required PSD, and norm caps on affine maps).  Each constraint is compiled
 once, with its problem, to a real affine map ``u -> J u + c``; projections
-and residuals read only that map.  Feasible points are searched by
-Dykstra-corrected alternating projections: exact least-squares projection
-onto the affine set, eigenvalue clipping for PSD floors, singular-value
-clipping for norm caps, each followed by a least-squares pullback into the
-coordinate parametrization.  One round projects once onto each set; a
+and residuals read only that map.  Feasible points are searched by plain
+alternating projections, deterministic given the problem and the warm start:
+exact least-squares projection onto the affine set, eigenvalue clipping for
+PSD floors, singular-value clipping for norm caps, each followed by a
+least-squares pullback into the coordinate parametrization.  The theorems
+ask only for some feasible point, not the nearest one, so there is no
+Dykstra correction.  One round projects once onto each set; a
 floor or cap builds its pull-back pseudo-inverse at its first clip, so a
 solve that never clips builds only the affine set's.  Residuals take one
 batched LAPACK call per kind (floor, or equality and cap) and shape of
@@ -206,9 +208,6 @@ class FeasibilitySolution:
 
 # -- the engine --------------------------------------------------------------
 
-# Random restarts allowed on stagnation per solve.
-RESTARTS = 2
-
 
 def _pinv(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse, dropping singular values below 1e-12 of the largest."""
@@ -292,22 +291,21 @@ def _residuals(problem: FeasibilityProblem, u: np.ndarray) -> dict:
 
 def solve_feasibility(
     problem: FeasibilityProblem,
-    seed: int = 0,
     max_rounds: int = 2000,
     warm_start=None,
 ) -> FeasibilitySolution:
-    """Dykstra-corrected alternating projections over the constraint sets.
+    """Alternating projections over the constraint sets.
 
-    One round projects onto the affine set (if there are equalities) and
-    then onto each floor and cap; rounds 1-5, every fifth round and the last
-    one also score every residual.  A floor or cap builds its pull-back
-    pseudo-inverse at its first clip, so a round whose iterate already
-    satisfies it spends one ``eigh`` or SVD on it and nothing more.
+    One round projects the iterate onto the affine set (if there are
+    equalities) and then onto each floor and cap; rounds 1-5, every fifth
+    round and the last one also score every residual.  A floor or cap
+    builds its pull-back pseudo-inverse at its first clip, so a round whose
+    iterate already satisfies it spends one ``eigh`` or SVD on it and
+    nothing more.
 
-    Deterministic given ``(problem, seed, warm_start)``.  Up to ``RESTARTS``
-    random restarts kick in on stagnation.  The verdict is ``feasible`` only
-    when every residual is within ``SOLVER_TOL``; otherwise
-    ``unconverged`` with the best residuals seen.
+    Deterministic given ``(problem, warm_start)``.  The verdict is
+    ``feasible`` only when every residual is within ``SOLVER_TOL``;
+    otherwise ``unconverged`` with the best residuals seen.
     """
     alg = problem.algebra
     n_eq = len(problem.equalities)
@@ -316,39 +314,23 @@ def solve_feasibility(
         _SpectralSet(c) for c in problem.compiled[n_eq:]
     ]
 
-    rng = None  # made at the first restart
     u = np.zeros(2 * alg.dim) if warm_start is None else _to_real(alg.coords(as_matrix(warm_start)))
-
-    memory = [np.zeros_like(u) for _ in sets]
     best_u = u.copy()
     best_res = np.inf
     best_scored = last_scored = None  # (bytes, residuals) of the best and the last point scored
-    since_best = 0
     rounds_used = 0
-    restarts_left = RESTARTS
 
     for rounds_used in range(1, max_rounds + 1):
-        for i, s in enumerate(sets):
-            y = u + memory[i]
-            u_new = s.project(y)
-            memory[i] = y - u_new
-            u = u_new
+        for s in sets:
+            u = s.project(u)
         if rounds_used <= 5 or rounds_used % 5 == 0 or rounds_used == max_rounds:
             res = _residuals(problem, u)
             last_scored = (u.tobytes(), res)
             worst = max(res.values())
             if worst < best_res:
-                best_res, best_u, best_scored, since_best = worst, u.copy(), last_scored, 0
-            else:
-                since_best += 5
+                best_res, best_u, best_scored = worst, u.copy(), last_scored
             if worst <= 0.5 * SOLVER_TOL:
                 break
-            if since_best > 300 and restarts_left > 0:
-                rng = np.random.default_rng(seed) if rng is None else rng
-                restarts_left -= 1
-                since_best = 0
-                u = best_u + 0.1 * rng.standard_normal(u.shape)
-                memory = [np.zeros_like(u) for _ in sets]
 
     # Final polish: land exactly on the equality flat if that helps.  Each
     # distinct candidate is scored once; min keeps the first of equal ones.
@@ -434,9 +416,9 @@ def _schur_floor(s1: np.ndarray, s2: np.ndarray, z: np.ndarray, w: np.ndarray, l
     return HermFloor(MatrixAffine(terms, const), label)
 
 
-def _solve(problem: FeasibilityProblem, seed: int, warm, message: str) -> np.ndarray:
+def _solve(problem: FeasibilityProblem, warm, message: str) -> np.ndarray:
     """The engine's feasible point, or UnconvergedError carrying its residuals."""
-    sol = solve_feasibility(problem, seed=seed, warm_start=warm)
+    sol = solve_feasibility(problem, warm_start=warm)
     if sol.verdict != "feasible":
         raise UnconvergedError(message, sol)
     return sol.value
@@ -612,13 +594,13 @@ def _check_tietze(g: np.ndarray, q: np.ndarray, b: np.ndarray, region: ConvexReg
 
 # -- theorem solvers ---------------------------------------------------------
 #
-# Each theorem's solve(a, problem, seed, tol) -> (outputs, checks) runs its
+# Each theorem's solve(a, problem, tol) -> (outputs, checks) runs its
 # preconditions, the engine (through the module global solve_feasibility,
 # which tests and tracers replace) and one post-verification; its public
-# solver is a one-line call of it.
+# solver is a one-line call of it, which accepts and ignores ``seed``.
 
 
-def _dominate(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+def _dominate(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     b, eps = as_matrix(prob["b"]), prob["eps"]
     _require_positive(eps, "eps")
     e = _require_unital(a, tol)
@@ -629,7 +611,7 @@ def _dominate(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple
         floors=[_re_floor(_eye(n), -b, "Re(a) >= b"), *_sector_floors(n, eps)],
         caps=[_half_f_cap(n)],
     )
-    x = _solve(problem, seed, 0.5 * (1.0 + norm) * e, "domination solve unconverged")
+    x = _solve(problem, 0.5 * (1.0 + norm) * e, "domination solve unconverged")
     return (x,), _verify(_check_dominate(x, b, eps, tol), "dominate")
 
 
@@ -644,12 +626,13 @@ def dominate(
 
     ``b`` must be Hermitian PSD in the C*-algebra generated by A with
     ||b|| < 1; the output x satisfies ||1 - 2x|| <= 1, Re(x) >= b (both
-    within solver_tol) and ||Im x|| < eps.
+    within solver_tol) and ||Im x|| < eps.  ``seed`` is accepted and ignored:
+    the engine is deterministic.
     """
-    return _dominate(a, {"b": b, "eps": eps}, seed, tol)[0][0]
+    return _dominate(a, {"b": b, "eps": eps}, tol)[0][0]
 
 
-def _decompose(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+def _decompose(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     b = as_matrix(prob["b"])
     e = _require_unital(a, tol)
     n = a.ambient_dim
@@ -663,7 +646,7 @@ def _decompose(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tupl
         algebra=a,
         caps=[_half_f_cap(n), NormCap(shifted, 1.0, "1-2(x-b) in ball")],
     )
-    x = _solve(problem, seed, (e + b) / 2.0, "decomposition solve unconverged")
+    x = _solve(problem, (e + b) / 2.0, "decomposition solve unconverged")
     y = x - b
     return (x, y), _verify(_check_decompose(x, y, b, tol), "decompose")
 
@@ -671,11 +654,14 @@ def _decompose(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tupl
 def decompose(
     a: MatrixAlgebra, b, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Write b = x - y with both x and y in half-F of A (||b|| < 1)."""
-    return _decompose(a, {"b": b}, seed, tol)[0]
+    """Write b = x - y with both x and y in half-F of A (||b|| < 1).
+
+    ``seed`` is accepted and ignored: the engine is deterministic.
+    """
+    return _decompose(a, {"b": b}, tol)[0]
 
 
-def _interp_np(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+def _interp_np(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     c, near_eps = as_matrix(prob["c"]), prob["near_eps"]
     _require_positive(near_eps, "near_eps")
     e = _require_unital(a, tol)
@@ -687,7 +673,7 @@ def _interp_np(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tupl
         floors=[block, _re_floor(_eye(n), -c, "Re(a) >= c"), *_sector_floors(n, near_eps)],
         caps=[_half_f_cap(n)],
     )
-    x = _solve(problem, seed, 0.5 * (1.0 + norm) * e, "near-positive interpolation unconverged")
+    x = _solve(problem, 0.5 * (1.0 + norm) * e, "near-positive interpolation unconverged")
     return (x,), _verify(_check_np(x, c, near_eps, tol), "interp_np")
 
 
@@ -698,11 +684,14 @@ def interp_np(
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Nearly positive x in half-F with |1 - x|^2 <= 1 - c (Schur encoded)."""
-    return _interp_np(a, {"c": c, "near_eps": near_eps}, seed, tol)[0][0]
+    """Nearly positive x in half-F with |1 - x|^2 <= 1 - c (Schur encoded).
+
+    ``seed`` is accepted and ignored: the engine is deterministic.
+    """
+    return _interp_np(a, {"c": c, "near_eps": near_eps}, tol)[0][0]
 
 
-def _urysohn(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+def _urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     q, u = as_matrix(prob["q"]), as_matrix(prob["u"])
     eps, near_eps = prob["eps"], prob["near_eps"]
     _require_positive(eps, "eps")
@@ -727,7 +716,7 @@ def _urysohn(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
     problem = FeasibilityProblem(
         algebra=a, equalities=equalities, floors=_sector_floors(n, near_eps), caps=caps
     )
-    x = _solve(problem, seed, q, "Urysohn solve unconverged")
+    x = _solve(problem, q, "Urysohn solve unconverged")
     return (x,), _verify(_check_urysohn(x, q, u, u_in_a, eps, near_eps, tol), "urysohn_interpolate")
 
 
@@ -744,12 +733,13 @@ def urysohn_interpolate(
 
     When u lies in A the output satisfies x u = u x = x exactly (within
     solver_tol); when u is only an ambient projection dominating q, the
-    products x(1-u) and (1-u)x are made smaller than eps.
+    products x(1-u) and (1-u)x are made smaller than eps.  ``seed`` is
+    accepted and ignored: the engine is deterministic.
     """
-    return _urysohn(a, {"q": q, "u": u, "eps": eps, "near_eps": near_eps}, seed, tol)[0][0]
+    return _urysohn(a, {"q": q, "u": u, "eps": eps, "near_eps": near_eps}, tol)[0][0]
 
 
-def _strict_urysohn(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances,
+def _strict_urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances,
                     retries: int = 3, fast_path: bool = True) -> tuple:
     q, p = as_matrix(prob["q"]), as_matrix(prob["p"])
     _require_projection_in(a, q, "q", tol)
@@ -768,17 +758,18 @@ def _strict_urysohn(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances,
         if all(ok for _, _, ok in checks):
             return (x,), checks
 
+    # The engine is deterministic, so a retry differs only in its margin.
+    comp = eye - q
+    offq = MatrixAffine([AffineTerm(comp, comp)], _zero(n))
     margin = 0.25
     last_checks = None
-    for attempt in range(max(1, retries)):
-        comp = eye - q
-        offq = MatrixAffine([AffineTerm(comp, comp)], _zero(n))
+    for _ in range(max(1, retries)):
         problem = FeasibilityProblem(
             algebra=a,
             equalities=[*_corner_equalities(q, q, _X_CORNER), *_absorb_equalities(p, _P_ABSORB)],
             caps=[_half_f_cap(n), NormCap(offq, 1.0 - margin, "strict off q")],
         )
-        sol = solve_feasibility(problem, seed=seed + attempt, warm_start=(p + q) / 2.0)
+        sol = solve_feasibility(problem, warm_start=(p + q) / 2.0)
         if sol.verdict == "feasible":
             checks = _check_strict_urysohn(a, sol.value, q, p, tol)
             if all(ok for _, _, ok in checks):
@@ -804,14 +795,15 @@ def strict_urysohn(
 
     Tries the commuting shortcut x = (1-r) b + (1-b) r first (with
     b = (p - q)/2 and r = q, which always commute); if its verification
-    fails, falls back to solve-then-verify with fresh seeds and a shrinking
-    norm margin on the q-complement.  ``fast_path=False`` forces the solver
-    route.
+    fails, falls back to solve-then-verify, retrying with a shrinking norm
+    margin on the q-complement (0.25, 0.1, 0.04, ...).  ``fast_path=False``
+    forces the solver route.  ``seed`` is accepted and ignored: the engine is
+    deterministic, so the retries differ only in their margin.
     """
-    return _strict_urysohn(a, {"q": q, "p": p}, seed, tol, retries, fast_path)[0][0]
+    return _strict_urysohn(a, {"q": q, "p": p}, tol, retries, fast_path)[0][0]
 
 
-def _peak(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+def _peak(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     q, b = as_matrix(prob["q"]), as_matrix(prob["b"])
     n = a.ambient_dim
     _require_commuting(a, q, b, tol)
@@ -823,7 +815,7 @@ def _peak(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
         equalities=_corner_equalities(q, b @ q, _G_CORNER),
         caps=[_half_f_cap(n)],
     )
-    g = _solve(problem, seed, b, "peak interpolation unconverged")
+    g = _solve(problem, b, "peak interpolation unconverged")
     return (g,), _verify(_check_peak(g, q, b, tol), "peak_interpolate")
 
 
@@ -833,9 +825,10 @@ def peak_interpolate(
     """Element g of half-F of A with g q = q g = b q.
 
     q is a projection in the unitization commuting with b, subject to
-    ||b q|| <= 1 and ||(1 - 2b) q|| <= 1.
+    ||b q|| <= 1 and ||(1 - 2b) q|| <= 1.  ``seed`` is accepted and ignored:
+    the engine is deterministic.
     """
-    return _peak(a, {"q": q, "b": b}, seed, tol)[0][0]
+    return _peak(a, {"q": q, "b": b}, tol)[0][0]
 
 
 # Largest vertex magnitude: products of two vertex coordinates, the area and
@@ -892,7 +885,7 @@ class ConvexRegion:
         return complex(np.mean(self.vertices))
 
 
-def _tietze(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
+def _tietze(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     q, b, region = as_matrix(prob["q"]), as_matrix(prob["b"]), prob["region"]
     n = a.ambient_dim
     _require_commuting(a, q, b, tol)
@@ -925,7 +918,7 @@ def _tietze(a: MatrixAlgebra, prob: dict, seed: int, tol: Tolerances) -> tuple:
         caps=[ball],
     )
     warm = q @ b @ q + region.centroid() * (eye - q)
-    g = _solve(problem, seed, warm, "Tietze lift unconverged")
+    g = _solve(problem, warm, "Tietze lift unconverged")
     return (g,), _verify(_check_tietze(g, q, b, region), "tietze_lift")
 
 
@@ -941,9 +934,10 @@ def tietze_lift(
 
     The numerical range of the compression of b to the range of q must sit
     inside the region, which must not be a line segment; when A has no
-    identity the region must contain 0.
+    identity the region must contain 0.  ``seed`` is accepted and ignored:
+    the engine is deterministic.
     """
-    return _tietze(a, {"q": q, "b": b, "region": region}, seed, tol)[0][0]
+    return _tietze(a, {"q": q, "b": b, "region": region}, tol)[0][0]
 
 
 # -- the theorem table -------------------------------------------------------
@@ -954,7 +948,7 @@ class TheoremSpec:
     """One interpolation theorem as the CLI and the suites drive it.
 
     ``keys`` are the problem entries it reads besides ``algebra``, ``eps`` and
-    ``near_eps``.  ``solve(a, problem, seed, tol)`` runs the preconditions,
+    ``near_eps``.  ``solve(a, problem, tol)`` runs the preconditions,
     the engine and the post-verification once and returns ``(outputs,
     checks)``: the public solver's outputs as a tuple and the (label, value,
     ok) checks they passed.  Each residual is the largest value of its check

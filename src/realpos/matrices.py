@@ -57,13 +57,11 @@ class Tolerances:
     eq_tol     equality of matrices in operator norm
     psd_slack  allowed magnitude of a negative eigenvalue in PSD checks
     iter_tol   stopping threshold for fixed-point iterations
-    max_iter   hard cap on iteration counts
     """
 
     eq_tol: float = 1e-9
     psd_slack: float = 1e-7
     iter_tol: float = 1e-10
-    max_iter: int = 10_000
 
     def __post_init__(self):
         for f in fields(self):
@@ -189,12 +187,11 @@ def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
     return max_op_norm(np.concatenate([e @ stack - stack, stack @ e - stack]))
 
 
-def solve(m, b, tol: Tolerances = DEFAULT_TOL, return_residual: bool = False):
+def solve(m, b, tol: Tolerances = DEFAULT_TOL):
     """Solve ``m @ x = b`` by LU with partial pivoting.
 
     Raises :class:`SingularMatrixError` carrying the index of the first
-    pivot whose magnitude falls below ``PIVOT_RTOL * op_norm(m)``.  With
-    ``return_residual`` the pair ``(x, ||m x - b||)`` is returned.
+    pivot whose magnitude falls below ``PIVOT_RTOL * op_norm(m)``.
     """
     import scipy.linalg  # for the pivots of lu_factor; kept off the import path
 
@@ -210,10 +207,7 @@ def solve(m, b, tol: Tolerances = DEFAULT_TOL, return_residual: bool = False):
     if bad.size:
         k = int(bad[0])
         raise SingularMatrixError(k, float(diag[k]), scale)
-    x = scipy.linalg.lu_solve((lu, piv), b)
-    if return_residual:
-        return x, float(np.linalg.norm(m @ x - b, 2))
-    return x
+    return scipy.linalg.lu_solve((lu, piv), b)
 
 
 def min_real_eig(m) -> float:

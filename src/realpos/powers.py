@@ -195,7 +195,10 @@ def _balakrishnan_sum(
         sols = np.linalg.solve(mats, np.broadcast_to(x, mats.shape))
     else:
         sols = np.array([solve(m, x, tol) for m in mats])
-    return float(np.sin(r * np.pi) / np.pi) * np.tensordot(w, sols, axes=1)
+    # sin(r pi) = sin((1 - r) pi), and for r > 1/2 the difference 1 - r is
+    # exact while r * pi would round next to pi and lose eps / (1 - r).
+    angle = (1.0 - r) * np.pi if r > 0.5 else r * np.pi
+    return float(np.sin(angle) / np.pi) * np.tensordot(w, sols, axes=1)
 
 
 def power_balakrishnan(

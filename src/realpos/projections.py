@@ -93,6 +93,9 @@ PURIFY_START = 0.05
 
 _MAX_STEPS = 60
 
+# Most squarings the iterative peak projection takes.
+_MAX_SQUARINGS = 200
+
 
 def support_projection(
     x, method: str = "iterative", tol: Tolerances = DEFAULT_TOL
@@ -214,8 +217,7 @@ def peak_projection(
     trace: list[float] = []
     status = "diverged"
     iterations = 0
-    squarings = min(tol.max_iter, 200)
-    for k in range(squarings):
+    for k in range(_MAX_SQUARINGS):
         z2 = z @ z
         norm, defect = op_norms(np.stack([z, z2 - z]))
         trace.append(float(norm))
@@ -232,7 +234,7 @@ def peak_projection(
             break
         z = z2
     else:
-        iterations = squarings
+        iterations = _MAX_SQUARINGS
 
     proj = _round_to_projection(z) if status == "converged" else np.zeros_like(z)
     if status == "converged":

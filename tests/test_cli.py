@@ -132,6 +132,15 @@ def test_power_command(tmp_path, capsys):
             assert "alpha" in err
 
 
+def test_quadrature_power_near_one_is_accurate(tmp_path, capsys):
+    src = _write_matrix(tmp_path / "x.json", np.diag([1.0, 4.0]))
+    r = 0.999999999997
+    assert main(["power", src, "--alpha", str(r), "--method", "balakrishnan"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["certified"]
+    assert abs(matrix_from_json(data["value"])[1, 1] - 4.0**r) <= 1e-10 * 4.0**r
+
+
 @pytest.mark.parametrize("alpha", ["1e-320", "1e-17"])
 def test_quadrature_rejects_an_exponent_that_rounds_away(tmp_path, capsys, alpha):
     src = _write_matrix(tmp_path / "x.json", np.diag([1.0, 4.0]))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from realpos import interp
+from realpos import interp, suites
 from realpos.algebra import (
     _from_real,
     _to_real,
@@ -34,7 +34,7 @@ from realpos.interp import (
     tietze_lift,
     urysohn_interpolate,
 )
-from realpos.matrices import as_matrix, dagger, im_part, min_real_eig, op_norm
+from realpos.matrices import DEFAULT_TOL, as_matrix, dagger, im_part, min_real_eig, op_norm
 from realpos.powers import power
 from realpos.projections import peak_projection, support_projection
 
@@ -106,7 +106,7 @@ class _Stop(Exception):
 
 def _recorded_problems(monkeypatch, calls) -> list:
     """The feasibility problems the solver calls build and the keyword
-    arguments (seed, warm start) they pass, recorded as they reach the
+    arguments (the warm start) they pass, recorded as they reach the
     engine (which is never run)."""
     problems = []
 
@@ -275,7 +275,7 @@ def test_zero_rounds_scores_the_warm_start(monkeypatch):
         assert np.array_equal(sol.value, problem.algebra.reconstruct(_from_real(u, (problem.algebra.dim,))))
 
 
-def _restarting_problem() -> FeasibilityProblem:
+def _stagnating_problem() -> FeasibilityProblem:
     """An infeasible floor and cap on upper:2, whose rounds stagnate."""
     rng = np.random.default_rng(1)
     eye = np.eye(2, dtype=complex)
@@ -289,27 +289,41 @@ def _restarting_problem() -> FeasibilityProblem:
                               caps=[NormCap(cap, 0.3, "c")])
 
 
-def test_clipping_and_restarting_solve_keeps_its_result(monkeypatch):
-    # pinned from the engine that built every pseudo-inverse and the random
-    # generator up front and scored all four polish candidates
-    pinned = {
-        0: (1.9052753002498086, [[0.18209422 - 0.14714432j, -0.0149291 - 0.02857998j],
-                                 [0.0, -0.10036205 - 0.28158096j]]),
-        1: (1.9055880974402826, [[0.17770787 - 0.15541103j, -0.01946275 - 0.02734201j],
-                                 [0.0, -0.10539998 - 0.28241092j]]),
-    }
-    for seed, (floor_res, value) in pinned.items():
-        problem = _restarting_problem()
+def test_clipping_solve_is_deterministic_and_draws_no_random_numbers(monkeypatch):
+    runs = []
+    for _ in range(2):
+        problem = _stagnating_problem()
         pinv, make_rng = _Counted(interp._pinv), _Counted(np.random.default_rng)
         monkeypatch.setattr(interp, "_pinv", pinv)
         monkeypatch.setattr(np.random, "default_rng", make_rng)
-        sol = solve_feasibility(problem, seed=seed, max_rounds=800)
+        sol = solve_feasibility(problem, max_rounds=800)
         monkeypatch.undo()
-        assert (pinv.calls, make_rng.calls) == (2, 1)  # both sets clipped; a restart drew
+        assert (pinv.calls, make_rng.calls) == (2, 0)  # both sets clipped
         assert (sol.verdict, sol.iterations) == ("unconverged", 800)
-        assert sol.residuals["f"] == pytest.approx(floor_res, rel=1e-9)
         assert sol.residuals["c"] <= interp.SOLVER_TOL
-        assert np.allclose(sol.value, value, rtol=0.0, atol=1e-8)
+        # the engine with Dykstra memory and random restarts stopped at 1.9052753002
+        assert sol.residuals["f"] <= 1.9052753002
+        runs.append((sol.value.tobytes(), _bits(sol.residuals)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("theorem", ["dominate", "decompose", "np"])
+def test_cold_start_solves_converge(monkeypatch, theorem):
+    # the warm starts are the proofs' closed-form points and stop every solve
+    # at round 1; from zero the rounds themselves must reach a feasible point
+    recorded = []
+    for k in range(10):
+        inst = suites._case_seed(0, sum(map(ord, theorem)) % 997 + 31 * k)
+        alg, problem = suites._interp_instance(theorem, k, inst, DEFAULT_TOL)
+        recorded += _recorded_problems(
+            monkeypatch, [lambda: interp.THEOREMS[theorem].solve(alg, problem, DEFAULT_TOL)])
+        monkeypatch.undo()
+    rounds = []
+    for problem, _ in recorded:
+        sol = solve_feasibility(problem, warm_start=None)
+        assert sol.verdict == "feasible", sol.residuals
+        rounds.append(sol.iterations)
+    assert max(rounds) > 1
 
 
 def test_dominate_examples(e11):

@@ -68,7 +68,8 @@ def test_solve_reports_residual():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     b = rng.standard_normal((4, 4))
-    x, residual = solve(m, b, return_residual=True)
+    x = solve(m, b)
+    residual = np.linalg.norm(m @ x - b, 2)
     assert residual <= 1e-9 * np.linalg.norm(b, 2)
     assert np.allclose(m @ x, b)
 
@@ -155,10 +156,8 @@ def test_tolerances_validation():
         Tolerances(eq_tol=-1.0)
     with pytest.raises(ValueError):
         Tolerances(eq_tol=1e-3, psd_slack=1e-9)
-    with pytest.raises(ValueError):
-        Tolerances(max_iter=0)
     for bad in (math.inf, math.nan):
-        for name in ("eq_tol", "psd_slack", "iter_tol", "max_iter"):
+        for name in ("eq_tol", "psd_slack", "iter_tol"):
             with pytest.raises(ValueError, match="finite"):
                 Tolerances(**{name: bad})
 

@@ -104,6 +104,19 @@ def test_balakrishnan_does_not_certify_r_moved_by_the_weight_rounding(r):
     assert all(power_balakrishnan(x, exact).certified for exact in (0.25, 0.5, 0.75))
 
 
+def test_quadrature_near_r_one_certifies_accurate_values():
+    # r * pi rounds next to pi, so sin(r pi) lost eps / (1 - r) of relative
+    # accuracy that the half-node estimate, sharing the factor, cannot see
+    r = 0.999999999997
+    res = power_balakrishnan(np.diag([1.0, 4.0]).astype(complex), r, nodes=96)
+    assert res.certified
+    assert abs(res.value[1, 1] - 4.0**r) <= 1e-10 * 4.0**r
+    jordan = power(np.array([[4.0, 1.0], [0.0, 4.0]]), r)  # defective: the quadrature route
+    exact = np.array([[4.0**r, r * 4.0 ** (r - 1.0)], [0.0, 4.0**r]])
+    assert jordan.method == "balakrishnan" and jordan.certified
+    assert op_norm(jordan.value - exact) <= 1e-10 * op_norm(exact)
+
+
 def test_balakrishnan_singular_node_raises_at_its_pivot():
     # the smallest node u_k gives M_k = diag(1e12 (1-u_k), u_k): its second
     # pivot sits below 1e-13 ||M_k||, so solve() must reject it
