@@ -5,18 +5,17 @@ The engine: the unknown ranges over the real coordinates u of a
 ``sum_i P_i a Q_i = R`` plus spectral sets (Hermitian-valued affine maps
 required PSD, and norm caps on affine maps).  Each constraint is compiled
 once, with its problem, to a real affine map ``u -> J u + c``; projections
-and residuals read only that map.  Feasible points are searched by plain
-alternating projections, deterministic given the problem and the warm start:
-exact least-squares projection onto the affine set, eigenvalue clipping for
-PSD floors, singular-value clipping for norm caps, each followed by a
-least-squares pullback into the coordinate parametrization.  The theorems
-ask only for some feasible point, not the nearest one, so there is no
-Dykstra correction.  One round projects once onto each set; a
-floor or cap builds its pull-back pseudo-inverse at its first clip, so a
-solve that never clips builds only the affine set's.  Residuals take one
-batched LAPACK call per kind (floor, or equality and cap) and shape of
-constraint.  Verdicts are one-sided: ``feasible`` (all residuals within
-tolerance) or ``unconverged`` -- the method cannot certify infeasibility.
+and residuals read only that map.  A feasible point is searched by ADMM
+between two sets whose projections are exact: the graph ``{(u, J u + c)}``
+of the floors' and caps' maps over the equality flat (a least-squares
+solve, from one SVD of the equalities), and the product of the floors' and
+caps' sets (one ``eigh`` or SVD and a clip per constraint).  The theorems
+ask only for some feasible point, not the nearest one.  A warm start that
+is feasible once projected onto the equality flat stops the search at round
+1, before any clip.  Residuals take one batched LAPACK call per kind (floor,
+or equality and cap) and shape of constraint.  Verdicts are one-sided:
+``feasible`` (all residuals within tolerance) or ``unconverged`` -- the
+method cannot certify infeasibility.
 
 On top of the engine sit the interpolation solvers (domination,
 half-F decomposition, near-positive interpolation, Urysohn solvers in both
@@ -32,7 +31,6 @@ the suite's gate read those checks, so each solve's checks are computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,7 +81,7 @@ SOLVER_TOL = 1e-6
 
 
 class UnconvergedError(RuntimeError):
-    """The alternating-projection search did not reach a feasible point."""
+    """The feasibility search did not reach a feasible point."""
 
     def __init__(self, message: str, solution: Optional["FeasibilitySolution"] = None):
         super().__init__(message)
@@ -161,18 +159,24 @@ def _compile(con, algebra: MatrixAlgebra) -> _Compiled:
     shapes = {np.shape(target), *((t.left.shape[0], t.right.shape[1]) for t in con.map.terms)}
     if shapes != {const.shape}:
         raise ValueError(f"constraint {con.label!r} has inconsistent shapes")
+    if isinstance(con, NormCap) and not (np.isfinite(con.cap) and con.cap >= 0):
+        raise ValueError(f"constraint {con.label!r} needs a finite cap >= 0, got {con.cap}")
     basis = {False: algebra.basis, True: dagger(algebra.basis)}
     images = {conj: np.zeros((algebra.dim, *const.shape), complex) for conj in basis}
     for t in con.map.terms:
         images[t.conj] = images[t.conj] + t.left @ basis[t.conj] @ t.right
-    return _Compiled(con, real_matrix(images[False], images[True]), _to_real(const - target), const.shape)
+    jac, flat = real_matrix(images[False], images[True]), _to_real(const - target)
+    if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(flat))):
+        raise ValueError(f"constraint {con.label!r} has a map that is not finite")
+    return _Compiled(con, jac, flat, const.shape)
 
 
 @dataclass
 class FeasibilityProblem:
     """Constraints over A, each compiled once, here (``compiled`` holds them
     in the order equalities, floors, caps).  Residuals are keyed by label, so
-    labels must be distinct.  ``batches`` groups the compiled indices by kind
+    labels must be distinct; every compiled map must be finite, and every cap
+    finite and at least 0.  ``batches`` groups the compiled indices by kind
     (floor, or equality and cap) and shape, one batched LAPACK call each."""
 
     algebra: MatrixAlgebra
@@ -209,66 +213,31 @@ class FeasibilitySolution:
 # -- the engine --------------------------------------------------------------
 
 
-def _pinv(m: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse, dropping singular values below 1e-12 of the largest."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > 1e-12 * (s[0] if s.size else 1.0)
-    return (vt[keep].T / s[keep]) @ u[:, keep].T
+def _flat(problem: FeasibilityProblem) -> tuple:
+    """The equality flat {u : T u + t = 0}, T and t the stacked equality maps,
+    from one SVD of T: ``(T, t, T+, N)`` with T+ its pseudo-inverse (singular
+    values below 1e-12 of the largest dropped) and N an orthonormal basis of
+    the flat's directions.  Without equalities the flat is all of u-space."""
+    n_eq, size = len(problem.equalities), 2 * problem.algebra.dim
+    if not n_eq:
+        return np.zeros((0, size)), np.zeros(0), np.zeros((size, 0)), np.eye(size)
+    t = np.vstack([c.jac for c in problem.compiled[:n_eq]])
+    const = np.concatenate([c.const for c in problem.compiled[:n_eq]])
+    # the reduced SVD already gives all of V* when T has no fewer rows than columns
+    left, s, vt = np.linalg.svd(t, full_matrices=t.shape[0] < t.shape[1])
+    rank = int(np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0)))
+    return t, const, (vt[:rank].T / s[:rank]) @ left[:, :rank].T, vt[rank:].T
 
 
-class _AffineSet:
-    """Exact projector onto the joint equality set in coordinate space."""
-
-    def __init__(self, equalities: list):
-        self.t = np.vstack([c.jac for c in equalities])
-        self.const = np.concatenate([c.const for c in equalities])
-        self.pinv = _pinv(self.t)
-
-    def project(self, u: np.ndarray) -> np.ndarray:
-        return u - self.pinv @ (self.t @ u + self.const)
-
-
-class _SpectralSet:
-    """Clip-then-pullback projector for one floor or cap.
-
-    One clip step alone is not a projection onto {u : constraint holds} when
-    the clipped matrix leaves the affine range of the constraint map, so the
-    clip/pullback pair is iterated (alternating projections between the
-    spectral set and the affine range in constraint space) until the iterate
-    lands in the set.
-    """
-
-    def __init__(self, compiled: _Compiled):
-        self.map = compiled
-        self.is_floor = isinstance(compiled.con, HermFloor)
-        self.inner_tol = 0.25 * SOLVER_TOL
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        """The pull-back pseudo-inverse, built at the first clip."""
-        return _pinv(self.map.jac)
-
-    def _clip(self, m: np.ndarray):
-        """Nearest in-set matrix, or None when m already satisfies the set."""
-        if self.is_floor:
-            h = (m + dagger(m)) / 2.0
-            w, v = np.linalg.eigh(h)
-            if w[0] >= -self.inner_tol:
-                return None
-            return (v * np.maximum(w, 0.0)) @ dagger(v)
-        sv_l, sv, sv_r = np.linalg.svd(m)
-        if sv.size == 0 or sv[0] <= self.map.con.cap + self.inner_tol:
-            return None
-        return (sv_l * np.minimum(sv, self.map.con.cap)) @ sv_r
-
-    def project(self, u: np.ndarray) -> np.ndarray:
-        for _ in range(40):
-            flat = self.map.jac @ u + self.map.const
-            clipped = self._clip(_from_real(flat, self.map.shape))
-            if clipped is None:
-                break
-            u = u + self.pinv @ (_to_real(clipped) - flat)
-        return u
+def _clip(con, m: np.ndarray) -> np.ndarray:
+    """The nearest point to m of a floor's set {Re m >= 0} (m less the
+    negative part of Re m) or of a cap's set {||m|| <= cap} (m with its
+    singular values clipped at the cap)."""
+    if isinstance(con, HermFloor):
+        w, v = np.linalg.eigh(re_part(m))
+        return m - (v * np.minimum(w, 0.0)) @ dagger(v)
+    left, s, right = np.linalg.svd(m)
+    return (left * np.minimum(s, con.cap)) @ right
 
 
 def _residuals(problem: FeasibilityProblem, u: np.ndarray) -> dict:
@@ -294,58 +263,63 @@ def solve_feasibility(
     max_rounds: int = 2000,
     warm_start=None,
 ) -> FeasibilitySolution:
-    """Alternating projections over the constraint sets.
+    """Search a point that meets every constraint, by ADMM between two sets
+    whose projections are exact.
 
-    One round projects the iterate onto the affine set (if there are
-    equalities) and then onto each floor and cap; rounds 1-5, every fifth
-    round and the last one also score every residual.  A floor or cap
-    builds its pull-back pseudo-inverse at its first clip, so a round whose
-    iterate already satisfies it spends one ``eigh`` or SVD on it and
-    nothing more.
+    Round 1 projects the warm start (zero when None) onto the equality flat.
+    Each later round is one step of scaled ADMM on ``(u, Z)``, Z the stacked
+    real values of the floors and caps, J and c their stacked maps:
 
-    Deterministic given ``(problem, warm_start)``.  The verdict is
-    ``feasible`` only when every residual is within ``SOLVER_TOL``;
-    otherwise ``unconverged`` with the best residuals seen.
+    - ``Z <- Pi(J u + c + W)``, constraint by constraint: one ``eigh`` and a
+      clip at 0 per floor, one SVD and a clip at the cap per cap;
+    - ``W <- W + J u + c - Z``;
+    - ``u <- S (u + J^T (Z - W - c)) + o``, the least-squares projection of
+      ``(u, Z - W)`` onto the graph ``{(u, J u + c)}`` over the equality flat,
+      with ``S = N (N^T (I + J^T J) N)^-1 N^T`` (N from the flat's SVD) and o
+      fixed by the flat.
+
+    Both sets are indicators, so no step size enters.  Rounds 1-5, every
+    fifth round and the last one score every residual, and the search stops
+    once the worst is within ``SOLVER_TOL / 2``; ``max_rounds=0`` scores the
+    projected warm start alone.  Deterministic given ``(problem,
+    warm_start)``.  The verdict is ``feasible`` only when every residual of
+    the best point scored is within ``SOLVER_TOL``; otherwise
+    ``unconverged`` with that point's residuals.
     """
     alg = problem.algebra
-    n_eq = len(problem.equalities)
-    affine_set = _AffineSet(problem.compiled[:n_eq]) if n_eq else None
-    sets: list = ([affine_set] if affine_set is not None else []) + [
-        _SpectralSet(c) for c in problem.compiled[n_eq:]
-    ]
-
+    t, t_const, t_pinv, null = _flat(problem)
     u = np.zeros(2 * alg.dim) if warm_start is None else _to_real(alg.coords(as_matrix(warm_start)))
-    best_u = u.copy()
-    best_res = np.inf
-    best_scored = last_scored = None  # (bytes, residuals) of the best and the last point scored
-    rounds_used = 0
+    u = u - t_pinv @ (t @ u + t_const)
+    res = _residuals(problem, u)
+    best = (max(res.values()), u, res)
+    rounds_used = int(max_rounds >= 1)
 
-    for rounds_used in range(1, max_rounds + 1):
-        for s in sets:
-            u = s.project(u)
-        if rounds_used <= 5 or rounds_used % 5 == 0 or rounds_used == max_rounds:
-            res = _residuals(problem, u)
-            last_scored = (u.tobytes(), res)
-            worst = max(res.values())
-            if worst < best_res:
-                best_res, best_u, best_scored = worst, u.copy(), last_scored
-            if worst <= 0.5 * SOLVER_TOL:
-                break
+    spectral = problem.compiled[len(problem.equalities):]
+    if best[0] > 0.5 * SOLVER_TOL and spectral and max_rounds > 1:
+        jac = np.vstack([c.jac for c in spectral])
+        const = np.concatenate([c.const for c in spectral])
+        cuts = np.cumsum([c.const.size for c in spectral])[:-1]
+        jn = jac @ null
+        proj = null @ np.linalg.solve(np.eye(null.shape[1]) + jn.T @ jn, null.T)  # S
+        base = -t_pinv @ t_const  # the flat's point nearest 0
+        offset = base - proj @ (jac.T @ (jac @ base))  # o
+        dual = np.zeros_like(const)  # W
+        for rounds_used in range(2, max_rounds + 1):
+            ju = jac @ u + const
+            z = np.concatenate([_to_real(_clip(c.con, _from_real(v, c.shape)))
+                                for c, v in zip(spectral, np.split(ju + dual, cuts))])
+            dual = dual + ju - z
+            u = proj @ (u + jac.T @ (z - dual - const)) + offset
+            if rounds_used <= 5 or rounds_used % 5 == 0 or rounds_used == max_rounds:
+                res = _residuals(problem, u)
+                if max(res.values()) < best[0]:
+                    best = (max(res.values()), u, res)
+                if best[0] <= 0.5 * SOLVER_TOL:
+                    break
 
-    # Final polish: land exactly on the equality flat if that helps.  Each
-    # distinct candidate is scored once; min keeps the first of equal ones.
-    candidates = [best_u, u]
-    if affine_set is not None:
-        candidates += [affine_set.project(best_u), affine_set.project(u)]
-    scored = dict(s for s in (best_scored, last_scored) if s is not None)
-    for c in candidates:
-        if c.tobytes() not in scored:
-            scored[c.tobytes()] = _residuals(problem, c)
-    res, u = min(((scored[c.tobytes()], c) for c in candidates), key=lambda t: max(t[0].values()))
-
+    worst, u, res = best
     value = alg.reconstruct(_from_real(u, (alg.dim,)))
-    verdict = "feasible" if max(res.values()) <= SOLVER_TOL else "unconverged"
-    return FeasibilitySolution(value, res, verdict, rounds_used)
+    return FeasibilitySolution(value, res, "feasible" if worst <= SOLVER_TOL else "unconverged", rounds_used)
 
 
 # -- constraint builders -----------------------------------------------------
@@ -698,6 +672,8 @@ def _urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     _require_positive(near_eps, "near_eps")
     n = a.ambient_dim
     _require_projection_in(a, q, "q", tol)
+    if u.shape[0] != n:
+        raise ValueError("dimension mismatch between algebra and matrix")
     _require_projection(u, "u")
     if min_real_eig(u - q) < -tol.psd_slack:
         raise ValueError("u must dominate q")

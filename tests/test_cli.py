@@ -387,6 +387,8 @@ def test_interp_command(tmp_path, capsys):
              ([1, 2], "dominate", "must be an object"),
              ({"algebra": "diag:2", "b": b, "seed": [0]}, "dominate", "must be numbers"),
              ({"algebra": "diag:2", "q": e11}, "urysohn", "missing u"),
+             ({"algebra": "diag:2", "q": e11, "u": matrix_to_json(np.eye(3))}, "urysohn",
+              "dimension mismatch"),
              ({"algebra": "diag:2", "q": e11, "b": half,
                "region": [[float("nan"), 0]] + square[1:]}, "tietze", "finite"),
              ({"algebra": "diag:2", "q": e11, "b": half,

@@ -80,17 +80,18 @@ def test_feasibility_problem_rejects_inconsistent_shapes():
             HermFloor(MatrixAffine([AffineTerm(eye2, eye2)], np.zeros((3, 3))), "a >= 0")])
 
 
-def test_feasibility_problem_rejects_repeated_labels():
+def test_feasibility_problem_rejects_repeated_labels(e11, e12):
     # residuals are keyed by label: a repeated one would hide the violation
     # of every constraint but the last that carries it
-    alg = full_algebra(2)
+    alg = span_algebra([e12])
     eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), complex)
     a = MatrixAffine([AffineTerm(eye, eye)], zero)
-    re_a_minus_1 = MatrixAffine([AffineTerm(eye / 2.0, eye), AffineTerm(eye / 2.0, eye, conj=True)], -eye)
+    re_a_plus_1 = MatrixAffine([AffineTerm(eye / 2.0, eye), AffineTerm(eye / 2.0, eye, conj=True)], eye)
 
     def problem(eq_label, floor_label):
-        return FeasibilityProblem(alg, equalities=[AffineEquality(a, zero, eq_label)],
-                                  floors=[HermFloor(re_a_minus_1, floor_label)])
+        # a = E11 misses span{E12} by 1 at every point; Re a + I >= 0 holds at 0
+        return FeasibilityProblem(alg, equalities=[AffineEquality(a, e11.astype(complex), eq_label)],
+                                  floors=[HermFloor(re_a_plus_1, floor_label)])
 
     with pytest.raises(ValueError, match="'x' is repeated"):
         problem("x", "x")
@@ -98,6 +99,27 @@ def test_feasibility_problem_rejects_repeated_labels():
     assert sol.verdict == "unconverged"
     assert sol.residuals["eq"] == pytest.approx(1.0, abs=1e-9)
     assert sol.residuals["floor"] == 0.0
+
+
+@pytest.mark.parametrize("kind,bad", [
+    ("floor const", np.inf), ("floor const", np.nan), ("equality target", np.inf),
+    ("cap", np.nan), ("cap", np.inf), ("cap", -1.0)])
+def test_feasibility_problem_rejects_non_finite_maps_and_bad_caps(kind, bad):
+    # unchecked, a non-finite floor reads as feasible (its NaN eigenvalue is
+    # lost in max(0, -low)), a NaN cap or equality breaks LAPACK's SVD, and a
+    # negative cap runs to an unconverged verdict
+    alg = diagonal_algebra(2)
+    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), complex)
+    a = MatrixAffine([AffineTerm(eye, eye)], zero)
+    spoilt = zero.copy()
+    spoilt[0, 0] = bad
+    con = {
+        "floor const": lambda: {"floors": [HermFloor(MatrixAffine([AffineTerm(eye, eye)], spoilt), "bad")]},
+        "equality target": lambda: {"equalities": [AffineEquality(a, spoilt, "bad")]},
+        "cap": lambda: {"caps": [NormCap(a, bad, "bad")]},
+    }[kind]()
+    with pytest.raises(ValueError, match="'bad'"):
+        FeasibilityProblem(alg, **con)
 
 
 class _Stop(Exception):
@@ -237,41 +259,44 @@ class _Counted:
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.fn(*args)
+        return self.fn(*args, **kwargs)
 
 
 def test_feasible_warm_start_builds_only_the_affine_pseudo_inverse(monkeypatch):
-    # a warm start already feasible stops at round 1, where no floor or cap
-    # clips, so only the equality set's pseudo-inverse is built, and the final
-    # polish scores only the projected warm start anew
-    recorded = _theorem_problems(monkeypatch)
-    for problem, kwargs in recorded:
-        pinv, scores = _Counted(interp._pinv), _Counted(interp._residuals)
-        make_rng = _Counted(np.random.default_rng)
-        monkeypatch.setattr(interp, "_pinv", pinv)
+    # every theorem's warm start is feasible once projected onto the equality
+    # flat, so the solve stops at round 1: one SVD builds the flat, one
+    # scoring reads it, and no floor or cap is ever clipped
+    for problem, kwargs in _theorem_problems(monkeypatch):
+        clip, scores = _Counted(interp._clip), _Counted(interp._residuals)
+        svd, make_rng = _Counted(np.linalg.svd), _Counted(np.random.default_rng)
+        monkeypatch.setattr(interp, "_clip", clip)
         monkeypatch.setattr(interp, "_residuals", scores)
+        monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.random, "default_rng", make_rng)
         sol = solve_feasibility(problem, **kwargs)
         monkeypatch.undo()
         assert (sol.verdict, sol.iterations) == ("feasible", 1)
-        assert pinv.calls == (1 if problem.equalities else 0)
-        assert scores.calls == (2 if problem.equalities else 1)
-        assert make_rng.calls == 0
+        assert (clip.calls, scores.calls, make_rng.calls) == (0, 1, 0)
+        # op_norms' batched residual SVDs go through np.linalg.svd too
+        norm_batches = [floor for floor, _ in problem.batches].count(False)
+        assert svd.calls == norm_batches + (1 if problem.equalities else 0)
 
 
 def test_zero_rounds_scores_the_warm_start(monkeypatch):
+    # max_rounds=0 returns the warm start projected onto the equality flat
     for problem, kwargs in _theorem_problems(monkeypatch):
         warm = _warm_coords(problem, kwargs)
         sol = solve_feasibility(problem, max_rounds=0, **kwargs)
         assert sol.iterations == 0
-        candidates = [warm]
+        t, const, pinv, _ = interp._flat(problem)
+        u = warm - pinv @ (t @ warm + const)
         if problem.equalities:
-            candidates.append(interp._AffineSet(problem.compiled[:len(problem.equalities)]).project(warm))
-        res, u = min(((_loop_residuals(problem, c), c) for c in candidates),
-                     key=lambda t: max(t[0].values()))
-        assert _bits(sol.residuals) == _bits(res)
+            assert np.allclose(u, warm - np.linalg.pinv(t) @ (t @ warm + const), atol=1e-12)
+        else:
+            assert np.array_equal(u, warm)
+        assert _bits(sol.residuals) == _bits(_loop_residuals(problem, u))
         assert np.array_equal(sol.value, problem.algebra.reconstruct(_from_real(u, (problem.algebra.dim,))))
 
 
@@ -293,24 +318,24 @@ def test_clipping_solve_is_deterministic_and_draws_no_random_numbers(monkeypatch
     runs = []
     for _ in range(2):
         problem = _stagnating_problem()
-        pinv, make_rng = _Counted(interp._pinv), _Counted(np.random.default_rng)
-        monkeypatch.setattr(interp, "_pinv", pinv)
+        make_rng = _Counted(np.random.default_rng)
         monkeypatch.setattr(np.random, "default_rng", make_rng)
         sol = solve_feasibility(problem, max_rounds=800)
         monkeypatch.undo()
-        assert (pinv.calls, make_rng.calls) == (2, 0)  # both sets clipped
+        assert make_rng.calls == 0
         assert (sol.verdict, sol.iterations) == ("unconverged", 800)
-        assert sol.residuals["c"] <= interp.SOLVER_TOL
-        # the engine with Dykstra memory and random restarts stopped at 1.9052753002
-        assert sol.residuals["f"] <= 1.9052753002
+        # the clip/pull-back engine without restarts stopped at 1.9044511528
+        assert max(sol.residuals.values()) <= 1.9044511528
         runs.append((sol.value.tobytes(), _bits(sol.residuals)))
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("theorem", ["dominate", "decompose", "np"])
+@pytest.mark.parametrize("theorem", ["dominate", "decompose", "np", "urysohn", "peak", "tietze"])
 def test_cold_start_solves_converge(monkeypatch, theorem):
-    # the warm starts are the proofs' closed-form points and stop every solve
-    # at round 1; from zero the rounds themselves must reach a feasible point
+    # the warm starts are the proofs' closed-form points; from zero the rounds
+    # themselves must reach a feasible point.  For urysohn and peak the
+    # equality flat's point nearest zero is already feasible, but peak's warm
+    # start b can break 1-2a in ball, so its warm solves clip too
     recorded = []
     for k in range(10):
         inst = suites._case_seed(0, sum(map(ord, theorem)) % 997 + 31 * k)
@@ -319,11 +344,12 @@ def test_cold_start_solves_converge(monkeypatch, theorem):
             monkeypatch, [lambda: interp.THEOREMS[theorem].solve(alg, problem, DEFAULT_TOL)])
         monkeypatch.undo()
     rounds = []
-    for problem, _ in recorded:
-        sol = solve_feasibility(problem, warm_start=None)
-        assert sol.verdict == "feasible", sol.residuals
-        rounds.append(sol.iterations)
-    assert max(rounds) > 1
+    for problem, kwargs in recorded:
+        for warm in [None] + ([kwargs["warm_start"]] if theorem == "peak" else []):
+            sol = solve_feasibility(problem, warm_start=warm)
+            assert sol.verdict == "feasible", sol.residuals
+            rounds.append(sol.iterations)
+    assert max(rounds) > 1 or theorem == "urysohn"
 
 
 def test_dominate_examples(e11):
