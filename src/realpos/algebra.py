@@ -64,34 +64,47 @@ RANK_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 
 
-def orthonormalize(mats, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of span(mats) by modified Gram-Schmidt.
+def _extend(rows: np.ndarray, dim: int, cands: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """Extend the orthonormal ``rows[:dim]`` in place by span(cands); returns
+    the new dim.  Two block passes (CGS2) project the candidates against
+    ``rows[:dim]``, then two-pass Gram-Schmidt projects each survivor against
+    the rows accepted since.  A residual <= ``rank_tol`` max(1, norm) is
+    dropped, and so is all once ``rows`` is full (two passes against a basis
+    of M_n leave O(eps ||v||)).  Accepted rows never change."""
+    scale = np.linalg.norm(cands, axis=1)
+    b = rows[:dim]
+    for _ in range(2):  # a no-op on the empty basis
+        cands = cands - (cands @ np.conj(b).T) @ b
+    alive = np.linalg.norm(cands, axis=1) > rank_tol * np.maximum(1.0, scale)
+    start = dim
+    for v, s in zip(cands[alive], scale[alive]):
+        if dim == len(rows):
+            break
+        b = rows[start:dim]
+        for _ in range(2):  # a no-op before the first row is accepted
+            v = v - b.T @ (np.conj(b) @ v)
+        r = float(np.linalg.norm(v))
+        if r > rank_tol * max(1.0, s):
+            rows[dim] = v / r
+            dim += 1
+    return dim
 
-    ``mats`` is a ``(k, n, n)`` stack (or a list of n x n matrices).  One
-    re-orthogonalization pass; directions whose residual falls below
-    ``rank_tol`` (relative to max(1, original norm)) are dropped, and so is
-    every candidate once the basis spans M_n (two passes leave it O(eps ||v||)).
-    Returns a ``(dim, n, n)`` array; an empty stack keeps its n.
-    """
+
+def orthonormalize(mats, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal ``(dim, n, n)`` basis of span(mats), a ``(k, n, n)`` stack or
+    list, by ``_extend`` from the empty basis; an empty stack keeps its n."""
     mats = np.asarray(mats, dtype=complex)
     n = mats.shape[-1] if mats.ndim == 3 else 0  # an empty list carries no n
     rows = np.empty((min(len(mats), n * n), n * n), dtype=complex)  # flattened, orthonormal
-    dim = 0
-    for v in mats.reshape(len(mats), n * n):
-        if dim == n * n:
-            break
-        scale = float(np.linalg.norm(v))
-        if scale <= rank_tol:
-            continue
-        for _ in range(2):
-            if dim:
-                b = rows[:dim]
-                v = v - b.T @ (np.conj(b) @ v)
-        r = float(np.linalg.norm(v))
-        if r > rank_tol * max(1.0, scale):
-            rows[dim] = v / r
-            dim += 1
+    dim = _extend(rows, 0, mats.reshape(len(mats), n * n), rank_tol)
     return rows[:dim].reshape(dim, n, n)
+
+
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The products ``l r`` of a (p, n, n) and a (q, n, n) stack, l-major, by one GEMM."""
+    p, q, n = len(left), len(right), right.shape[-1]
+    cols = right.transpose(1, 0, 2).reshape(n, q * n)  # [r_1 ... r_q]
+    return (left.reshape(p * n, n) @ cols).reshape(p, n, q, n).transpose(0, 2, 1, 3).reshape(p * q, n, n)
 
 
 @dataclass(frozen=True)
@@ -143,9 +156,8 @@ class MatrixAlgebra:
         return max_op_norm((flat - (flat @ np.conj(b).T) @ b).reshape(stack.shape))
 
     def closure_defect(self) -> float:
-        """Largest residual of a basis product outside the span."""
-        n = self.ambient_dim
-        return self.residual((self.basis[:, None] @ self.basis[None]).reshape(-1, n, n))
+        """Largest residual of a basis product outside the span, by left factor."""
+        return max((self.residual(_products(b[None], self.basis)) for b in self.basis), default=0.0)
 
 
 def contains(
@@ -178,8 +190,9 @@ def generate_algebra(
 
     ``mode='cstar'`` also includes the adjoints of the generators, so the
     result is the C*-algebra they generate.  ``with_identity`` adjoins the
-    ambient identity.  Stabilization is detected when one full product sweep
-    adds no new span dimension.
+    ambient identity.  Each sweep takes the basis b_1..b_d it starts from and,
+    for a = 1..d in turn, ``_extend``s it by b_a b_1, ..., b_a b_d (one GEMM).
+    It stops after a sweep that adds nothing, or at once at a basis of M_n.
     """
     if mode not in ("algebra", "cstar"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -196,15 +209,16 @@ def generate_algebra(
     if with_identity:
         seed = np.concatenate([seed, np.eye(n, dtype=complex)[None]])
 
-    basis = orthonormalize(seed)
-    while 0 < basis.shape[0] < n * n:  # zero generators generate the zero algebra
-        products = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, n, n)
-        new = orthonormalize(np.concatenate([basis, products]))
-        if new.shape[0] == basis.shape[0]:
-            basis = new
-            break
-        basis = new
-    return _algebra(basis, label, tol)
+    rows = np.empty((n * n, n * n), dtype=complex)  # flattened, orthonormal
+    dim, top = _extend(rows, 0, seed.reshape(len(seed), n * n)), 0
+    while top < dim < n * n:  # zero generators generate the zero algebra
+        top = dim
+        basis = rows[:top].reshape(top, n, n)
+        for b in basis:
+            dim = _extend(rows, dim, _products(b[None], basis).reshape(top, n * n))
+            if dim == n * n:
+                break
+    return _algebra(rows[:dim].reshape(dim, n, n), label, tol)
 
 
 def cstar(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
@@ -215,27 +229,33 @@ def cstar(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
 def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     """The two-sided identity of A, or None.
 
-    Solves the linear system ``e b = b e = b`` over the coordinates of A by
-    least squares, then verifies the residuals against ``eq_tol``.
+    The left equations ``e b_k = b_k`` suffice: if A has an identity u, a left
+    identity l in A is u, as l = l u = u.  As sum_k <x b_k, y b_k> = tr(y* x W),
+    W = sum_k b_k b_k*, their normal equations in e = sum_i c_i b_i are P_A(e W)
+    = P_A(W): G c = h, G[j, i] = <b_i W, b_j>, h[j] = <W, b_j> (three GEMMs and
+    a d x d ``lstsq``).  For unital A, ||x||_F = ||x u||_F <= ||u||_F ||(x b_k)_k||
+    and ||W|| <= tr W = d give cond(G) <= d ||u||_F^2 (<= d n if u is a projection).
+    ``_unit_defect <= eq_tol`` decides, rejecting the left identity E11 of span{E11, E12}.
     """
-    d = a.dim
+    d, n = a.dim, a.ambient_dim
     if d == 0:
         return None
-    basis = a.basis
-    # products[k, :, i] = (b_i b_k, b_k b_i): b_i acting on b_k from the left and the right
-    products = np.stack([basis[None] @ basis[:, None], basis[:, None] @ basis[None]], axis=1)
-    system = np.moveaxis(products, 2, -1).reshape(-1, d)
-    target = np.stack([basis, basis], axis=1).reshape(-1)
-    c, *_ = np.linalg.lstsq(system, target, rcond=None)
+    flat = a.basis.reshape(d, n * n)
+    cols = a.basis.transpose(1, 0, 2).reshape(n, d * n)  # [b_1 ... b_d]
+    w = cols @ dagger(cols)
+    gram = np.conj(flat) @ (a.basis.reshape(d * n, n) @ w).reshape(d, n * n).T
+    c, *_ = np.linalg.lstsq(gram, np.conj(flat) @ w.reshape(n * n), rcond=None)
     e = a.reconstruct(c)
-    return e if _unit_defect(e, basis) <= tol.eq_tol else None
+    return e if _unit_defect(e, a.basis) <= tol.eq_tol else None
 
 
 def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
     """Adjoin the ambient identity; idempotent when I is already in A."""
-    basis = orthonormalize(np.concatenate([a.basis, np.eye(a.ambient_dim, dtype=complex)[None]]))
+    n, d = a.ambient_dim, a.dim
+    rows = np.concatenate([a.basis.reshape(d, n * n), np.empty((int(d < n * n), n * n))])  # room for I
+    dim = _extend(rows, d, np.eye(n, dtype=complex).reshape(1, n * n))
     label = a.label + "^1" if a.label and not a.contains_identity else a.label
-    return _algebra(basis, label, tol)
+    return _algebra(rows[:dim].reshape(dim, n, n), label, tol)
 
 
 def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:

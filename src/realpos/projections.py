@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _algebra, contains, orthonormalize
+from .algebra import _algebra, _products, contains, orthonormalize
 from .matrices import (
     DEFAULT_TOL,
     SINGULAR_RTOL,
@@ -327,13 +327,12 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
     if min_real_eig(x) < -tol.psd_slack:
         raise NotAccretiveError("hereditary subalgebras here require accretive x")
 
-    n = algebra.ambient_dim
     a = algebra.basis
     hsa = _algebra(orthonormalize(x @ a @ x), "xAx", tol)
     ideal = _algebra(orthonormalize(np.concatenate([x @ a, x[None]])), "xA+Cx", tol)
 
     d = hsa.basis
-    worst = hsa.residual((d[:, None, None] @ a[None, :, None] @ d[None, None]).reshape(-1, n, n))
+    worst = max((hsa.residual(_products(_products(b[None], a), d)) for b in d), default=0.0)
     if worst > 1e-7:
         raise ArithmeticError(f"D A D escapes D (residual {worst:.2e})")
 

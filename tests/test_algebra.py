@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realpos.algebra import (
+    RANK_TOL,
     _unit_defect,
     a_h,
     algebra_from_json,
@@ -73,6 +77,29 @@ def test_identity_of(e11, e12):
     assert np.allclose(identity_of(upper_triangular_algebra(2)), np.eye(2))
     assert identity_of(span_algebra([e12])) is None
     assert np.allclose(identity_of(span_algebra([e11])), e11)
+
+
+def test_identity_of_needs_a_right_identity_too(e11, e12):
+    assert identity_of(span_algebra([e11, e12])) is None  # E11 is only a left identity
+    assert identity_of(span_algebra([e12])) is None
+    skew = np.array([[1.0, 10.0], [0.0, 0.0]], dtype=complex)  # an idempotent, not a projection
+    assert np.abs(identity_of(span_algebra([skew])) - skew).max() <= 1e-12
+
+
+def _peak_traced_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cap_size_algebras_build_no_product_stacks():
+    # the whole product stacks (2 d^2 and d^2 products) would take 512 MB and 16 MB
+    full16, full10 = full_algebra(16), full_algebra(10)
+    assert _peak_traced_mb(lambda: identity_of(full16)) < 32
+    assert _peak_traced_mb(full10.closure_defect) < 8
 
 
 def test_unitize(e11, e12):
@@ -149,18 +176,24 @@ def _reference_algebras():
 
 
 def test_identity_of_and_hermitian_elements_match_their_loop_references():
-    # The batched assembly does the same arithmetic as these loops, one basis
-    # element at a time, so the results agree exactly.
     for alg in _reference_algebras():
         d = alg.dim
+        # identity_of's d x d normal equations of e b_k = b_k, from their
+        # definitions: W = sum_k b_k b_k*, G[j, i] = <b_i W, b_j>, h[j] = <W, b_j>.
+        # BLAS sums W and G in its own order, so they agree to rounding.
+        w = sum(b @ b.conj().T for b in alg.basis)
+        gram = np.array([[np.vdot(bj, bi @ w) for bi in alg.basis] for bj in alg.basis])
+        c, *_ = np.linalg.lstsq(gram, np.array([np.vdot(bj, w) for bj in alg.basis]), rcond=None)
+        e = identity_of(alg)
+        assert e is not None and np.abs(e - alg.reconstruct(c)).max() <= 1e-13, alg.label
+        # the two-sided least squares e b = b e = b over all 2 d^2 products
         rows, rhs = [], []
         for b in alg.basis:
             rows += [np.array([bi @ b for bi in alg.basis]).reshape(d, -1).T,
                      np.array([b @ bi for bi in alg.basis]).reshape(d, -1).T]
             rhs += [b.reshape(-1), b.reshape(-1)]
         c, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
-        e = identity_of(alg)
-        assert e is not None and np.array_equal(e, alg.reconstruct(c)), alg.label
+        assert np.abs(e - alg.reconstruct(c)).max() <= 1e-12, alg.label
 
         cols = []
         for direction in (*alg.basis, *(1j * alg.basis)):
@@ -290,6 +323,90 @@ def test_orthonormalize_is_bit_identical_to_the_list_reference():
     for stack in stacks:
         got, want = orthonormalize(stack), _list_orthonormalize(stack)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _sweeps_reference(seed):
+    """The closure by whole sweeps: Gram-Schmidt of the basis followed by all
+    its d^2 products until a sweep adds nothing or M_n is spanned.  Also
+    returns every rank decision's residual r / max(1, ||v||)."""
+    n, ratios = seed.shape[-1], []
+
+    def gram_schmidt(mats):
+        rows = []
+        for v in mats.reshape(len(mats), n * n):
+            if len(rows) == n * n:
+                break
+            scale = float(np.linalg.norm(v))
+            if scale <= RANK_TOL:
+                continue
+            for _ in range(2):
+                if rows:
+                    b = np.array(rows)
+                    v = v - b.T @ (np.conj(b) @ v)
+            r = float(np.linalg.norm(v))
+            ratios.append(r / max(1.0, scale))
+            if r > RANK_TOL * max(1.0, scale):
+                rows.append(v / r)
+        return np.array(rows, dtype=complex).reshape(len(rows), n, n)
+
+    basis = gram_schmidt(seed)
+    while 0 < len(basis) < n * n:
+        new = gram_schmidt(np.concatenate([basis, (basis[:, None] @ basis[None]).reshape(-1, n, n)]))
+        if len(new) == len(basis):
+            break
+        basis = new
+    return basis, np.array(ratios)
+
+
+def _svd_closure(seed):
+    """An independent closure: the SVD rank of span + span . span, iterated
+    until it is stable; returns (dim, whether I is in the span)."""
+    n = seed.shape[-1]
+    flat, dim = seed.reshape(len(seed), n * n), -1
+    while True:
+        _, s, vh = np.linalg.svd(flat, full_matrices=False)
+        rank = int((s > 1e-8 * s[0]).sum())
+        basis = vh[:rank]
+        if rank == dim or rank == n * n:
+            break
+        dim = rank
+        b = basis.reshape(rank, n, n)
+        flat = np.concatenate([basis, (b[:, None] @ b[None]).reshape(-1, n * n)])
+    eye = np.eye(n).reshape(-1)
+    return rank, bool(np.linalg.norm(eye - basis.T @ (np.conj(basis) @ eye)) <= 1e-8)
+
+
+def _generator(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    if kind == "accretive":
+        return gen_accretive(n, seed)
+    if kind == "nilpotent":
+        return np.triu(z[0], 1)
+    return np.outer(z[0, 0], z[1, 0].conj())  # rank one
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5),
+       gens=st.lists(st.tuples(st.sampled_from(["accretive", "nilpotent", "rank-one"]),
+                               st.integers(0, 2 ** 31)), min_size=1, max_size=2),
+       mode=st.sampled_from(["algebra", "cstar"]), with_identity=st.booleans())
+def test_generate_algebra_matches_independent_closures(n, gens, mode, with_identity):
+    seed = np.array([_generator(kind, n, s) for kind, s in gens])
+    alg = generate_algebra(seed, mode=mode, with_identity=with_identity)
+    if mode == "cstar":
+        seed = np.concatenate([seed, dagger(seed)])
+    if with_identity:
+        seed = np.concatenate([seed, np.eye(n, dtype=complex)[None]])
+    assert (alg.dim, alg.contains_identity) == _svd_closure(seed)
+    ref, ratios = _sweeps_reference(seed)
+    assert len(ref) == alg.dim and alg.residual(ref) <= 1e-9  # one span
+    # The basis follows the rank decisions, and a row accepted with residual
+    # ratio rho carries rounding amplified by 1/rho.  So it is compared where
+    # no decision lies within rounding of RANK_TOL and every rho >= 1e-4.
+    near = (ratios > 1e-2 * RANK_TOL) & (ratios < 1e2 * RANK_TOL)
+    if not near.any() and ratios[ratios > RANK_TOL].min(initial=1.0) >= 1e-4:
+        assert ref.shape == alg.basis.shape and np.abs(ref - alg.basis).max() <= 1e-10
 
 
 def test_coords_and_reconstruct_are_bit_identical_to_tensordot():
