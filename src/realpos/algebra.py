@@ -82,7 +82,7 @@ def _extend(rows: np.ndarray, dim: int, cands: np.ndarray, rank_tol: float = RAN
             break
         b = rows[start:dim]
         for _ in range(2):  # a no-op before the first row is accepted
-            v = v - b.T @ (np.conj(b) @ v)
+            v = v - b.T @ np.conj(b @ np.conj(v))
         r = float(np.linalg.norm(v))
         if r > rank_tol * max(1.0, s):
             rows[dim] = v / r

@@ -19,14 +19,15 @@ method cannot certify infeasibility.
 
 On top of the engine sit the interpolation solvers (domination,
 half-F decomposition, near-positive interpolation, Urysohn solvers in both
-the in-algebra and ambient flavours, the strict Urysohn solver with
-peak/support verification, peak interpolation, and the numerical-range
-constrained Tietze lift).  Every solver re-verifies its output with
-independent cone/projection/norm checks before returning it.  ``THEOREMS``
-is the one table of these theorems: the CLI and the interpolation suite
-read their inputs and solver calls from it.  Each table solve returns its
-outputs together with the checks it verified, and the residual table and
-the suite's gate read those checks, so each solve's checks are computed once.
+the in-algebra and ambient flavours, peak interpolation, and the
+numerical-range constrained Tietze lift).  Strict Urysohn needs no engine:
+it is the closed form ``(p + q)/2``, with peak/support verification.  Every
+solver re-verifies its output with independent cone/projection/norm checks
+before returning it.  ``THEOREMS`` is the one table of these theorems: the
+CLI and the interpolation suite read their inputs and solver calls from it.
+Each table solve returns its outputs together with the checks it verified,
+and the residual table and the suite's gate read those checks, so each
+solve's checks are computed once.
 """
 from __future__ import annotations
 
@@ -342,18 +343,18 @@ def _corner_equalities(q: np.ndarray, target: np.ndarray, labels: tuple) -> list
     ]
 
 
-def _absorb_equalities(u: np.ndarray, labels: tuple) -> list:
+def _absorb_equalities(u: np.ndarray) -> list:
     """a u = a and u a = a."""
     eye, zero = _eye(u.shape[0]), _zero(u.shape[0])
     return [
-        AffineEquality(MatrixAffine([AffineTerm(eye, u), AffineTerm(-eye, eye)], zero), zero, labels[0]),
-        AffineEquality(MatrixAffine([AffineTerm(u, eye), AffineTerm(-eye, eye)], zero), zero, labels[1]),
+        AffineEquality(MatrixAffine([AffineTerm(eye, u), AffineTerm(-eye, eye)], zero), zero, "a u = a"),
+        AffineEquality(MatrixAffine([AffineTerm(u, eye), AffineTerm(-eye, eye)], zero), zero, "u a = a"),
     ]
 
 
-def _half_f_cap(n: int, label: str = "1-2a in ball") -> NormCap:
+def _half_f_cap(n: int) -> NormCap:
     amap = MatrixAffine([AffineTerm(-2.0 * _eye(n), _eye(n))], _eye(n))
-    return NormCap(amap, 1.0, label)
+    return NormCap(amap, 1.0, "1-2a in ball")
 
 
 def _re_floor(z: np.ndarray, s: np.ndarray, label: str) -> HermFloor:
@@ -365,9 +366,9 @@ def _re_floor(z: np.ndarray, s: np.ndarray, label: str) -> HermFloor:
     return HermFloor(amap, label)
 
 
-def _sector_floors(n: int, eps: float, cap: float = 1.0) -> list:
-    """Rotated-accretivity pair forcing ||Im a|| below eps for ||a|| <= cap."""
-    rho = float(np.arcsin(min(1.0, 0.9 * eps / max(cap, 1e-12))))
+def _sector_floors(n: int, eps: float) -> list:
+    """Rotated-accretivity pair forcing ||Im a|| below eps for ||a|| <= 1."""
+    rho = float(np.arcsin(min(1.0, 0.9 * eps)))
     phi = np.pi / 2.0 - rho
     return [
         _re_floor(np.exp(1j * phi) * _eye(n), _zero(n), "sector+"),
@@ -448,13 +449,12 @@ def _require_commuting(a: MatrixAlgebra, q: np.ndarray, b: np.ndarray, tol: Tole
 #
 # A check is a (label, value, ok) triple; value measures the violation.  Each
 # table solve returns the checks its output passed, and the CLI's residual
-# table and the suite's gate read their values (see TheoremSpec).  The corner
-# and absorption labels are shared with the constraints that impose them, so
-# an unconverged solve reports its residuals under the same names.
+# table and the suite's gate read their values (see TheoremSpec).  The g
+# corner labels are shared with the constraints that impose them, so an
+# unconverged solve reports its residuals under the same names.
 
 _X_CORNER = ("x q = q", "q x = q")
 _G_CORNER = ("g q = b q", "q g = b q")
-_P_ABSORB = ("x p = x", "p x = x")
 
 
 def _verify(checks: list, what: str) -> list:
@@ -542,7 +542,7 @@ def _check_strict_urysohn(a: MatrixAlgebra, x: np.ndarray, q: np.ndarray, p: np.
         ("in algebra", res, inside),
         _half_f_check(x, tol),
         *_sided_checks(x, q, q, _X_CORNER),
-        *_sided_checks(x, p, x, _P_ABSORB),
+        *_sided_checks(x, p, x, ("x p = x", "p x = x")),
         ("u(x) = q", d_peak, peak.status != "diverged" and d_peak <= 1e-5),
         ("s(x) = p", d_supp, supp.status != "diverged" and d_supp <= 1e-5),
         ("s(x(1-x)) = p-q", d_prod, d_prod <= 1e-5),
@@ -570,8 +570,9 @@ def _check_tietze(g: np.ndarray, q: np.ndarray, b: np.ndarray, region: ConvexReg
 #
 # Each theorem's solve(a, problem, tol) -> (outputs, checks) runs its
 # preconditions, the engine (through the module global solve_feasibility,
-# which tests and tracers replace) and one post-verification; its public
-# solver is a one-line call of it, which accepts and ignores ``seed``.
+# which tests and tracers replace; strict Urysohn has a closed form instead)
+# and one post-verification; its public solver is a one-line call of it,
+# which accepts and ignores ``seed``.
 
 
 def _dominate(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
@@ -682,7 +683,7 @@ def _urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     caps = [_half_f_cap(n)]
     u_in_a = contains(a, u, tol)[0]
     if u_in_a:
-        equalities += _absorb_equalities(u, ("a u = a", "u a = a"))
+        equalities += _absorb_equalities(u)
     else:
         eye, comp = _eye(n), _eye(n) - u
         caps += [
@@ -715,47 +716,14 @@ def urysohn_interpolate(
     return _urysohn(a, {"q": q, "u": u, "eps": eps, "near_eps": near_eps}, tol)[0][0]
 
 
-def _strict_urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances,
-                    retries: int = 3, fast_path: bool = True) -> tuple:
+def _strict_urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     q, p = as_matrix(prob["q"]), as_matrix(prob["p"])
     _require_projection_in(a, q, "q", tol)
     _require_projection_in(a, p, "p", tol)
     if min_real_eig(p - q) < -tol.psd_slack:
         raise ValueError("p must dominate q")
-    n = a.ambient_dim
-    eye = _eye(n)
-
-    # Commuting shortcut.
-    b = (p - q) / 2.0
-    r = q
-    if fast_path and op_norm(b @ r - r @ b) <= 1e-10:
-        x = (eye - r) @ b + (eye - b) @ r
-        checks = _check_strict_urysohn(a, x, q, p, tol)
-        if all(ok for _, _, ok in checks):
-            return (x,), checks
-
-    # The engine is deterministic, so a retry differs only in its margin.
-    comp = eye - q
-    offq = MatrixAffine([AffineTerm(comp, comp)], _zero(n))
-    margin = 0.25
-    last_checks = None
-    for _ in range(max(1, retries)):
-        problem = FeasibilityProblem(
-            algebra=a,
-            equalities=[*_corner_equalities(q, q, _X_CORNER), *_absorb_equalities(p, _P_ABSORB)],
-            caps=[_half_f_cap(n), NormCap(offq, 1.0 - margin, "strict off q")],
-        )
-        sol = solve_feasibility(problem, warm_start=(p + q) / 2.0)
-        if sol.verdict == "feasible":
-            checks = _check_strict_urysohn(a, sol.value, q, p, tol)
-            if all(ok for _, _, ok in checks):
-                return (sol.value,), checks
-            last_checks = checks
-        margin *= 0.4
-    detail = "; ".join(f"{c[0]}: {c[1]:.2e}" for c in last_checks or () if not c[2])
-    raise VerificationFailedError(
-        f"strict Urysohn verification failed after {retries} retries ({detail})"
-    )
+    x = (p + q) / 2.0
+    return (x,), _verify(_check_strict_urysohn(a, x, q, p, tol), "strict_urysohn")
 
 
 def strict_urysohn(
@@ -765,18 +733,17 @@ def strict_urysohn(
     retries: int = 3,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    fast_path: bool = True,
 ) -> np.ndarray:
-    """Element of half-F peaking exactly at q with support exactly p.
+    """Element x of half-F peaking exactly at q with support exactly p.
 
-    Tries the commuting shortcut x = (1-r) b + (1-b) r first (with
-    b = (p - q)/2 and r = q, which always commute); if its verification
-    fails, falls back to solve-then-verify, retrying with a shrinking norm
-    margin on the q-complement (0.25, 0.1, 0.04, ...).  ``fast_path=False``
-    forces the solver route.  ``seed`` is accepted and ignored: the engine is
-    deterministic, so the retries differ only in their margin.
+    q <= p are projections in A, and x = (p + q)/2 in closed form: 1 - 2x =
+    1 - p - q has eigenvalues -1, 0 and 1, x is 1 on ran q and 1/2 on
+    ran(p - q), so x(1 - x) = (p - q)/4, and x lies in A whether or not A is
+    unital.  x is returned once its peak, support and membership checks
+    pass.  ``retries`` and ``seed`` are accepted and ignored: no search is
+    made.
     """
-    return _strict_urysohn(a, {"q": q, "p": p}, tol, retries, fast_path)[0][0]
+    return _strict_urysohn(a, {"q": q, "p": p}, tol)[0][0]
 
 
 def _peak(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
@@ -924,13 +891,13 @@ class TheoremSpec:
     """One interpolation theorem as the CLI and the suites drive it.
 
     ``keys`` are the problem entries it reads besides ``algebra``, ``eps`` and
-    ``near_eps``.  ``solve(a, problem, tol)`` runs the preconditions,
-    the engine and the post-verification once and returns ``(outputs,
-    checks)``: the public solver's outputs as a tuple and the (label, value,
-    ok) checks they passed.  Each residual is the largest value of its check
-    labels, floored at 0; ``gate`` names the check labels the interpolation
-    suite holds below 1e-5 in the same way.  Both read the returned checks,
-    so no check runs twice.
+    ``near_eps``.  ``solve(a, problem, tol)`` runs the preconditions, the
+    engine (none for strict Urysohn) and the post-verification once and
+    returns ``(outputs, checks)``: the public solver's outputs as a tuple and
+    the (label, value, ok) checks they passed.  Each residual is the largest
+    value of its check labels, floored at 0; ``gate`` names the check labels
+    the interpolation suite holds below 1e-5 in the same way.  Both read the
+    returned checks, so no check runs twice.
     """
 
     keys: tuple

@@ -164,7 +164,6 @@ def _theorem_problems(monkeypatch) -> list:
     w, unital = _conjugated(list(upper_triangular_algebra(3).basis), 4)
     assert unital.contains_identity
     q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
-    p = w @ np.diag([1.0, 1.0, 0]) @ dagger(w)
     b = w @ np.diag([0.3, 0.5, 0.2]) @ dagger(w)
     bq = w @ np.diag([0.5, 0.2, 0.1]) @ dagger(w)
     ambient = np.array([[1.0, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])  # dominates E11, not in A
@@ -179,12 +178,10 @@ def _theorem_problems(monkeypatch) -> list:
         lambda: interp_np(unital, b, near_eps=0.05),
         lambda: urysohn_interpolate(unital, q, np.eye(3)),
         lambda: urysohn_interpolate(unital, q, ambient_u),
-        lambda: strict_urysohn(unital, q, p, fast_path=False),
         lambda: peak_interpolate(unital, q, bq),
         lambda: tietze_lift(unital, q, bq, region),
         lambda: urysohn_interpolate(nonunital, q1, q1),
         lambda: urysohn_interpolate(nonunital, q1, np.eye(3)),
-        lambda: strict_urysohn(nonunital, q1, q1, fast_path=False),
         lambda: peak_interpolate(nonunital, q1, 0.5 * q1),
         lambda: tietze_lift(nonunital, q1, 0.5 * q1, region),
     ]
@@ -214,8 +211,8 @@ def test_compiled_maps_match_their_sandwich_terms(monkeypatch):
     assert labels >= {
         "Re(a) >= b", "sector+", "sector-", "1-2a in ball", "1-2(x-b) in ball",
         "|1-a|^2 <= 1-c", "Re(a) >= c", "a q = q", "q a = q", "a u = a", "u a = a",
-        "a(1-u) small", "(1-u)a small", "x q = q", "x p = x", "p x = x", "strict off q",
-        "g q = b q", "q g = b q", "a in ball", "W(g) halfplane 0", "W(g) halfplane 3",
+        "a(1-u) small", "(1-u)a small", "g q = b q", "q g = b q", "a in ball",
+        "W(g) halfplane 0", "W(g) halfplane 3",
     }
 
 
@@ -465,15 +462,16 @@ def test_urysohn_requires_domination(e11):
 
 
 def test_strict_urysohn():
-    alg = diagonal_algebra(3)
     q = np.diag([1.0, 0.0, 0.0]).astype(complex)
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    x = strict_urysohn(alg, q, p)
-    assert op_norm(peak_projection(x).proj - q) <= 1e-5
-    assert op_norm(support_projection(x).proj - p) <= 1e-5
-    prod = support_projection(x @ (np.eye(3) - x), method="oracle").proj
-    assert op_norm(prod - (p - q)) <= 1e-5
+    for alg in (diagonal_algebra(3), upper_triangular_algebra(3)):
+        x = strict_urysohn(alg, q, p)
+        assert op_norm(peak_projection(x).proj - q) <= 1e-5
+        assert op_norm(support_projection(x).proj - p) <= 1e-5
+        prod = support_projection(x @ (np.eye(3) - x), method="oracle").proj
+        assert op_norm(prod - (p - q)) <= 1e-5
 
+    alg = diagonal_algebra(3)
     x = strict_urysohn(alg, q, q)
     assert op_norm(x - q) <= 1e-6
 
@@ -482,16 +480,39 @@ def test_strict_urysohn():
     assert op_norm(x) <= 1e-6
 
 
-def test_strict_urysohn_solver_route():
-    # bypass the commuting shortcut and let the feasibility engine work
-    q = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    for alg in (diagonal_algebra(3), upper_triangular_algebra(3)):
-        x = strict_urysohn(alg, q, p, fast_path=False)
-        assert op_norm(peak_projection(x).proj - q) <= 1e-5
-        assert op_norm(support_projection(x).proj - p) <= 1e-5
-        prod = support_projection(x @ (np.eye(3) - x), method="oracle").proj
-        assert op_norm(prod - (p - q)) <= 1e-5
+def _never_solve(problem, **kwargs):
+    raise AssertionError("strict Urysohn reached the feasibility engine")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_strict_urysohn_is_the_closed_form_without_the_engine(monkeypatch, n):
+    # rotated q <= p of ranks k <= m: x = (p + q)/2, verified, and no engine
+    monkeypatch.setattr(interp, "solve_feasibility", _never_solve)
+    w = gen_unitary(n, n)
+    for k, m in ((0, 1), (1, 1), (1, n - 1), (n // 2, n)):
+        q = w[:, :k] @ dagger(w[:, :k])
+        p = w[:, :m] @ dagger(w[:, :m])
+        x = strict_urysohn(full_algebra(n), q, p, retries=3, seed=7)
+        assert np.array_equal(x, (p + q) / 2.0)
+        (out,), checks = interp.THEOREMS["strict-urysohn"].solve(full_algebra(n), {"q": q, "p": p}, DEFAULT_TOL)
+        assert np.array_equal(out, x)
+        assert all(ok for _, _, ok in checks), checks
+
+
+def _tilted_p() -> np.ndarray:
+    # p projects onto span{(cos t, sin t, 0), e3}; lambda_min(p - E11) = -sin t
+    t = 2e-4
+    v = np.array([[np.cos(t), 0.0], [np.sin(t), 0.0], [0.0, 1.0]], dtype=complex)
+    return v @ dagger(v)
+
+
+@pytest.mark.parametrize("alg,q,p,match", [
+    (full_algebra(3), unit(3, 0, 0), _tilted_p(), "p must dominate q"),
+    (upper_triangular_algebra(2), np.full((2, 2), 0.5), np.eye(2), "q is not in the algebra"),
+], ids=["p-tilted-off-q", "q-outside-upper2"])
+def test_strict_urysohn_preconditions(alg, q, p, match):
+    with pytest.raises(ValueError, match=match):
+        strict_urysohn(alg, q, p)
 
 
 def test_peak_interpolate(e11):
