@@ -462,16 +462,15 @@ def test_urysohn_requires_domination(e11):
 
 
 def test_strict_urysohn():
+    alg = diagonal_algebra(3)
     q = np.diag([1.0, 0.0, 0.0]).astype(complex)
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    for alg in (diagonal_algebra(3), upper_triangular_algebra(3)):
-        x = strict_urysohn(alg, q, p)
-        assert op_norm(peak_projection(x).proj - q) <= 1e-5
-        assert op_norm(support_projection(x).proj - p) <= 1e-5
-        prod = support_projection(x @ (np.eye(3) - x), method="oracle").proj
-        assert op_norm(prod - (p - q)) <= 1e-5
+    x = strict_urysohn(alg, q, p)
+    assert op_norm(peak_projection(x).proj - q) <= 1e-5
+    assert op_norm(support_projection(x).proj - p) <= 1e-5
+    prod = support_projection(x @ (np.eye(3) - x), method="oracle").proj
+    assert op_norm(prod - (p - q)) <= 1e-5
 
-    alg = diagonal_algebra(3)
     x = strict_urysohn(alg, q, q)
     assert op_norm(x - q) <= 1e-6
 
@@ -482,6 +481,20 @@ def test_strict_urysohn():
 
 def _never_solve(problem, **kwargs):
     raise AssertionError("strict Urysohn reached the feasibility engine")
+
+
+def test_strict_urysohn_solver_route(monkeypatch):
+    # one route for every input: the closed form, verified, with no engine call
+    monkeypatch.setattr(interp, "solve_feasibility", _never_solve)
+    q = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    for alg in (diagonal_algebra(3), upper_triangular_algebra(3)):
+        x = strict_urysohn(alg, q, p)
+        assert np.array_equal(x, (p + q) / 2.0)
+        assert op_norm(peak_projection(x).proj - q) <= 1e-5
+        assert op_norm(support_projection(x).proj - p) <= 1e-5
+        prod = support_projection(x @ (np.eye(3) - x), method="oracle").proj
+        assert op_norm(prod - (p - q)) <= 1e-5
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
