@@ -52,7 +52,6 @@ from .powers import (
     rescaled_root_check,
     root_monotonicity_report,
     root_series,
-    vav_identity_check,
 )
 from .projections import (
     ProjectionResult,
@@ -63,6 +62,7 @@ from .projections import (
     meet,
     peak_projection,
     support_projection,
+    vav_identity_check,
 )
 from .interp import (
     ConvexRegion,

@@ -64,18 +64,18 @@ RANK_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 
 
-def _extend(rows: np.ndarray, dim: int, cands: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+def _extend(rows: np.ndarray, dim: int, cands: np.ndarray) -> int:
     """Extend the orthonormal ``rows[:dim]`` in place by span(cands); returns
     the new dim.  Two block passes (CGS2) project the candidates against
     ``rows[:dim]``, then two-pass Gram-Schmidt projects each survivor against
-    the rows accepted since.  A residual <= ``rank_tol`` max(1, norm) is
+    the rows accepted since.  A residual <= ``RANK_TOL`` max(1, norm) is
     dropped, and so is all once ``rows`` is full (two passes against a basis
     of M_n leave O(eps ||v||)).  Accepted rows never change."""
     scale = np.linalg.norm(cands, axis=1)
     b = rows[:dim]
     for _ in range(2):  # a no-op on the empty basis
         cands = cands - (cands @ np.conj(b).T) @ b
-    alive = np.linalg.norm(cands, axis=1) > rank_tol * np.maximum(1.0, scale)
+    alive = np.linalg.norm(cands, axis=1) > RANK_TOL * np.maximum(1.0, scale)
     start = dim
     for v, s in zip(cands[alive], scale[alive]):
         if dim == len(rows):
@@ -84,19 +84,19 @@ def _extend(rows: np.ndarray, dim: int, cands: np.ndarray, rank_tol: float = RAN
         for _ in range(2):  # a no-op before the first row is accepted
             v = v - b.T @ np.conj(b @ np.conj(v))
         r = float(np.linalg.norm(v))
-        if r > rank_tol * max(1.0, s):
+        if r > RANK_TOL * max(1.0, s):
             rows[dim] = v / r
             dim += 1
     return dim
 
 
-def orthonormalize(mats, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormalize(mats) -> np.ndarray:
     """Orthonormal ``(dim, n, n)`` basis of span(mats), a ``(k, n, n)`` stack or
     list, by ``_extend`` from the empty basis; an empty stack keeps its n."""
     mats = np.asarray(mats, dtype=complex)
     n = mats.shape[-1] if mats.ndim == 3 else 0  # an empty list carries no n
     rows = np.empty((min(len(mats), n * n), n * n), dtype=complex)  # flattened, orthonormal
-    dim = _extend(rows, 0, mats.reshape(len(mats), n * n), rank_tol)
+    dim = _extend(rows, 0, mats.reshape(len(mats), n * n))
     return rows[:dim].reshape(dim, n, n)
 
 
@@ -392,6 +392,8 @@ def span_algebra(mats, tol: Tolerances = DEFAULT_TOL, label: str = "span") -> Ma
     if basis.shape[0] == 0:
         raise ValueError("span is empty")
     alg = _algebra(basis, label, tol)
+    if alg.dim == alg.ambient_dim ** 2:  # all of M_n, closed by definition
+        return alg
     defect = alg.closure_defect()
     if defect > CLOSURE_TOL:
         raise ValueError(

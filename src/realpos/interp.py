@@ -9,19 +9,21 @@ and residuals read only that map.  A feasible point is searched by ADMM
 between two sets whose projections are exact: the graph ``{(u, J u + c)}``
 of the floors' and caps' maps over the equality flat (a least-squares
 solve, from one SVD of the equalities), and the product of the floors' and
-caps' sets (one ``eigh`` or SVD and a clip per constraint).  The theorems
-ask only for some feasible point, not the nearest one.  A warm start that
-is feasible once projected onto the equality flat stops the search at round
-1, before any clip.  Residuals take one batched LAPACK call per kind (floor,
-or equality and cap) and shape of constraint.  Verdicts are one-sided:
-``feasible`` (all residuals within tolerance) or ``unconverged`` -- the
-method cannot certify infeasibility.
+caps' sets (one ``eigh`` or SVD and a clip per constraint).  The Tietze
+lift asks only for some feasible point, not the nearest one.  A warm start
+that is feasible once projected onto the equality flat stops the search at
+round 1, before any clip.  Residuals take one batched LAPACK call per kind
+(floor, or equality and cap) and shape of constraint.  Verdicts are
+one-sided: ``feasible`` (all residuals within tolerance) or ``unconverged``
+-- the method cannot certify infeasibility.
 
-On top of the engine sit the interpolation solvers (domination,
-half-F decomposition, near-positive interpolation, Urysohn solvers in both
-the in-algebra and ambient flavours, peak interpolation, and the
-numerical-range constrained Tietze lift).  Strict Urysohn needs no engine:
-it is the closed form ``(p + q)/2``, with peak/support verification.  Every
+Beside the engine sit the interpolation solvers (domination, half-F
+decomposition, near-positive interpolation, Urysohn solvers in both the
+in-algebra and ambient flavours, strict Urysohn, peak interpolation, and the
+numerical-range constrained Tietze lift).  All but Tietze are closed forms,
+the points the paper's proofs give when A's unit is Hermitian:
+``((1 + ||b||)/2) e``, ``(e + b)/2``, ``((1 + ||c||)/2) e``, ``q``,
+``(p + q)/2`` and ``b q``.  The engine serves the Tietze lift alone.  Every
 solver re-verifies its output with independent cone/projection/norm checks
 before returning it.  ``THEOREMS`` is the one table of these theorems: the
 CLI and the interpolation suite read their inputs and solver calls from it.
@@ -343,20 +345,6 @@ def _corner_equalities(q: np.ndarray, target: np.ndarray, labels: tuple) -> list
     ]
 
 
-def _absorb_equalities(u: np.ndarray) -> list:
-    """a u = a and u a = a."""
-    eye, zero = _eye(u.shape[0]), _zero(u.shape[0])
-    return [
-        AffineEquality(MatrixAffine([AffineTerm(eye, u), AffineTerm(-eye, eye)], zero), zero, "a u = a"),
-        AffineEquality(MatrixAffine([AffineTerm(u, eye), AffineTerm(-eye, eye)], zero), zero, "u a = a"),
-    ]
-
-
-def _half_f_cap(n: int) -> NormCap:
-    amap = MatrixAffine([AffineTerm(-2.0 * _eye(n), _eye(n))], _eye(n))
-    return NormCap(amap, 1.0, "1-2a in ball")
-
-
 def _re_floor(z: np.ndarray, s: np.ndarray, label: str) -> HermFloor:
     n = z.shape[1]
     amap = MatrixAffine(
@@ -364,31 +352,6 @@ def _re_floor(z: np.ndarray, s: np.ndarray, label: str) -> HermFloor:
         np.asarray(s, complex),
     )
     return HermFloor(amap, label)
-
-
-def _sector_floors(n: int, eps: float) -> list:
-    """Rotated-accretivity pair forcing ||Im a|| below eps for ||a|| <= 1."""
-    rho = float(np.arcsin(min(1.0, 0.9 * eps)))
-    phi = np.pi / 2.0 - rho
-    return [
-        _re_floor(np.exp(1j * phi) * _eye(n), _zero(n), "sector+"),
-        _re_floor(np.exp(-1j * phi) * _eye(n), _zero(n), "sector-"),
-    ]
-
-
-def _schur_floor(s1: np.ndarray, s2: np.ndarray, z: np.ndarray, w: np.ndarray, label: str) -> HermFloor:
-    """Block floor [[s1, (z a + w)*], [z a + w, s2]] >= 0."""
-    n = z.shape[1]
-    top = np.vstack([_eye(n), _zero(n)])  # embeds rows 0..n
-    bot = np.vstack([_zero(n), _eye(n)])
-    left = np.hstack([_eye(n), _zero(n)])  # embeds cols 0..n
-    right = np.hstack([_zero(n), _eye(n)])
-    const = np.block([[s1, dagger(w)], [w, s2]]).astype(complex)
-    terms = [
-        AffineTerm(bot @ z, left),  # z a in the lower-left block
-        AffineTerm(top, dagger(z) @ right, conj=True),  # a* z* upper-right
-    ]
-    return HermFloor(MatrixAffine(terms, const), label)
 
 
 def _solve(problem: FeasibilityProblem, warm, message: str) -> np.ndarray:
@@ -403,9 +366,14 @@ def _solve(problem: FeasibilityProblem, warm, message: str) -> np.ndarray:
 
 
 def _require_unital(a: MatrixAlgebra, tol: Tolerances) -> np.ndarray:
+    """The unit e of A.  The closed forms of domination, decomposition and
+    near-positive interpolation need it Hermitian, a projection: an identity
+    of norm 1 (a non-Hermitian idempotent has norm > 1)."""
     e = identity_of(a, tol)
     if e is None:
         raise ValueError("this solver needs a unital algebra")
+    if op_norm(e - dagger(e)) > tol.eq_tol:
+        raise ValueError("this solver needs a Hermitian unit (an identity of norm 1)")
     return e
 
 
@@ -569,24 +537,19 @@ def _check_tietze(g: np.ndarray, q: np.ndarray, b: np.ndarray, region: ConvexReg
 # -- theorem solvers ---------------------------------------------------------
 #
 # Each theorem's solve(a, problem, tol) -> (outputs, checks) runs its
-# preconditions, the engine (through the module global solve_feasibility,
-# which tests and tracers replace; strict Urysohn has a closed form instead)
-# and one post-verification; its public solver is a one-line call of it,
-# which accepts and ignores ``seed``.
+# preconditions, computes its output and runs one post-verification; its
+# public solver is a one-line call of it, which accepts and ignores ``seed``.
+# Every theorem but Tietze has a closed form, taken through ``a.project``;
+# Tietze alone searches, through the module global solve_feasibility (which
+# tests and tracers replace).
 
 
 def _dominate(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     b, eps = as_matrix(prob["b"]), prob["eps"]
     _require_positive(eps, "eps")
     e = _require_unital(a, tol)
-    n = a.ambient_dim
     norm = _require_small_psd_in_cstar(a, b, "b", tol)
-    problem = FeasibilityProblem(
-        algebra=a,
-        floors=[_re_floor(_eye(n), -b, "Re(a) >= b"), *_sector_floors(n, eps)],
-        caps=[_half_f_cap(n)],
-    )
-    x = _solve(problem, 0.5 * (1.0 + norm) * e, "domination solve unconverged")
+    x = a.project(0.5 * (1.0 + norm) * e)
     return (x,), _verify(_check_dominate(x, b, eps, tol), "dominate")
 
 
@@ -601,8 +564,9 @@ def dominate(
 
     ``b`` must be Hermitian PSD in the C*-algebra generated by A with
     ||b|| < 1; the output x satisfies ||1 - 2x|| <= 1, Re(x) >= b (both
-    within solver_tol) and ||Im x|| < eps.  ``seed`` is accepted and ignored:
-    the engine is deterministic.
+    within solver_tol) and ||Im x|| < eps.  It is x = ((1 + ||b||)/2) e, e
+    the Hermitian unit of A: b = e b e <= ||b|| e, and 1 - 2x = (1 - e) -
+    ||b|| e.  ``seed`` is accepted and ignored: no search is made.
     """
     return _dominate(a, {"b": b, "eps": eps}, tol)[0][0]
 
@@ -610,18 +574,10 @@ def dominate(
 def _decompose(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     b = as_matrix(prob["b"])
     e = _require_unital(a, tol)
-    n = a.ambient_dim
     _require_in(a, b, "b", tol)
     if op_norm(b) >= 1.0 - tol.eq_tol:
         raise ValueError("decomposition needs ||b|| < 1 strictly")
-
-    # One unknown x; y = x - b inherits membership in A.
-    shifted = MatrixAffine([AffineTerm(-2.0 * _eye(n), _eye(n))], _eye(n) + 2.0 * b)
-    problem = FeasibilityProblem(
-        algebra=a,
-        caps=[_half_f_cap(n), NormCap(shifted, 1.0, "1-2(x-b) in ball")],
-    )
-    x = _solve(problem, (e + b) / 2.0, "decomposition solve unconverged")
+    x = a.project((e + b) / 2.0)
     y = x - b
     return (x, y), _verify(_check_decompose(x, y, b, tol), "decompose")
 
@@ -631,7 +587,9 @@ def decompose(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Write b = x - y with both x and y in half-F of A (||b|| < 1).
 
-    ``seed`` is accepted and ignored: the engine is deterministic.
+    x = (e + b)/2 and y = x - b, e the Hermitian unit of A: 1 - 2x = (1 - e)
+    - b and 1 - 2y = (1 - e) + b, where (1 - e) and b act on orthogonal
+    ranges.  ``seed`` is accepted and ignored: no search is made.
     """
     return _decompose(a, {"b": b}, tol)[0]
 
@@ -640,15 +598,8 @@ def _interp_np(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     c, near_eps = as_matrix(prob["c"]), prob["near_eps"]
     _require_positive(near_eps, "near_eps")
     e = _require_unital(a, tol)
-    n = a.ambient_dim
     norm = _require_small_psd_in_cstar(a, c, "c", tol)
-    block = _schur_floor(_eye(n) - c, _eye(n), -_eye(n), _eye(n), "|1-a|^2 <= 1-c")
-    problem = FeasibilityProblem(
-        algebra=a,
-        floors=[block, _re_floor(_eye(n), -c, "Re(a) >= c"), *_sector_floors(n, near_eps)],
-        caps=[_half_f_cap(n)],
-    )
-    x = _solve(problem, 0.5 * (1.0 + norm) * e, "near-positive interpolation unconverged")
+    x = a.project(0.5 * (1.0 + norm) * e)
     return (x,), _verify(_check_np(x, c, near_eps, tol), "interp_np")
 
 
@@ -661,7 +612,9 @@ def interp_np(
 ) -> np.ndarray:
     """Nearly positive x in half-F with |1 - x|^2 <= 1 - c (Schur encoded).
 
-    ``seed`` is accepted and ignored: the engine is deterministic.
+    x = t e with t = (1 + ||c||)/2, e the Hermitian unit of A: on ran e,
+    (1 - t)^2 + ||c|| = t^2 <= 1, and off it both sides are 1.  ``seed`` is
+    accepted and ignored: no search is made.
     """
     return _interp_np(a, {"c": c, "near_eps": near_eps}, tol)[0][0]
 
@@ -671,29 +624,14 @@ def _urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     eps, near_eps = prob["eps"], prob["near_eps"]
     _require_positive(eps, "eps")
     _require_positive(near_eps, "near_eps")
-    n = a.ambient_dim
     _require_projection_in(a, q, "q", tol)
-    if u.shape[0] != n:
+    if u.shape[0] != a.ambient_dim:
         raise ValueError("dimension mismatch between algebra and matrix")
     _require_projection(u, "u")
     if min_real_eig(u - q) < -tol.psd_slack:
         raise ValueError("u must dominate q")
-
-    equalities = _corner_equalities(q, q, ("a q = q", "q a = q"))
-    caps = [_half_f_cap(n)]
+    x = a.project(q)
     u_in_a = contains(a, u, tol)[0]
-    if u_in_a:
-        equalities += _absorb_equalities(u)
-    else:
-        eye, comp = _eye(n), _eye(n) - u
-        caps += [
-            NormCap(MatrixAffine([AffineTerm(eye, comp)], _zero(n)), 0.9 * eps, "a(1-u) small"),
-            NormCap(MatrixAffine([AffineTerm(comp, eye)], _zero(n)), 0.9 * eps, "(1-u)a small"),
-        ]
-    problem = FeasibilityProblem(
-        algebra=a, equalities=equalities, floors=_sector_floors(n, near_eps), caps=caps
-    )
-    x = _solve(problem, q, "Urysohn solve unconverged")
     return (x,), _verify(_check_urysohn(x, q, u, u_in_a, eps, near_eps, tol), "urysohn_interpolate")
 
 
@@ -710,8 +648,8 @@ def urysohn_interpolate(
 
     When u lies in A the output satisfies x u = u x = x exactly (within
     solver_tol); when u is only an ambient projection dominating q, the
-    products x(1-u) and (1-u)x are made smaller than eps.  ``seed`` is
-    accepted and ignored: the engine is deterministic.
+    products x(1-u) and (1-u)x are made smaller than eps.  It is x = q: q <= u
+    gives q u = u q = q.  ``seed`` is accepted and ignored: no search is made.
     """
     return _urysohn(a, {"q": q, "u": u, "eps": eps, "near_eps": near_eps}, tol)[0][0]
 
@@ -748,17 +686,10 @@ def strict_urysohn(
 
 def _peak(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     q, b = as_matrix(prob["q"]), as_matrix(prob["b"])
-    n = a.ambient_dim
     _require_commuting(a, q, b, tol)
-    if op_norm((_eye(n) - 2.0 * b) @ q) > 1.0 + tol.eq_tol:
+    if op_norm((_eye(a.ambient_dim) - 2.0 * b) @ q) > 1.0 + tol.eq_tol:
         raise ValueError("||(1 - 2b) q|| <= 1 is required")
-
-    problem = FeasibilityProblem(
-        algebra=a,
-        equalities=_corner_equalities(q, b @ q, _G_CORNER),
-        caps=[_half_f_cap(n)],
-    )
-    g = _solve(problem, b, "peak interpolation unconverged")
+    g = a.project(b @ q)
     return (g,), _verify(_check_peak(g, q, b, tol), "peak_interpolate")
 
 
@@ -768,8 +699,9 @@ def peak_interpolate(
     """Element g of half-F of A with g q = q g = b q.
 
     q is a projection in the unitization commuting with b, subject to
-    ||b q|| <= 1 and ||(1 - 2b) q|| <= 1.  ``seed`` is accepted and ignored:
-    the engine is deterministic.
+    ||b q|| <= 1 and ||(1 - 2b) q|| <= 1.  It is g = b q, in A since b is:
+    1 - 2bq = (1 - q) + (1 - 2b) q, an orthogonal sum of contractions.
+    ``seed`` is accepted and ignored: no search is made.
     """
     return _peak(a, {"q": q, "b": b}, tol)[0][0]
 
@@ -892,12 +824,13 @@ class TheoremSpec:
 
     ``keys`` are the problem entries it reads besides ``algebra``, ``eps`` and
     ``near_eps``.  ``solve(a, problem, tol)`` runs the preconditions, the
-    engine (none for strict Urysohn) and the post-verification once and
-    returns ``(outputs, checks)``: the public solver's outputs as a tuple and
-    the (label, value, ok) checks they passed.  Each residual is the largest
-    value of its check labels, floored at 0; ``gate`` names the check labels
-    the interpolation suite holds below 1e-5 in the same way.  Both read the
-    returned checks, so no check runs twice.
+    closed form or the engine (the engine: Tietze only) and the
+    post-verification once and returns ``(outputs, checks)``: the public
+    solver's outputs as a tuple and the (label, value, ok) checks they
+    passed.  Each residual is the largest value of its check labels, floored
+    at 0; ``gate`` names the check labels the interpolation suite holds below
+    1e-5 in the same way.  Both read the returned checks, so no check runs
+    twice.
     """
 
     keys: tuple

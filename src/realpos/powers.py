@@ -32,7 +32,6 @@ from .matrices import (
     Tolerances,
     _require_positive,
     as_matrix,
-    dagger,
     frob_norm,
     min_real_eig,
     op_norm,
@@ -49,7 +48,6 @@ __all__ = [
     "root_series",
     "power",
     "power_all",
-    "vav_identity_check",
     "root_monotonicity_report",
     "rescaled_root_check",
     "holder_check",
@@ -323,33 +321,6 @@ def power_all(
 def power(x, alpha: float, nodes: int = 96, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
     """General positive power: :func:`power_all` at one exponent."""
     return power_all(x, (alpha,), nodes, tol)[0]
-
-
-def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Residual of (v a v*)^r = v a^r v* for v*v equal to the support of a.
-
-    r must be in (0, 1) or a positive integer.
-    """
-    from .projections import support_projection  # projections imports powers
-
-    a = as_matrix(a)
-    v = as_matrix(v)
-    _require_accretive(a, tol)
-    s = support_projection(a, method="oracle", tol=tol).proj
-    if op_norm(dagger(v) @ v - s) > 1e-7 * max(1.0, op_norm(s)):
-        raise ValueError("v*v must equal the support projection of a")
-    integer = abs(r - round(r)) < 1e-14 and round(r) >= 1
-    if not integer and not 0.0 < r < 1.0:
-        raise ValueError("r must be in (0, 1) or a positive integer")
-    vav = v @ a @ dagger(v)
-    if integer:
-        k = int(round(r))
-        lhs = np.linalg.matrix_power(vav, k)
-        rhs = v @ np.linalg.matrix_power(a, k) @ dagger(v)
-    else:
-        lhs = power(vav, r, tol=tol).value
-        rhs = v @ power(a, r, tol=tol).value @ dagger(v)
-    return op_norm(lhs - rhs)
 
 
 def _increment_margins(roots) -> np.ndarray:

@@ -10,7 +10,8 @@ accretivity forces ker x = ker x* to reduce x orthogonally; it reads
 singular values and the iteration eigenvalues, so each checks the other.
 The peak projection u(x) of a contraction is the limit of the
 powers x^{2^k} when it exists; for x in half-F with norm 1 it is the
-projection onto ker(x - 1).
+projection onto ker(x - 1).  The (v a v*)^r = v a^r v* check sits beside
+the support projection it reads.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .matrices import (
     op_norms,
     range_basis,
 )
-from .powers import EIG_RTOL, NotAccretiveError, power
+from .powers import EIG_RTOL, NotAccretiveError, _require_accretive, power
 
 __all__ = [
     "ProjectionResult",
@@ -46,6 +47,7 @@ __all__ = [
     "meet",
     "join_all",
     "hsa_and_ideal",
+    "vav_identity_check",
 ]
 
 
@@ -183,6 +185,31 @@ def _verify_support(p: np.ndarray, x: np.ndarray, tol: Tolerances) -> None:
     if low.size and low[-1] <= 1e-14 * xnorm:
         warnings.warn(f"support projection exceeds the support of x (x vanishes on ran p: "
                       f"{low[-1]:.2e})", RuntimeWarning)
+
+
+def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Residual of (v a v*)^r = v a^r v* for v*v equal to the support of a.
+
+    r must be in (0, 1) or a positive integer.
+    """
+    a = as_matrix(a)
+    v = as_matrix(v)
+    _require_accretive(a, tol)
+    s = support_projection(a, method="oracle", tol=tol).proj
+    if op_norm(dagger(v) @ v - s) > 1e-7 * max(1.0, op_norm(s)):
+        raise ValueError("v*v must equal the support projection of a")
+    integer = abs(r - round(r)) < 1e-14 and round(r) >= 1
+    if not integer and not 0.0 < r < 1.0:
+        raise ValueError("r must be in (0, 1) or a positive integer")
+    vav = v @ a @ dagger(v)
+    if integer:
+        k = int(round(r))
+        lhs = np.linalg.matrix_power(vav, k)
+        rhs = v @ np.linalg.matrix_power(a, k) @ dagger(v)
+    else:
+        lhs = power(vav, r, tol=tol).value
+        rhs = v @ power(a, r, tol=tol).value @ dagger(v)
+    return op_norm(lhs - rhs)
 
 
 def peak_projection(

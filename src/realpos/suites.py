@@ -52,9 +52,8 @@ from .powers import (
     root_monotonicity_report,
     root_series,
     rescaled_root_check,
-    vav_identity_check,
 )
-from .projections import is_peak_for, peak_projection, support_projection
+from .projections import is_peak_for, peak_projection, support_projection, vav_identity_check
 from .transforms import f_inverse, f_transform
 
 __all__ = ["SuiteReport", "run_suite", "suite_names"]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from realpos.algebra import (
     RANK_TOL,
+    MatrixAlgebra,
     _unit_defect,
     a_h,
     algebra_from_json,
@@ -468,6 +469,22 @@ def test_generate_zero_algebra(mode):
 def test_span_algebra_rejects_non_closed(e12):
     with pytest.raises(ValueError):
         span_algebra([e12 + e12.T.conj()])  # span{E12+E21} is not an algebra
+
+
+def test_span_of_all_of_m_n_skips_the_closure_check(monkeypatch, e12):
+    # n^2 independent matrices span M_n, which is closed: no product is formed
+    w = gen_unitary(4, 3)
+    rotated = [w @ b @ dagger(w) for b in full_algebra(4).basis]
+
+    def never(self):
+        raise AssertionError("closure checked on all of M_n")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(MatrixAlgebra, "closure_defect", never)
+        alg = span_algebra(rotated)
+    assert alg.dim == 16 and alg.contains_identity
+    with pytest.raises(ValueError, match="not closed"):
+        span_algebra([e12, e12.T.conj()])  # E12 E21 = E11 is outside the span
 
 
 def test_algebra_names_and_json():

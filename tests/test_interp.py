@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from realpos.algebra import (
     diagonal_algebra,
     full_algebra,
     generate_algebra,
+    identity_of,
     span_algebra,
     upper_triangular_algebra,
 )
+from realpos.cli import main
 from realpos.cones import f_membership
 from realpos.generators import gen_unitary
 from realpos.interp import (
@@ -34,7 +38,8 @@ from realpos.interp import (
     tietze_lift,
     urysohn_interpolate,
 )
-from realpos.matrices import DEFAULT_TOL, as_matrix, dagger, im_part, min_real_eig, op_norm
+from realpos.matrices import (DEFAULT_TOL, as_matrix, dagger, im_part, matrix_to_json, min_real_eig,
+                              op_norm)
 from realpos.powers import power
 from realpos.projections import peak_projection, support_projection
 
@@ -158,31 +163,26 @@ def _reference_value(con, alg, u):
     return out - con.target if isinstance(con, AffineEquality) else out
 
 
-def _theorem_problems(monkeypatch) -> list:
-    """(problem, engine keyword arguments) of every theorem builder, on a
-    unital and a nonunital algebra in a conjugated basis."""
+def _theorem_algebras() -> tuple:
+    """A unital and a nonunital algebra in conjugated bases, with the
+    conjugating unitaries: upper:3 and span{E11, E12} in M_3."""
     w, unital = _conjugated(list(upper_triangular_algebra(3).basis), 4)
     assert unital.contains_identity
-    q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
-    b = w @ np.diag([0.3, 0.5, 0.2]) @ dagger(w)
-    bq = w @ np.diag([0.5, 0.2, 0.1]) @ dagger(w)
-    ambient = np.array([[1.0, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])  # dominates E11, not in A
-    ambient_u = w @ ambient @ dagger(w)
-    region = ConvexRegion(np.array([-0.5 - 0.5j, 1 - 0.5j, 1 + 0.5j, -0.5 + 0.5j]))
     v, nonunital = _conjugated([unit(3, 0, 0), unit(3, 0, 1)], 5)
     assert not nonunital.contains_identity
+    return w, unital, v, nonunital
+
+
+def _theorem_problems(monkeypatch) -> list:
+    """(problem, engine keyword arguments) of the Tietze lift, the one theorem
+    that builds engine problems, on a unital and a nonunital algebra."""
+    w, unital, v, nonunital = _theorem_algebras()
+    q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
+    bq = w @ np.diag([0.5, 0.2, 0.1]) @ dagger(w)
+    region = ConvexRegion(np.array([-0.5 - 0.5j, 1 - 0.5j, 1 + 0.5j, -0.5 + 0.5j]))
     q1 = v @ np.diag([1.0, 0, 0]) @ dagger(v)
     calls = [
-        lambda: dominate(unital, b, eps=0.05),
-        lambda: decompose(unital, 0.5 * b),
-        lambda: interp_np(unital, b, near_eps=0.05),
-        lambda: urysohn_interpolate(unital, q, np.eye(3)),
-        lambda: urysohn_interpolate(unital, q, ambient_u),
-        lambda: peak_interpolate(unital, q, bq),
         lambda: tietze_lift(unital, q, bq, region),
-        lambda: urysohn_interpolate(nonunital, q1, q1),
-        lambda: urysohn_interpolate(nonunital, q1, np.eye(3)),
-        lambda: peak_interpolate(nonunital, q1, 0.5 * q1),
         lambda: tietze_lift(nonunital, q1, 0.5 * q1, region),
     ]
     return _recorded_problems(monkeypatch, calls)
@@ -208,12 +208,7 @@ def test_compiled_maps_match_their_sandwich_terms(monkeypatch):
                 want = _reference_value(con, alg, u)
                 assert op_norm(got - want) <= 1e-12 * max(1.0, op_norm(want)), con.label
     assert {problem.algebra.contains_identity for problem in problems} == {True, False}
-    assert labels >= {
-        "Re(a) >= b", "sector+", "sector-", "1-2a in ball", "1-2(x-b) in ball",
-        "|1-a|^2 <= 1-c", "Re(a) >= c", "a q = q", "q a = q", "a u = a", "u a = a",
-        "a(1-u) small", "(1-u)a small", "g q = b q", "q g = b q", "a in ball",
-        "W(g) halfplane 0", "W(g) halfplane 3",
-    }
+    assert labels == {"g q = b q", "q g = b q", "a in ball", *(f"W(g) halfplane {k}" for k in range(4))}
 
 
 def _loop_residuals(problem, u) -> dict:
@@ -262,8 +257,8 @@ class _Counted:
 
 
 def test_feasible_warm_start_builds_only_the_affine_pseudo_inverse(monkeypatch):
-    # every theorem's warm start is feasible once projected onto the equality
-    # flat, so the solve stops at round 1: one SVD builds the flat, one
+    # Tietze's warm start is feasible once projected onto the equality flat,
+    # so the solve stops at round 1: one SVD builds the flat, one
     # scoring reads it, and no floor or cap is ever clipped
     for problem, kwargs in _theorem_problems(monkeypatch):
         clip, scores = _Counted(interp._clip), _Counted(interp._residuals)
@@ -327,12 +322,9 @@ def test_clipping_solve_is_deterministic_and_draws_no_random_numbers(monkeypatch
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("theorem", ["dominate", "decompose", "np", "urysohn", "peak", "tietze"])
+@pytest.mark.parametrize("theorem", ["tietze"])
 def test_cold_start_solves_converge(monkeypatch, theorem):
-    # the warm starts are the proofs' closed-form points; from zero the rounds
-    # themselves must reach a feasible point.  For urysohn and peak the
-    # equality flat's point nearest zero is already feasible, but peak's warm
-    # start b can break 1-2a in ball, so its warm solves clip too
+    # from zero, the rounds themselves must reach a feasible point
     recorded = []
     for k in range(10):
         inst = suites._case_seed(0, sum(map(ord, theorem)) % 997 + 31 * k)
@@ -341,12 +333,11 @@ def test_cold_start_solves_converge(monkeypatch, theorem):
             monkeypatch, [lambda: interp.THEOREMS[theorem].solve(alg, problem, DEFAULT_TOL)])
         monkeypatch.undo()
     rounds = []
-    for problem, kwargs in recorded:
-        for warm in [None] + ([kwargs["warm_start"]] if theorem == "peak" else []):
-            sol = solve_feasibility(problem, warm_start=warm)
-            assert sol.verdict == "feasible", sol.residuals
-            rounds.append(sol.iterations)
-    assert max(rounds) > 1 or theorem == "urysohn"
+    for problem, _ in recorded:
+        sol = solve_feasibility(problem)
+        assert sol.verdict == "feasible", sol.residuals
+        rounds.append(sol.iterations)
+    assert max(rounds) > 1
 
 
 def test_dominate_examples(e11):
@@ -480,7 +471,7 @@ def test_strict_urysohn():
 
 
 def _never_solve(problem, **kwargs):
-    raise AssertionError("strict Urysohn reached the feasibility engine")
+    raise AssertionError("a closed-form solver reached the feasibility engine")
 
 
 def test_strict_urysohn_solver_route(monkeypatch):
@@ -510,6 +501,59 @@ def test_strict_urysohn_is_the_closed_form_without_the_engine(monkeypatch, n):
         (out,), checks = interp.THEOREMS["strict-urysohn"].solve(full_algebra(n), {"q": q, "p": p}, DEFAULT_TOL)
         assert np.array_equal(out, x)
         assert all(ok for _, _, ok in checks), checks
+
+
+def test_closed_form_solver_routes(monkeypatch):
+    # every theorem but Tietze returns its proof's point through a.project,
+    # verified, with no engine call: on a unital algebra all five, on a
+    # nonunital one Urysohn (u in A and u ambient) and peak
+    monkeypatch.setattr(interp, "solve_feasibility", _never_solve)
+    w, unital, v, nonunital = _theorem_algebras()
+    e = identity_of(unital)
+    q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
+    b = w @ np.diag([0.3, 0.5, 0.2]) @ dagger(w)
+    bq = w @ np.diag([0.5, 0.2, 0.1]) @ dagger(w)
+    ambient_u = w @ np.array([[1.0, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]]) @ dagger(w)  # not in A
+    q1 = v @ np.diag([1.0, 0, 0]) @ dagger(v)
+    assert not contains(unital, ambient_u)[0] and contains(nonunital, q1)[0]
+    eps = {"eps": 0.05, "near_eps": 0.05}
+    cases = [
+        ("dominate", unital, {"b": b}, [0.5 * (1.0 + op_norm(b)) * e]),
+        ("decompose", unital, {"b": 0.5 * b}, [(e + 0.5 * b) / 2.0]),
+        ("np", unital, {"c": b}, [0.5 * (1.0 + op_norm(b)) * e]),
+        ("urysohn", unital, {"q": q, "u": np.eye(3)}, [q]),
+        ("urysohn", unital, {"q": q, "u": ambient_u}, [q]),
+        ("peak", unital, {"q": q, "b": bq}, [bq @ q]),
+        ("urysohn", nonunital, {"q": q1, "u": q1}, [q1]),
+        ("urysohn", nonunital, {"q": q1, "u": np.eye(3)}, [q1]),
+        ("peak", nonunital, {"q": q1, "b": 0.5 * q1}, [0.5 * q1 @ q1]),
+    ]
+    for theorem, alg, problem, closed in cases:
+        outputs, checks = interp.THEOREMS[theorem].solve(alg, {**problem, **eps}, DEFAULT_TOL)
+        want = [alg.project(m) for m in closed]
+        if theorem == "decompose":
+            want.append(want[0] - 0.5 * b)
+        assert all(np.array_equal(got, m) for got, m in zip(outputs, want, strict=True)), theorem
+        assert all(ok for _, _, ok in checks), (theorem, checks)
+
+
+def test_closed_forms_need_a_hermitian_unit(tmp_path, capsys):
+    # span{[[1, 1], [0, 0]]} is unital, but its unit is an idempotent of norm
+    # sqrt 2; the closed forms need an identity of norm 1
+    idem = np.array([[1.0, 1.0], [0.0, 0.0]])
+    alg = span_algebra([idem])
+    assert np.allclose(identity_of(alg), idem)
+    zero = np.zeros((2, 2))
+    for call in (lambda: dominate(alg, zero), lambda: decompose(alg, zero), lambda: interp_np(alg, zero)):
+        with pytest.raises(ValueError, match="Hermitian unit"):
+            call()
+    problem = tmp_path / "p.json"
+    for theorem, key in (("dominate", "b"), ("decompose", "b"), ("np", "c")):
+        problem.write_text(json.dumps({"algebra": {"basis": [matrix_to_json(idem)]}, key: matrix_to_json(zero)}))
+        capsys.readouterr()
+        assert main(["interp", str(problem), "--theorem", theorem]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Hermitian unit" in err
 
 
 def _tilted_p() -> np.ndarray:

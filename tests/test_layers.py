@@ -41,10 +41,11 @@ def test_module_level_imports_point_down():
 
 
 def test_one_function_local_import_remains():
-    # vav_identity_check needs support projections, and projections imports powers
+    # the last one, in powers.vav_identity_check, left with the function for
+    # projections, beside the support_projection it calls; none remains
     local = [(module, function, target) for module in ORDER
              for function, target in _relative_imports(module) if function is not None]
-    assert local == [("powers", "vav_identity_check", "projections")]
+    assert local == []
 
 
 def test_algebra_imports_nothing_from_projections():

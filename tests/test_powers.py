@@ -28,8 +28,8 @@ from realpos.powers import (
     rescaled_root_check,
     root_monotonicity_report,
     root_series,
-    vav_identity_check,
 )
+from realpos.projections import vav_identity_check
 
 
 def test_spectral_values(lemerdy):
