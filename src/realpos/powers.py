@@ -6,7 +6,9 @@ Three routes, kept independent so they can cross-check each other:
 * quadrature: the resolvent integral
   ``x^r = (sin(r pi)/pi) * integral_0^inf t^{r-1} (t + x)^{-1} x dt``
   evaluated with Gauss-Jacobi nodes after mapping t = u/(1-u);
-* series: the binomial expansion of ``(1 - (1-x))^{1/m}`` for x in F.
+* series: the binomial expansion of ``(1 - (1-x))^{1/m}`` for x in F,
+  summed by Paterson-Stockmeyer: a degree-d partial sum takes about
+  2 sqrt(d) matrix products instead of d.
 
 ``power_all(x, alphas)`` gives one result per exponent and factors x once:
 the fractional parts all power one eigendecomposition (Higham, *Functions
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -58,7 +62,8 @@ COND_CAP = 1e8
 # power_spectral maps eigenvalues with |lambda| <= EIG_RTOL ||x|| to 0.
 EIG_RTOL = 1e-12
 # Largest quadrature node count and series term count: a rule of MAX_NODES
-# nodes holds MAX_NODES n x n systems, and each series term is one product.
+# nodes and its half-node rule hold 1.5 MAX_NODES n x n systems, and
+# MAX_TERMS series terms take about 630 matrix products.
 MAX_NODES = 4096
 MAX_TERMS = 100_000
 
@@ -151,9 +156,17 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     return _SpectralFactor(x).power(alpha)
 
 
+def _require_count(value, name: str, low: int, high: int, what: str) -> None:
+    """Refuse a count that is not an integer (bools included) or lies
+    outside [low, high], naming the parameter; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"need between {low} and {high} {what}, got {value}")
+
+
 def _require_nodes(nodes: int) -> None:
-    if not 16 <= nodes <= MAX_NODES:
-        raise ValueError(f"need between 16 and {MAX_NODES} quadrature nodes, got {nodes}")
+    _require_count(nodes, "nodes", 16, MAX_NODES, "quadrature nodes")
 
 
 @lru_cache(maxsize=256)
@@ -164,14 +177,24 @@ def _jacobi_rule(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
         return roots_jacobi(nodes, -r, r - 1.0)
 
 
-def _balakrishnan_sum(
+def _solve_rule(mats: np.ndarray, x: np.ndarray, ok: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Solutions of M_k s_k = x: one stacked solve when every node clears the
+    pivot bound (``ok``), else solve() node by node."""
+    if ok.all():
+        return np.linalg.solve(mats, np.broadcast_to(x, mats.shape))
+    return np.array([solve(m, x, tol) for m in mats])
+
+
+def _balakrishnan_sums(
     x: np.ndarray, r: float, nodes: int, margin: float, tol: Tolerances
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes``-point rule and the ``nodes // 2``-point rule, whose
+    nodes share one matrix build and, in the usual case, one stacked solve."""
     # After t = u/(1-u) and u = (1+xi)/2 the integral becomes a Gauss-Jacobi
     # quadrature with weight (1-xi)^{-r} (1+xi)^{r-1}; the smooth factor is
     # F(u) = (u + (1-u) x)^{-1} x.
-    xi, w = _jacobi_rule(nodes, r)
-    u = (1.0 + xi) / 2.0
+    (xi, w), (xi_c, w_c) = _jacobi_rule(nodes, r), _jacobi_rule(nodes // 2, r)
+    u = (1.0 + np.concatenate([xi, xi_c])) / 2.0
     n = x.shape[0]
     mats = (1.0 - u)[:, None, None] * x
     mats[:, range(n), range(n)] += u[:, None]
@@ -185,18 +208,26 @@ def _balakrishnan_sum(
     #   ||M v|| >= Re<M v, v> for unit v;
     # * ||M_k|| <= u_k + (1-u_k) ||x||_F.
     # The factor 100 covers rounding in the bounds and in the factorization.
-    # When any node misses the bound the whole rule goes through solve(), so
-    # the same node raises SingularMatrixError with the same pivot index.
+    # When a node misses the bound, each rule is solved as it would be
+    # alone: stacked if all its nodes clear the bound, else node by node
+    # through solve(), fine rule first, so the same node raises
+    # SingularMatrixError with the same pivot index.  The ratio of the two
+    # bounds grows with u (margin <= ||x||_F), so it fails first at the
+    # smallest node, which belongs to the fine rule.
     low = (u + (1.0 - u) * margin) / n
     high = u + (1.0 - u) * frob_norm(x)
-    if np.all(low > 100.0 * PIVOT_RTOL * high):
-        sols = np.linalg.solve(mats, np.broadcast_to(x, mats.shape))
+    ok = low > 100.0 * PIVOT_RTOL * high
+    if ok.all():
+        sols = _solve_rule(mats, x, ok, tol)
     else:
-        sols = np.array([solve(m, x, tol) for m in mats])
+        rules = (slice(None, nodes), slice(nodes, None))
+        sols = np.concatenate([_solve_rule(mats[k], x, ok[k], tol) for k in rules])
     # sin(r pi) = sin((1 - r) pi), and for r > 1/2 the difference 1 - r is
     # exact while r * pi would round next to pi and lose eps / (1 - r).
     angle = (1.0 - r) * np.pi if r > 0.5 else r * np.pi
-    return float(np.sin(angle) / np.pi) * np.tensordot(w, sols, axes=1)
+    scale = float(np.sin(angle) / np.pi)
+    return (scale * np.tensordot(w, sols[:nodes], axes=1),
+            scale * np.tensordot(w_c, sols[nodes:], axes=1))
 
 
 def power_balakrishnan(
@@ -220,8 +251,7 @@ def power_balakrishnan(
         )
     _require_nodes(nodes)
     margin = _require_accretive(x, tol)
-    value = _balakrishnan_sum(x, r, nodes, margin, tol)
-    coarse = _balakrishnan_sum(x, r, nodes // 2, margin, tol)
+    value, coarse = _balakrishnan_sums(x, r, nodes, margin, tol)
     est = op_norm(value - coarse)
     # The rule integrates against the weight exponent fl(r - 1) = (r - d) - 1,
     # so the value is off by a relative d / r that the half-node estimate,
@@ -241,30 +271,28 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
 
     The coefficients past k = 0 all share one sign, so the tail of their
     absolute sum is available exactly; it bounds the truncation error since
-    ||1 - x|| <= 1.
+    ||1 - x|| <= 1.  The partial sum, a polynomial of degree ``terms`` in
+    1 - x, is evaluated by Paterson-Stockmeyer (:func:`_matrix_polyval`):
+    about 2 sqrt(terms) matrix products, 630 at ``MAX_TERMS``.
     """
     x = as_matrix(x)
     if m < 2 or int(m) != m:
         raise ValueError("m must be an integer >= 2")
-    if not 1 <= terms <= MAX_TERMS:
-        raise ValueError(f"need between 1 and {MAX_TERMS} series terms, got {terms}")
-    eye = np.eye(x.shape[0], dtype=complex)
-    y = eye - x
+    _require_count(terms, "terms", 1, MAX_TERMS, "series terms")
+    y = np.eye(x.shape[0], dtype=complex) - x
     if op_norm(y) > 1.0 + tol.eq_tol:
         raise ValueError("series route needs ||1 - x|| <= 1")
     alpha = 1.0 / m
     coeff = 1.0  # binom(alpha, k) (-1)^k at k = 0
-    total = coeff * eye
+    coeffs = [coeff]
     signed_sum = coeff
-    yk = eye
     for k in range(terms):
         coeff = coeff * (k - alpha) / (k + 1.0)
-        yk = yk @ y
-        total = total + coeff * yk
+        coeffs.append(coeff)
         signed_sum += coeff
     # signed_sum is exactly the remaining absolute mass of the coefficients.
     est = abs(signed_sum)
-    return PowerResult(total, "series", float(est), terms)
+    return PowerResult(_matrix_polyval(coeffs, y), "series", float(est), terms)
 
 
 def _split(alpha: float) -> tuple[int, float]:
@@ -403,11 +431,23 @@ def holder_check(
 
 
 def _matrix_polyval(coeffs, m: np.ndarray) -> np.ndarray:
-    """Polynomial in a matrix; coefficients ascending (c0 + c1 z + ...)."""
-    n = m.shape[0]
-    acc = np.zeros((n, n), dtype=complex)
-    for c in reversed(list(coeffs)):
-        acc = acc @ m + c * np.eye(n, dtype=complex)
+    """Polynomial in a matrix; coefficients ascending (c0 + c1 z + ...).
+
+    Paterson-Stockmeyer with block size s = isqrt(len(coeffs)): the powers
+    m^0..m^s, every block sum_i c_{js+i} m^i by one tensordot over them, and
+    Horner in m^s over the blocks, so about 2 sqrt(len(coeffs)) products.
+    With s = 1 (at most 3 coefficients) this is plain Horner in m.
+    """
+    coeffs = np.asarray(coeffs)
+    s = isqrt(len(coeffs))
+    powers = [np.eye(m.shape[0], dtype=complex), m]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ m)
+    padded = np.pad(coeffs, (0, -len(coeffs) % s))
+    blocks = np.tensordot(padded.reshape(-1, s), np.array(powers[:s]), axes=1)
+    acc = blocks[-1]
+    for block in blocks[-2::-1]:
+        acc = acc @ powers[s] + block
     return acc
 
 

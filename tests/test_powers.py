@@ -182,6 +182,100 @@ def test_root_series_values():
         root_series(np.eye(2), 2, terms=MAX_TERMS + 1)
 
 
+def _series_reference(x, m, terms):
+    """Sequential Horner sum of the binomial series and its signed tail."""
+    y = np.eye(x.shape[0], dtype=complex) - x
+    coeffs, coeff, tail = [1.0], 1.0, 1.0
+    for k in range(terms):
+        coeff = coeff * (k - 1.0 / m) / (k + 1.0)
+        coeffs.append(coeff)
+        tail += coeff
+    acc = np.zeros_like(y)
+    for c in reversed(coeffs):
+        acc = acc @ y + c * np.eye(x.shape[0], dtype=complex)
+    return acc, abs(tail)
+
+
+# one block (1, 2, 3 terms), full last blocks (8 and 15 terms: 9 = 3 * 3 and
+# 16 = 4 * 4 coefficients) and partial last blocks (16, 200, 20000 terms)
+@pytest.mark.parametrize("terms", [1, 2, 3, 8, 15, 16, 200, 20000])
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_root_series_matches_sequential_horner(n, terms):
+    x = 2.0 * gen_half_f(n, 60 + n)  # lands in F
+    for m in (2, 3, 7):
+        ref, tail = _series_reference(x, m, terms)
+        res = root_series(x, m, terms=terms)
+        assert op_norm(res.value - ref) <= 1e-13 * max(1.0, op_norm(ref))
+        assert (res.method, res.est_error, res.nodes_or_terms, res.certified) == (
+            "series", tail, terms, True)
+        # the tail sum_{k <= K} binom(1/m, k) (-1)^k is prod_{j <= K} (1 - (1/m)/j)
+        closed = math.exp(math.lgamma(terms + 1.0 - 1.0 / m) - math.lgamma(1.0 - 1.0 / m)
+                          - math.lgamma(terms + 1.0))
+        assert res.est_error == pytest.approx(closed, rel=1e-10)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 200, 20000])
+def test_root_series_of_a_nilpotent_perturbation_is_exact(terms):
+    # 1 - x squares to 0, so every partial sum is 1 + binom(1/m, 1) (x - 1)
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for m in (2, 3, 7):
+        value = root_series(jordan, m, terms=terms).value
+        assert np.array_equal(value, [[1.0, 1.0 / m], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_short_polynomials_are_plain_horner(length):
+    # block size isqrt(length) = 1: the evaluator is the sequential Horner loop
+    rng = np.random.default_rng(length)
+    x = 2.0 * gen_half_f(4, 70 + length)
+    y = np.eye(4, dtype=complex) - x
+    for _ in range(5):
+        coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        ref = np.zeros((4, 4), dtype=complex)
+        for c in reversed(coeffs):
+            ref = ref @ y + c * np.eye(4, dtype=complex)
+        assert np.array_equal(powers_module._matrix_polyval(coeffs, y), ref)
+        _, conclusion = disk_order_check([0.0], list(coeffs), x)
+        assert conclusion == min_real_eig(ref)
+
+
+def test_counts_must_be_integers():
+    x = 2.0 * gen_half_f(3, 80)
+    for terms in (2.5, 8.0, True, "8"):
+        with pytest.raises(ValueError, match="terms must be an integer"):
+            root_series(x, 2, terms=terms)
+    for nodes in (64.5, 64.0, True, None):
+        with pytest.raises(ValueError, match="nodes must be an integer"):
+            power_balakrishnan(x, 0.5, nodes=nodes)
+        with pytest.raises(ValueError, match="nodes must be an integer"):
+            power(x, 0.5, nodes=nodes)
+    # numpy integers are counts
+    assert _same_result(root_series(x, 2, terms=np.int64(8)), root_series(x, 2, terms=8))
+    assert _same_result(power_balakrishnan(x, 0.5, nodes=np.int32(64)),
+                        power_balakrishnan(x, 0.5, nodes=64))
+
+
+@pytest.mark.parametrize("scale, nodes, fine_ok, coarse_ok", [
+    (1.0, 64, True, True),
+    (1e7, 64, False, True),
+    (1e7, 128, False, False),
+])
+def test_balakrishnan_rules_fall_back_as_if_solved_apart(monkeypatch, scale, nodes, fine_ok,
+                                                          coarse_ok):
+    # On the accretivity boundary at large norm the pivot bound misses the
+    # smallest nodes: the fine rule then goes node by node through solve(),
+    # and the coarse rule too only when its own nodes miss the bound.
+    calls = []
+    monkeypatch.setattr(powers_module, "solve", lambda m, b, tol: calls.append(1) or solve(m, b, tol))
+    x = np.diag([scale, 0.0]).astype(complex)
+    res = power_balakrishnan(x, 0.5, nodes)
+    assert len(calls) == (0 if fine_ok else nodes) + (0 if coarse_ok else nodes // 2)
+    fine = _per_node_reference(x, 0.5, nodes)
+    coarse = _per_node_reference(x, 0.5, nodes // 2)
+    assert op_norm(res.value - fine) <= 1e-13 * op_norm(fine)
+    assert res.est_error == pytest.approx(op_norm(fine - coarse), rel=1e-6, abs=1e-12)
+
+
 def test_power_general():
     x = gen_accretive(3, 23)
     assert np.allclose(power(x, 1.0).value, x)
