@@ -190,6 +190,8 @@ def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
 def solve(m, b, tol: Tolerances = DEFAULT_TOL):
     """Solve ``m @ x = b`` by LU with partial pivoting.
 
+    ``b`` may be a ``(k, n, p)`` stack of right-hand sides: m is factored
+    once, and each of them is solved with the bits of its own call.
     Raises :class:`SingularMatrixError` carrying the index of the first
     pivot whose magnitude falls below ``PIVOT_RTOL * op_norm(m)``.
     """
@@ -207,6 +209,8 @@ def solve(m, b, tol: Tolerances = DEFAULT_TOL):
     if bad.size:
         k = int(bad[0])
         raise SingularMatrixError(k, float(diag[k]), scale)
+    if b.ndim == 3:
+        return np.array([scipy.linalg.lu_solve((lu, piv), rhs) for rhs in b])
     return scipy.linalg.lu_solve((lu, piv), b)
 
 

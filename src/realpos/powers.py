@@ -5,7 +5,11 @@ Three routes, kept independent so they can cross-check each other:
 * spectral: diagonalize and take principal powers of the eigenvalues;
 * quadrature: the resolvent integral
   ``x^r = (sin(r pi)/pi) * integral_0^inf t^{r-1} (t + x)^{-1} x dt``
-  evaluated with Gauss-Jacobi nodes after mapping t = u/(1-u);
+  evaluated with Gauss-Jacobi nodes after mapping t = u/(1-u).  All the
+  resolvents come from one unitary Schur form x = Z T Z* by back
+  substitution (Laub, IEEE TAC 26, 1981; Higham, ch. 9).  No eigenvectors
+  are formed and zgees is backward stable, so the route holds for
+  defective x and stays an independent check of the spectral one;
 * series: the binomial expansion of ``(1 - (1-x))^{1/m}`` for x in F,
   summed by Paterson-Stockmeyer: a degree-d partial sum takes about
   2 sqrt(d) matrix products instead of d.
@@ -62,8 +66,8 @@ COND_CAP = 1e8
 # power_spectral maps eigenvalues with |lambda| <= EIG_RTOL ||x|| to 0.
 EIG_RTOL = 1e-12
 # Largest quadrature node count and series term count: a rule of MAX_NODES
-# nodes and its half-node rule hold 1.5 MAX_NODES n x n systems, and
-# MAX_TERMS series terms take about 630 matrix products.
+# nodes and its half-node rule hold 1.5 MAX_NODES n x n resolvents (25 MB
+# at n = 16), and MAX_TERMS series terms take about 630 matrix products.
 MAX_NODES = 4096
 MAX_TERMS = 100_000
 
@@ -75,8 +79,8 @@ class NotAccretiveError(ValueError):
 class DefectiveMatrixError(ValueError):
     """Eigenvector matrix too ill-conditioned for the spectral route.
 
-    Callers should fall back to the quadrature route, which only needs
-    linear solves.
+    Callers should fall back to the quadrature route, which forms no
+    eigenvectors.
     """
 
     def __init__(self, cond: float):
@@ -177,30 +181,43 @@ def _jacobi_rule(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
         return roots_jacobi(nodes, -r, r - 1.0)
 
 
-def _solve_rule(mats: np.ndarray, x: np.ndarray, ok: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Solutions of M_k s_k = x: one stacked solve when every node clears the
-    pivot bound (``ok``), else solve() node by node."""
-    if ok.all():
-        return np.linalg.solve(mats, np.broadcast_to(x, mats.shape))
-    return np.array([solve(m, x, tol) for m in mats])
+def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z and s with s[:, :, k] = (u_k + (1 - u_k) T)^{-1} T, where x = Z T Z*
+    is the complex Schur form (LAPACK zgees; Z unitary, T upper triangular).
+
+    Every node's system shares the off-diagonal coefficients of T, so back
+    substitution takes row i of all of them at once: one matrix-vector
+    product with the rows below it.  The caller guarantees nonzero
+    diagonals u_k + (1 - u_k) t_ii.
+    """
+    import scipy.linalg  # kept off the import path, like solve()'s
+
+    t, z = scipy.linalg.schur(x, output="complex")
+    n, k = x.shape[0], len(u)
+    v = 1.0 - u
+    s = np.empty((n, n, k), dtype=complex)
+    for i in range(n - 1, -1, -1):
+        below = (t[i, i + 1:] @ s[i + 1:].reshape(n - i - 1, n * k)).reshape(n, k)
+        s[i] = (t[i, :, None] - v * below) / (u + v * t[i, i])
+    return z, s
 
 
 def _balakrishnan_sums(
     x: np.ndarray, r: float, nodes: int, margin: float, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``nodes``-point rule and the ``nodes // 2``-point rule, whose
-    nodes share one matrix build and, in the usual case, one stacked solve."""
+    1.5 ``nodes`` resolvents come from one Schur form of x in the usual
+    case (see :func:`_schur_resolvents`) and from solve() node by node
+    otherwise."""
     # After t = u/(1-u) and u = (1+xi)/2 the integral becomes a Gauss-Jacobi
     # quadrature with weight (1-xi)^{-r} (1+xi)^{r-1}; the smooth factor is
     # F(u) = (u + (1-u) x)^{-1} x.
     (xi, w), (xi_c, w_c) = _jacobi_rule(nodes, r), _jacobi_rule(nodes // 2, r)
     u = (1.0 + np.concatenate([xi, xi_c])) / 2.0
     n = x.shape[0]
-    mats = (1.0 - u)[:, None, None] * x
-    mats[:, range(n), range(n)] += u[:, None]
     # solve() rejects M_k = u_k + (1-u_k) x when an LU pivot is at most
-    # PIVOT_RTOL ||M_k||.  A stacked solve shows no pivots, so it is taken
-    # only when a bound proves that no node can fail that test:
+    # PIVOT_RTOL ||M_k||.  The Schur route shows no such pivots, so it is
+    # taken only when a bound proves that no node can fail that test:
     # * each pivot of LU with partial pivoting is the largest entry in the
     #   first column of a Schur complement S, and S^{-1} is a block of
     #   M_k^{-1}, so |pivot| >= sigma_min(S)/sqrt(n) >= sigma_min(M_k)/n;
@@ -208,26 +225,30 @@ def _balakrishnan_sums(
     #   ||M v|| >= Re<M v, v> for unit v;
     # * ||M_k|| <= u_k + (1-u_k) ||x||_F.
     # The factor 100 covers rounding in the bounds and in the factorization.
-    # When a node misses the bound, each rule is solved as it would be
-    # alone: stacked if all its nodes clear the bound, else node by node
-    # through solve(), fine rule first, so the same node raises
-    # SingularMatrixError with the same pivot index.  The ratio of the two
-    # bounds grows with u (margin <= ||x||_F), so it fails first at the
-    # smallest node, which belongs to the fine rule.
+    # The same bound keeps the triangular diagonals u_k + (1-u_k) lambda_i
+    # away from 0: Re lambda_i >= margin, as eigenvalues lie in the
+    # numerical range.  When any node misses the bound, every node goes
+    # through solve(), fine rule first, so the node that fails raises
+    # SingularMatrixError with its own pivot index.
     low = (u + (1.0 - u) * margin) / n
     high = u + (1.0 - u) * frob_norm(x)
-    ok = low > 100.0 * PIVOT_RTOL * high
-    if ok.all():
-        sols = _solve_rule(mats, x, ok, tol)
+    if np.all(low > 100.0 * PIVOT_RTOL * high):
+        z, s = _schur_resolvents(x, u)
     else:
-        rules = (slice(None, nodes), slice(nodes, None))
-        sols = np.concatenate([_solve_rule(mats[k], x, ok[k], tol) for k in rules])
+        eye = np.eye(n)
+        z, s = None, np.stack([solve((1.0 - uk) * x + uk * eye, x, tol) for uk in u], axis=-1)
+    # Both rules' sums by one product: column 0 of the weights holds the
+    # fine rule's, column 1 the half-node rule's.
+    weights = np.zeros((len(u), 2))
+    weights[:nodes, 0], weights[nodes:, 1] = w, w_c
+    sums = np.moveaxis((s.reshape(n * n, -1) @ weights).reshape(n, n, 2), -1, 0)
+    if z is not None:
+        sums = z @ sums @ z.conj().T
     # sin(r pi) = sin((1 - r) pi), and for r > 1/2 the difference 1 - r is
     # exact while r * pi would round next to pi and lose eps / (1 - r).
     angle = (1.0 - r) * np.pi if r > 0.5 else r * np.pi
     scale = float(np.sin(angle) / np.pi)
-    return (scale * np.tensordot(w, sols[:nodes], axes=1),
-            scale * np.tensordot(w_c, sols[nodes:], axes=1))
+    return scale * sums[0], scale * sums[1]
 
 
 def power_balakrishnan(
@@ -235,7 +256,10 @@ def power_balakrishnan(
 ) -> PowerResult:
     """Principal power by the resolvent-integral quadrature.
 
-    Works for defective matrices since only linear solves are needed.  The
+    Works for defective matrices: the resolvents at the nodes are triangular
+    solves in one unitary Schur form of x (backward stable, no eigenvectors
+    formed), or LU solves when the pivot bound of :func:`_balakrishnan_sums`
+    misses a node, so this route checks the spectral one independently.  The
     error estimate compares against the half-node rule; the result is
     flagged uncertified when that estimate is above ``1e-6 max(1,
     ||value||_F)``, or above 1e-6 when the input sits on the accretivity

@@ -25,11 +25,15 @@ def cayley(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def f_transform(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """x (x + 1)^{-1}, equal to (1 + cayley(x)) / 2."""
+    """x (x + 1)^{-1}, equal to (1 + cayley(x)) / 2.
+
+    Both forms come from one factorization of x + 1, and each has the bits
+    of its own solve.
+    """
     x = as_matrix(x)
     eye = np.eye(x.shape[0], dtype=complex)
-    value = solve(x + eye, x, tol)
-    alt = (eye + cayley(x, tol)) / 2.0
+    value, cay = solve(x + eye, np.stack([x, x - eye]), tol)
+    alt = (eye + cay) / 2.0
     if op_norm(value - alt) > 1e-10 * max(1.0, op_norm(value)):
         raise ArithmeticError(
             "resolvent and Cayley forms of the transform disagree; "

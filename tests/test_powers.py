@@ -138,11 +138,16 @@ def _per_node_reference(x, r, nodes):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16])
 def test_balakrishnan_matches_per_node_solves(n):
+    # a random accretive input, and a unitarily rotated scaled Jordan-like
+    # block s (1.01 + N), N the shift: accretive, far from normal, and its
+    # Schur form is not diagonal
+    u = gen_unitary(n, 950 + n)
+    jordan = u @ (3.0 * (1.01 * np.eye(n) + np.eye(n, k=1))) @ u.conj().T
     for k, (r, nodes) in enumerate(itertools.product((0.25, 0.5, 0.75), (16, 64, 128))):
-        x = gen_accretive(n, 900 + 10 * n + k)
-        ref = _per_node_reference(x, r, nodes)
-        value = power_balakrishnan(x, r, nodes).value
-        assert op_norm(value - ref) <= 1e-13 * op_norm(ref)
+        for x in (gen_accretive(n, 900 + 10 * n + k), jordan):
+            ref = _per_node_reference(x, r, nodes)
+            value = power_balakrishnan(x, r, nodes).value
+            assert op_norm(value - ref) <= 1e-13 * op_norm(ref)
 
 
 @pytest.mark.parametrize("nodes", [64, 128])
@@ -255,21 +260,31 @@ def test_counts_must_be_integers():
                         power_balakrishnan(x, 0.5, nodes=64))
 
 
-@pytest.mark.parametrize("scale, nodes, fine_ok, coarse_ok", [
-    (1.0, 64, True, True),
-    (1e7, 64, False, True),
-    (1e7, 128, False, False),
-])
-def test_balakrishnan_rules_fall_back_as_if_solved_apart(monkeypatch, scale, nodes, fine_ok,
-                                                          coarse_ok):
-    # On the accretivity boundary at large norm the pivot bound misses the
-    # smallest nodes: the fine rule then goes node by node through solve(),
-    # and the coarse rule too only when its own nodes miss the bound.
-    calls = []
-    monkeypatch.setattr(powers_module, "solve", lambda m, b, tol: calls.append(1) or solve(m, b, tol))
+@pytest.mark.parametrize("scale, nodes", [(1.0, 64), (1e7, 64), (1e7, 128), (1e8, 128)])
+def test_balakrishnan_route_one_schur_or_solve_on_every_node(monkeypatch, scale, nodes):
+    # When the pivot bound clears every node, one Schur form serves them all
+    # and nothing is solved.  On the accretivity boundary at large norm it
+    # misses the smallest nodes, and then every node of both rules goes
+    # through solve() (at 1e7 with 64 nodes the half-node rule alone would
+    # clear the bound).
+    import scipy.linalg
+
+    calls = {"schur": 0, "solve": 0, "np.linalg.solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    monkeypatch.setattr(powers_module, "solve", counted("solve", solve))
+    monkeypatch.setattr(np.linalg, "solve", counted("np.linalg.solve", np.linalg.solve))
     x = np.diag([scale, 0.0]).astype(complex)
     res = power_balakrishnan(x, 0.5, nodes)
-    assert len(calls) == (0 if fine_ok else nodes) + (0 if coarse_ok else nodes // 2)
+    clear = scale == 1.0
+    assert calls == {"schur": 1 if clear else 0, "solve": 0 if clear else nodes + nodes // 2,
+                     "np.linalg.solve": 0}
     fine = _per_node_reference(x, 0.5, nodes)
     coarse = _per_node_reference(x, 0.5, nodes // 2)
     assert op_norm(res.value - fine) <= 1e-13 * op_norm(fine)

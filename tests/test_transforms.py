@@ -94,3 +94,12 @@ def test_boundary_degradation():
     for t in (1.0, 10.0, 100.0, 1000.0):
         gaps.append(1.0 - op_norm(f_transform(t * np.eye(2))))
     assert all(gaps[i] > gaps[i + 1] > 0.0 for i in range(3))
+
+
+def test_f_transform_has_the_bits_of_one_resolvent_solve():
+    # f_transform factors x + 1 once for both of its forms; the value keeps
+    # the bits of solve(x + 1, x) at every size
+    for n in range(1, 17):
+        for seed in range(200):
+            x = gen_accretive(n, seed)
+            assert np.array_equal(f_transform(x), solve(x + np.eye(n), x)), (n, seed)
