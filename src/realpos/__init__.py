@@ -1,8 +1,8 @@
 """realpos: order theory for finite-dimensional operator algebras.
 
 Cone membership with certificates, Cayley/F-transforms, principal fractional
-powers of accretive matrices, support and peak projections, and convex
-feasibility solvers for the Urysohn / peak-interpolation / domination
+powers of accretive matrices, support and peak projections, and closed-form
+solvers for the Urysohn / peak-interpolation / domination / Tietze
 theorems, plus a seeded verification harness.
 """
 from .matrices import (
@@ -66,15 +66,11 @@ from .projections import (
 )
 from .interp import (
     ConvexRegion,
-    FeasibilityProblem,
-    FeasibilitySolution,
-    UnconvergedError,
     VerificationFailedError,
     decompose,
     dominate,
     interp_np,
     peak_interpolate,
-    solve_feasibility,
     strict_urysohn,
     tietze_lift,
     urysohn_interpolate,

@@ -271,12 +271,6 @@ def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAl
     return _algebra(basis.reshape(k * k * a.dim, k * n, k * n), label, tol)
 
 
-def _to_real(z: np.ndarray) -> np.ndarray:
-    """The real vector (Re, Im) of a complex array, flattened."""
-    flat = np.asarray(z, complex).reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
-
-
 def _from_real(v: np.ndarray, shape) -> np.ndarray:
     """The complex array of the given shape whose real vector is v."""
     half = v.size // 2

@@ -5,8 +5,8 @@ Subcommands wrap each module: ``check`` (cone report), ``transform``,
 (the acceptance harness).  Matrices and algebras travel as JSON; see the
 README for the schemas.
 
-Exit codes: 0 success; 1 suite failures, a false required predicate, or an
-unconverged solver; 2 invalid input.
+Exit codes: 0 success; 1 suite failures, a false required predicate, a
+diverged projection or a failed post-verification; 2 invalid input.
 """
 from __future__ import annotations
 
@@ -234,15 +234,7 @@ def _cmd_interp(args) -> int:
         problem["eps"], problem["near_eps"] = float(eps), float(near_eps)
     except OverflowError as exc:
         raise ValueError("interp 'eps' and 'near_eps' must fit in a float") from exc
-    try:
-        outputs, checks = spec.solve(alg, problem, tol)
-    except interp.UnconvergedError as exc:
-        payload = {"verdict": "unconverged", "message": str(exc)}
-        if exc.solution is not None:
-            payload["residuals"] = {k: float(v) for k, v in exc.solution.residuals.items()}
-            payload["solution"] = matrix_to_json(exc.solution.value)
-        _emit(payload, args)
-        return 1
+    outputs, checks = spec.solve(alg, problem, tol)
     payload = {"verdict": "feasible", "residuals": spec.residual_table(checks)}
     for key, value in zip(("solution", "complement"), outputs):
         payload[key] = matrix_to_json(value)

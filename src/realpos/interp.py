@@ -1,45 +1,29 @@
-"""Convex spectral feasibility over an algebra, and the interpolation solvers.
+"""The interpolation theorems of the source paper, each in closed form.
 
-The engine: the unknown ranges over the real coordinates u of a
-:class:`~realpos.algebra.MatrixAlgebra`; constraints are affine equalities
-``sum_i P_i a Q_i = R`` plus spectral sets (Hermitian-valued affine maps
-required PSD, and norm caps on affine maps).  Each constraint is compiled
-once, with its problem, to a real affine map ``u -> J u + c``; projections
-and residuals read only that map.  A feasible point is searched by ADMM
-between two sets whose projections are exact: the graph ``{(u, J u + c)}``
-of the floors' and caps' maps over the equality flat (a least-squares
-solve, from one SVD of the equalities), and the product of the floors' and
-caps' sets (one ``eigh`` or SVD and a clip per constraint).  The Tietze
-lift asks only for some feasible point, not the nearest one.  A warm start
-that is feasible once projected onto the equality flat stops the search at
-round 1, before any clip.  Residuals take one batched LAPACK call per kind
-(floor, or equality and cap) and shape of constraint.  Verdicts are
-one-sided: ``feasible`` (all residuals within tolerance) or ``unconverged``
--- the method cannot certify infeasibility.
+Every solver returns the point the paper's constructive proof gives, taken
+through ``a.project`` and re-verified before it is returned: domination
+``((1 + ||b||)/2) e``, half-F decomposition ``(e + b)/2``, near-positive
+interpolation ``((1 + ||c||)/2) e``, the Urysohn solvers (in-algebra and
+ambient flavours) ``q``, strict Urysohn ``(p + q)/2``, peak interpolation
+``b q`` and the numerical-range constrained Tietze lift
+``q b q + c (1 - q)`` (``b q`` when A does not contain the identity).  The
+first three need A's unit e to be Hermitian.  No solver searches.
 
-Beside the engine sit the interpolation solvers (domination, half-F
-decomposition, near-positive interpolation, Urysohn solvers in both the
-in-algebra and ambient flavours, strict Urysohn, peak interpolation, and the
-numerical-range constrained Tietze lift).  All but Tietze are closed forms,
-the points the paper's proofs give when A's unit is Hermitian:
-``((1 + ||b||)/2) e``, ``(e + b)/2``, ``((1 + ||c||)/2) e``, ``q``,
-``(p + q)/2`` and ``b q``.  The engine serves the Tietze lift alone.  Every
-solver re-verifies its output with independent cone/projection/norm checks
-before returning it.  ``THEOREMS`` is the one table of these theorems: the
-CLI and the interpolation suite read their inputs and solver calls from it.
-Each table solve returns its outputs together with the checks it verified,
-and the residual table and the suite's gate read those checks, so each
-solve's checks are computed once.
+Each output is checked with independent cone/projection/norm checks.
+``THEOREMS`` is the one table of these theorems: the CLI and the
+interpolation suite read their inputs and solver calls from it.  Each table
+solve returns its outputs together with the checks it verified, and the
+residual table and the suite's gate read those checks, so each solve's
+checks are computed once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .algebra import (MatrixAlgebra, _from_real, _to_real, contains, cstar,
-                      identity_of, real_matrix, unitize)
+from .algebra import MatrixAlgebra, contains, cstar, identity_of, unitize
 from .cones import f_membership, support_function
 from .matrices import (
     DEFAULT_TOL,
@@ -50,25 +34,14 @@ from .matrices import (
     im_part,
     min_real_eig,
     op_norm,
-    op_norms,
     range_basis,
-    re_part,
 )
 from .projections import _require_projection, peak_projection, support_projection
 
 __all__ = [
     "SOLVER_TOL",
-    "AffineTerm",
-    "MatrixAffine",
-    "AffineEquality",
-    "HermFloor",
-    "NormCap",
-    "FeasibilityProblem",
-    "FeasibilitySolution",
     "ConvexRegion",
-    "UnconvergedError",
     "VerificationFailedError",
-    "solve_feasibility",
     "dominate",
     "decompose",
     "interp_np",
@@ -83,283 +56,12 @@ __all__ = [
 SOLVER_TOL = 1e-6
 
 
-class UnconvergedError(RuntimeError):
-    """The feasibility search did not reach a feasible point."""
-
-    def __init__(self, message: str, solution: Optional["FeasibilitySolution"] = None):
-        super().__init__(message)
-        self.solution = solution
-
-
 class VerificationFailedError(RuntimeError):
     """A solver output failed its independent post-verification."""
 
 
-# -- constraint encoding -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineTerm:
-    """One sandwich term P a Q (or P a* Q when conj is set)."""
-
-    left: np.ndarray
-    right: np.ndarray
-    conj: bool = False
-
-
-@dataclass
-class MatrixAffine:
-    """Matrix-valued real-affine map a -> const + sum of sandwich terms; a
-    description, which :class:`FeasibilityProblem` compiles to a real map."""
-
-    terms: list
-    const: np.ndarray
-
-
-@dataclass
-class AffineEquality:
-    map: MatrixAffine
-    target: np.ndarray
-    label: str
-
-
-@dataclass
-class HermFloor:
-    """Constraint map(a) >= 0; the map must be Hermitian-valued."""
-
-    map: MatrixAffine
-    label: str
-
-
-@dataclass
-class NormCap:
-    """Constraint ||map(a)|| <= cap in operator norm."""
-
-    map: MatrixAffine
-    cap: float
-    label: str
-
-
-@dataclass(frozen=True)
-class _Compiled:
-    """A constraint compiled to A's real coordinates u: ``value(u)`` is its map
-    at u, less the target for an equality, read from ``jac @ u + const``."""
-
-    con: object
-    jac: np.ndarray
-    const: np.ndarray
-    shape: tuple
-
-    def value(self, u: np.ndarray) -> np.ndarray:
-        return _from_real(self.jac @ u + self.const, self.shape)
-
-
-def _compile(con, algebra: MatrixAlgebra) -> _Compiled:
-    """One batched sandwich product per term over the whole basis; conj terms
-    act on the conjugate-transposed basis."""
-    const = np.asarray(con.map.const, complex)
-    target = con.target if isinstance(con, AffineEquality) else np.zeros_like(const)
-    shapes = {np.shape(target), *((t.left.shape[0], t.right.shape[1]) for t in con.map.terms)}
-    if shapes != {const.shape}:
-        raise ValueError(f"constraint {con.label!r} has inconsistent shapes")
-    if isinstance(con, NormCap) and not (np.isfinite(con.cap) and con.cap >= 0):
-        raise ValueError(f"constraint {con.label!r} needs a finite cap >= 0, got {con.cap}")
-    basis = {False: algebra.basis, True: dagger(algebra.basis)}
-    images = {conj: np.zeros((algebra.dim, *const.shape), complex) for conj in basis}
-    for t in con.map.terms:
-        images[t.conj] = images[t.conj] + t.left @ basis[t.conj] @ t.right
-    jac, flat = real_matrix(images[False], images[True]), _to_real(const - target)
-    if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(flat))):
-        raise ValueError(f"constraint {con.label!r} has a map that is not finite")
-    return _Compiled(con, jac, flat, const.shape)
-
-
-@dataclass
-class FeasibilityProblem:
-    """Constraints over A, each compiled once, here (``compiled`` holds them
-    in the order equalities, floors, caps).  Residuals are keyed by label, so
-    labels must be distinct; every compiled map must be finite, and every cap
-    finite and at least 0.  ``batches`` groups the compiled indices by kind
-    (floor, or equality and cap) and shape, one batched LAPACK call each."""
-
-    algebra: MatrixAlgebra
-    equalities: list = field(default_factory=list)
-    floors: list = field(default_factory=list)
-    caps: list = field(default_factory=list)
-    compiled: list = field(init=False, repr=False)
-    batches: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        constraints = [*self.equalities, *self.floors, *self.caps]
-        if not constraints:
-            raise ValueError("a feasibility problem needs at least one constraint")
-        labels = set()
-        for con in constraints:
-            if con.label in labels:
-                raise ValueError(f"constraint label {con.label!r} is repeated")
-            labels.add(con.label)
-        self.compiled = [_compile(c, self.algebra) for c in constraints]
-        batches: dict = {}
-        for i, c in enumerate(self.compiled):
-            batches.setdefault((isinstance(c.con, HermFloor), c.shape), []).append(i)
-        self.batches = [(floor, idx) for (floor, _), idx in batches.items()]
-
-
-@dataclass
-class FeasibilitySolution:
-    value: np.ndarray
-    residuals: dict
-    verdict: str  # 'feasible' | 'unconverged'
-    iterations: int
-
-
-# -- the engine --------------------------------------------------------------
-
-
-def _flat(problem: FeasibilityProblem) -> tuple:
-    """The equality flat {u : T u + t = 0}, T and t the stacked equality maps,
-    from one SVD of T: ``(T, t, T+, N)`` with T+ its pseudo-inverse (singular
-    values below 1e-12 of the largest dropped) and N an orthonormal basis of
-    the flat's directions.  Without equalities the flat is all of u-space."""
-    n_eq, size = len(problem.equalities), 2 * problem.algebra.dim
-    if not n_eq:
-        return np.zeros((0, size)), np.zeros(0), np.zeros((size, 0)), np.eye(size)
-    t = np.vstack([c.jac for c in problem.compiled[:n_eq]])
-    const = np.concatenate([c.const for c in problem.compiled[:n_eq]])
-    # the reduced SVD already gives all of V* when T has no fewer rows than columns
-    left, s, vt = np.linalg.svd(t, full_matrices=t.shape[0] < t.shape[1])
-    rank = int(np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0)))
-    return t, const, (vt[:rank].T / s[:rank]) @ left[:, :rank].T, vt[rank:].T
-
-
-def _clip(con, m: np.ndarray) -> np.ndarray:
-    """The nearest point to m of a floor's set {Re m >= 0} (m less the
-    negative part of Re m) or of a cap's set {||m|| <= cap} (m with its
-    singular values clipped at the cap)."""
-    if isinstance(con, HermFloor):
-        w, v = np.linalg.eigh(re_part(m))
-        return m - (v * np.minimum(w, 0.0)) @ dagger(v)
-    left, s, right = np.linalg.svd(m)
-    return (left * np.minimum(s, con.cap)) @ right
-
-
-def _residuals(problem: FeasibilityProblem, u: np.ndarray) -> dict:
-    """Each constraint's violation at u, by label: ``||m||`` for an equality
-    (m its map less the target), ``max(0, -lambda_min(Re m))`` for a floor and
-    ``max(0, ||m|| - cap)`` for a cap.  Each of ``problem.batches`` takes one
-    batched LAPACK call, which gives each matrix the bits of its own call."""
-    res = [0.0] * len(problem.compiled)
-    for floor, idx in problem.batches:
-        stack = np.stack([problem.compiled[i].value(u) for i in idx])
-        if floor:
-            for i, low in zip(idx, np.linalg.eigvalsh(re_part(stack))[:, 0].tolist()):
-                res[i] = max(0.0, -low)
-            continue
-        for i, norm in zip(idx, op_norms(stack).tolist()):
-            con = problem.compiled[i].con
-            res[i] = max(0.0, norm - con.cap) if isinstance(con, NormCap) else norm
-    return {c.con.label: r for c, r in zip(problem.compiled, res)}
-
-
-def solve_feasibility(
-    problem: FeasibilityProblem,
-    max_rounds: int = 2000,
-    warm_start=None,
-) -> FeasibilitySolution:
-    """Search a point that meets every constraint, by ADMM between two sets
-    whose projections are exact.
-
-    Round 1 projects the warm start (zero when None) onto the equality flat.
-    Each later round is one step of scaled ADMM on ``(u, Z)``, Z the stacked
-    real values of the floors and caps, J and c their stacked maps:
-
-    - ``Z <- Pi(J u + c + W)``, constraint by constraint: one ``eigh`` and a
-      clip at 0 per floor, one SVD and a clip at the cap per cap;
-    - ``W <- W + J u + c - Z``;
-    - ``u <- S (u + J^T (Z - W - c)) + o``, the least-squares projection of
-      ``(u, Z - W)`` onto the graph ``{(u, J u + c)}`` over the equality flat,
-      with ``S = N (N^T (I + J^T J) N)^-1 N^T`` (N from the flat's SVD) and o
-      fixed by the flat.
-
-    Both sets are indicators, so no step size enters.  Rounds 1-5, every
-    fifth round and the last one score every residual, and the search stops
-    once the worst is within ``SOLVER_TOL / 2``; ``max_rounds=0`` scores the
-    projected warm start alone.  Deterministic given ``(problem,
-    warm_start)``.  The verdict is ``feasible`` only when every residual of
-    the best point scored is within ``SOLVER_TOL``; otherwise
-    ``unconverged`` with that point's residuals.
-    """
-    alg = problem.algebra
-    t, t_const, t_pinv, null = _flat(problem)
-    u = np.zeros(2 * alg.dim) if warm_start is None else _to_real(alg.coords(as_matrix(warm_start)))
-    u = u - t_pinv @ (t @ u + t_const)
-    res = _residuals(problem, u)
-    best = (max(res.values()), u, res)
-    rounds_used = int(max_rounds >= 1)
-
-    spectral = problem.compiled[len(problem.equalities):]
-    if best[0] > 0.5 * SOLVER_TOL and spectral and max_rounds > 1:
-        jac = np.vstack([c.jac for c in spectral])
-        const = np.concatenate([c.const for c in spectral])
-        cuts = np.cumsum([c.const.size for c in spectral])[:-1]
-        jn = jac @ null
-        proj = null @ np.linalg.solve(np.eye(null.shape[1]) + jn.T @ jn, null.T)  # S
-        base = -t_pinv @ t_const  # the flat's point nearest 0
-        offset = base - proj @ (jac.T @ (jac @ base))  # o
-        dual = np.zeros_like(const)  # W
-        for rounds_used in range(2, max_rounds + 1):
-            ju = jac @ u + const
-            z = np.concatenate([_to_real(_clip(c.con, _from_real(v, c.shape)))
-                                for c, v in zip(spectral, np.split(ju + dual, cuts))])
-            dual = dual + ju - z
-            u = proj @ (u + jac.T @ (z - dual - const)) + offset
-            if rounds_used <= 5 or rounds_used % 5 == 0 or rounds_used == max_rounds:
-                res = _residuals(problem, u)
-                if max(res.values()) < best[0]:
-                    best = (max(res.values()), u, res)
-                if best[0] <= 0.5 * SOLVER_TOL:
-                    break
-
-    worst, u, res = best
-    value = alg.reconstruct(_from_real(u, (alg.dim,)))
-    return FeasibilitySolution(value, res, "feasible" if worst <= SOLVER_TOL else "unconverged", rounds_used)
-
-
-# -- constraint builders -----------------------------------------------------
-
-
 def _eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
-
-
-def _zero(n: int) -> np.ndarray:
-    return np.zeros((n, n), dtype=complex)
-
-
-def _corner_equalities(q: np.ndarray, target: np.ndarray, labels: tuple) -> list:
-    """a q = target and q a = target."""
-    eye, zero = _eye(q.shape[0]), _zero(q.shape[0])
-    return [
-        AffineEquality(MatrixAffine([AffineTerm(eye, q)], zero), target, labels[0]),
-        AffineEquality(MatrixAffine([AffineTerm(q, eye)], zero), target, labels[1]),
-    ]
-
-
-def _re_floor(z: np.ndarray, s: np.ndarray, label: str) -> HermFloor:
-    n = z.shape[1]
-    amap = MatrixAffine(
-        [AffineTerm(z / 2.0, _eye(n)), AffineTerm(_eye(z.shape[0]) / 2.0, dagger(z), conj=True)],
-        np.asarray(s, complex),
-    )
-    return HermFloor(amap, label)
-
-
-def _solve(problem: FeasibilityProblem, warm, message: str) -> np.ndarray:
-    """The engine's feasible point, or UnconvergedError carrying its residuals."""
-    sol = solve_feasibility(problem, warm_start=warm)
-    if sol.verdict != "feasible":
-        raise UnconvergedError(message, sol)
-    return sol.value
 
 
 # -- preconditions -----------------------------------------------------------
@@ -417,9 +119,7 @@ def _require_commuting(a: MatrixAlgebra, q: np.ndarray, b: np.ndarray, tol: Tole
 #
 # A check is a (label, value, ok) triple; value measures the violation.  Each
 # table solve returns the checks its output passed, and the CLI's residual
-# table and the suite's gate read their values (see TheoremSpec).  The g
-# corner labels are shared with the constraints that impose them, so an
-# unconverged solve reports its residuals under the same names.
+# table and the suite's gate read their values (see TheoremSpec).
 
 _X_CORNER = ("x q = q", "q x = q")
 _G_CORNER = ("g q = b q", "q g = b q")
@@ -539,9 +239,7 @@ def _check_tietze(g: np.ndarray, q: np.ndarray, b: np.ndarray, region: ConvexReg
 # Each theorem's solve(a, problem, tol) -> (outputs, checks) runs its
 # preconditions, computes its output and runs one post-verification; its
 # public solver is a one-line call of it, which accepts and ignores ``seed``.
-# Every theorem but Tietze has a closed form, taken through ``a.project``;
-# Tietze alone searches, through the module global solve_feasibility (which
-# tests and tracers replace).
+# Every output is its theorem's closed form, taken through ``a.project``.
 
 
 def _dominate(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
@@ -713,9 +411,12 @@ _VERTEX_CAP = 1e100
 
 @dataclass(frozen=True)
 class ConvexRegion:
-    """A compact convex polygon in the plane, counterclockwise vertices."""
+    """A compact convex polygon in the plane, counterclockwise vertices.
+
+    Its half-planes are computed once, when the region is built."""
 
     vertices: np.ndarray
+    _planes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=complex).reshape(-1)
@@ -738,35 +439,46 @@ class ConvexRegion:
         cross = (edges.real * np.roll(edges, -1).imag - np.roll(edges, -1).real * edges.imag)
         if np.any(cross < -1e-10 * scale):
             raise ValueError("vertices do not describe a convex polygon")
-        object.__setattr__(self, "vertices", v)
-
-    def half_planes(self) -> list:
-        """(theta_k, h_k) pairs: the region is the set Re(e^{-i theta} z) <= h."""
-        v = self.vertices
-        out = []
+        planes = []
         for k in range(v.size):
             edge = v[(k + 1) % v.size] - v[k]
             if abs(edge) <= 1e-14:
                 continue
             theta = float(np.angle(edge)) - np.pi / 2.0
             h = float(np.max((np.exp(-1j * theta) * v).real))
-            out.append((theta, h))
-        return out
+            planes.append((theta, h))
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "_planes", tuple(planes))
+
+    def half_planes(self) -> tuple:
+        """(theta_k, h_k) pairs: the region is the set Re(e^{-i theta} z) <= h."""
+        return self._planes
 
     def contains_point(self, z: complex, slack: float = 0.0) -> bool:
-        return all((np.exp(-1j * t) * z).real <= h + slack for t, h in self.half_planes())
+        return all((np.exp(-1j * t) * z).real <= h + slack for t, h in self._planes)
 
     def centroid(self) -> complex:
         return complex(np.mean(self.vertices))
 
+    def nearest_to_origin(self) -> complex:
+        """The point of the region nearest 0: 0 itself when inside, otherwise
+        the nearest of each edge's points nearest 0."""
+        if self.contains_point(0.0):
+            return 0j
+        v = self.vertices
+        edges = np.roll(v, -1) - v
+        length2 = np.abs(edges) ** 2
+        t = np.divide((-v * np.conj(edges)).real, length2, out=np.zeros(v.size), where=length2 > 0)
+        points = v + np.clip(t, 0.0, 1.0) * edges
+        return complex(points[np.argmin(np.abs(points))])
+
 
 def _tietze(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     q, b, region = as_matrix(prob["q"]), as_matrix(prob["b"]), prob["region"]
-    n = a.ambient_dim
     _require_commuting(a, q, b, tol)
     planes = region.half_planes()
-    if identity_of(a, tol) is None and not region.contains_point(0.0, tol.psd_slack):
-        raise ValueError("a nonunital algebra requires 0 inside the region")
+    if not a.contains_identity and not region.contains_point(0.0, tol.psd_slack):
+        raise ValueError("A does not contain the identity I, so the region must contain 0")
 
     # Numerical range of the compression q b q restricted to range(q).
     rng_vecs = range_basis(q)
@@ -780,20 +492,16 @@ def _tietze(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
                     f"(direction {theta:.3f}: {top:.6f} > {h:.6f})"
                 )
 
-    eye = _eye(n)
-    floors = [
-        _re_floor(-np.exp(-1j * theta) * eye, h * eye, f"W(g) halfplane {k}")
-        for k, (theta, h) in enumerate(planes)
-    ]
-    ball = NormCap(MatrixAffine([AffineTerm(eye, eye)], _zero(n)), 1.0, "a in ball")
-    problem = FeasibilityProblem(
-        algebra=a,
-        equalities=_corner_equalities(q, b @ q, _G_CORNER),
-        floors=floors,
-        caps=[ball],
-    )
-    warm = q @ b @ q + region.centroid() * (eye - q)
-    g = _solve(problem, warm, "Tietze lift unconverged")
+    if not a.contains_identity:
+        g = a.project(b @ q)
+    else:
+        c = region.centroid()
+        if abs(c) > 1.0:
+            c = region.nearest_to_origin()
+        if abs(c) > 1.0 + tol.eq_tol:
+            raise ValueError(f"the region misses the unit disc (nearest point {c:.6f}), "
+                             "so no contraction has its numerical range inside it")
+        g = a.project(q @ b @ q + c * (_eye(a.ambient_dim) - q))
     return (g,), _verify(_check_tietze(g, q, b, region), "tietze_lift")
 
 
@@ -807,10 +515,16 @@ def tietze_lift(
 ) -> np.ndarray:
     """Contractive g in A with g q = q g = b q and W(g) inside the region.
 
-    The numerical range of the compression of b to the range of q must sit
-    inside the region, which must not be a line segment; when A has no
-    identity the region must contain 0.  ``seed`` is accepted and ignored:
-    the engine is deterministic.
+    The numerical range of the compression comp = q b q|ran q must sit inside
+    the region, which must not be a line segment.  When A contains the
+    identity I, g = q b q + c (I - q), with c the region's centroid when
+    |c| <= 1 and otherwise its point nearest 0: g is the direct sum of comp
+    on ran q and c on ran(I - q), so W(g) = conv(W(comp), c) lies in the
+    region and ||g|| = max(||b q||, |c|) <= 1.  A contraction has W(g) inside the unit
+    disc, so a region that misses the disc admits no lift (ValueError).
+    When A does not contain I (even if A has another unit), the region must
+    contain 0 and g = b q, with W(b q) = conv(W(comp), 0).  ``seed`` is
+    accepted and ignored: no search is made.
     """
     return _tietze(a, {"q": q, "b": b, "region": region}, tol)[0][0]
 
@@ -824,8 +538,7 @@ class TheoremSpec:
 
     ``keys`` are the problem entries it reads besides ``algebra``, ``eps`` and
     ``near_eps``.  ``solve(a, problem, tol)`` runs the preconditions, the
-    closed form or the engine (the engine: Tietze only) and the
-    post-verification once and returns ``(outputs, checks)``: the public
+    theorem's closed form and the post-verification once and returns ``(outputs, checks)``: the public
     solver's outputs as a tuple and the (label, value, ok) checks they
     passed.  Each residual is the largest value of its check labels, floored
     at 0; ``gate`` names the check labels the interpolation suite holds below

@@ -447,6 +447,19 @@ INTERP_CASES = [
 ]
 
 
+def test_interp_tietze_unit_other_than_identity_exits_2(tmp_path, capsys):
+    # span{E11} has a unit, E11, but does not contain I, and the region
+    # misses 0: no lift exists, so the input is refused
+    e11 = _diag(1, 0)
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"algebra": {"basis": [e11]}, "q": e11, "b": _diag(.5, 0),
+                                   "region": [[.4, -.1], [.6, -.1], [.6, .1], [.4, .1]]}))
+    assert main(["interp", str(problem), "--theorem", "tietze"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "does not contain the identity" in captured.err
+
+
 @pytest.mark.parametrize("theorem,data,keys", INTERP_CASES)
 def test_interp_every_theorem(tmp_path, capsys, theorem, data, keys):
     problem = tmp_path / "p.json"

@@ -7,8 +7,6 @@ import pytest
 
 from realpos import interp, suites
 from realpos.algebra import (
-    _from_real,
-    _to_real,
     contains,
     diagonal_algebra,
     full_algebra,
@@ -21,24 +19,16 @@ from realpos.cli import main
 from realpos.cones import f_membership
 from realpos.generators import gen_unitary
 from realpos.interp import (
-    AffineEquality,
-    AffineTerm,
     ConvexRegion,
-    FeasibilityProblem,
-    HermFloor,
-    MatrixAffine,
-    NormCap,
-    UnconvergedError,
     decompose,
     dominate,
     interp_np,
     peak_interpolate,
-    solve_feasibility,
     strict_urysohn,
     tietze_lift,
     urysohn_interpolate,
 )
-from realpos.matrices import (DEFAULT_TOL, as_matrix, dagger, im_part, matrix_to_json, min_real_eig,
+from realpos.matrices import (DEFAULT_TOL, dagger, im_part, matrix_to_json, min_real_eig,
                               op_norm)
 from realpos.powers import power
 from realpos.projections import peak_projection, support_projection
@@ -46,121 +36,9 @@ from realpos.projections import peak_projection, support_projection
 from conftest import unit
 
 
-def _fixed_target_problem(alg, target):
-    n = alg.ambient_dim
-    eye = np.eye(n, dtype=complex)
-    amap = MatrixAffine([AffineTerm(eye, eye)], np.zeros((n, n), complex))
-    return FeasibilityProblem(alg, equalities=[AffineEquality(amap, target, "a = R")])
-
-
-def test_solve_feasibility_exact_target(e11, e12):
-    alg = span_algebra([e11, e12])
-    target = 0.3 * e11 + (0.1 + 0.2j) * e12
-    sol = solve_feasibility(_fixed_target_problem(alg, target))
-    assert sol.verdict == "feasible"
-    assert op_norm(sol.value - target) <= 1e-10
-    assert sol.iterations == 1  # one affine projection lands on the target
-
-
-def test_solve_feasibility_infeasible_target_reports_distance(e11, e12):
-    alg = span_algebra([e12])
-    sol = solve_feasibility(_fixed_target_problem(alg, e11.astype(complex)))
-    assert sol.verdict == "unconverged"
-    assert sol.residuals["a = R"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_feasibility_problem_needs_constraints():
-    with pytest.raises(ValueError):
-        FeasibilityProblem(full_algebra(2))
-
-
-def test_feasibility_problem_rejects_inconsistent_shapes():
-    alg = full_algebra(2)
-    eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
-    with pytest.raises(ValueError, match="inconsistent shapes"):
-        FeasibilityProblem(alg, equalities=[
-            AffineEquality(MatrixAffine([AffineTerm(eye2, eye2)], np.zeros((2, 2))), eye3, "a = I")])
-    with pytest.raises(ValueError, match="inconsistent shapes"):
-        FeasibilityProblem(alg, floors=[
-            HermFloor(MatrixAffine([AffineTerm(eye2, eye2)], np.zeros((3, 3))), "a >= 0")])
-
-
-def test_feasibility_problem_rejects_repeated_labels(e11, e12):
-    # residuals are keyed by label: a repeated one would hide the violation
-    # of every constraint but the last that carries it
-    alg = span_algebra([e12])
-    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), complex)
-    a = MatrixAffine([AffineTerm(eye, eye)], zero)
-    re_a_plus_1 = MatrixAffine([AffineTerm(eye / 2.0, eye), AffineTerm(eye / 2.0, eye, conj=True)], eye)
-
-    def problem(eq_label, floor_label):
-        # a = E11 misses span{E12} by 1 at every point; Re a + I >= 0 holds at 0
-        return FeasibilityProblem(alg, equalities=[AffineEquality(a, e11.astype(complex), eq_label)],
-                                  floors=[HermFloor(re_a_plus_1, floor_label)])
-
-    with pytest.raises(ValueError, match="'x' is repeated"):
-        problem("x", "x")
-    sol = solve_feasibility(problem("eq", "floor"), max_rounds=50)
-    assert sol.verdict == "unconverged"
-    assert sol.residuals["eq"] == pytest.approx(1.0, abs=1e-9)
-    assert sol.residuals["floor"] == 0.0
-
-
-@pytest.mark.parametrize("kind,bad", [
-    ("floor const", np.inf), ("floor const", np.nan), ("equality target", np.inf),
-    ("cap", np.nan), ("cap", np.inf), ("cap", -1.0)])
-def test_feasibility_problem_rejects_non_finite_maps_and_bad_caps(kind, bad):
-    # unchecked, a non-finite floor reads as feasible (its NaN eigenvalue is
-    # lost in max(0, -low)), a NaN cap or equality breaks LAPACK's SVD, and a
-    # negative cap runs to an unconverged verdict
-    alg = diagonal_algebra(2)
-    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), complex)
-    a = MatrixAffine([AffineTerm(eye, eye)], zero)
-    spoilt = zero.copy()
-    spoilt[0, 0] = bad
-    con = {
-        "floor const": lambda: {"floors": [HermFloor(MatrixAffine([AffineTerm(eye, eye)], spoilt), "bad")]},
-        "equality target": lambda: {"equalities": [AffineEquality(a, spoilt, "bad")]},
-        "cap": lambda: {"caps": [NormCap(a, bad, "bad")]},
-    }[kind]()
-    with pytest.raises(ValueError, match="'bad'"):
-        FeasibilityProblem(alg, **con)
-
-
-class _Stop(Exception):
-    pass
-
-
-def _recorded_problems(monkeypatch, calls) -> list:
-    """The feasibility problems the solver calls build and the keyword
-    arguments (the warm start) they pass, recorded as they reach the
-    engine (which is never run)."""
-    problems = []
-
-    def record(problem, **kwargs):
-        problems.append((problem, kwargs))
-        raise _Stop
-
-    monkeypatch.setattr(interp, "solve_feasibility", record)
-    for call in calls:
-        with pytest.raises(_Stop):
-            call()
-    return problems
-
-
 def _conjugated(mats, seed):
     w = gen_unitary(mats[0].shape[0], seed)
     return w, generate_algebra([w @ m @ dagger(w) for m in mats])
-
-
-def _reference_value(con, alg, u):
-    """const + sum left (a or a*) right, at a = sum_j (u_j + i u_{d+j}) b_j."""
-    d = alg.dim
-    a = np.tensordot(u[:d] + 1j * u[d:], alg.basis, axes=1)
-    out = np.array(con.map.const, dtype=complex)
-    for t in con.map.terms:
-        out = out + t.left @ (a.conj().T if t.conj else a) @ t.right
-    return out - con.target if isinstance(con, AffineEquality) else out
 
 
 def _theorem_algebras() -> tuple:
@@ -171,173 +49,6 @@ def _theorem_algebras() -> tuple:
     v, nonunital = _conjugated([unit(3, 0, 0), unit(3, 0, 1)], 5)
     assert not nonunital.contains_identity
     return w, unital, v, nonunital
-
-
-def _theorem_problems(monkeypatch) -> list:
-    """(problem, engine keyword arguments) of the Tietze lift, the one theorem
-    that builds engine problems, on a unital and a nonunital algebra."""
-    w, unital, v, nonunital = _theorem_algebras()
-    q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
-    bq = w @ np.diag([0.5, 0.2, 0.1]) @ dagger(w)
-    region = ConvexRegion(np.array([-0.5 - 0.5j, 1 - 0.5j, 1 + 0.5j, -0.5 + 0.5j]))
-    q1 = v @ np.diag([1.0, 0, 0]) @ dagger(v)
-    calls = [
-        lambda: tietze_lift(unital, q, bq, region),
-        lambda: tietze_lift(nonunital, q1, 0.5 * q1, region),
-    ]
-    return _recorded_problems(monkeypatch, calls)
-
-
-def test_compiled_maps_match_their_sandwich_terms(monkeypatch):
-    problems = [problem for problem, _ in _theorem_problems(monkeypatch)]
-    rng = np.random.default_rng(0)
-    labels = set()
-    for problem in problems:
-        alg = problem.algebra
-        constraints = [*problem.equalities, *problem.floors, *problem.caps]
-        assert len(constraints) == len(problem.compiled)
-        assert len({con.label for con in constraints}) == len(constraints)
-        for con, compiled in zip(constraints, problem.compiled):
-            labels.add(con.label)
-            assert compiled.jac.shape == (2 * np.size(con.map.const), 2 * alg.dim)
-            for _ in range(3):
-                u = rng.standard_normal(2 * alg.dim)
-                flat = compiled.jac @ u + compiled.const
-                half = flat.size // 2
-                got = (flat[:half] + 1j * flat[half:]).reshape(np.shape(con.map.const))
-                want = _reference_value(con, alg, u)
-                assert op_norm(got - want) <= 1e-12 * max(1.0, op_norm(want)), con.label
-    assert {problem.algebra.contains_identity for problem in problems} == {True, False}
-    assert labels == {"g q = b q", "q g = b q", "a in ball", *(f"W(g) halfplane {k}" for k in range(4))}
-
-
-def _loop_residuals(problem, u) -> dict:
-    """One kernel call per constraint: the loop the batched residuals replace."""
-    out = {}
-    for c in problem.compiled:
-        m = c.value(u)
-        if isinstance(c.con, AffineEquality):
-            out[c.con.label] = op_norm(m)
-        elif isinstance(c.con, HermFloor):
-            out[c.con.label] = max(0.0, -min_real_eig(m))
-        else:
-            out[c.con.label] = max(0.0, op_norm(m) - c.con.cap)
-    return out
-
-
-def _bits(res: dict) -> list:
-    return [(label, value.hex()) for label, value in res.items()]
-
-
-def _warm_coords(problem, kwargs) -> np.ndarray:
-    return _to_real(problem.algebra.coords(as_matrix(kwargs["warm_start"])))
-
-
-def test_batched_residuals_equal_the_per_constraint_loop(monkeypatch):
-    rng = np.random.default_rng(1)
-    violated = set()
-    for problem, kwargs in _theorem_problems(monkeypatch):
-        warm = _warm_coords(problem, kwargs)
-        for u in (warm, warm + 0.3 * rng.standard_normal(warm.shape), 3.0 * rng.standard_normal(warm.shape)):
-            got = interp._residuals(problem, u)
-            assert _bits(got) == _bits(_loop_residuals(problem, u))
-            violated |= {type(c.con) for c in problem.compiled if got[c.con.label] > 0.0}
-    assert violated == {AffineEquality, HermFloor, NormCap}
-
-
-class _Counted:
-    """Counts the calls of the function it wraps."""
-
-    def __init__(self, fn):
-        self.fn, self.calls = fn, 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.fn(*args, **kwargs)
-
-
-def test_feasible_warm_start_builds_only_the_affine_pseudo_inverse(monkeypatch):
-    # Tietze's warm start is feasible once projected onto the equality flat,
-    # so the solve stops at round 1: one SVD builds the flat, one
-    # scoring reads it, and no floor or cap is ever clipped
-    for problem, kwargs in _theorem_problems(monkeypatch):
-        clip, scores = _Counted(interp._clip), _Counted(interp._residuals)
-        svd, make_rng = _Counted(np.linalg.svd), _Counted(np.random.default_rng)
-        monkeypatch.setattr(interp, "_clip", clip)
-        monkeypatch.setattr(interp, "_residuals", scores)
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(np.random, "default_rng", make_rng)
-        sol = solve_feasibility(problem, **kwargs)
-        monkeypatch.undo()
-        assert (sol.verdict, sol.iterations) == ("feasible", 1)
-        assert (clip.calls, scores.calls, make_rng.calls) == (0, 1, 0)
-        # op_norms' batched residual SVDs go through np.linalg.svd too
-        norm_batches = [floor for floor, _ in problem.batches].count(False)
-        assert svd.calls == norm_batches + (1 if problem.equalities else 0)
-
-
-def test_zero_rounds_scores_the_warm_start(monkeypatch):
-    # max_rounds=0 returns the warm start projected onto the equality flat
-    for problem, kwargs in _theorem_problems(monkeypatch):
-        warm = _warm_coords(problem, kwargs)
-        sol = solve_feasibility(problem, max_rounds=0, **kwargs)
-        assert sol.iterations == 0
-        t, const, pinv, _ = interp._flat(problem)
-        u = warm - pinv @ (t @ warm + const)
-        if problem.equalities:
-            assert np.allclose(u, warm - np.linalg.pinv(t) @ (t @ warm + const), atol=1e-12)
-        else:
-            assert np.array_equal(u, warm)
-        assert _bits(sol.residuals) == _bits(_loop_residuals(problem, u))
-        assert np.array_equal(sol.value, problem.algebra.reconstruct(_from_real(u, (problem.algebra.dim,))))
-
-
-def _stagnating_problem() -> FeasibilityProblem:
-    """An infeasible floor and cap on upper:2, whose rounds stagnate."""
-    rng = np.random.default_rng(1)
-    eye = np.eye(2, dtype=complex)
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    s = rng.standard_normal((2, 2))
-    s = (s + s.T) / 2.0 - 1.5 * np.eye(2)
-    floor = MatrixAffine([AffineTerm(z / 2.0, eye), AffineTerm(eye / 2.0, dagger(z), conj=True)], s)
-    cap = MatrixAffine([AffineTerm(w, eye)], np.zeros((2, 2), complex))
-    return FeasibilityProblem(upper_triangular_algebra(2), floors=[HermFloor(floor, "f")],
-                              caps=[NormCap(cap, 0.3, "c")])
-
-
-def test_clipping_solve_is_deterministic_and_draws_no_random_numbers(monkeypatch):
-    runs = []
-    for _ in range(2):
-        problem = _stagnating_problem()
-        make_rng = _Counted(np.random.default_rng)
-        monkeypatch.setattr(np.random, "default_rng", make_rng)
-        sol = solve_feasibility(problem, max_rounds=800)
-        monkeypatch.undo()
-        assert make_rng.calls == 0
-        assert (sol.verdict, sol.iterations) == ("unconverged", 800)
-        # the clip/pull-back engine without restarts stopped at 1.9044511528
-        assert max(sol.residuals.values()) <= 1.9044511528
-        runs.append((sol.value.tobytes(), _bits(sol.residuals)))
-    assert runs[0] == runs[1]
-
-
-@pytest.mark.parametrize("theorem", ["tietze"])
-def test_cold_start_solves_converge(monkeypatch, theorem):
-    # from zero, the rounds themselves must reach a feasible point
-    recorded = []
-    for k in range(10):
-        inst = suites._case_seed(0, sum(map(ord, theorem)) % 997 + 31 * k)
-        alg, problem = suites._interp_instance(theorem, k, inst, DEFAULT_TOL)
-        recorded += _recorded_problems(
-            monkeypatch, [lambda: interp.THEOREMS[theorem].solve(alg, problem, DEFAULT_TOL)])
-        monkeypatch.undo()
-    rounds = []
-    for problem, _ in recorded:
-        sol = solve_feasibility(problem)
-        assert sol.verdict == "feasible", sol.residuals
-        rounds.append(sol.iterations)
-    assert max(rounds) > 1
 
 
 def test_dominate_examples(e11):
@@ -470,13 +181,8 @@ def test_strict_urysohn():
     assert op_norm(x) <= 1e-6
 
 
-def _never_solve(problem, **kwargs):
-    raise AssertionError("a closed-form solver reached the feasibility engine")
-
-
-def test_strict_urysohn_solver_route(monkeypatch):
-    # one route for every input: the closed form, verified, with no engine call
-    monkeypatch.setattr(interp, "solve_feasibility", _never_solve)
+def test_strict_urysohn_solver_route():
+    # one route for every input: the closed form, verified
     q = np.diag([1.0, 0.0, 0.0]).astype(complex)
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
     for alg in (diagonal_algebra(3), upper_triangular_algebra(3)):
@@ -489,9 +195,8 @@ def test_strict_urysohn_solver_route(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_strict_urysohn_is_the_closed_form_without_the_engine(monkeypatch, n):
-    # rotated q <= p of ranks k <= m: x = (p + q)/2, verified, and no engine
-    monkeypatch.setattr(interp, "solve_feasibility", _never_solve)
+def test_strict_urysohn_is_the_closed_form_without_the_engine(n):
+    # rotated q <= p of ranks k <= m: x = (p + q)/2, verified
     w = gen_unitary(n, n)
     for k, m in ((0, 1), (1, 1), (1, n - 1), (n // 2, n)):
         q = w[:, :k] @ dagger(w[:, :k])
@@ -503,11 +208,10 @@ def test_strict_urysohn_is_the_closed_form_without_the_engine(monkeypatch, n):
         assert all(ok for _, _, ok in checks), checks
 
 
-def test_closed_form_solver_routes(monkeypatch):
-    # every theorem but Tietze returns its proof's point through a.project,
-    # verified, with no engine call: on a unital algebra all five, on a
-    # nonunital one Urysohn (u in A and u ambient) and peak
-    monkeypatch.setattr(interp, "solve_feasibility", _never_solve)
+def test_closed_form_solver_routes():
+    # every theorem returns its proof's point through a.project, verified:
+    # on a unital algebra all six, on a nonunital one Urysohn (u in A and u
+    # ambient), peak and Tietze (b q, as A does not contain I)
     w, unital, v, nonunital = _theorem_algebras()
     e = identity_of(unital)
     q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
@@ -516,6 +220,8 @@ def test_closed_form_solver_routes(monkeypatch):
     ambient_u = w @ np.array([[1.0, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]]) @ dagger(w)  # not in A
     q1 = v @ np.diag([1.0, 0, 0]) @ dagger(v)
     assert not contains(unital, ambient_u)[0] and contains(nonunital, q1)[0]
+    region = ConvexRegion(np.array([-0.5 - 0.5j, 1 - 0.5j, 1 + 0.5j, -0.5 + 0.5j]))
+    eye = np.eye(3, dtype=complex)
     eps = {"eps": 0.05, "near_eps": 0.05}
     cases = [
         ("dominate", unital, {"b": b}, [0.5 * (1.0 + op_norm(b)) * e]),
@@ -527,6 +233,8 @@ def test_closed_form_solver_routes(monkeypatch):
         ("urysohn", nonunital, {"q": q1, "u": q1}, [q1]),
         ("urysohn", nonunital, {"q": q1, "u": np.eye(3)}, [q1]),
         ("peak", nonunital, {"q": q1, "b": 0.5 * q1}, [0.5 * q1 @ q1]),
+        ("tietze", unital, {"q": q, "b": bq, "region": region}, [q @ bq @ q + region.centroid() * (eye - q)]),
+        ("tietze", nonunital, {"q": q1, "b": 0.5 * q1, "region": region}, [0.5 * q1 @ q1]),
     ]
     for theorem, alg, problem, closed in cases:
         outputs, checks = interp.THEOREMS[theorem].solve(alg, {**problem, **eps}, DEFAULT_TOL)
@@ -630,9 +338,68 @@ def test_tietze_nonunital_needs_zero_in_region(e11, e12):
     assert op_norm(g) <= 1.0 + 1e-6
 
 
-def test_unconverged_error_carries_residuals(e11, e12):
-    alg = span_algebra([e12])
-    sol = solve_feasibility(_fixed_target_problem(alg, e11.astype(complex)), max_rounds=50)
-    assert sol.verdict == "unconverged"
-    err = UnconvergedError("nope", sol)
-    assert err.solution is sol
+def _hull(points: np.ndarray) -> np.ndarray:
+    """The counterclockwise convex hull of points in the plane (monotone chain)."""
+    pts = sorted(set(zip(points.real.tolist(), points.imag.tolist())))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return np.array([complex(x, y) for x, y in half(pts) + half(pts[::-1])])
+
+
+def test_tietze_far_centroid_takes_the_nearest_point():
+    # A11 Tietze instances whose region gets one far vertex, so |centroid| > 1:
+    # c is the region's point nearest 0, and every output passes its checks
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        alg, problem = suites._interp_instance("tietze", i % 50, 10_000 + i, DEFAULT_TOL)
+        far = 30.0 * np.exp(2j * np.pi * rng.random())
+        region = ConvexRegion(_hull(np.append(problem["region"].vertices, far)))
+        assert abs(region.centroid()) > 1.0
+        q, b = problem["q"], problem["b"]
+        g = tietze_lift(alg, q, b, region)
+        c = region.nearest_to_origin()
+        assert abs(c) <= 1.0 and region.contains_point(c, 1e-12)
+        assert np.array_equal(g, alg.project(q @ b @ q + c * (np.eye(alg.ambient_dim) - q)))
+        assert all(ok for _, _, ok in interp._check_tietze(g, q, b, region))
+        assert contains(alg, g)[0]
+
+
+def test_tietze_with_q_zero_is_a_multiple_of_the_identity():
+    alg, zero, b = full_algebra(2), np.zeros((2, 2), complex), np.diag([0.5, 3.0j])
+    near = ConvexRegion(np.array([0.2 - 0.1j, 0.6 - 0.1j, 0.6 + 0.3j, 0.2 + 0.3j]))
+    far = ConvexRegion(np.array([0.8 - 0.1j, 5.0 - 0.1j, 5.0 + 0.1j, 0.8 + 0.1j]))
+    for region, c in ((near, 0.4 + 0.1j), (far, 0.8 + 0j)):
+        g = tietze_lift(alg, zero, b, region)
+        assert op_norm(g - c * np.eye(2)) <= 1e-12
+        assert all(ok for _, _, ok in interp._check_tietze(g, zero, b, region))
+
+
+def test_tietze_region_missing_the_unit_disc_has_no_lift():
+    # W(g) of a contraction lies in the unit disc, so no g exists
+    away = ConvexRegion(np.array([2.0 - 0.5j, 3.0 - 0.5j, 3.0 + 0.5j, 2.0 + 0.5j]))
+    with pytest.raises(ValueError, match="unit disc"):
+        tietze_lift(full_algebra(2), np.zeros((2, 2)), np.diag([0.5, 0.2]), away)
+
+
+def test_tietze_unit_other_than_identity_needs_zero_in_region(e11):
+    # span{E11} has the unit E11, not I: every g in it vanishes on ran(I - E11),
+    # so 0 lies in W(g), and a region without 0 admits no lift
+    alg = span_algebra([e11])
+    assert identity_of(alg) is not None and not alg.contains_identity
+    square = ConvexRegion(np.array([0.4 - 0.1j, 0.6 - 0.1j, 0.6 + 0.1j, 0.4 + 0.1j]))
+    with pytest.raises(ValueError, match="does not contain the identity"):
+        tietze_lift(alg, e11, 0.5 * e11, square)
+
+
+def test_region_half_planes_are_computed_once():
+    region = ConvexRegion(np.array([0 - 0.25j, 1 - 0.25j, 1 + 0.25j, 1 + 0.25j, 0 + 0.25j]))
+    planes = region.half_planes()
+    assert planes is region.half_planes() and len(planes) == 4  # the repeated vertex has no edge
