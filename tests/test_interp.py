@@ -29,7 +29,7 @@ from realpos.interp import (
     urysohn_interpolate,
 )
 from realpos.matrices import (DEFAULT_TOL, dagger, im_part, matrix_to_json, min_real_eig,
-                              op_norm)
+                              op_norm, re_part)
 from realpos.powers import power
 from realpos.projections import peak_projection, support_projection
 
@@ -49,6 +49,168 @@ def _theorem_algebras() -> tuple:
     v, nonunital = _conjugated([unit(3, 0, 0), unit(3, 0, 1)], 5)
     assert not nonunital.contains_identity
     return w, unital, v, nonunital
+
+
+_SQUARE = np.array([-0.5 - 0.5j, 1 - 0.5j, 1 + 0.5j, -0.5 + 0.5j])
+
+
+def _tietze_problems() -> list:
+    """(algebra, q, b, region) of a Tietze lift on a unital and a nonunital
+    algebra, in conjugated bases."""
+    w, unital, v, nonunital = _theorem_algebras()
+    q = w @ np.diag([1.0, 0, 0]) @ dagger(w)
+    bq = w @ np.diag([0.5, 0.2, 0.1]) @ dagger(w)
+    q1 = v @ np.diag([1.0, 0, 0]) @ dagger(v)
+    region = ConvexRegion(_SQUARE)
+    return [(unital, q, bq, region), (nonunital, q1, 0.5 * q1, region)]
+
+
+def _reference_checks(g, q, b, region) -> dict:
+    """Each Tietze constraint's violation at g, one constraint at a time:
+    the corners g q = q g = b q, ||g|| <= 1 and W(g) in each half-plane."""
+    out = {"contraction": op_norm(g) - 1.0, "g q = b q": op_norm(g @ q - b @ q),
+           "q g = b q": op_norm(q @ g - b @ q)}
+    for k, (theta, h) in enumerate(region.half_planes()):
+        out[f"W(g) halfplane {k}"] = np.linalg.eigvalsh(re_part(np.exp(-1j * theta) * g))[-1] - h
+    return out
+
+
+def test_compiled_maps_match_their_sandwich_terms():
+    # the Tietze checks are the constraints of the lift: at random points of
+    # A each one's value is its own sandwich term's violation
+    rng = np.random.default_rng(0)
+    labels = set()
+    for alg, q, b, region in _tietze_problems():
+        for _ in range(3):
+            coords = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+            g = alg.reconstruct(coords)
+            checks = interp._check_tietze(g, q, b, region)
+            want = _reference_checks(g, q, b, region)
+            assert [label for label, _, _ in checks] == list(want)
+            for label, value, _ in checks:
+                labels.add(label)
+                assert abs(value - want[label]) <= 1e-12 * max(1.0, abs(want[label])), label
+    assert labels == {"g q = b q", "q g = b q", "contraction", *(f"W(g) halfplane {k}" for k in range(4))}
+
+
+def test_batched_residuals_equal_the_per_constraint_loop():
+    # the half-plane checks come from one batched eigenvalue call; each
+    # equals its own call bit for bit, at the lift and away from it
+    rng = np.random.default_rng(1)
+    violated = set()
+    for alg, q, b, region in _tietze_problems():
+        lift = tietze_lift(alg, q, b, region)
+        for g in (lift, lift + 0.3 * alg.project(rng.standard_normal(q.shape)),
+                  3.0 * alg.project(rng.standard_normal(q.shape))):
+            checks = interp._check_tietze(g, q, b, region)
+            want = _reference_checks(g, q, b, region)
+            for label, value, ok in checks:
+                if label.startswith("W(g)"):
+                    assert value.hex() == float(want[label]).hex(), label
+                if not ok:
+                    violated.add(label.split(" ")[0])
+    assert violated == {"contraction", "g", "q", "W(g)"}
+
+
+def test_feasibility_problem_rejects_repeated_labels(e11):
+    # residuals are keyed by check label: a repeated one would hide the
+    # violation of every check but the last that carries it
+    for alg, q, b, region in _tietze_problems():
+        (g,), checks = interp.THEOREMS["tietze"].solve(alg, {"q": q, "b": b, "region": region}, DEFAULT_TOL)
+        assert len({label for label, _, _ in checks}) == len(checks)
+    alg, q, b = full_algebra(2), e11.astype(complex), 0.5 * e11
+    g = np.diag([0.5, 0.0]) + 0.2 * unit(2, 0, 1)  # g q = b q, but q g misses b q by 0.2
+    checks = interp._check_tietze(g, q, b, ConvexRegion(_SQUARE))
+    residuals = interp.THEOREMS["tietze"].residual_table(checks)
+    assert residuals["corner"] == pytest.approx(0.2, abs=1e-12)
+    assert residuals["norm_excess"] == 0.0
+    with pytest.raises(interp.VerificationFailedError, match=r"q g = b q: 2\.000e-01"):
+        interp._verify(checks, "tietze_lift")
+
+
+@pytest.mark.parametrize("kind,bad", [
+    ("floor const", np.inf), ("floor const", np.nan), ("equality target", np.inf)])
+def test_feasibility_problem_rejects_non_finite_maps_and_bad_caps(kind, bad, e11):
+    # the region's vertices give each W(g) floor its constant and b q is the
+    # target of g q = q g = b q: a non-finite one is rejected before any
+    # eigenvalue or norm is computed (the norm cap is 1, so no cap is bad)
+    spoilt = np.array(_SQUARE)
+    spoilt[0] = bad
+    q, b = e11.astype(complex), 0.5 * e11.astype(complex)
+    if kind == "floor const":
+        with pytest.raises(ValueError, match="region vertices must be finite"):
+            tietze_lift(full_algebra(2), q, b, ConvexRegion(spoilt))
+    else:
+        b[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            tietze_lift(full_algebra(2), q, b, ConvexRegion(_SQUARE))
+
+
+def test_feasibility_problem_rejects_inconsistent_shapes(e11):
+    region = ConvexRegion(_SQUARE)
+    q2, q3 = e11.astype(complex), unit(3, 0, 0).astype(complex)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tietze_lift(full_algebra(2), q3, 0.5 * q3, region)
+    with pytest.raises(ValueError, match="square"):
+        tietze_lift(full_algebra(2), q2, np.zeros((2, 3)), region)
+
+
+class _Counted:
+    """Counts the calls of the function it wraps."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def test_zero_rounds_scores_the_warm_start():
+    # the lift is the point a search would start from, q b q + c (I - q)
+    # (b q without I), and the checks the solve returns score that point
+    for alg, q, b, region in _tietze_problems():
+        (g,), checks = interp.THEOREMS["tietze"].solve(alg, {"q": q, "b": b, "region": region}, DEFAULT_TOL)
+        if alg.contains_identity:
+            warm = q @ b @ q + region.centroid() * (np.eye(alg.ambient_dim) - q)
+        else:
+            warm = b @ q
+        assert np.array_equal(g, alg.project(warm))
+        want = interp._check_tietze(g, q, b, region)
+        assert [(label, value.hex(), ok) for label, value, ok in checks] == \
+            [(label, value.hex(), ok) for label, value, ok in want]
+
+
+def test_clipping_solve_is_deterministic_and_draws_no_random_numbers(monkeypatch, e11):
+    # a region whose centroid is off the unit disc clips c to its point
+    # nearest 0; the lift ignores its seed and draws no random numbers
+    far = ConvexRegion(np.array([0.2 - 0.1j, 5.0 - 0.1j, 5.0 + 0.3j, 0.2 + 0.3j]))
+    assert abs(far.centroid()) > 1.0
+    alg, q, b = full_algebra(2), e11.astype(complex), np.diag([0.5, 0.0]).astype(complex)
+    c = far.nearest_to_origin()
+    assert c == pytest.approx(0.2, abs=1e-15)
+    runs = []
+    for seed in (0, 0, 7):
+        make_rng = _Counted(np.random.default_rng)
+        monkeypatch.setattr(np.random, "default_rng", make_rng)
+        g = tietze_lift(alg, q, b, far, seed=seed)
+        monkeypatch.undo()
+        assert make_rng.calls == 0
+        assert np.array_equal(g, alg.project(q @ b @ q + c * (np.eye(2) - q)))
+        runs.append(g.tobytes())
+    assert len(set(runs)) == 1
+
+
+@pytest.mark.parametrize("theorem", ["tietze"])
+def test_cold_start_solves_converge(theorem):
+    # the A11 instances a search once had to solve from zero: the closed
+    # form alone reaches a point that passes every check
+    for k in range(10):
+        inst = suites._case_seed(0, sum(map(ord, theorem)) % 997 + 31 * k)
+        alg, problem = suites._interp_instance(theorem, k, inst, DEFAULT_TOL)
+        (g,), checks = interp.THEOREMS[theorem].solve(alg, problem, DEFAULT_TOL)
+        assert all(ok for _, _, ok in checks), checks
+        assert contains(alg, g)[0]
 
 
 def test_dominate_examples(e11):
