@@ -27,7 +27,7 @@ from .matrices import (
     DEFAULT_TOL,
     Tolerances,
     _kernel_complement_projection,
-    _unit_defect,
+    _unit_within,
     as_matrix,
     check_dim,
     dagger,
@@ -235,7 +235,8 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     = P_A(W): G c = h, G[j, i] = <b_i W, b_j>, h[j] = <W, b_j> (three GEMMs and
     a d x d ``lstsq``).  For unital A, ||x||_F = ||x u||_F <= ||u||_F ||(x b_k)_k||
     and ||W|| <= tr W = d give cond(G) <= d ||u||_F^2 (<= d n if u is a projection).
-    ``_unit_defect <= eq_tol`` decides, rejecting the left identity E11 of span{E11, E12}.
+    ``_unit_defect <= eq_tol`` decides (``_unit_within``), rejecting the left identity E11
+    of span{E11, E12}.
     """
     d, n = a.dim, a.ambient_dim
     if d == 0:
@@ -246,15 +247,17 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     gram = np.conj(flat) @ (a.basis.reshape(d * n, n) @ w).reshape(d, n * n).T
     c, *_ = np.linalg.lstsq(gram, np.conj(flat) @ w.reshape(n * n), rcond=None)
     e = a.reconstruct(c)
-    return e if _unit_defect(e, a.basis) <= tol.eq_tol else None
+    return e if _unit_within(e, a.basis, tol.eq_tol) else None
 
 
 def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
-    """Adjoin the ambient identity; idempotent when I is already in A."""
+    """Adjoin the ambient identity; A itself when I is already in A."""
+    if a.contains_identity:
+        return a
     n, d = a.ambient_dim, a.dim
     rows = np.concatenate([a.basis.reshape(d, n * n), np.empty((int(d < n * n), n * n))])  # room for I
     dim = _extend(rows, d, np.eye(n, dtype=complex).reshape(1, n * n))
-    label = a.label + "^1" if a.label and not a.contains_identity else a.label
+    label = a.label + "^1" if a.label else ""
     return _algebra(rows[:dim].reshape(dim, n, n), label, tol)
 
 

@@ -3,8 +3,11 @@
 Everything operates on plain square complex ``numpy`` arrays.  This module
 is the bottom layer and the one home of the subspace kernels the others
 share: ``range_basis`` (eigenvectors of Re p above 1/2),
-``_kernel_complement_projection`` (ker(m)^perp by singular values) and
-``_unit_defect`` (distance of e from a two-sided identity on a stack).
+``_kernel_complement_projection`` (ker(m)^perp by singular values),
+``_unit_defect`` (distance of e from a two-sided identity on a stack), and
+the norm verdicts ``_within`` (``op_norm(m) <= bound``) and ``_unit_within``
+(``_unit_defect(e, stack) <= bound``), which settle most calls by the
+Frobenius norm and run the SVD only when it cannot.
 
 The JSON wire format for a matrix is ``{"n": n, "entries": [[re, im],
 ...]}`` with ``n`` a JSON integer and the entries row-major (length
@@ -185,6 +188,49 @@ def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
     """How far e is from a two-sided identity on a ``(k, n, n)`` stack:
     the largest of ``||e b - b||`` and ``||b e - b||``."""
     return max_op_norm(np.concatenate([e @ stack - stack, stack @ e - stack]))
+
+
+# _within and _unit_within trust the Frobenius norm f outside a relative
+# band of FROB_MARGIN, and take f^2 to within FROB_UNDERFLOW absolutely (the
+# squares of entries below about 1e-162 underflow).
+FROB_MARGIN = 1e-8
+FROB_UNDERFLOW = 1e-300
+
+
+def _within(m: np.ndarray, bound: float) -> bool:
+    """Exactly the verdict ``op_norm(m) <= bound``, mostly without the SVD.
+
+    With f = ||m||_F and r = min(m.shape), ||m||_2 <= f <= sqrt(r) ||m||_2
+    (Golub & Van Loan, *Matrix Computations*, 2.3).  So f (1 + 1e-8) <= bound
+    answers True and f (1 - 1e-8) > bound sqrt(r) answers False; only in the
+    band between (or for a non-finite f^2) does the SVD run.  The margin 1e-8
+    is about 1e5 times the rounding of either norm at n <= 16: f^2 is a sum of
+    n^2 nonnegative squares, and the SVD is backward stable, so each is
+    within O(n^2 eps), about 3e-14, of the exact value.
+    """
+    s = float(np.vdot(m, m).real)  # ||m||_F^2; NaN and overflow fall through
+    if s < math.inf:
+        if math.sqrt(s + FROB_UNDERFLOW) * (1.0 + FROB_MARGIN) <= bound:
+            return True
+        if math.sqrt(max(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN) > bound * math.sqrt(min(m.shape)):
+            return False
+    return op_norm(m) <= bound
+
+
+def _unit_within(e: np.ndarray, stack: np.ndarray, bound: float) -> bool:
+    """Exactly the verdict ``_unit_defect(e, stack) <= bound``, as
+    :func:`_within` decides it for each of the 2k defect matrices: their
+    squared Frobenius norms come from one vectorised sum (``einsum``, which
+    overflows to inf without a warning), and ``max_op_norm`` runs only on
+    those in the band."""
+    d = np.concatenate([e @ stack - stack, stack @ e - stack])
+    s = np.einsum("kij,kij->k", d.real, d.real) + np.einsum("kij,kij->k", d.imag, d.imag)
+    sure = s < math.inf  # False for NaN and overflow
+    low = np.sqrt(np.maximum(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN)
+    if sure.all() and (low > bound * math.sqrt(d.shape[-1])).any():
+        return False
+    band = ~(sure & (np.sqrt(s + FROB_UNDERFLOW) * (1.0 + FROB_MARGIN) <= bound))
+    return max_op_norm(d[band]) <= bound
 
 
 def solve(m, b, tol: Tolerances = DEFAULT_TOL):

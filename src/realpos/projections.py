@@ -29,6 +29,8 @@ from .matrices import (
     Tolerances,
     _kernel_complement_projection,
     _unit_defect,
+    _unit_within,
+    _within,
     as_matrix,
     dagger,
     min_real_eig,
@@ -58,7 +60,9 @@ class ProjectionResult:
     iterations: int
     oracle_residual: Optional[float]  # ||iterative - oracle|| when both ran
     status: str  # 'converged' | 'diverged' | 'zero'
-    trace: list = field(default_factory=list)  # per-iteration defect norms
+    # support: the defect ||y^2 - y|| before each step and at the end;
+    # peak: the norms ||x^{2^k}|| of the squares taken
+    trace: list = field(default_factory=list)
     purifications: int = 0  # McWeeny steps among the iterations
 
 
@@ -131,7 +135,7 @@ def support_projection(
 
     oracle = _kernel_complement_projection(x) if method in ("oracle", "both") else None
     if method == "oracle":
-        status = "zero" if op_norm(oracle) <= tol.eq_tol else "converged"
+        status = "zero" if _within(oracle, tol.eq_tol) else "converged"
         result = ProjectionResult(oracle, "oracle", 0, None, status)
         _verify_support(result.proj, x, tol)
         return result
@@ -160,23 +164,27 @@ def support_projection(
                 y = power(y, 0.5, tol=tol).value
             iterations += 1
     proj = _round_to_projection(y)
-    if op_norm(proj) <= tol.eq_tol and status == "converged":
+    if status == "converged" and _within(proj, tol.eq_tol):
         status = "zero"
     residual = op_norm(proj - oracle) if oracle is not None else None
     result = ProjectionResult(
         proj, "iterative", iterations, residual, status, trace, purifications
     )
     if status != "diverged":
-        _verify_support(result.proj, x, tol)
+        _verify_support(result.proj, x, tol, xnorm)
     return result
 
 
-def _verify_support(p: np.ndarray, x: np.ndarray, tol: Tolerances) -> None:
+def _verify_support(
+    p: np.ndarray, x: np.ndarray, tol: Tolerances, xnorm: Optional[float] = None
+) -> None:
     """Warn when p x = x p = x fails (p too small) or x vanishes on a
-    direction of ran(p) (p too large; p = I passes the first test for every x)."""
-    xnorm = op_norm(x)
-    defect = _unit_defect(p, x[None])
-    if defect > 1e-7 * max(1.0, xnorm):
+    direction of ran(p) (p too large; p = I passes the first test for every
+    x).  ``xnorm`` is ||x|| when the caller has it."""
+    if xnorm is None:
+        xnorm = op_norm(x)
+    if not _unit_within(p, x[None], 1e-7 * max(1.0, xnorm)):
+        defect = _unit_defect(p, x[None])
         warnings.warn(
             f"support projection fails p x = x p = x (defect {defect:.2e})",
             RuntimeWarning,
@@ -221,9 +229,16 @@ def peak_projection(
     may fail to exist or may be zero.  The oracle (projection onto
     ker(x - 1)) applies to x in half-F, where the eigenvalue 1 sits on the
     boundary circle and reduces orthogonally.
+
+    The iteration squares z_0 = x, z_{k+1} = z_k^2 until ||z_k|| < 1e-8
+    (zero), ||z_k|| > 10 (diverged) or ||z_k^2 - z_k|| <= ``iter_tol``
+    (converged).  ``trace`` holds the norms ||z_k|| = ||x^{2^k}|| of the
+    squares it took, not the defects; ``iterations`` is the last k (the
+    squaring cap when none of the three happens).
     """
     x = as_matrix(x)
-    if op_norm(x) > 1.0 + tol.eq_tol:
+    xnorm = op_norm(x)
+    if xnorm > 1.0 + tol.eq_tol:
         raise ValueError("peak projections need a contraction")
     if method not in ("iterative", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -237,38 +252,40 @@ def peak_projection(
         else:
             oracle = _eigenspace_projection(x)
     if method == "oracle":
-        status = "zero" if op_norm(oracle) <= tol.eq_tol else "converged"
+        status = "zero" if _within(oracle, tol.eq_tol) else "converged"
         return ProjectionResult(oracle, "oracle", 0, None, status)
 
-    z = x.copy()
-    trace: list[float] = []
+    # Each step only compares norms with thresholds, so _within decides it
+    # (the strict zero test reads ||z|| only once it is at most 1e-8); the
+    # norms of the trace come from one batched SVD of the whole chain.
+    z = x
+    chain = []
     status = "diverged"
     iterations = 0
     for k in range(_MAX_SQUARINGS):
+        chain.append(z)
         z2 = z @ z
-        norm, defect = op_norms(np.stack([z, z2 - z]))
-        trace.append(float(norm))
-        if norm < 1e-8:
+        if _within(z, 1e-8) and op_norm(z) < 1e-8:
             status = "zero"
             z = np.zeros_like(z)
             iterations = k
             break
-        if norm > 10.0:
+        if not _within(z, 10.0):
             break
-        if defect <= tol.iter_tol:
+        if _within(z2 - z, tol.iter_tol):
             status = "converged"
             iterations = k
             break
         z = z2
     else:
         iterations = _MAX_SQUARINGS
+    trace = op_norms(np.stack(chain)).tolist()
 
     proj = _round_to_projection(z) if status == "converged" else np.zeros_like(z)
     if status == "converged":
         # Squaring only sees the powers x^{2^k}; the candidate is a genuine
         # limit of the full power sequence iff it absorbs x on both sides.
-        defect = _unit_defect(x, proj[None])
-        if defect > 1e-7 * max(1.0, op_norm(x)):
+        if not _unit_within(x, proj[None], 1e-7 * max(1.0, xnorm)):
             status = "diverged"
             proj = np.zeros_like(z)
     residual = op_norm(proj - oracle) if (oracle is not None and status != "diverged") else None
@@ -293,10 +310,11 @@ def is_peak_for(x, q, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     x = as_matrix(x)
     q = as_matrix(q)
-    if op_norm(x) > 1.0 + tol.eq_tol:
+    xnorm = op_norm(x)
+    if xnorm > 1.0 + tol.eq_tol:
         raise ValueError("x must be a contraction")
     _require_projection(q)
-    if op_norm(q @ x - q) > tol.eq_tol * max(1.0, op_norm(x)):
+    if not _within(q @ x - q, tol.eq_tol * max(1.0, xnorm)):
         raise ValueError("q x = q must hold before testing the peak criterion")
     comp = np.eye(x.shape[0], dtype=complex) - q
     top = float(np.linalg.eigvalsh(comp @ dagger(x) @ x @ comp)[-1])
@@ -304,7 +322,7 @@ def is_peak_for(x, q, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _require_projection(p: np.ndarray, what: str = "input") -> None:
-    if op_norm(p @ p - p) > 1e-8 or op_norm(p - dagger(p)) > 1e-8:
+    if not (_within(p @ p - p, 1e-8) and _within(p - dagger(p), 1e-8)):
         raise ValueError(f"{what} is not an orthogonal projection")
 
 
@@ -364,6 +382,6 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
         raise ArithmeticError(f"D A D escapes D (residual {worst:.2e})")
 
     s = support_projection(x, method="oracle", tol=tol).proj
-    if _unit_defect(s, d) > 1e-7:
+    if not _unit_within(s, d, 1e-7):
         raise ArithmeticError("s(x) is not an identity on the hereditary subalgebra")
     return hsa, ideal

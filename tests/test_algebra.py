@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from realpos.algebra import (
     RANK_TOL,
     MatrixAlgebra,
-    _unit_defect,
+    _extend,
     a_h,
     algebra_from_json,
     algebra_from_name,
@@ -31,7 +31,7 @@ from realpos.algebra import (
     upper_triangular_algebra,
 )
 from realpos.generators import gen_accretive, gen_algebra, gen_unitary
-from realpos.matrices import dagger, op_norm
+from realpos.matrices import _unit_defect, dagger, op_norm
 from realpos.projections import hsa_and_ideal
 
 from conftest import unit
@@ -110,6 +110,18 @@ def test_unitize(e11, e12):
     grown = unitize(span_algebra([e11]))
     assert grown.dim == 2
     assert contains(grown, unit(2, 1, 1))[0]
+
+
+@pytest.mark.parametrize("name", ["full:3", "upper:4", "blockupper:2,3"])
+def test_unitize_returns_a_unital_algebra_itself(name):
+    # Adjoining I to an algebra that holds it would rebuild the same basis
+    # bits (_extend adds nothing and keeps the accepted rows), so A itself
+    # comes back, and every contains residual against it is unchanged.
+    a = algebra_from_name(name)
+    assert a.contains_identity and unitize(a) is a
+    n, d = a.ambient_dim, a.dim
+    rows = np.concatenate([a.basis.reshape(d, n * n), np.empty((1, n * n))])
+    assert _extend(rows, d, np.eye(n, dtype=complex).reshape(1, n * n)) == d
 
 
 def test_gram_and_closure_invariants():

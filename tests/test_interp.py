@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from realpos import interp, suites
+from realpos import algebra, interp, suites
 from realpos.algebra import (
     contains,
     diagonal_algebra,
@@ -440,6 +440,29 @@ def _tilted_p() -> np.ndarray:
 def test_strict_urysohn_preconditions(alg, q, p, match):
     with pytest.raises(ValueError, match=match):
         strict_urysohn(alg, q, p)
+
+
+@pytest.mark.parametrize("theorem", ["peak", "tietze"])
+def test_a11_outputs_do_not_depend_on_rebuilding_the_unitization(monkeypatch, theorem):
+    # unitize returns a unital A itself; the rebuild it skips (one _extend
+    # by I, then _algebra) is the reference, and both give the same outputs.
+    def rebuilt(a, tol):
+        n, d = a.ambient_dim, a.dim
+        rows = np.concatenate([a.basis.reshape(d, n * n), np.empty((int(d < n * n), n * n))])
+        dim = algebra._extend(rows, d, np.eye(n, dtype=complex).reshape(1, n * n))
+        return algebra._algebra(rows[:dim].reshape(dim, n, n), a.label, tol)
+
+    for seed in (0, 1, 7):
+        for k in range(0, 50, 5):
+            inst = suites._case_seed(seed, sum(map(ord, theorem)) % 997 + 31 * k)
+            alg, problem = suites._interp_instance(theorem, k, inst, DEFAULT_TOL)
+            solve = interp.THEOREMS[theorem].solve
+            with monkeypatch.context() as patched:
+                patched.setattr(interp, "unitize", rebuilt)
+                want = solve(alg, problem, DEFAULT_TOL)
+            got = solve(alg, problem, DEFAULT_TOL)
+            assert [g.tobytes() for g in got[0]] == [g.tobytes() for g in want[0]]
+            assert got[1] == want[1]
 
 
 def test_peak_interpolate(e11):

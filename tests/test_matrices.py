@@ -5,10 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realpos.matrices import (
     SingularMatrixError,
     Tolerances,
+    _unit_defect,
+    _unit_within,
+    _within,
     as_matrix,
     herm_eig,
     matrix_from_json,
@@ -177,3 +182,77 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         as_matrix(np.zeros((2, 3)))
+
+
+def _shaped(n: int, seed: int, kind: str, exponent: int) -> np.ndarray:
+    """A random complex n x n matrix of a given shape, scaled by 10**exponent.
+    Rank one has ||m||_F = ||m||_2 and a multiple of a unitary ||m||_F =
+    sqrt(n) ||m||_2, so bounds near ||m|| reach both ends of the band."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "rank one":
+        g = np.outer(g[:, 0], g[0].conj())
+    elif kind == "unitary":
+        g = np.linalg.qr(g)[0]
+    elif kind == "diagonal":
+        g = np.diag(np.diag(g))
+    return g * 10.0 ** exponent
+
+
+def _bounds(norm: float, ks) -> list:
+    """Bounds at norm (1 + k 1e-9), exactly norm, one ulp either side, far
+    above and far below, zero and a negative one."""
+    out = [norm * (1.0 + k * 1e-9) for k in ks]
+    out += [norm, np.nextafter(norm, np.inf), np.nextafter(norm, -np.inf),
+            norm * 1e3, norm * 1e-3, np.inf, 0.0, -1.0]
+    return out
+
+
+_SHAPES = st.sampled_from(["full", "rank one", "unitary", "diagonal"])
+_EXPONENTS = st.sampled_from([0, 0, 0, -8, 3, -150, -170, -200, 160, 200])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), kind=_SHAPES, exponent=_EXPONENTS)
+def test_within_is_the_op_norm_verdict(n, seed, kind, exponent):
+    m = _shaped(n, seed, kind, exponent)
+    norm = op_norm(m)
+    for bound in _bounds(norm, range(-30, 31)):
+        assert _within(m, bound) == (norm <= bound), (bound, norm)
+
+
+def test_within_on_zero_and_non_finite_input():
+    for n in (1, 4, 16):
+        zero = np.zeros((n, n), dtype=complex)
+        assert _within(zero, 0.0) and op_norm(zero) <= 0.0
+        assert not _within(zero, -1e-300)
+        bad = np.eye(n, dtype=complex)
+        bad[0, -1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            op_norm(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            _within(bad, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 16), k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       kind=_SHAPES, exponent=_EXPONENTS)
+def test_unit_within_is_the_unit_defect_verdict(n, k, seed, kind, exponent):
+    # e = I + a perturbation, and a stack whose defects span many scales:
+    # the largest sits in the band at a bound near it, the small ones clear.
+    rng = np.random.default_rng(seed)
+    e = np.eye(n) + _shaped(n, seed, kind, exponent)
+    stack = np.array([_shaped(n, seed + j + 1, "full", 0) * 10.0 ** -rng.integers(0, 12)
+                      for j in range(k)]).reshape(k, n, n)
+    defect = _unit_defect(e, stack)
+    for bound in _bounds(defect, range(-30, 31, 3)):
+        assert _unit_within(e, stack, bound) == (defect <= bound), (bound, defect)
+
+
+def test_unit_within_raises_on_nan_as_unit_defect_does():
+    stack = np.array([np.eye(3), 1e6 * np.eye(3)], dtype=complex)
+    e = np.diag([1.0, 1.0, np.nan]).astype(complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        _unit_defect(e, stack)
+    with pytest.raises(np.linalg.LinAlgError):
+        _unit_within(e, stack, 1.0)

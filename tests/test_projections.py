@@ -177,6 +177,54 @@ def test_peak_divergence_is_first_class():
     assert peak_projection(np.diag([np.exp(0.7j), 1.0])).status == "diverged"
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_peak_trace_is_the_norms_of_the_squares(n):
+    # trace[k] = ||z_k|| bit for bit, z_0 = x, z_{k+1} = z_k z_k: the norms
+    # of the powers x^{2^k}, one per squaring taken, not the defects.
+    for seed in range(3):
+        x, _ = gen_peaked_half_f(n, seed)
+        res = peak_projection(x)
+        assert res.status == "converged" and len(res.trace) == res.iterations + 1
+        z, norms = x, []
+        for _ in res.trace:
+            norms.append(op_norm(z))
+            z = z @ z
+        assert res.trace == norms
+
+
+@pytest.mark.parametrize("x, status, iterations, length", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), "zero", 1, 2),  # nilpotent: x^2 = 0
+    (np.diag([1.0, -1.0]), "diverged", 1, 2),  # x^2 = I fails to absorb x
+    (np.diag([np.exp(0.7j), 1.0]), "diverged", 0, 57),  # rounding grows |x^{2^k}| past 10
+])
+def test_peak_zero_and_diverged_paths(x, status, iterations, length):
+    res = peak_projection(x)
+    assert (res.status, res.iterations, len(res.trace)) == (status, iterations, length)
+    assert res.trace[0] == 1.0 and op_norm(res.proj) == 0.0
+
+
+def test_peak_loop_takes_one_batched_svd(monkeypatch):
+    # The squaring steps decide by Frobenius norms; the SVD runs once on the
+    # stacked chain for the trace, beside ||x||, and at most once more for a
+    # step whose verdict falls in _within's band.  One SVD per squaring
+    # would make iterations + 2 calls.
+    svd, shapes = np.linalg.svd, []
+
+    def counted(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for n in (2, 3, 4, 5, 6, 7, 8, 16):
+        for seed in range(3):
+            x, _ = gen_peaked_half_f(n, seed)
+            shapes.clear()
+            res = peak_projection(x)
+            assert res.status == "converged" and res.iterations >= 4
+            assert [s for s in shapes if len(s) == 3] == [(len(res.trace), n, n)]
+            assert len(shapes) <= 3 < res.iterations + 2
+
+
 def test_peak_iterative_vs_oracle():
     for k in range(40):
         n = 2 + k % 6
