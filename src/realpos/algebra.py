@@ -331,7 +331,7 @@ def a_h(
     herm = hermitian_elements(a)
     if herm:
         # range [h_1 ... h_k] = ker([h_1 ... h_k]*)^perp
-        q = _kernel_complement_projection(dagger(np.hstack(herm)))
+        q, _ = _kernel_complement_projection(dagger(np.hstack(herm)))
         ok, residual = contains(a, q, tol)
         if not ok:
             raise ArithmeticError(

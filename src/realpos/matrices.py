@@ -173,15 +173,23 @@ def range_basis(p) -> np.ndarray:
 # eigenspace oracles read these cuts.
 ZERO_FLOOR = 1e-14
 SINGULAR_RTOL = 1e-10
+# A support projection p of x is checked by projections._verify_support:
+# it warns when p x = x p = x fails by more than SUPPORT_DEFECT_RTOL
+# max(1, ||x||), and when x vanishes on ran(p), its least singular value
+# there being at most SUPPORT_VANISH_RTOL ||x||.
+SUPPORT_DEFECT_RTOL = 1e-7
+SUPPORT_VANISH_RTOL = 1e-14
 
 
-def _kernel_complement_projection(m: np.ndarray) -> np.ndarray:
-    """Projection onto ker(m)^perp via singular values."""
+def _kernel_complement_projection(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Projection onto ker(m)^perp via singular values, and ||m||, the
+    largest of them (0 for an empty m)."""
     _, s, vh = np.linalg.svd(m)
-    if s.size == 0 or s[0] <= ZERO_FLOOR:
-        return np.zeros_like(m)
+    norm = float(s[0]) if s.size else 0.0
+    if norm <= ZERO_FLOOR:
+        return np.zeros_like(m), norm
     vt = vh[s > SINGULAR_RTOL * s[0]]
-    return dagger(vt) @ vt
+    return dagger(vt) @ vt, norm
 
 
 def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:

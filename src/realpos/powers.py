@@ -187,18 +187,32 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Every node's system shares the off-diagonal coefficients of T, so back
     substitution takes row i of all of them at once: one matrix-vector
-    product with the rows below it.  The caller guarantees nonzero
-    diagonals u_k + (1 - u_k) t_ii.
+    product with the rows below it.  Each S_k is upper triangular, like T
+    (zgees leaves its strictly lower triangle exactly 0), so only that
+    triangle is computed, in place; the lower one stays 0.  The caller
+    guarantees nonzero diagonals u_k + (1 - u_k) t_ii.
     """
     import scipy.linalg  # kept off the import path, like solve()'s
 
-    t, z = scipy.linalg.schur(x, output="complex")
+    # as_matrix has already refused non-finite input
+    t, z = scipy.linalg.schur(x, output="complex", check_finite=False)
     n, k = x.shape[0], len(u)
     v = 1.0 - u
-    s = np.empty((n, n, k), dtype=complex)
+    s = np.zeros((n, n, k), dtype=complex)
+    d = np.empty(k, dtype=complex)
+    buf = np.empty(n * k, dtype=complex)
     for i in range(n - 1, -1, -1):
-        below = (t[i, i + 1:] @ s[i + 1:].reshape(n - i - 1, n * k)).reshape(n, k)
-        s[i] = (t[i, :, None] - v * below) / (u + v * t[i, i])
+        m = n - i - 1
+        np.multiply(v, t[i, i], out=d)
+        np.add(u, d, out=d)
+        np.divide(t[i, i], d, out=s[i, i])
+        if m:
+            # s[i+1:, i+1:] merges to an (m, m k) view with row stride n k
+            below = np.matmul(t[i, i + 1:], s[i + 1:, i + 1:].reshape(m, m * k),
+                              out=buf[:m * k]).reshape(m, k)
+            np.multiply(v, below, out=below)
+            np.subtract(t[i, i + 1:, None], below, out=below)
+            np.divide(below, d, out=s[i, i + 1:])
     return z, s
 
 

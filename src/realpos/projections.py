@@ -25,6 +25,8 @@ from .algebra import _algebra, _products, contains, orthonormalize
 from .matrices import (
     DEFAULT_TOL,
     SINGULAR_RTOL,
+    SUPPORT_DEFECT_RTOL,
+    SUPPORT_VANISH_RTOL,
     ZERO_FLOOR,
     Tolerances,
     _kernel_complement_projection,
@@ -133,11 +135,14 @@ def support_projection(
     if method not in ("iterative", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
 
-    oracle = _kernel_complement_projection(x) if method in ("oracle", "both") else None
+    oracle = None
+    if method in ("oracle", "both"):
+        oracle, oracle_norm = _kernel_complement_projection(x)
     if method == "oracle":
         status = "zero" if _within(oracle, tol.eq_tol) else "converged"
         result = ProjectionResult(oracle, "oracle", 0, None, status)
-        _verify_support(result.proj, x, tol)
+        # ||x|| only sets the warning thresholds here, so the SVD's s[0] serves
+        _verify_support(result.proj, x, oracle_norm)
         return result
 
     xnorm = op_norm(x)
@@ -171,26 +176,25 @@ def support_projection(
         proj, "iterative", iterations, residual, status, trace, purifications
     )
     if status != "diverged":
-        _verify_support(result.proj, x, tol, xnorm)
+        _verify_support(result.proj, x, xnorm)
     return result
 
 
-def _verify_support(
-    p: np.ndarray, x: np.ndarray, tol: Tolerances, xnorm: Optional[float] = None
-) -> None:
+def _verify_support(p: np.ndarray, x: np.ndarray, xnorm: Optional[float] = None) -> None:
     """Warn when p x = x p = x fails (p too small) or x vanishes on a
     direction of ran(p) (p too large; p = I passes the first test for every
-    x).  ``xnorm`` is ||x|| when the caller has it."""
+    x); the thresholds are SUPPORT_DEFECT_RTOL and SUPPORT_VANISH_RTOL.
+    ``xnorm`` is ||x|| when the caller has it."""
     if xnorm is None:
         xnorm = op_norm(x)
-    if not _unit_within(p, x[None], 1e-7 * max(1.0, xnorm)):
+    if not _unit_within(p, x[None], SUPPORT_DEFECT_RTOL * max(1.0, xnorm)):
         defect = _unit_defect(p, x[None])
         warnings.warn(
             f"support projection fails p x = x p = x (defect {defect:.2e})",
             RuntimeWarning,
         )
     low = np.linalg.svd(x @ range_basis(p), compute_uv=False)  # x on ran(p)
-    if low.size and low[-1] <= 1e-14 * xnorm:
+    if low.size and low[-1] <= SUPPORT_VANISH_RTOL * xnorm:
         warnings.warn(f"support projection exceeds the support of x (x vanishes on ran p: "
                       f"{low[-1]:.2e})", RuntimeWarning)
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import roots_jacobi
 
 from realpos import powers as powers_module
@@ -158,6 +159,70 @@ def test_balakrishnan_matches_per_node_solves_near_singular(nodes):
     ref = _per_node_reference(x, 0.5, nodes)
     value = power_balakrishnan(x, 0.5, nodes).value
     assert op_norm(value - ref) <= 1e-13 * op_norm(ref)
+
+
+def _full_row_resolvents(x, u):
+    # The back substitution as it first stood: every row of s over all n
+    # columns, the lower triangle included.  _schur_resolvents must keep
+    # its bits.
+    t, z = scipy.linalg.schur(x, output="complex")
+    n, k = x.shape[0], len(u)
+    v = 1.0 - u
+    s = np.empty((n, n, k), dtype=complex)
+    for i in range(n - 1, -1, -1):
+        below = (t[i, i + 1:] @ s[i + 1:].reshape(n - i - 1, n * k)).reshape(n, k)
+        s[i] = (t[i, :, None] - v * below) / (u + v * t[i, i])
+    return z, s
+
+
+def _both_rules_nodes(nodes, r):
+    # the u_k of _balakrishnan_sums: the fine rule's, then the half rule's
+    xi = powers_module._jacobi_rule(nodes, r)[0]
+    xi_c = powers_module._jacobi_rule(nodes // 2, r)[0]
+    return (1.0 + np.concatenate([xi, xi_c])) / 2.0
+
+
+def _resolvent_inputs(n):
+    # random accretive inputs and the rotated Jordan-like block of
+    # test_balakrishnan_matches_per_node_solves
+    u = gen_unitary(n, 950 + n)
+    jordan = u @ (3.0 * (1.01 * np.eye(n) + np.eye(n, k=1))) @ u.conj().T
+    return [gen_accretive(n, 960 + n), gen_accretive(n, 980 + n), jordan]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+def test_schur_resolvents_keep_the_full_row_bits(n):
+    # Only the upper triangle is computed now; it must equal the full-row
+    # recurrence entry for entry, and the lower triangle must be exactly 0.
+    lower = np.tril_indices(n, -1)
+    for x in _resolvent_inputs(n):
+        for r, nodes in itertools.product((0.25, 0.5, 0.75), (16, 64, 128)):
+            u = _both_rules_nodes(nodes, r)
+            z_ref, s_ref = _full_row_resolvents(x, u)
+            z, s = powers_module._schur_resolvents(x, u)
+            assert np.array_equal(z, z_ref)
+            assert np.array_equal(s, s_ref)
+            assert not np.any(s[lower])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+def test_balakrishnan_keeps_the_full_row_bits(monkeypatch, n):
+    # n = 1 makes no GEMV in the loop
+    inputs = _resolvent_inputs(n)
+    cases = list(itertools.product(range(len(inputs)), (0.25, 0.5, 0.75), (16, 64, 128)))
+    results = [power_balakrishnan(inputs[j], r, nodes) for j, r, nodes in cases]
+    calls = []
+
+    def reference(x, u):
+        calls.append(1)
+        return _full_row_resolvents(x, u)
+
+    monkeypatch.setattr(powers_module, "_schur_resolvents", reference)
+    for (j, r, nodes), res in zip(cases, results):
+        ref = power_balakrishnan(inputs[j], r, nodes)
+        assert res.value.tobytes() == ref.value.tobytes()
+        assert res.est_error == ref.est_error and res.certified == ref.certified
+    assert len(calls) == len(cases)  # every case took the Schur route
 
 
 def test_balakrishnan_defective_fallback():

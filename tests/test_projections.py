@@ -11,7 +11,7 @@ from realpos import projections
 from realpos.algebra import contains, full_algebra, identity_of, upper_triangular_algebra
 from realpos.cones import f_membership
 from realpos.generators import gen_accretive, gen_half_f, gen_peaked_half_f, gen_sectorial, gen_unitary
-from realpos.matrices import DEFAULT_TOL, dagger, op_norm
+from realpos.matrices import dagger, op_norm
 from realpos.powers import NotAccretiveError, power, root_series
 from realpos.projections import (
     hsa_and_ideal,
@@ -102,12 +102,31 @@ def test_verify_support_sees_an_over_large_support():
     jordan[0, 0] = jordan[1, 1] = jordan[0, 1] = 1.0
     x = u @ jordan @ dagger(u)
     with pytest.warns(RuntimeWarning, match="exceeds the support"):
-        projections._verify_support(np.eye(3), x, DEFAULT_TOL)
+        projections._verify_support(np.eye(3), x)
     support = u @ np.diag([1.0, 1.0, 0.0]) @ dagger(u)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        projections._verify_support(support, x, DEFAULT_TOL)
-        projections._verify_support(np.zeros((3, 3)), np.zeros((3, 3)), DEFAULT_TOL)
+        projections._verify_support(support, x)
+        projections._verify_support(np.zeros((3, 3)), np.zeros((3, 3)))
+
+
+def test_oracle_support_takes_two_svds(monkeypatch):
+    # The oracle's full SVD also gives ||x|| for the warning thresholds;
+    # the only other SVD is of x on ran(p).  A separate op_norm(x) made 3.
+    svd, calls = np.linalg.svd, []
+
+    def counted(m, *args, **kwargs):
+        calls.append((np.shape(m), kwargs.get("compute_uv", True)))
+        return svd(m, *args, **kwargs)
+
+    x = gen_accretive(5, 0)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = support_projection(x, method="oracle")
+    assert calls == [((5, 5), True), ((5, 5), False)]
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert res.proj.tobytes() == projections._kernel_complement_projection(x)[0].tobytes()
 
 
 def test_support_separation_band():
