@@ -10,9 +10,6 @@ Every builder decides ``contains_identity`` by one rule, ``contains(A, I,
 tol)``, before it constructs the algebra.  ``MatrixAlgebra.residual`` measures
 a whole stack's distance from the span at once, for gates.
 
-The real coordinates of ``x = sum_j c_j b_j`` are ``u = (Re c, Im c)``;
-``real_matrix`` is the one writer of that layout for real-linear maps on A.
-
 Algebra JSON is either ``{"ambient": n, "basis": [matrix, ...]}`` or
 ``{"generators": [matrix, ...], "mode": "algebra"|"cstar",
 "with_identity": bool}`` with matrices in the matrix JSON format.
@@ -49,7 +46,6 @@ __all__ = [
     "a_h",
     "amplify",
     "hermitian_elements",
-    "real_matrix",
     "full_algebra",
     "diagonal_algebra",
     "upper_triangular_algebra",
@@ -274,38 +270,24 @@ def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAl
     return _algebra(basis.reshape(k * k * a.dim, k * n, k * n), label, tol)
 
 
-def _from_real(v: np.ndarray, shape) -> np.ndarray:
-    """The complex array of the given shape whose real vector is v."""
-    half = v.size // 2
-    return (v[:half] + 1j * v[half:]).reshape(shape)
-
-
-def real_matrix(linear: np.ndarray, antilinear: np.ndarray) -> np.ndarray:
-    """Real matrix of ``sum_j c_j b_j -> sum_j c_j L_j + conj(c_j) K_j``.
-
-    ``linear[j] = L_j`` and ``antilinear[j] = K_j`` are stacks of one shape.
-    The result, ``(2 * size, 2 * dim)``, takes u = (Re c, Im c) to the real
-    vector of the value: columns of b_j (L_j + K_j), then of i b_j (i (L_j - K_j)).
-    """
-    cols = np.concatenate([linear + antilinear, 1j * (linear - antilinear)])
-    cols = cols.reshape(len(cols), int(np.prod(cols.shape[1:])))
-    return np.concatenate([cols.real, cols.imag], axis=1).T
-
-
 def hermitian_elements(a: MatrixAlgebra) -> list[np.ndarray]:
-    """A real basis of {x in A : x = x*}."""
+    """A real basis of {x in A : x = x*}: the null vectors of the real
+    ``(2 n^2, 2 d)`` matrix of x -> x - x* on u = (Re c, Im c), x = sum_j c_j b_j."""
     d = a.dim
     if d == 0:
         return []
-    # the kernel of x -> x - x* in real coordinates
-    _, s, vt = np.linalg.svd(real_matrix(a.basis, -dagger(a.basis)))
-    null = vt[s <= RANK_TOL * max(1.0, s[0])]
+    # columns b_j - b_j*, then i b_j - (i b_j)* = i (b_j + b_j*); real rows
+    # above imaginary rows
+    bh = dagger(a.basis)
+    cols = np.concatenate([a.basis - bh, 1j * (a.basis + bh)]).reshape(2 * d, -1)
+    _, s, vt = np.linalg.svd(np.concatenate([cols.real, cols.imag], axis=1).T, full_matrices=False)
     out = []
-    for u in null:
-        x = a.reconstruct(_from_real(u, (d,)))
+    for u in vt[s <= RANK_TOL * max(1.0, s[0])]:
+        x = a.reconstruct(u[:d] + 1j * u[d:])
         x = (x + dagger(x)) / 2.0
-        if frob_norm(x) > 1e-8:
-            out.append(x / frob_norm(x))
+        norm = frob_norm(x)
+        if norm > 1e-8:
+            out.append(x / norm)
     return out
 
 

@@ -112,8 +112,8 @@ def _cmd_check(args) -> int:
 def _cmd_transform(args) -> int:
     tol = _tolerances(args)
     x = _load_matrix(args.matrix)
-    ops = {"cayley": cayley, "f": f_transform, "finv": f_inverse}
-    out = ops[args.op](x, tol)
+    ops = {"cayley": cayley, "f": f_transform, "finv": lambda t: f_inverse(t, tol)}
+    out = ops[args.op](x)
     _emit(matrix_to_json(out), args)
     return 0
 

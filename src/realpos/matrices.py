@@ -183,8 +183,9 @@ SUPPORT_VANISH_RTOL = 1e-14
 
 def _kernel_complement_projection(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Projection onto ker(m)^perp via singular values, and ||m||, the
-    largest of them (0 for an empty m)."""
-    _, s, vh = np.linalg.svd(m)
+    largest of them (0 for an empty m).  The SVD is thin: a tall m needs no
+    square U."""
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
     norm = float(s[0]) if s.size else 0.0
     if norm <= ZERO_FLOOR:
         return np.zeros_like(m), norm
@@ -229,10 +230,11 @@ def _unit_within(e: np.ndarray, stack: np.ndarray, bound: float) -> bool:
     """Exactly the verdict ``_unit_defect(e, stack) <= bound``, as
     :func:`_within` decides it for each of the 2k defect matrices: their
     squared Frobenius norms come from one vectorised sum (``einsum``, which
-    overflows to inf without a warning), and ``max_op_norm`` runs only on
-    those in the band."""
+    overflows to inf without a warning, as the sum of its two halves may
+    here), and ``max_op_norm`` runs only on those in the band."""
     d = np.concatenate([e @ stack - stack, stack @ e - stack])
-    s = np.einsum("kij,kij->k", d.real, d.real) + np.einsum("kij,kij->k", d.imag, d.imag)
+    with np.errstate(over="ignore"):
+        s = np.einsum("kij,kij->k", d.real, d.real) + np.einsum("kij,kij->k", d.imag, d.imag)
     sure = s < math.inf  # False for NaN and overflow
     low = np.sqrt(np.maximum(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN)
     if sure.all() and (low > bound * math.sqrt(d.shape[-1])).any():
@@ -241,13 +243,13 @@ def _unit_within(e: np.ndarray, stack: np.ndarray, bound: float) -> bool:
     return max_op_norm(d[band]) <= bound
 
 
-def solve(m, b, tol: Tolerances = DEFAULT_TOL):
+def solve(m, b):
     """Solve ``m @ x = b`` by LU with partial pivoting.
 
     ``b`` may be a ``(k, n, p)`` stack of right-hand sides: m is factored
     once, and each of them is solved with the bits of its own call.
     Raises :class:`SingularMatrixError` carrying the index of the first
-    pivot whose magnitude falls below ``PIVOT_RTOL * op_norm(m)``.
+    pivot whose magnitude is at or below ``PIVOT_RTOL * op_norm(m)``.
     """
     import scipy.linalg  # for the pivots of lu_factor; kept off the import path
 

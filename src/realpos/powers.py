@@ -217,7 +217,7 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _balakrishnan_sums(
-    x: np.ndarray, r: float, nodes: int, margin: float, tol: Tolerances
+    x: np.ndarray, r: float, nodes: int, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``nodes``-point rule and the ``nodes // 2``-point rule, whose
     1.5 ``nodes`` resolvents come from one Schur form of x in the usual
@@ -250,7 +250,7 @@ def _balakrishnan_sums(
         z, s = _schur_resolvents(x, u)
     else:
         eye = np.eye(n)
-        z, s = None, np.stack([solve((1.0 - uk) * x + uk * eye, x, tol) for uk in u], axis=-1)
+        z, s = None, np.stack([solve((1.0 - uk) * x + uk * eye, x) for uk in u], axis=-1)
     # Both rules' sums by one product: column 0 of the weights holds the
     # fine rule's, column 1 the half-node rule's.
     weights = np.zeros((len(u), 2))
@@ -289,7 +289,7 @@ def power_balakrishnan(
         )
     _require_nodes(nodes)
     margin = _require_accretive(x, tol)
-    value, coarse = _balakrishnan_sums(x, r, nodes, margin, tol)
+    value, coarse = _balakrishnan_sums(x, r, nodes, margin)
     est = op_norm(value - coarse)
     # The rule integrates against the weight exponent fl(r - 1) = (r - d) - 1,
     # so the value is off by a relative d / r that the half-node estimate,

@@ -265,20 +265,17 @@ def peak_projection(
     z = x
     chain = []
     status = "diverged"
-    iterations = 0
-    for k in range(_MAX_SQUARINGS):
+    for iterations in range(_MAX_SQUARINGS):
         chain.append(z)
         z2 = z @ z
         if _within(z, 1e-8) and op_norm(z) < 1e-8:
             status = "zero"
             z = np.zeros_like(z)
-            iterations = k
             break
         if not _within(z, 10.0):
             break
         if _within(z2 - z, tol.iter_tol):
             status = "converged"
-            iterations = k
             break
         z = z2
     else:

@@ -135,7 +135,7 @@ def _suite_f_bijection(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dic
         s = _case_seed(seed, k)
         n = sizes[k % len(sizes)]
         x = gen_accretive(n, s)
-        t = f_transform(x, tol)
+        t = f_transform(x)
         fm = f_membership(t, tol)
         norm_t = op_norm(t)
         roundtrip = op_norm(f_inverse(t, tol) - x)

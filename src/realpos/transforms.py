@@ -16,15 +16,15 @@ from .matrices import DEFAULT_TOL, Tolerances, as_matrix, op_norm, solve
 __all__ = ["cayley", "f_transform", "f_inverse"]
 
 
-def cayley(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def cayley(x) -> np.ndarray:
     """Cayley transform (x - 1)(x + 1)^{-1}; a contraction for accretive x."""
     x = as_matrix(x)
     eye = np.eye(x.shape[0], dtype=complex)
     # x - 1 and (x + 1)^{-1} commute, so left division is the same matrix.
-    return solve(x + eye, x - eye, tol)
+    return solve(x + eye, x - eye)
 
 
-def f_transform(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def f_transform(x) -> np.ndarray:
     """x (x + 1)^{-1}, equal to (1 + cayley(x)) / 2.
 
     Both forms come from one factorization of x + 1, and each has the bits
@@ -32,7 +32,7 @@ def f_transform(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     x = as_matrix(x)
     eye = np.eye(x.shape[0], dtype=complex)
-    value, cay = solve(x + eye, np.stack([x, x - eye]), tol)
+    value, cay = solve(x + eye, np.stack([x, x - eye]))
     alt = (eye + cay) / 2.0
     if op_norm(value - alt) > 1e-10 * max(1.0, op_norm(value)):
         raise ArithmeticError(
@@ -59,4 +59,4 @@ def f_inverse(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             "defined but its output may not be accretive",
             RuntimeWarning,
         )
-    return solve(eye - t, t, tol)
+    return solve(eye - t, t)

@@ -31,7 +31,14 @@ from realpos.algebra import (
     upper_triangular_algebra,
 )
 from realpos.generators import gen_accretive, gen_algebra, gen_unitary
-from realpos.matrices import _unit_defect, dagger, op_norm
+from realpos.matrices import (
+    SINGULAR_RTOL,
+    ZERO_FLOOR,
+    _kernel_complement_projection,
+    _unit_defect,
+    dagger,
+    op_norm,
+)
 from realpos.projections import hsa_and_ideal
 
 from conftest import unit
@@ -166,6 +173,53 @@ def test_a_h_of_accretive_generator_is_unit():
         ah, q = a_h(alg)
         assert op_norm(q - identity_of(alg)) <= 1e-8
         assert ah.dim == alg.dim
+
+
+def test_a_h_svds_return_nothing_larger_than_their_matrix(monkeypatch):
+    # a_h factors tall matrices: the real (2 n^2, 2 d) matrix of x -> x - x*
+    # and the (n k, n) stack of the k Hermitian elements' adjoints.  A full
+    # SVD of the (64, 4) stack of full:4 alone would return a 64 x 64 U.
+    svd, seen = np.linalg.svd, []
+
+    def checked(m, *args, **kwargs):
+        out = svd(m, *args, **kwargs)
+        seen.append((np.shape(m), [np.shape(o) for o in (out if isinstance(out, tuple) else (out,))]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", checked)
+    for name in ("full:4", "upper:4", "blockupper:2,2", "full:8"):
+        alg = algebra_from_name(name)
+        seen.clear()
+        a_h(alg)
+        assert any(shape[0] > shape[-1] for shape, _ in seen), name  # a tall input was factored
+        for shape, outs in seen:
+            assert all(np.prod(o) <= np.prod(shape) for o in outs), (name, shape, outs)
+
+
+def _full_svd_kernel_complement(m):
+    """_kernel_complement_projection from the full SVD, whose U it never reads."""
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    norm = float(s[0]) if s.size else 0.0
+    if norm <= ZERO_FLOOR:
+        return np.zeros_like(m), norm
+    vt = vh[s > SINGULAR_RTOL * s[0]]
+    return dagger(vt) @ vt, norm
+
+
+def test_kernel_complement_projection_keeps_the_full_svd_bits(e11, e12):
+    inputs = []
+    for alg in (*(algebra_from_name(name) for name in ("full:4", "upper:4", "blockupper:2,2", "diag:4", "full:8")),
+                span_algebra([e11, e12]), generate_algebra([np.triu(np.ones((5, 5), complex), 1), unit(5, 0, 0)]),
+                *(generate_algebra([gen_accretive(n, 300 + n)]) for n in range(2, 7))):
+        inputs.append(dagger(np.hstack(hermitian_elements(alg))))  # the stack a_h factors
+    for n in range(2, 9):
+        for seed in range(3):
+            inputs += [gen_accretive(n, seed), gen_accretive(n, seed, rank=max(1, n // 2))]
+    inputs += [np.zeros((4, 4), complex), np.zeros((16, 4), complex)]
+    for m in inputs:
+        p, norm = _kernel_complement_projection(m)
+        want_p, want_norm = _full_svd_kernel_complement(m)
+        assert np.array_equal(p, want_p) and norm == want_norm, m.shape
 
 
 def test_hermitian_elements(e12):

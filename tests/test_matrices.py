@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realpos.matrices import (
@@ -237,6 +237,7 @@ def test_within_on_zero_and_non_finite_input():
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 16), k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
        kind=_SHAPES, exponent=_EXPONENTS)
+@example(n=5, k=3, seed=82, kind="diagonal", exponent=160)  # finite real and imaginary halves whose sum overflows
 def test_unit_within_is_the_unit_defect_verdict(n, k, seed, kind, exponent):
     # e = I + a perturbation, and a stack whose defects span many scales:
     # the largest sits in the band at a bound near it, the small ones clear.

@@ -214,11 +214,12 @@ def test_peak_trace_is_the_norms_of_the_squares(n):
 @pytest.mark.parametrize("x, status, iterations, length", [
     (np.array([[0.0, 1.0], [0.0, 0.0]]), "zero", 1, 2),  # nilpotent: x^2 = 0
     (np.diag([1.0, -1.0]), "diverged", 1, 2),  # x^2 = I fails to absorb x
-    (np.diag([np.exp(0.7j), 1.0]), "diverged", 0, 57),  # rounding grows |x^{2^k}| past 10
+    (np.diag([np.exp(0.7j), 1.0]), "diverged", 56, 57),  # rounding grows |x^{2^k}| past 10
 ])
 def test_peak_zero_and_diverged_paths(x, status, iterations, length):
     res = peak_projection(x)
     assert (res.status, res.iterations, len(res.trace)) == (status, iterations, length)
+    assert len(res.trace) == res.iterations + 1
     assert res.trace[0] == 1.0 and op_norm(res.proj) == 0.0
 
 
