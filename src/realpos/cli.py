@@ -38,6 +38,14 @@ from .transforms import cayley, f_inverse, f_transform
 
 PREDICATES = ("accretive", "f", "half-f", "c", "sector")
 
+# Each subcommand adds only the shared options it reads: an unread one exits 2.
+SHARED_OPTIONS = {
+    "--tol": dict(type=float, default=None, help="override eq_tol (scales the others)"),
+    "--seed": dict(type=int, default=0),
+    "--json-out": dict(default=None, help="write JSON output to a file"),
+    "--csv-out": dict(default=None, help="write CSV output to a file"),
+}
+
 
 def _load_json(path: str):
     if path == "-":
@@ -73,7 +81,7 @@ def _load_algebra(spec: str):
 
 def _emit(data: dict, args) -> None:
     text = json.dumps(data, indent=2, sort_keys=True)
-    if getattr(args, "json_out", None):
+    if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -276,27 +284,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Order theory for matrix operator algebras: cones, powers, "
         "projections and interpolation solvers.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="override eq_tol (scales the others)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--json-out", default=None, help="write JSON output to a file")
-    common.add_argument("--csv-out", default=None, help="write CSV output to a file")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *shared, **kw):
+        p = sub.add_parser(name, **kw)
+        for flag in shared:
+            p.add_argument(flag, **SHARED_OPTIONS[flag])
+        return p
 
-    p = add_parser("check", help="cone membership report for a matrix")
+    p = add_parser("check", "--tol", "--json-out", help="cone membership report for a matrix")
     p.add_argument("matrix", help="matrix JSON path or - for stdin")
     p.add_argument("--require", nargs="*", choices=PREDICATES, default=None)
     p.set_defaults(fn=_cmd_check)
 
-    p = add_parser("transform", help="Cayley / F-transform / inverse")
+    p = add_parser("transform", "--tol", "--json-out", help="Cayley / F-transform / inverse")
     p.add_argument("matrix")
     p.add_argument("--op", choices=("cayley", "f", "finv"), required=True)
     p.set_defaults(fn=_cmd_transform)
 
-    p = add_parser("power", help="principal fractional power")
+    p = add_parser("power", "--tol", "--json-out", help="principal fractional power")
     p.add_argument("matrix")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=("auto", "spectral", "balakrishnan", "series"), default="auto")
@@ -304,30 +310,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=200)
     p.set_defaults(fn=_cmd_power)
 
-    p = add_parser("project", help="support or peak projection")
+    p = add_parser("project", "--tol", "--json-out", help="support or peak projection")
     p.add_argument("matrix")
     p.add_argument("--kind", choices=("support", "peak"), required=True)
     p.add_argument("--method", choices=("iterative", "oracle", "both"), default="both")
     p.set_defaults(fn=_cmd_project)
 
-    p = add_parser("range", help="numerical range sweep as CSV")
+    p = add_parser("range", "--csv-out", help="numerical range sweep as CSV")
     p.add_argument("matrix")
     p.add_argument("--grid", type=int, default=720)
     p.set_defaults(fn=_cmd_range)
 
-    p = add_parser("algebra", help="generate / a-h / amplify / unitize / identity")
+    p = add_parser("algebra", "--tol", "--json-out", help="generate / a-h / amplify / unitize / identity")
     p.add_argument("op", choices=("generate", "a-h", "amplify", "unitize", "identity"))
     p.add_argument("spec", help="algebra JSON path, canned name (full:3, upper:2, "
                                 "diag:4, blockupper:2,2), or - for stdin")
     p.add_argument("--k", type=int, default=2, help="amplification factor")
     p.set_defaults(fn=_cmd_algebra)
 
-    p = add_parser("interp", help="interpolation theorem solvers")
+    p = add_parser("interp", "--tol", "--json-out", "--seed", help="interpolation theorem solvers")
     p.add_argument("problem", help="problem JSON path or - for stdin")
     p.add_argument("--theorem", choices=tuple(interp.THEOREMS), required=True)
     p.set_defaults(fn=_cmd_interp)
 
-    p = add_parser("verify", help="run the acceptance suites")
+    p = add_parser("verify", *SHARED_OPTIONS, help="run the acceptance suites")
     p.add_argument("--suite", choices=suites.suite_names(), default=None)
     p.add_argument("--sizes", default=None, help="comma-separated ambient dimensions")
     p.add_argument("--dump-dir", default=None, help="directory for failing-instance dumps")

@@ -12,7 +12,7 @@ Every predicate returns its raw margin alongside the verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -64,15 +64,7 @@ class ConeReport:
     im_norm: float
 
     def to_json(self) -> dict:
-        return {
-            "accretive_margin": self.accretive_margin,
-            "norm": self.norm,
-            "f_gap": self.f_gap,
-            "half_f_gap": self.half_f_gap,
-            "c_constant": self.c_constant,
-            "sector_angle": self.sector_angle,
-            "im_norm": self.im_norm,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

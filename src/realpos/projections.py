@@ -213,14 +213,10 @@ def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     integer = abs(r - round(r)) < 1e-14 and round(r) >= 1
     if not integer and not 0.0 < r < 1.0:
         raise ValueError("r must be in (0, 1) or a positive integer")
-    vav = v @ a @ dagger(v)
     if integer:
-        k = int(round(r))
-        lhs = np.linalg.matrix_power(vav, k)
-        rhs = v @ np.linalg.matrix_power(a, k) @ dagger(v)
-    else:
-        lhs = power(vav, r, tol=tol).value
-        rhs = v @ power(a, r, tol=tol).value @ dagger(v)
+        r = float(round(r))  # an exact integer: power() takes np.linalg.matrix_power
+    lhs = power(v @ a @ dagger(v), r, tol=tol).value
+    rhs = v @ power(a, r, tol=tol).value @ dagger(v)
     return op_norm(lhs - rhs)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,17 +77,7 @@ class SuiteReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "sizes": list(self.sizes),
-            "cases": self.cases,
-            "failures": self.failures,
-            "tolerances": self.tolerances,
-            "extra": self.extra,
-            "passed": self.passed,
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 class _Recorder:

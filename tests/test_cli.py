@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import realpos
 from realpos import interp
-from realpos.cli import main
+from realpos.cli import build_parser, main
 from realpos.cones import MAX_GRID
 from realpos.generators import gen_accretive
 from realpos.matrices import matrix_from_json, matrix_to_json
@@ -580,3 +581,77 @@ def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
+
+
+# The shared options each subcommand reads; any other one is a usage error.
+SHARED_BY_COMMAND = {
+    "check": {"--tol", "--json-out"},
+    "transform": {"--tol", "--json-out"},
+    "power": {"--tol", "--json-out"},
+    "project": {"--tol", "--json-out"},
+    "algebra": {"--tol", "--json-out"},
+    "range": {"--csv-out"},
+    "interp": {"--tol", "--json-out", "--seed"},
+    "verify": {"--tol", "--seed", "--json-out", "--csv-out"},
+}
+SHARED_VALUES = {"--tol": "1e-8", "--seed": "4", "--json-out": "out.json", "--csv-out": "out.csv"}
+BASE_ARGV = {
+    "check": ["check", "x.json"],
+    "transform": ["transform", "x.json", "--op", "f"],
+    "power": ["power", "x.json", "--alpha", "0.5"],
+    "project": ["project", "x.json", "--kind", "support"],
+    "algebra": ["algebra", "identity", "upper:2"],
+    "range": ["range", "x.json"],
+    "interp": ["interp", "p.json", "--theorem", "dominate"],
+    "verify": ["verify", "--suite", "lemerdy"],
+}
+
+
+def test_each_subcommand_takes_only_the_shared_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shared = {name: {flag for action in parser._actions for flag in action.option_strings
+                     if flag in SHARED_VALUES}
+              for name, parser in sub.choices.items()}
+    assert shared == SHARED_BY_COMMAND
+    assert sum(map(len, shared.values())) == 18
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in SHARED_BY_COMMAND for f in SHARED_VALUES
+                                          if f not in SHARED_BY_COMMAND[c]])
+def test_unread_shared_option_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*BASE_ARGV[command], flag, SHARED_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_range_json_out_writes_nothing(tmp_path):
+    src = _write_matrix(tmp_path / "x.json", np.eye(2))
+    out = tmp_path / "range.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["range", src, "--json-out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_verify_seed_and_csv_out(tmp_path):
+    report, table = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = ["verify", "--suite", "lemerdy", "--seed", "7", "--json-out", str(report)]
+    assert main([*argv, "--csv-out", str(table)]) == 0
+    (data,) = json.loads(report.read_text())
+    assert data["seed"] == 7
+    header, row = table.read_text().splitlines()
+    assert header == "suite,cases,failures,passed,wall_time"
+    assert row.split(",")[:4] == ["lemerdy", str(data["cases"]), "0", "True"]
+
+
+def test_interp_seed_changes_nothing(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"algebra": "upper:2", "b": _UPPER_B}))
+    argv = ["interp", str(problem), "--theorem", "dominate"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--seed", "3"]) == 0
+    assert capsys.readouterr().out == plain

@@ -13,8 +13,8 @@ from realpos import powers as powers_module
 from realpos.algebra import contains, generate_algebra
 from realpos.cones import sector_angle
 from realpos.generators import gen_accretive, gen_half_f, gen_sectorial, gen_unitary
-from realpos.matrices import (DEFAULT_TOL, SingularMatrixError, Tolerances, im_part, min_real_eig,
-                              op_norm, solve)
+from realpos.matrices import (DEFAULT_TOL, SingularMatrixError, Tolerances, dagger, im_part,
+                              min_real_eig, op_norm, solve)
 from realpos.powers import (
     MAX_NODES,
     MAX_TERMS,
@@ -30,7 +30,7 @@ from realpos.powers import (
     root_monotonicity_report,
     root_series,
 )
-from realpos.projections import vav_identity_check
+from realpos.projections import support_projection, vav_identity_check
 
 
 def test_spectral_values(lemerdy):
@@ -438,6 +438,25 @@ def test_vav_identity():
     assert vav_identity_check(a, u, 2.0) <= 1e-9
     with pytest.raises(ValueError):
         vav_identity_check(a, np.diag([1.0, 0.0, 0.0]).astype(complex), 0.5)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_vav_identity_integer_powers_match_matrix_power(n):
+    # an integer r (within 1e-14) goes through power(); the reference is the
+    # direct np.linalg.matrix_power of both sides, and the residuals agree bit for bit
+    def reference(a, v, k):
+        lhs = np.linalg.matrix_power(v @ a @ dagger(v), k)
+        return op_norm(lhs - v @ np.linalg.matrix_power(a, k) @ dagger(v))
+
+    for seed in range(2):
+        a = gen_accretive(n, seed)
+        w = gen_unitary(n, seed + 100)
+        rank = max(1, n // 2)
+        singular = w @ np.pad(gen_accretive(rank, seed + 200), (0, n - rank)) @ dagger(w)
+        s = support_projection(singular, method="oracle").proj
+        for x, v in ((a, gen_unitary(n, seed + 300)), (singular, s)):
+            for r in (1.0, 2.0, 3.0, 5.0, 2.0 + 4e-15, 3.0 - 4e-15):
+                assert vav_identity_check(x, v, r) == reference(x, v, round(r))
 
 
 def test_root_monotonicity(lemerdy):
