@@ -34,7 +34,6 @@ from .cones import (
     f_membership,
     is_accretive,
     is_strictly_real_positive,
-    near_positive_report,
     numerical_range,
     sector_angle,
 )
@@ -44,7 +43,6 @@ from .powers import (
     NotAccretiveError,
     PowerResult,
     disk_order_check,
-    holder_check,
     power,
     power_all,
     power_balakrishnan,

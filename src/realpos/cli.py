@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -45,6 +46,15 @@ SHARED_OPTIONS = {
     "--json-out": dict(default=None, help="write JSON output to a file"),
     "--csv-out": dict(default=None, help="write CSV output to a file"),
 }
+# Options read under some values of a selector only: (subcommand, option) ->
+# (selector, the values that read it, default).  Parsed with no default, an
+# unset one takes its default from here; one set under another value exits 2.
+PER_OP_OPTIONS = {
+    ("transform", "--tol"): ("op", ("finv",), None),
+    ("power", "--nodes"): ("method", ("auto", "balakrishnan"), 96),
+    ("power", "--terms"): ("method", ("series",), 200),
+    ("algebra", "--k"): ("op", ("amplify",), 2),
+}
 
 
 def _load_json(path: str):
@@ -60,7 +70,7 @@ def _load_matrix(path: str) -> np.ndarray:
     return m
 
 
-def _named_algebra(spec: str):
+def _named_algebra(spec: str, tol: Tolerances):
     """A canned algebra name, or span:FILE with FILE holding a list of
     matrices spanning the algebra; the algebra command and interp problems
     both read their string algebras here."""
@@ -69,14 +79,14 @@ def _named_algebra(spec: str):
         mats = data.get("basis") if isinstance(data, dict) else data
         if not isinstance(mats, list):
             raise ValueError("span file must hold a list of matrices or a 'basis' list")
-        return algebra_from_json({"basis": mats})
+        return algebra_from_json({"basis": mats}, tol)
     return algebra_from_name(spec)
 
 
-def _load_algebra(spec: str):
+def _load_algebra(spec: str, tol: Tolerances):
     if spec.startswith("span:") or (":" in spec and not spec.endswith(".json") and spec != "-"):
-        return _named_algebra(spec)
-    return algebra_from_json(_load_json(spec))
+        return _named_algebra(spec, tol)
+    return algebra_from_json(_load_json(spec), tol)
 
 
 def _emit(data: dict, args) -> None:
@@ -141,16 +151,7 @@ def _cmd_power(args) -> int:
         res = root_series(x, root, terms=args.terms, tol=tol)
     else:
         res = power(x, args.alpha, nodes=args.nodes, tol=tol)
-    _emit(
-        {
-            "value": matrix_to_json(res.value),
-            "method": res.method,
-            "est_error": res.est_error,
-            "nodes_or_terms": res.nodes_or_terms,
-            "certified": res.certified,
-        },
-        args,
-    )
+    _emit({**asdict(res), "value": matrix_to_json(res.value)}, args)
     return 0
 
 
@@ -191,27 +192,20 @@ def _cmd_range(args) -> int:
 
 def _cmd_algebra(args) -> int:
     tol = _tolerances(args)
-    if args.op == "generate":
-        data = _load_json(args.spec)
-        alg = algebra_from_json(data, tol)
-        _emit(algebra_to_json(alg), args)
-        return 0
-    alg = _load_algebra(args.spec)
+    alg = _load_algebra(args.spec, tol)
     if args.op == "a-h":
         corner, q = a_h(alg, tol=tol)
         _emit({"a_h": algebra_to_json(corner), "q": matrix_to_json(q)}, args)
-        return 0
-    if args.op == "amplify":
-        _emit(algebra_to_json(amplify(alg, args.k, tol)), args)
-        return 0
-    if args.op == "unitize":
-        _emit(algebra_to_json(unitize(alg, tol)), args)
-        return 0
-    if args.op == "identity":
+    elif args.op == "identity":
         e = identity_of(alg, tol)
         _emit({"identity": None if e is None else matrix_to_json(e)}, args)
-        return 0
-    raise ValueError(f"unknown algebra op {args.op!r}")
+    elif args.op == "amplify":
+        _emit(algebra_to_json(amplify(alg, args.k, tol)), args)
+    elif args.op == "unitize":
+        _emit(algebra_to_json(unitize(alg, tol)), args)
+    else:  # generate
+        _emit(algebra_to_json(alg), args)
+    return 0
 
 
 def _interp_input(key: str, value):
@@ -232,7 +226,8 @@ def _cmd_interp(args) -> int:
         raise ValueError(f"--theorem {args.theorem} reads problem keys {', '.join(needed)}; "
                          f"missing {', '.join(missing)}")
     alg_spec = data["algebra"]
-    alg = _named_algebra(alg_spec) if isinstance(alg_spec, str) else algebra_from_json(alg_spec)
+    load = _named_algebra if isinstance(alg_spec, str) else algebra_from_json
+    alg = load(alg_spec, tol)
     problem = {key: _interp_input(key, data[key]) for key in spec.keys}
     seed = data.get("seed", args.seed)  # validated, then ignored: the solvers are deterministic
     eps, near_eps = data.get("eps", 1e-2), data.get("near_eps", 1e-2)
@@ -306,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=("auto", "spectral", "balakrishnan", "series"), default="auto")
-    p.add_argument("--nodes", type=int, default=96)
-    p.add_argument("--terms", type=int, default=200)
+    p.add_argument("--nodes", type=int)
+    p.add_argument("--terms", type=int)
     p.set_defaults(fn=_cmd_power)
 
     p = add_parser("project", "--tol", "--json-out", help="support or peak projection")
@@ -324,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("algebra", "--tol", "--json-out", help="generate / a-h / amplify / unitize / identity")
     p.add_argument("op", choices=("generate", "a-h", "amplify", "unitize", "identity"))
     p.add_argument("spec", help="algebra JSON path, canned name (full:3, upper:2, "
-                                "diag:4, blockupper:2,2), or - for stdin")
-    p.add_argument("--k", type=int, default=2, help="amplification factor")
+                                "diag:4, blockupper:2,2), span:FILE, or - for stdin")
+    p.add_argument("--k", type=int, help="amplification factor")
     p.set_defaults(fn=_cmd_algebra)
 
     p = add_parser("interp", "--tol", "--json-out", "--seed", help="interpolation theorem solvers")
@@ -344,6 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for (command, flag), (selector, readers, default) in PER_OP_OPTIONS.items():
+        if args.command != command:
+            continue
+        value = getattr(args, selector)
+        if getattr(args, flag[2:]) is None:
+            setattr(args, flag[2:], default)
+        elif value not in readers:
+            parser.error(f"{flag} is read by {command} {selector} {'|'.join(readers)} only, "
+                         f"not {selector} {value}")
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -34,12 +34,10 @@ __all__ = [
     "ConeReport",
     "NumericalRange",
     "FMembership",
-    "NearPositiveReport",
     "is_accretive",
     "f_membership",
     "c_certificate",
     "sector_angle",
-    "near_positive_report",
     "numerical_range",
     "support_function",
     "is_strictly_real_positive",
@@ -81,12 +79,6 @@ class FMembership(NamedTuple):
     in_half_f: bool
     f_gap: float
     half_f_gap: float
-
-
-class NearPositiveReport(NamedTuple):
-    accretive: bool
-    im_norm: float
-    within_eps: bool
 
 
 def is_accretive(x, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
@@ -172,14 +164,6 @@ def sector_angle(x, tol: Tolerances = DEFAULT_TOL) -> Optional[float]:
         else:
             lo = mid
     return float(hi)
-
-
-def near_positive_report(x, eps: float, tol: Tolerances = DEFAULT_TOL) -> NearPositiveReport:
-    """Is x accretive and within eps (in norm) of its Hermitian part?"""
-    x = as_matrix(x)
-    accretive, _ = is_accretive(x, tol)
-    im_norm = op_norm(im_part(x))
-    return NearPositiveReport(accretive, im_norm, accretive and im_norm < eps)
 
 
 def _rotations(x: np.ndarray, thetas) -> np.ndarray:

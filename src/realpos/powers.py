@@ -58,7 +58,6 @@ __all__ = [
     "power_all",
     "root_monotonicity_report",
     "rescaled_root_check",
-    "holder_check",
     "disk_order_check",
 ]
 
@@ -428,44 +427,6 @@ def rescaled_root_check(x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.nda
     if not f_membership(roots[0], tol).in_half_f:
         raise ArithmeticError("rescaled square root left the half-F set")
     return float(c), _increment_margins(roots)
-
-
-def holder_check(
-    a,
-    b,
-    alpha: float,
-    samples: int = 64,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Empirical Hoelder constant for commuting accretive pairs.
-
-    Samples unit vectors z and reports the largest ratio
-    ``||(a^alpha - b^alpha) z|| / ||(a - b) z||^alpha`` (0 when no sample has
-    a usable denominator).  No assertion is made about the universal
-    constant; this is a measurement.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    _require_accretive(a, tol)
-    _require_accretive(b, tol)
-    if op_norm(a @ b - b @ a) > 1e-8:
-        raise ValueError("holder_check needs commuting inputs")
-    pa = power(a, alpha, tol=tol).value
-    pb = power(b, alpha, tol=tol).value
-    rng = np.random.default_rng(seed)
-    n = a.shape[0]
-    best = 0.0
-    for _ in range(samples):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        z /= np.linalg.norm(z)
-        den = np.linalg.norm((a - b) @ z)
-        if den <= 1e-8:
-            continue
-        best = max(best, float(np.linalg.norm((pa - pb) @ z) / den**alpha))
-    return best
 
 
 def _matrix_polyval(coeffs, m: np.ndarray) -> np.ndarray:

@@ -639,11 +639,6 @@ def run_suite(
         cases=rec.cases,
         failures=rec.failures,
         wall_time=elapsed,
-        tolerances={
-            "eq_tol": tol.eq_tol,
-            "psd_slack": tol.psd_slack,
-            "iter_tol": tol.iter_tol,
-            "solver_tol": interp.SOLVER_TOL,
-        },
+        tolerances={**asdict(tol), "solver_tol": interp.SOLVER_TOL},
         extra=extra or {},
     )

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import realpos
 from realpos import interp
+from realpos.algebra import algebra_to_json, upper_triangular_algebra
 from realpos.cli import build_parser, main
 from realpos.cones import MAX_GRID
 from realpos.generators import gen_accretive
@@ -655,3 +656,89 @@ def test_interp_seed_changes_nothing(tmp_path, capsys):
     plain = capsys.readouterr().out
     assert main([*argv, "--seed", "3"]) == 0
     assert capsys.readouterr().out == plain
+
+
+# Per-op options: (subcommand, option) -> the ops or methods that do not read it.
+UNREAD_PER_OP = {
+    ("algebra", "--k"): ("generate", "a-h", "unitize", "identity"),
+    ("transform", "--tol"): ("cayley", "f"),
+    ("power", "--nodes"): ("spectral", "series"),
+    ("power", "--terms"): ("auto", "spectral", "balakrishnan"),
+}
+PER_OP_VALUES = {"--k": "3", "--tol": "1e-8", "--nodes": "64", "--terms": "100"}
+PER_OP_ARGV = {
+    "algebra": lambda op: ["algebra", op, "upper:2"],
+    "transform": lambda op: ["transform", "x.json", "--op", op],
+    "power": lambda method: ["power", "x.json", "--alpha", "0.5", "--method", method],
+}
+
+
+@pytest.mark.parametrize("command,flag,op", [(c, f, op) for (c, f), ops in UNREAD_PER_OP.items()
+                                             for op in ops])
+def test_per_op_option_its_op_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                            command, flag, op):
+    monkeypatch.chdir(tmp_path)
+    _write_matrix(tmp_path / "x.json", np.diag([1.0, 0.5]))
+    with pytest.raises(SystemExit) as exc:
+        main([*PER_OP_ARGV[command](op), flag, PER_OP_VALUES[flag], "--json-out", "out.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and command in err and f" {op}" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_finv_reads_tol(tmp_path, capsys):
+    src = _write_matrix(tmp_path / "t.json", np.diag([1.0 - 1e-4, 0.5]))
+    assert main(["transform", src, "--op", "finv"]) == 0
+    assert np.allclose(matrix_from_json(json.loads(capsys.readouterr().out)),
+                       np.diag([(1.0 - 1e-4) / 1e-4, 1.0]))
+    assert main(["transform", src, "--op", "finv", "--tol", "1e-3"]) == 2
+    assert "||T|| < 1" in capsys.readouterr().err
+
+
+def test_series_reads_terms(tmp_path, capsys):
+    half = _write_matrix(tmp_path / "h.json", 0.5 * np.eye(2))
+    argv = ["power", half, "--alpha", "0.5", "--method", "series"]
+    for extra, terms in (([], 200), (["--terms", "50"], 50)):
+        assert main([*argv, *extra]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["method"] == "series" and data["nodes_or_terms"] == terms
+        assert np.allclose(matrix_from_json(data["value"]), np.sqrt(0.5) * np.eye(2), atol=1e-10)
+
+
+# span{I + 1e-8 E12} holds I within --tol 1e-7 but not within the default 1e-9
+_NEAR_UNIT = matrix_to_json(np.array([[1.0, 1e-8], [0.0, 1.0]], complex))
+
+
+def test_generate_and_unitize_agree_under_tol(tmp_path, capsys):
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps({"basis": [_NEAR_UNIT]}))
+    for op in ("generate", "unitize"):
+        assert main(["algebra", op, str(span), "--tol", "1e-7"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["basis"]) == 1 and data["contains_identity"] is True
+    assert main(["algebra", "unitize", str(span)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["basis"]) == 2
+
+
+def test_tol_decides_the_unit_of_interp_algebras(tmp_path, capsys):
+    # Tietze on an algebra without I needs 0 in the region, and this one misses 0
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([_NEAR_UNIT]))
+    region = [[0.4, -0.1], [0.6, -0.1], [0.6, 0.1], [0.4, 0.1]]
+    half = matrix_to_json(0.5 * matrix_from_json(_NEAR_UNIT))
+    problem = tmp_path / "p.json"
+    for algebra in ({"basis": [_NEAR_UNIT]}, f"span:{listed}"):
+        problem.write_text(json.dumps({"algebra": algebra, "q": _NEAR_UNIT, "b": half,
+                                       "region": region}))
+        argv = ["interp", str(problem), "--theorem", "tietze"]
+        assert main(argv) == 2
+        assert "does not contain the identity" in capsys.readouterr().err
+        assert main([*argv, "--tol", "1e-7"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "feasible"
+
+
+def test_algebra_generate_takes_canned_names(capsys):
+    assert main(["algebra", "generate", "upper:2"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(
+        json.dumps(algebra_to_json(upper_triangular_algebra(2))))

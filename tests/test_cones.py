@@ -11,7 +11,6 @@ from realpos.cones import (
     f_membership,
     is_accretive,
     is_strictly_real_positive,
-    near_positive_report,
     numerical_range,
     sector_angle,
     support_function,
@@ -53,16 +52,6 @@ def test_sector_angle(lemerdy):
     assert sector_angle(np.eye(2)) == pytest.approx(0.0, abs=1e-12)
     assert sector_angle(lemerdy) == pytest.approx(np.pi / 2.0, abs=1e-6)
     assert sector_angle(-np.eye(2)) is None
-
-
-def test_near_positive_report():
-    rep = near_positive_report(np.diag([1.0, 0.5]), 1e-6)
-    assert rep.accretive and rep.im_norm == 0.0 and rep.within_eps
-    rep = near_positive_report(1j * np.eye(2), 0.5)
-    assert rep.accretive and rep.im_norm == pytest.approx(1.0) and not rep.within_eps
-    root = power(0.5 * np.eye(2), 1.0 / 8.0).value
-    rep = near_positive_report(root, 1e-10)
-    assert rep.within_eps
 
 
 def test_numerical_range_scalar_and_normal():

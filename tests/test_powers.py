@@ -21,7 +21,6 @@ from realpos.powers import (
     DefectiveMatrixError,
     NotAccretiveError,
     disk_order_check,
-    holder_check,
     power,
     power_all,
     power_balakrishnan,
@@ -569,22 +568,6 @@ def test_rescaled_root_check_tests_accretivity_once_per_matrix(monkeypatch):
             rescaled_root_check(x, tol)
     with pytest.raises(ValueError, match="nonzero"):
         rescaled_root_check(np.zeros((2, 2)))
-
-
-def test_holder_check():
-    a = np.diag([1.0, 0.3]).astype(complex)
-    assert holder_check(a, a, 0.5) == 0.0
-    one = np.eye(1)
-    ratio = holder_check(one, 0.0 * one, 0.5, samples=8)
-    assert ratio == pytest.approx(1.0, abs=1e-12)
-    rng = np.random.default_rng(51)
-    d1 = np.diag(rng.random(4) + 1j * 0.2 * rng.standard_normal(4))
-    d2 = np.diag(rng.random(4) + 1j * 0.2 * rng.standard_normal(4))
-    r1 = holder_check(d1, d2, 0.5, samples=64, seed=0)
-    r2 = holder_check(d1, d2, 0.5, samples=64, seed=1)
-    assert np.isfinite(r1) and abs(r1 - r2) <= 0.2 * max(r1, r2)
-    with pytest.raises(ValueError):
-        holder_check(np.diag([1.0, 2.0]), np.array([[1.0, 0.5], [0.5, 1.0]]), 0.5)
 
 
 def test_disk_order_check():
