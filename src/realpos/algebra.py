@@ -6,9 +6,10 @@ Construction is by span closure of words in a set of generators; membership,
 unitization, matrix amplification, the C*-algebra ``cstar(A)`` it generates
 and the largest unital corner ``q A q`` are all computed against that basis.
 
-Every builder decides ``contains_identity`` by one rule, ``contains(A, I,
-tol)``, before it constructs the algebra.  ``MatrixAlgebra.residual`` measures
-a whole stack's distance from the span at once, for gates.
+Every builder decides ``contains_identity`` by one rule, the verdict of
+``contains(A, I, tol)``, before it constructs the algebra.
+``MatrixAlgebra.residual`` measures a whole stack's distance from the span at
+once, for gates.
 
 Algebra JSON is either ``{"ambient": n, "basis": [matrix, ...]}`` or
 ``{"generators": [matrix, ...], "mode": "algebra"|"cstar",
@@ -25,6 +26,7 @@ from .matrices import (
     Tolerances,
     _kernel_complement_projection,
     _unit_within,
+    _within,
     as_matrix,
     check_dim,
     dagger,
@@ -167,12 +169,21 @@ def contains(
     return residual <= tol.eq_tol * max(1.0, op_norm(m)), residual
 
 
+def _require_in(a: MatrixAlgebra, m: np.ndarray, name: str, tol: Tolerances, where: str = "the algebra") -> None:
+    """``ValueError`` naming m and its residual unless ``contains(a, m, tol)``."""
+    ok, res = contains(a, m, tol)
+    if not ok:
+        raise ValueError(f"{name} is not in {where} (residual {res:.2e})")
+
+
 def _algebra(basis: np.ndarray, label: str, tol: Tolerances) -> MatrixAlgebra:
     """The algebra spanned by an orthonormal ``(dim, n, n)`` basis; the one
-    place ``contains_identity`` is decided, by ``contains(A, I, tol)``."""
+    place ``contains_identity`` is decided, by the verdict of ``contains(A, I,
+    tol)``: op_norm(I) is 1, so it reads ``_within(I - P_A(I), eq_tol)``."""
     n = basis.shape[-1]
     probe = MatrixAlgebra(n, basis, False, label)
-    return replace(probe, contains_identity=contains(probe, np.eye(n), tol)[0])
+    eye = np.eye(n)
+    return replace(probe, contains_identity=_within(eye - probe.project(eye), tol.eq_tol))
 
 
 def generate_algebra(
@@ -247,14 +258,22 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
 
 
 def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
-    """Adjoin the ambient identity; A itself when I is already in A."""
+    """Adjoin the ambient identity; A itself when I is already in A.
+
+    ``ValueError`` when the result does not contain I: below ``RANK_TOL``,
+    I lies outside A at ``eq_tol`` yet ``_extend`` finds it in the span.
+    """
     if a.contains_identity:
         return a
     n, d = a.ambient_dim, a.dim
     rows = np.concatenate([a.basis.reshape(d, n * n), np.empty((int(d < n * n), n * n))])  # room for I
     dim = _extend(rows, d, np.eye(n, dtype=complex).reshape(1, n * n))
     label = a.label + "^1" if a.label else ""
-    return _algebra(rows[:dim].reshape(dim, n, n), label, tol)
+    unital = _algebra(rows[:dim].reshape(dim, n, n), label, tol)
+    if not unital.contains_identity:
+        raise ValueError(f"cannot adjoin I: it is not in the algebra at eq_tol {tol.eq_tol:g}, "
+                         f"but within the rank tolerance {RANK_TOL:g} of its span")
+    return unital
 
 
 def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, contains, cstar, identity_of
+from .algebra import MatrixAlgebra, _require_in, cstar, identity_of
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
@@ -204,9 +204,7 @@ def is_strictly_real_positive(
     range of the unit of C*(A) is strictly positive definite.
     """
     x = as_matrix(x)
-    ok, residual = contains(a, x, tol)
-    if not ok:
-        raise ValueError(f"x is not in the algebra (residual {residual:.2e})")
+    _require_in(a, x, "x", tol)
     if identity_of(a, tol) is None:
         raise ValueError("the algebra has no identity; strict real positivity "
                          "for nonunital algebras is out of scope")

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, contains, cstar, identity_of, unitize
+from .algebra import MatrixAlgebra, _require_in, contains, cstar, identity_of, unitize
 from .cones import f_membership, support_function
 from .matrices import (
     DEFAULT_TOL,
@@ -77,12 +77,6 @@ def _require_unital(a: MatrixAlgebra, tol: Tolerances) -> np.ndarray:
     if op_norm(e - dagger(e)) > tol.eq_tol:
         raise ValueError("this solver needs a Hermitian unit (an identity of norm 1)")
     return e
-
-
-def _require_in(a: MatrixAlgebra, m: np.ndarray, name: str, tol: Tolerances, where: str = "the algebra") -> None:
-    ok, res = contains(a, m, tol)
-    if not ok:
-        raise ValueError(f"{name} is not in {where} (residual {res:.2e})")
 
 
 def _require_projection_in(a: MatrixAlgebra, p: np.ndarray, name: str, tol: Tolerances) -> None:

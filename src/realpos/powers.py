@@ -21,8 +21,8 @@ defective.  ``power(x, alpha)`` is ``power_all(x, (alpha,))[0]``, and
 ``power_spectral`` powers the same factorization, so there is one spectral
 implementation.  Nothing is cached across calls.
 
-Also houses the root-law checks (scaling, monotonicity of rescaled roots,
-commuting Hoelder ratios, disk-function-calculus ordering).
+Also houses the root-law checks (monotonicity of roots and of rescaled
+roots, disk-function-calculus ordering).
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _algebra, _products, contains, orthonormalize
+from .algebra import _algebra, _products, _require_in, orthonormalize
 from .matrices import (
     DEFAULT_TOL,
     SINGULAR_RTOL,
@@ -363,9 +363,7 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
     Returns (D, J) as algebras.
     """
     x = as_matrix(x)
-    ok, residual = contains(algebra, x, tol)
-    if not ok:
-        raise ValueError(f"x is not in the algebra (residual {residual:.2e})")
+    _require_in(algebra, x, "x", tol)
     if min_real_eig(x) < -tol.psd_slack:
         raise NotAccretiveError("hereditary subalgebras here require accretive x")
 

@@ -2,8 +2,9 @@
 
 ``run_suite(name, seed, sizes)`` executes one suite and returns a
 :class:`SuiteReport`; reports are reproducible from (suite, seed, sizes)
-byte-for-byte apart from the wall-time field.  Failing instances are dumped
-as JSON next to the report when a dump directory is given.
+byte-for-byte apart from the wall-time field.  Each seeded case takes its
+seed and size from ``_cases``.  The inputs of each failing case are written
+as JSON when a dump directory is given, and only then serialized.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ class _Recorder:
         os.makedirs(self.dump_dir, exist_ok=True)
         dump_path = os.path.join(self.dump_dir, f"{self.suite}-{idx:04d}.json")
         with open(dump_path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            json.dump({key: _to_json(value) for key, value in payload.items()}, fh, sort_keys=True)
         return dump_path
 
     def case(self, ok: bool, margin: float, seed: int, payload=None) -> None:
@@ -107,8 +108,21 @@ class _Recorder:
         )
 
 
+def _to_json(value):
+    """A dumped input: matrices, alone or in a list, in the matrix JSON format."""
+    if isinstance(value, np.ndarray):
+        return matrix_to_json(value)
+    return [_to_json(v) for v in value] if isinstance(value, list) else value
+
+
 def _case_seed(seed: int, k: int) -> int:
     return (seed * 1_000_003 + k) % 2**31
+
+
+def _cases(seed: int, sizes, count: int, offset: int = 0):
+    """The seeded cases k = 0..count-1 of one loop: (k, case seed, size)."""
+    for k in range(count):
+        yield k, _case_seed(seed, offset + k), sizes[k % len(sizes)]
 
 
 def _mutual_residual(x: MatrixAlgebra, y: MatrixAlgebra) -> float:
@@ -120,10 +134,8 @@ def _mutual_residual(x: MatrixAlgebra, y: MatrixAlgebra) -> float:
 # -- A1 ----------------------------------------------------------------------
 
 
-def _suite_f_bijection(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
-    for k in range(300):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+def _suite_f_bijection(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
+    for _, s, n in _cases(seed, sizes, 300):
         x = gen_accretive(n, s)
         t = f_transform(x)
         fm = f_membership(t, tol)
@@ -140,19 +152,16 @@ def _suite_f_bijection(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dic
         )
         margin = min(fm.half_f_gap + tol.psd_slack, 1.0 - norm_t,
                      allowed - roundtrip, back_margin + 1e-7)
-        rec.case(ok, margin, s, {"x": matrix_to_json(x)})
-    return {}
+        rec.case(ok, margin, s, {"x": x})
 
 
 # -- A2 ----------------------------------------------------------------------
 
 
-def _suite_root_laws(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
+def _suite_root_laws(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
     near_half = [0.5 + 10.0**-j for j in (1, 2, 3, 4)]
     alphas = [0.3, 0.7, 0.5, 1.0 / 3.0, 1.5, *near_half]
-    for k in range(200):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+    for _, s, n in _cases(seed, sizes, 200):
         x = gen_accretive(n, s)
         slack = []
         p = {a: r.value for a, r in zip(alphas, power_all(x, alphas, tol=tol))}
@@ -174,17 +183,14 @@ def _suite_root_laws(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
         slack.append(min(diffs[j] - diffs[j + 1] for j in range(3)))
 
         margin = min(slack)
-        rec.case(margin >= 0.0, margin, s, {"x": matrix_to_json(x)})
-    return {}
+        rec.case(margin >= 0.0, margin, s, {"x": x})
 
 
 # -- A3 ----------------------------------------------------------------------
 
 
-def _suite_method_agreement(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
-    for k in range(200):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+def _suite_method_agreement(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
+    for _, s, n in _cases(seed, sizes, 200):
         x = gen_accretive(n, s, min_margin=0.1)
         slack = []
         for r in (0.25, 0.5, 0.75):
@@ -193,44 +199,36 @@ def _suite_method_agreement(rec: _Recorder, seed: int, sizes, tol: Tolerances) -
             gap = op_norm(spectral.value - quad.value)
             slack.append(1e-6 * max(1.0, op_norm(x) ** r) - gap)
         margin = min(slack)
-        rec.case(margin >= 0.0, margin, s, {"x": matrix_to_json(x)})
-    for k in range(100):
-        s = _case_seed(seed, 1000 + k)
-        n = sizes[k % len(sizes)]
+        rec.case(margin >= 0.0, margin, s, {"x": x})
+    for _, s, n in _cases(seed, sizes, 100, 1000):
         x = 2.0 * gen_half_f(n, s)  # lands in F
         series = root_series(x, 2, terms=200, tol=tol)
         spectral = power_spectral(x, 0.5, tol)
         gap = op_norm(series.value - spectral.value)
         margin = series.est_error + 1e-9 - gap
-        rec.case(margin >= 0.0, margin, s, {"x": matrix_to_json(x)})
-    return {}
+        rec.case(margin >= 0.0, margin, s, {"x": x})
 
 
 # -- A4 ----------------------------------------------------------------------
 
 
-def _suite_sector_bound(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
+def _suite_sector_bound(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
     angles = (np.pi / 8.0, np.pi / 4.0, np.pi / 3.0)
-    for k in range(201):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+    for k, s, n in _cases(seed, sizes, 201):
         rho = angles[k % 3]
         x = gen_sectorial(n, s, rho)
         h = x + dagger(x)
         bound = op_norm(re_part(x)) / np.cos(rho) ** 2
         lhs = bound * h - dagger(x) @ x
         margin = min_real_eig(lhs) + 1e-6 * max(op_norm(x) ** 2, 1e-12)
-        rec.case(margin >= 0.0, margin, s, {"x": matrix_to_json(x), "rho": rho})
-    return {}
+        rec.case(margin >= 0.0, margin, s, {"x": x, "rho": rho})
 
 
 # -- A5 ----------------------------------------------------------------------
 
 
-def _suite_support(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
-    for k in range(200):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+def _suite_support(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
+    for k, s, n in _cases(seed, sizes, 200):
         rank = None if k % 2 == 0 else max(1, n - 1 - (k % 3))
         x = gen_accretive(n, s, rank=rank)
         res = support_projection(x, method="both", tol=tol)
@@ -243,17 +241,14 @@ def _suite_support(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
         )
         margin = min(1e-6 - (res.oracle_residual or np.inf),
                      1e-7 * max(1.0, op_norm(x)) - fix)
-        rec.case(ok, margin, s, {"x": matrix_to_json(x), "rank": rank})
-    return {}
+        rec.case(ok, margin, s, {"x": x, "rank": rank})
 
 
 # -- A6 ----------------------------------------------------------------------
 
 
-def _suite_peak(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
-    for k in range(200):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+def _suite_peak(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
+    for _, s, n in _cases(seed, sizes, 200):
         x, _ = gen_peaked_half_f(n, s)
         res = peak_projection(x, method="both", tol=tol)
         ok = res.status == "converged" and res.oracle_residual is not None
@@ -265,29 +260,23 @@ def _suite_peak(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
             res_root = peak_projection(root, method="iterative", tol=tol)
             slack.append(1e-6 - op_norm(res_root.proj - res.proj))
         margin = min(slack)
-        rec.case(ok and margin >= 0.0, margin, s, {"x": matrix_to_json(x)})
-    return {}
+        rec.case(ok and margin >= 0.0, margin, s, {"x": x})
 
 
 # -- A7 ----------------------------------------------------------------------
 
 
-def _suite_half_f_monotonicity(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
-    for k in range(200):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+def _suite_half_f_monotonicity(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
+    for _, s, n in _cases(seed, sizes, 200):
         x = gen_half_f(n, s)
         margins = root_monotonicity_report(x, 8, tol)
         margin = float(margins.min()) + 1e-7
-        rec.case(margin >= 0.0, margin, s, {"x": matrix_to_json(x)})
-    for k in range(100):
-        s = _case_seed(seed, 5000 + k)
-        n = sizes[k % len(sizes)]
+        rec.case(margin >= 0.0, margin, s, {"x": x})
+    for _, s, n in _cases(seed, sizes, 100, 5000):
         x = gen_accretive(n, s)
         _, margins = rescaled_root_check(x, tol)
         margin = float(margins.min()) + tol.psd_slack
-        rec.case(margin >= 0.0, margin, s, {"x": matrix_to_json(x)})
-    return {}
+        rec.case(margin >= 0.0, margin, s, {"x": x})
 
 
 # -- A8 ----------------------------------------------------------------------
@@ -337,7 +326,7 @@ def _worked_algebras():
     return upper, nil, corner, e11, e12
 
 
-def _suite_ah_amplification(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
+def _suite_ah_amplification(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
     upper, nil, corner, e11, e12 = _worked_algebras()
     eye2 = np.eye(2, dtype=complex)
 
@@ -360,28 +349,20 @@ def _suite_ah_amplification(rec: _Recorder, seed: int, sizes, tol: Tolerances) -
             big, _ = a_h(amplify(base, k, tol), tol=tol)
             expected_big = amplify(ah_base, k, tol)
             gap = _mutual_residual(big, expected_big)
-            rec.case(
-                gap <= 1e-6, 1e-6 - gap, seed,
-                {"algebra": base.label, "k": k},
-            )
-    return {}
+            rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": base.label, "k": k})
 
 
 # -- A10 ---------------------------------------------------------------------
 
 
-def _suite_oa_unitality(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
+def _suite_oa_unitality(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
     usable = [n for n in sizes if n <= 6] or [2, 3]
-    for k in range(100):
-        s = _case_seed(seed, k)
-        n = usable[k % len(usable)]
+    for k, s, n in _cases(seed, usable, 100):
         count = 1 + k % 2
         gens = [gen_accretive(n, s + 13 * j) for j in range(count)]
         oa = generate_algebra(gens, mode="algebra", with_identity=False, tol=tol)
         e = identity_of(oa, tol)
-        rec.case(e is not None, 0.0 if e is not None else -1.0, s,
-                 {"generators": [matrix_to_json(g) for g in gens]})
-    return {}
+        rec.case(e is not None, 0.0 if e is not None else -1.0, s, {"generators": gens})
 
 
 # -- A11 ---------------------------------------------------------------------
@@ -500,7 +481,7 @@ def _outer_polygon(m: np.ndarray, directions: int = 8, pad: float = 0.1) -> inte
     return interp.ConvexRegion(np.array(verts))
 
 
-def _suite_interpolation(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
+def _suite_interpolation(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
     for theorem, spec in interp.THEOREMS.items():
         for k in range(50):
             payload = {"theorem": theorem, "case": k}
@@ -522,17 +503,14 @@ def _suite_interpolation(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> d
         rec.case(False, -1.0, seed, {"theorem": "dominate-norm-one"})
     except ValueError:
         rec.case(True, 0.0, seed)
-    return {}
 
 
 # -- A12 ---------------------------------------------------------------------
 
 
-def _suite_vav(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
+def _suite_vav(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
     rs = (0.25, 0.5, 0.75, 2.0)
-    for k in range(100):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+    for k, s, n in _cases(seed, sizes, 100):
         r = rs[k % 4]
         if k % 2 == 0:
             a = gen_accretive(n, s, min_margin=0.1)
@@ -541,17 +519,14 @@ def _suite_vav(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
             a = gen_accretive(n, s, rank=max(1, n - 1))
             v = support_projection(a, method="oracle", tol=tol).proj
         residual = vav_identity_check(a, v, r, tol)
-        rec.case(residual <= 1e-7, 1e-7 - residual, s, {"a": matrix_to_json(a), "r": r})
-    return {}
+        rec.case(residual <= 1e-7, 1e-7 - residual, s, {"a": a, "r": r})
 
 
 # -- A13 ---------------------------------------------------------------------
 
 
-def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
-    for k in range(200):
-        s = _case_seed(seed, k)
-        n = sizes[k % len(sizes)]
+def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
+    for k, s, n in _cases(seed, sizes, 200):
         rho = (0.1 + 0.8 * (k % 7) / 7.0) * (np.pi / 2.0 - 0.02)
         rank = max(1, n - 1 - (k % 2)) if k % 3 else None
         x = gen_sectorial(n, s, rho, rank=rank)
@@ -572,12 +547,10 @@ def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) 
                     vec = vy[:, i]
                     slack.append(1e-5 - float(np.linalg.norm(supp @ vec)))
         margin = min(slack)
-        rec.case(margin >= 0.0, margin, s, {"x": matrix_to_json(x)})
+        rec.case(margin >= 0.0, margin, s, {"x": x})
 
     kinds = ("diag", "upper", "full", "blockupper")
-    for k in range(50):
-        s = _case_seed(seed, 9000 + k)
-        n = 2 + k % 4
+    for k, s, n in _cases(seed, (2, 3, 4, 5), 50, 9000):
         alg = gen_algebra(kinds[k % 4], n, s)
         rng = np.random.default_rng(s)
         raw = _random_algebra_element(alg, rng, 1.0)
@@ -593,7 +566,6 @@ def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) 
                 ok = ok and is_strictly_real_positive(alg, alg.project(y), tol)
         margin = min(slack)
         rec.case(ok and margin >= 0.0, margin, s, {"algebra": alg.label})
-    return {}
 
 
 _SUITES = {

@@ -34,6 +34,7 @@ from realpos.generators import gen_accretive, gen_algebra, gen_unitary
 from realpos.matrices import (
     SINGULAR_RTOL,
     ZERO_FLOOR,
+    Tolerances,
     _kernel_complement_projection,
     _unit_defect,
     dagger,
@@ -117,6 +118,16 @@ def test_unitize(e11, e12):
     grown = unitize(span_algebra([e11]))
     assert grown.dim == 2
     assert contains(grown, unit(2, 1, 1))[0]
+
+
+def test_unitize_refuses_an_identity_below_the_rank_tolerance():
+    # at eq_tol 1e-11, I is not in span{I + 1e-10 E12}, yet _extend drops it
+    # as already in the span at RANK_TOL, so no unital algebra comes out
+    tight = Tolerances(eq_tol=1e-11)
+    a = span_algebra([np.array([[1.0, 1e-10], [0.0, 1.0]])], tight)
+    assert a.dim == 1 and not a.contains_identity
+    with pytest.raises(ValueError, match="eq_tol 1e-11, but within the rank tolerance 1e-10"):
+        unitize(a, tight)
 
 
 @pytest.mark.parametrize("name", ["full:3", "upper:4", "blockupper:2,3"])

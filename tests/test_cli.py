@@ -721,6 +721,21 @@ def test_generate_and_unitize_agree_under_tol(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["basis"]) == 2
 
 
+def test_unitize_below_the_rank_tolerance_exits_2(tmp_path, capsys):
+    # at --tol 1e-11, I is not in span{I + 1e-10 E12} but cannot be adjoined
+    # at RANK_TOL; peak interpolation reaches unitize through its q check
+    near = matrix_to_json(np.array([[1.0, 1e-10], [0.0, 1.0]], complex))
+    half = matrix_to_json(0.5 * matrix_from_json(near))
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps({"basis": [near]}))
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"algebra": {"basis": [near]}, "q": near, "b": half}))
+    for argv in (["algebra", "unitize", str(span)], ["interp", str(problem), "--theorem", "peak"]):
+        assert main([*argv, "--tol", "1e-11"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "cannot adjoin I" in captured.err
+
+
 def test_tol_decides_the_unit_of_interp_algebras(tmp_path, capsys):
     # Tietze on an algebra without I needs 0 in the region, and this one misses 0
     listed = tmp_path / "list.json"

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 
+import numpy as np
 import pytest
 
-from realpos import interp
+from realpos import interp, suites
+from realpos.generators import gen_accretive
+from realpos.matrices import matrix_to_json
 from realpos.suites import run_suite, suite_names
 
 from conftest import returns_of
@@ -44,3 +48,29 @@ def test_interpolation_suite_verifies_each_solve_once():
         report = run_suite("interpolation", seed=0)
     assert report.passed
     assert len(runs) == 50
+
+
+def test_failure_dumps_hold_each_case_inputs(tmp_path, monkeypatch):
+    # every f-bijection case fails its round trip, every oa-unitality case
+    # finds no unit; each dump holds the inputs rebuilt from its case seed
+    monkeypatch.setattr(suites, "f_inverse", lambda t, tol: -1e6 * np.eye(len(t)))
+    monkeypatch.setattr(suites, "identity_of", lambda a, tol: None)
+    seed, sizes = 3, [2, 3]
+
+    def inputs(name, k, s, n):
+        if name == "f-bijection":
+            return {"x": matrix_to_json(gen_accretive(n, s))}
+        gens = [gen_accretive(n, s + 13 * j) for j in range(1 + k % 2)]
+        return {"generators": [matrix_to_json(g) for g in gens]}
+
+    for name, count in (("f-bijection", 300), ("oa-unitality", 100)):
+        report = run_suite(name, seed=seed, sizes=sizes, dump_dir=str(tmp_path))
+        assert report.cases == len(report.failures) == count
+        for k, failure in enumerate(report.failures):
+            s = (seed * 1_000_003 + k) % 2**31
+            assert failure["case"] == k and failure["seed"] == s
+            path = os.path.join(str(tmp_path), f"{name}-{k:04d}.json")
+            assert failure["dump_path"] == path
+            with open(path) as fh:
+                assert fh.read() == json.dumps(inputs(name, k, s, sizes[k % 2]), sort_keys=True)
+    assert len(list(tmp_path.iterdir())) == 400
