@@ -260,8 +260,9 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
 def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
     """Adjoin the ambient identity; A itself when I is already in A.
 
-    ``ValueError`` when the result does not contain I: below ``RANK_TOL``,
-    I lies outside A at ``eq_tol`` yet ``_extend`` finds it in the span.
+    ``ValueError`` when the result does not contain I at ``eq_tol``, as when
+    I lies outside A at an ``eq_tol`` below ``RANK_TOL`` yet ``_extend``
+    finds it in the span.
     """
     if a.contains_identity:
         return a
@@ -271,8 +272,8 @@ def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
     label = a.label + "^1" if a.label else ""
     unital = _algebra(rows[:dim].reshape(dim, n, n), label, tol)
     if not unital.contains_identity:
-        raise ValueError(f"cannot adjoin I: it is not in the algebra at eq_tol {tol.eq_tol:g}, "
-                         f"but within the rank tolerance {RANK_TOL:g} of its span")
+        why = f", and I is within the rank tolerance {RANK_TOL:g} of the span of A" if dim == d else ""
+        raise ValueError(f"cannot adjoin I: the result misses I at eq_tol {tol.eq_tol:g}{why}")
     return unital
 
 

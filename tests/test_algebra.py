@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realpos.algebra import (
@@ -126,8 +126,21 @@ def test_unitize_refuses_an_identity_below_the_rank_tolerance():
     tight = Tolerances(eq_tol=1e-11)
     a = span_algebra([np.array([[1.0, 1e-10], [0.0, 1.0]])], tight)
     assert a.dim == 1 and not a.contains_identity
-    with pytest.raises(ValueError, match="eq_tol 1e-11, but within the rank tolerance 1e-10"):
+    with pytest.raises(ValueError, match="misses I at eq_tol 1e-11, and I is within the rank tolerance 1e-10"):
         unitize(a, tight)
+
+
+def test_unitize_names_only_the_tolerance_it_checked():
+    # at eq_tol 1e-300 I is adjoined, but rounding alone keeps it outside
+    # the result, so the rank tolerance is not the cause
+    tiny = Tolerances(eq_tol=1e-300)
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = generate_algebra([np.triu(g, 1) + np.diag([1.0, 0.0, 0.0])], tol=tiny)
+    assert not a.contains_identity
+    with pytest.raises(ValueError, match="misses I at eq_tol 1e-300") as err:
+        unitize(a, tiny)
+    assert "rank tolerance" not in str(err.value)
 
 
 @pytest.mark.parametrize("name", ["full:3", "upper:4", "blockupper:2,3"])
@@ -436,21 +449,6 @@ def _sweeps_reference(seed):
     return basis, np.array(ratios)
 
 
-def _rounding_spread(seed, ref):
-    """How far rounding can move the sweep reference's basis, measured: the
-    largest move of ``ref`` when the seed is perturbed at 1e-14 relative (two
-    fixed draws), scaled down to machine epsilon; inf when a perturbation
-    changes the dimension."""
-    rng, d, moved = np.random.default_rng(0), 1e-14, 0.0
-    for _ in range(2):
-        z = rng.standard_normal(seed.shape) + 1j * rng.standard_normal(seed.shape)
-        p, _ = _sweeps_reference(seed + d * np.abs(seed).max() * z)
-        if p.shape != ref.shape:
-            return np.inf
-        moved = max(moved, np.abs(p - ref).max(initial=0.0))
-    return moved / d * np.finfo(float).eps
-
-
 def _svd_closure(seed):
     """An independent closure: the SVD rank of span + span . span, iterated
     until it is stable; returns (dim, whether I is in the span)."""
@@ -480,7 +478,6 @@ def _generator(kind: str, n: int, seed: int) -> np.ndarray:
 
 
 @settings(max_examples=40, deadline=None)
-@example(n=5, gens=[("nilpotent", 2570), ("rank-one", 5)], mode="algebra", with_identity=True)
 @given(n=st.integers(2, 5),
        gens=st.lists(st.tuples(st.sampled_from(["accretive", "nilpotent", "rank-one"]),
                                st.integers(0, 2 ** 31)), min_size=1, max_size=2),
@@ -495,15 +492,19 @@ def test_generate_algebra_matches_independent_closures(n, gens, mode, with_ident
     assert (alg.dim, alg.contains_identity) == _svd_closure(seed)
     ref, ratios = _sweeps_reference(seed)
     assert len(ref) == alg.dim and alg.residual(ref) <= 1e-9  # one span
-    # The basis follows the rank decisions, and rounding compounds through
-    # them: a row accepted with residual ratio rho amplifies by 1/rho the
-    # rounding of the rows it is built from, products included (the example
-    # above, every rho >= 1e-4, moves by 1.6e-10).  So it is compared where no
-    # decision lies within rounding of RANK_TOL and the measured rounding
-    # spread of the reference is a tenth of the bound.
+    # The basis follows the rank decisions, and a row accepted with residual
+    # ratio rho carries rounding amplified by 1/rho.  So it is compared where
+    # no decision lies within rounding of RANK_TOL and every rho >= 1e-4.
     near = (ratios > 1e-2 * RANK_TOL) & (ratios < 1e2 * RANK_TOL)
-    if not near.any() and _rounding_spread(seed, ref) <= 1e-11:
+    if not near.any() and ratios[ratios > RANK_TOL].min(initial=1.0) >= 1e-4:
         assert ref.shape == alg.basis.shape and np.abs(ref - alg.basis).max() <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="rounding compounds through accepted rows: the basis "
+                   "is 1.59e-10 from the sweep reference with every ratio >= 1e-4 (ROADMAP item 4)")
+def test_generate_algebra_matches_independent_closures_on_a_drawn_example():
+    test_generate_algebra_matches_independent_closures.hypothesis.inner_test(
+        n=5, gens=[("nilpotent", 2570), ("rank-one", 5)], mode="algebra", with_identity=True)
 
 
 def test_coords_and_reconstruct_are_bit_identical_to_tensordot():
