@@ -450,17 +450,16 @@ def _matrix_polyval(coeffs, m: np.ndarray) -> np.ndarray:
     return acc
 
 
-def disk_order_check(
-    f_coeffs, g_coeffs, x, boundary_samples: int = 4096, tol: Tolerances = DEFAULT_TOL
-) -> tuple[float, float]:
+def disk_order_check(f_coeffs, g_coeffs, x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
     """Disk-algebra functional calculus preserves the accretive order.
 
     For polynomials with ``Re(g - f) >= 0`` on the closed unit disk and x in
     F, the matrix ``g(1-x) - f(1-x)`` is accretive.  Returns
     ``(premise_margin, conclusion_margin)``: the minimum of ``Re((g-f)(z))``
-    over the boundary circle (harmonicity puts the minimum there) and
-    ``lambda_min(Re(g(1-x) - f(1-x)))``.  A nonnegative premise with a
-    conclusion below -psd_slack raises, since the implication is exact.
+    at 4096 points of the boundary circle (harmonicity puts the minimum
+    there) and ``lambda_min(Re(g(1-x) - f(1-x)))``.  A nonnegative premise
+    with a conclusion below -psd_slack raises, since the implication is
+    exact.
     """
     x = as_matrix(x)
     eye = np.eye(x.shape[0], dtype=complex)
@@ -469,7 +468,7 @@ def disk_order_check(
     diff = np.zeros(max(len(f_coeffs), len(g_coeffs)), dtype=complex)
     diff[: len(g_coeffs)] += np.asarray(g_coeffs, dtype=complex)
     diff[: len(f_coeffs)] -= np.asarray(f_coeffs, dtype=complex)
-    z = np.exp(2j * np.pi * np.arange(boundary_samples) / boundary_samples)
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
     premise = float(np.polynomial.polynomial.polyval(z, diff).real.min())
     conclusion = min_real_eig(_matrix_polyval(diff, eye - x))
     if premise >= 0.0 and conclusion < -tol.psd_slack:

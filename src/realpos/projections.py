@@ -323,12 +323,19 @@ def _require_projection(p: np.ndarray, what: str = "input") -> None:
         raise ValueError(f"{what} is not an orthogonal projection")
 
 
+def _require_projections(projections) -> list:
+    """The inputs as matrices of one shape, each an orthogonal projection."""
+    projections = [as_matrix(p) for p in projections]
+    if len({p.shape for p in projections}) > 1:
+        raise ValueError("projections must all have one shape")
+    for p in projections:
+        _require_projection(p)
+    return projections
+
+
 def join(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Lattice join: support of the accretive sum p + q."""
-    p = as_matrix(p)
-    q = as_matrix(q)
-    _require_projection(p)
-    _require_projection(q)
+    p, q = _require_projections([p, q])
     out = support_projection(p + q, method="oracle", tol=tol).proj
     if min(min_real_eig(out - p), min_real_eig(out - q)) < -tol.psd_slack:
         raise ArithmeticError("join does not dominate its arguments")
@@ -337,22 +344,16 @@ def join(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def meet(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Lattice meet via de Morgan: 1 - ((1-p) v (1-q))."""
-    p = as_matrix(p)
-    q = as_matrix(q)
-    _require_projection(p)
-    _require_projection(q)
+    p, q = _require_projections([p, q])
     eye = np.eye(p.shape[0], dtype=complex)
     return eye - join(eye - p, eye - q, tol)
 
 
-def join_all(projections, n: Optional[int] = None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    projections = list(projections)
+def join_all(projections, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Lattice join of one or more projections: support of their sum."""
+    projections = _require_projections(projections)
     if not projections:
-        if n is None:
-            raise ValueError("empty join needs the ambient dimension")
-        return np.zeros((n, n), dtype=complex)
-    for p in projections:
-        _require_projection(p)
+        raise ValueError("join_all needs at least one projection")
     return support_projection(sum(projections), method="oracle", tol=tol).proj
 
 

@@ -3,7 +3,11 @@
 ``run_suite(name, seed, sizes)`` executes one suite and returns a
 :class:`SuiteReport`; reports are reproducible from (suite, seed, sizes)
 byte-for-byte apart from the wall-time field.  Each seeded case takes its
-seed and size from ``_cases``.  The inputs of each failing case are written
+seed and size from ``_cases``.  A case passes iff its margin is >= 0.  The
+margin is the least of its terms: ``bound - value`` for each gate, and -1.0
+for each yes/no condition that fails (one that holds is np.inf beside gates,
+0.0 in a case with none), so a failure's margin is finite and below 0 and a
+pass keeps its gates' headroom.  The inputs of each failing case are written
 as JSON when a dump directory is given, and only then serialized.
 """
 from __future__ import annotations
@@ -97,10 +101,10 @@ class _Recorder:
             json.dump({key: _to_json(value) for key, value in payload.items()}, fh, sort_keys=True)
         return dump_path
 
-    def case(self, ok: bool, margin: float, seed: int, payload=None) -> None:
+    def case(self, margin: float, seed: int, payload=None) -> None:
         idx = self.cases
         self.cases += 1
-        if ok:
+        if margin >= 0.0:
             return
         self.failures.append(
             {"case": idx, "seed": seed, "margin": float(margin),
@@ -144,15 +148,10 @@ def _suite_f_bijection(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> Non
         allowed = 1e-8 * (1.0 + op_norm(x))
         t2 = gen_half_f(n, s + 7)
         back_margin = min_real_eig(f_inverse(t2, tol))
-        ok = (
-            fm.in_half_f
-            and norm_t < 1.0
-            and roundtrip <= allowed
-            and back_margin >= -1e-7
-        )
-        margin = min(fm.half_f_gap + tol.psd_slack, 1.0 - norm_t,
+        # ||T|| < 1 is strict: the largest float below 1 is the bound
+        margin = min(fm.half_f_gap + tol.psd_slack, np.nextafter(1.0, 0.0) - norm_t,
                      allowed - roundtrip, back_margin + 1e-7)
-        rec.case(ok, margin, s, {"x": x})
+        rec.case(margin, s, {"x": x})
 
 
 # -- A2 ----------------------------------------------------------------------
@@ -182,8 +181,7 @@ def _suite_root_laws(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
         diffs = [op_norm(p[alpha] - p[0.5]) for alpha in near_half]
         slack.append(min(diffs[j] - diffs[j + 1] for j in range(3)))
 
-        margin = min(slack)
-        rec.case(margin >= 0.0, margin, s, {"x": x})
+        rec.case(min(slack), s, {"x": x})
 
 
 # -- A3 ----------------------------------------------------------------------
@@ -198,15 +196,13 @@ def _suite_method_agreement(rec: _Recorder, seed: int, sizes, tol: Tolerances) -
             quad = power_balakrishnan(x, r, nodes=128, tol=tol)
             gap = op_norm(spectral.value - quad.value)
             slack.append(1e-6 * max(1.0, op_norm(x) ** r) - gap)
-        margin = min(slack)
-        rec.case(margin >= 0.0, margin, s, {"x": x})
+        rec.case(min(slack), s, {"x": x})
     for _, s, n in _cases(seed, sizes, 100, 1000):
         x = 2.0 * gen_half_f(n, s)  # lands in F
         series = root_series(x, 2, terms=200, tol=tol)
         spectral = power_spectral(x, 0.5, tol)
         gap = op_norm(series.value - spectral.value)
-        margin = series.est_error + 1e-9 - gap
-        rec.case(margin >= 0.0, margin, s, {"x": x})
+        rec.case(series.est_error + 1e-9 - gap, s, {"x": x})
 
 
 # -- A4 ----------------------------------------------------------------------
@@ -220,8 +216,7 @@ def _suite_sector_bound(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> No
         h = x + dagger(x)
         bound = op_norm(re_part(x)) / np.cos(rho) ** 2
         lhs = bound * h - dagger(x) @ x
-        margin = min_real_eig(lhs) + 1e-6 * max(op_norm(x) ** 2, 1e-12)
-        rec.case(margin >= 0.0, margin, s, {"x": x, "rho": rho})
+        rec.case(min_real_eig(lhs) + 1e-6 * max(op_norm(x) ** 2, 1e-12), s, {"x": x, "rho": rho})
 
 
 # -- A5 ----------------------------------------------------------------------
@@ -233,15 +228,10 @@ def _suite_support(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
         x = gen_accretive(n, s, rank=rank)
         res = support_projection(x, method="both", tol=tol)
         fix = max(op_norm(res.proj @ x - x), op_norm(x @ res.proj - x))
-        ok = (
-            res.status != "diverged"
-            and res.oracle_residual is not None
-            and res.oracle_residual <= 1e-6
-            and fix <= 1e-7 * max(1.0, op_norm(x))
-        )
-        margin = min(1e-6 - (res.oracle_residual or np.inf),
+        margin = min(np.inf if res.status != "diverged" else -1.0,
+                     1e-6 - res.oracle_residual if res.oracle_residual is not None else -1.0,
                      1e-7 * max(1.0, op_norm(x)) - fix)
-        rec.case(ok, margin, s, {"x": x, "rank": rank})
+        rec.case(margin, s, {"x": x, "rank": rank})
 
 
 # -- A6 ----------------------------------------------------------------------
@@ -251,16 +241,15 @@ def _suite_peak(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
     for _, s, n in _cases(seed, sizes, 200):
         x, _ = gen_peaked_half_f(n, s)
         res = peak_projection(x, method="both", tol=tol)
-        ok = res.status == "converged" and res.oracle_residual is not None
-        slack = [1e-6 - (res.oracle_residual if ok else np.inf)]
-        if ok:
-            ok = ok and is_peak_for(x, res.proj, tol)
+        margin = -1.0
+        if res.status == "converged" and res.oracle_residual is not None:
+            peaks = is_peak_for(x, res.proj, tol)
             root = power(x, 0.5, tol=tol).value
             root = root / max(1.0, op_norm(root))  # guard rounding above 1
             res_root = peak_projection(root, method="iterative", tol=tol)
-            slack.append(1e-6 - op_norm(res_root.proj - res.proj))
-        margin = min(slack)
-        rec.case(ok and margin >= 0.0, margin, s, {"x": x})
+            margin = min(1e-6 - res.oracle_residual, np.inf if peaks else -1.0,
+                         1e-6 - op_norm(res_root.proj - res.proj))
+        rec.case(margin, s, {"x": x})
 
 
 # -- A7 ----------------------------------------------------------------------
@@ -270,13 +259,11 @@ def _suite_half_f_monotonicity(rec: _Recorder, seed: int, sizes, tol: Tolerances
     for _, s, n in _cases(seed, sizes, 200):
         x = gen_half_f(n, s)
         margins = root_monotonicity_report(x, 8, tol)
-        margin = float(margins.min()) + 1e-7
-        rec.case(margin >= 0.0, margin, s, {"x": x})
+        rec.case(float(margins.min()) + 1e-7, s, {"x": x})
     for _, s, n in _cases(seed, sizes, 100, 5000):
         x = gen_accretive(n, s)
         _, margins = rescaled_root_check(x, tol)
-        margin = float(margins.min()) + tol.psd_slack
-        rec.case(margin >= 0.0, margin, s, {"x": x})
+        rec.case(float(margins.min()) + tol.psd_slack, s, {"x": x})
 
 
 # -- A8 ----------------------------------------------------------------------
@@ -287,28 +274,25 @@ def _suite_lemerdy(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> dict:
     golden = (1.0 + np.sqrt(5.0)) / 2.0
 
     acc, margin = is_accretive(x, tol)
-    rec.case(acc and abs(margin) <= 1e-9, -abs(margin), seed)
-
-    norm_gap = abs(op_norm(x) - golden)
-    rec.case(norm_gap <= 1e-9, 1e-9 - norm_gap, seed)
+    rec.case(min(np.inf if acc else -1.0, 1e-9 - abs(margin)), seed)
+    rec.case(1e-9 - abs(op_norm(x) - golden), seed)
 
     spectral = power_spectral(x, 0.5, tol)
     quad = power_balakrishnan(x, 0.5, nodes=128, tol=tol)
     agree = op_norm(spectral.value - quad.value)
     root_norm = op_norm(spectral.value)
-    rec.case(agree <= 1e-8, 1e-8 - agree, seed)
-    rec.case(root_norm > 1.0 + 1e-3, root_norm - (1.0 + 1e-3), seed)
+    rec.case(1e-8 - agree, seed)
+    # ||x^{1/2}|| > 1 + 1e-3 is strict: the next float above is the bound
+    rec.case(root_norm - np.nextafter(1.0 + 1e-3, 2.0), seed)
 
-    rec.case(c_certificate(x, tol) is None, 0.0, seed)
-    rec.case(c_certificate(1j * np.eye(2), tol) is None, 0.0, seed)
+    rec.case(0.0 if c_certificate(x, tol) is None else -1.0, seed)
+    rec.case(0.0 if c_certificate(1j * np.eye(2), tol) is None else -1.0, seed)
 
     angle = sector_angle(x, tol)
-    angle_gap = abs((angle if angle is not None else np.nan) - np.pi / 2.0)
-    rec.case(angle is not None and angle_gap <= 1e-6, 1e-6 - angle_gap, seed)
+    rec.case(1e-6 - abs(angle - np.pi / 2.0) if angle is not None else -1.0, seed)
 
     margins = root_monotonicity_report(x, 8, tol)
-    worst = float(margins.min())
-    rec.case(worst <= -1e-3, -1e-3 - worst, seed)
+    rec.case(-1e-3 - float(margins.min()), seed)
     return {"monotonicity_margins": [float(m) for m in margins]}
 
 
@@ -332,16 +316,16 @@ def _suite_ah_amplification(rec: _Recorder, seed: int, sizes, tol: Tolerances) -
 
     ah, q = a_h(upper, tol=tol)
     gap = max(op_norm(q - eye2), _mutual_residual(ah, upper))
-    rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "upper:2"})
+    rec.case(1e-6 - gap, seed, {"algebra": "upper:2"})
 
     ah, q = a_h(nil, tol=tol)
     gap = op_norm(q) + ah.dim
-    rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "span{E12}"})
+    rec.case(1e-6 - gap, seed, {"algebra": "span{E12}"})
 
     expected = span_algebra([e11], label="span{E11}")
     ah, q = a_h(corner, tol=tol)
     gap = max(op_norm(q - e11), _mutual_residual(ah, expected))
-    rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": "span{E11,E12}"})
+    rec.case(1e-6 - gap, seed, {"algebra": "span{E11,E12}"})
 
     for base in (upper, nil, corner):
         ah_base, _ = a_h(base, tol=tol)
@@ -349,7 +333,7 @@ def _suite_ah_amplification(rec: _Recorder, seed: int, sizes, tol: Tolerances) -
             big, _ = a_h(amplify(base, k, tol), tol=tol)
             expected_big = amplify(ah_base, k, tol)
             gap = _mutual_residual(big, expected_big)
-            rec.case(gap <= 1e-6, 1e-6 - gap, seed, {"algebra": base.label, "k": k})
+            rec.case(1e-6 - gap, seed, {"algebra": base.label, "k": k})
 
 
 # -- A10 ---------------------------------------------------------------------
@@ -362,7 +346,7 @@ def _suite_oa_unitality(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> No
         gens = [gen_accretive(n, s + 13 * j) for j in range(count)]
         oa = generate_algebra(gens, mode="algebra", with_identity=False, tol=tol)
         e = identity_of(oa, tol)
-        rec.case(e is not None, 0.0 if e is not None else -1.0, s, {"generators": gens})
+        rec.case(0.0 if e is not None else -1.0, s, {"generators": gens})
 
 
 # -- A11 ---------------------------------------------------------------------
@@ -468,15 +452,15 @@ def _interp_instance(theorem: str, k: int, inst: int, tol: Tolerances) -> tuple:
     return alg, problem
 
 
-def _outer_polygon(m: np.ndarray, directions: int = 8, pad: float = 0.1) -> interp.ConvexRegion:
-    """Circumscribing polygon of the numerical range of m, padded outward."""
-    thetas = 2.0 * np.pi * np.arange(directions) / directions
-    h = support_function(m, thetas) + pad
+def _outer_polygon(m: np.ndarray) -> interp.ConvexRegion:
+    """Circumscribing octagon of the numerical range of m, padded 0.1 outward."""
+    thetas = 2.0 * np.pi * np.arange(8) / 8
+    h = support_function(m, thetas) + 0.1
     verts = []
-    for j in range(directions):
-        t1, t2 = thetas[j], thetas[(j + 1) % directions]
+    for j in range(8):
+        t1, t2 = thetas[j], thetas[(j + 1) % 8]
         a = np.array([[np.cos(t1), np.sin(t1)], [np.cos(t2), np.sin(t2)]])
-        xy = np.linalg.solve(a, [h[j], h[(j + 1) % directions]])
+        xy = np.linalg.solve(a, [h[j], h[(j + 1) % 8]])
         verts.append(complex(xy[0], xy[1]))
     return interp.ConvexRegion(np.array(verts))
 
@@ -489,10 +473,10 @@ def _suite_interpolation(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> N
                 inst = _case_seed(seed, sum(map(ord, theorem)) % 997 + 31 * k)
                 alg, problem = _interp_instance(theorem, k, inst, tol)
                 residual = spec.gate_residual(spec.solve(alg, problem, tol)[1])
-                rec.case(residual <= 1e-5, 1e-5 - residual, seed, payload)
+                rec.case(1e-5 - residual, seed, payload)
             except (interp.VerificationFailedError, ValueError, ArithmeticError) as exc:
                 payload["error"] = str(exc)
-                rec.case(False, -1.0, seed, payload)
+                rec.case(-1.0, seed, payload)
 
     # Domination genuinely needs ||b|| < 1: hitting the precondition wall is
     # the expected outcome, and reproducing it counts as a pass.
@@ -500,9 +484,9 @@ def _suite_interpolation(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> N
     b = np.eye(3, dtype=complex)
     try:
         interp.dominate(alg, b, eps=0.05, tol=tol)
-        rec.case(False, -1.0, seed, {"theorem": "dominate-norm-one"})
+        rec.case(-1.0, seed, {"theorem": "dominate-norm-one"})
     except ValueError:
-        rec.case(True, 0.0, seed)
+        rec.case(0.0, seed)
 
 
 # -- A12 ---------------------------------------------------------------------
@@ -519,7 +503,7 @@ def _suite_vav(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> None:
             a = gen_accretive(n, s, rank=max(1, n - 1))
             v = support_projection(a, method="oracle", tol=tol).proj
         residual = vav_identity_check(a, v, r, tol)
-        rec.case(residual <= 1e-7, 1e-7 - residual, s, {"a": a, "r": r})
+        rec.case(1e-7 - residual, s, {"a": a, "r": r})
 
 
 # -- A13 ---------------------------------------------------------------------
@@ -546,8 +530,7 @@ def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) 
                 if wy[i] <= 1e-12:
                     vec = vy[:, i]
                     slack.append(1e-5 - float(np.linalg.norm(supp @ vec)))
-        margin = min(slack)
-        rec.case(margin >= 0.0, margin, s, {"x": x})
+        rec.case(min(slack), s, {"x": x})
 
     kinds = ("diag", "upper", "full", "blockupper")
     for k, s, n in _cases(seed, (2, 3, 4, 5), 50, 9000):
@@ -556,16 +539,15 @@ def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) 
         raw = _random_algebra_element(alg, rng, 1.0)
         shift = 0.2 + max(0.0, -min_real_eig(raw))
         x = raw + shift * np.eye(n)
-        ok = is_strictly_real_positive(alg, x, tol)
-        slack = [0.0 if ok else -1.0]
-        if ok:
+        margin = -1.0
+        if is_strictly_real_positive(alg, x, tol):
+            margin = np.inf
             for root in power_all(x, [1.0 / m for m in (2, 3, 4)], tol=tol):
                 y = root.value
                 _, res = contains(alg, y, tol)
-                slack.append(1e-6 - res)
-                ok = ok and is_strictly_real_positive(alg, alg.project(y), tol)
-        margin = min(slack)
-        rec.case(ok and margin >= 0.0, margin, s, {"algebra": alg.label})
+                positive = is_strictly_real_positive(alg, alg.project(y), tol)
+                margin = min(margin, 1e-6 - res, np.inf if positive else -1.0)
+        rec.case(margin, s, {"algebra": alg.label})
 
 
 _SUITES = {

@@ -295,6 +295,21 @@ def test_join_meet():
         join(np.array([[0.5, 0.0], [0.0, 0.0]]), p1)
 
 
+def test_lattice_operations_validate_their_input():
+    # nested lists are matrices; shapes must agree, not broadcast, and a
+    # join of nothing has no ambient dimension
+    p1 = [[1, 0], [0, 0]]
+    assert np.array_equal(join_all([p1]), np.diag([1.0, 0.0]))
+    assert np.allclose(join_all([p1, [[0, 0], [0, 1]]]), np.eye(2), atol=1e-12)
+    for op in (join, meet, lambda p, q: join_all([p, q])):
+        with pytest.raises(ValueError, match="one shape"):
+            op(np.eye(1), p1)
+    with pytest.raises(ValueError, match="at least one"):
+        join_all([])
+    with pytest.raises(ValueError, match="square"):
+        join_all([[1, 0]])
+
+
 def test_convergence_rate_witness():
     # the proof's inequality bounds the root's distance to the support
     rng = np.random.default_rng(73)

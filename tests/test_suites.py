@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -74,3 +76,28 @@ def test_failure_dumps_hold_each_case_inputs(tmp_path, monkeypatch):
             with open(path) as fh:
                 assert fh.read() == json.dumps(inputs(name, k, s, sizes[k % 2]), sort_keys=True)
     assert len(list(tmp_path.iterdir())) == 400
+
+
+def _diverged(fn):
+    return lambda *args, **kw: dataclasses.replace(fn(*args, **kw), status="diverged")
+
+
+@pytest.mark.parametrize(
+    "suite, name, patch, failing",
+    [
+        ("peak", "is_peak_for", lambda fn: lambda x, q, tol: False, None),
+        ("peak", "peak_projection", _diverged, None),
+        ("lemerdy", "sector_angle", lambda fn: lambda x, tol: None, [6]),
+        ("support", "support_projection", _diverged, None),
+    ],
+    ids=["not-a-peak", "peak-diverged", "no-sector-angle", "support-diverged"],
+)
+def test_a_forced_failure_records_a_finite_negative_margin(monkeypatch, suite, name, patch, failing):
+    # a case passes iff its margin is >= 0, so a forced failure shows in the
+    # margin: finite, below 0, and the report stays strict JSON
+    monkeypatch.setattr(suites, name, patch(getattr(suites, name)))
+    report = run_suite(suite, seed=0)
+    expected = list(range(report.cases)) if failing is None else failing
+    assert [f["case"] for f in report.failures] == expected
+    assert all(math.isfinite(f["margin"]) and f["margin"] < 0.0 for f in report.failures)
+    json.dumps(report.to_json(), allow_nan=False)
