@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -151,7 +150,8 @@ def _cmd_power(args) -> int:
         res = root_series(x, root, terms=args.terms, tol=tol)
     else:
         res = power(x, args.alpha, nodes=args.nodes, tol=tol)
-    _emit({**asdict(res), "value": matrix_to_json(res.value)}, args)
+    _emit({"value": matrix_to_json(res.value), "method": res.method, "est_error": res.est_error,
+           "nodes_or_terms": res.nodes_or_terms, "certified": res.certified}, args)
     return 0
 
 

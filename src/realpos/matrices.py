@@ -7,7 +7,9 @@ share: ``range_basis`` (eigenvectors of Re p above 1/2),
 ``_unit_defect`` (distance of e from a two-sided identity on a stack), and
 the norm verdicts ``_within`` (``op_norm(m) <= bound``) and ``_unit_within``
 (``_unit_defect(e, stack) <= bound``), which settle most calls by the
-Frobenius norm and run the SVD only when it cannot.
+Frobenius norm and run the SVD only when it cannot, and the one-sided
+conditioning verdict ``_cond_surely_within`` (``cond(m) <= bound`` from m
+and its computed inverse, by Frobenius norms, without an SVD).
 
 The JSON wire format for a matrix is ``{"n": n, "entries": [[re, im],
 ...]}`` with ``n`` a JSON integer and the entries row-major (length
@@ -241,6 +243,31 @@ def _unit_within(e: np.ndarray, stack: np.ndarray, bound: float) -> bool:
         return False
     band = ~(sure & (np.sqrt(s + FROB_UNDERFLOW) * (1.0 + FROB_MARGIN) <= bound))
     return max_op_norm(d[band]) <= bound
+
+
+# _cond_surely_within answers True only below bound / (1 + COND_MARGIN).
+COND_MARGIN = 1e-6
+
+
+def _cond_surely_within(m: np.ndarray, minv: np.ndarray, bound: float) -> bool:
+    """True when ||m||_F ||minv||_F proves that cond(m), as the SVD gives it,
+    is at most bound; False decides nothing, and the caller runs the SVD.
+
+    cond(m) = ||m||_2 ||m^{-1}||_2 <= ||m||_F ||m^{-1}||_F (Golub & Van Loan,
+    *Matrix Computations*, 2.3), and the two sides meet when m is near rank
+    one, as the eigenvectors of a near-defective matrix are.  So the margin
+    must cover the rounding on both sides at cond(m) near bound.  The
+    computed inverse of m is off by a relative O(n eps cond(m)) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 14), and the SVD's
+    sigma_min by O(n eps sigma_max), so its cond(m) is off by a relative
+    O(n eps cond(m)) too.  At cond(m) <= 1e8 and n <= 16 each is about
+    16 * 1.1e-16 * 1e8 = 1.8e-7, so COND_MARGIN = 1e-6 covers both (on
+    rotated 2 x 2 near-cap inputs the SVD's cond(m) was up to 5e-9 above the
+    computed bound).  The squares take FROB_UNDERFLOW as _within's do.
+    Overflow and NaN give False.
+    """
+    s = (float(np.vdot(m, m).real) + FROB_UNDERFLOW) * (float(np.vdot(minv, minv).real) + FROB_UNDERFLOW)
+    return math.sqrt(s) * (1.0 + COND_MARGIN) <= bound
 
 
 def solve(m, b):

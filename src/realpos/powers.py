@@ -19,15 +19,16 @@ the fractional parts all power one eigendecomposition (Higham, *Functions
 of Matrices*, 2008, ch. 4), or all take the quadrature route when x is
 defective.  ``power(x, alpha)`` is ``power_all(x, (alpha,))[0]``, and
 ``power_spectral`` powers the same factorization, so there is one spectral
-implementation.  Nothing is cached across calls.
+implementation.  Nothing is cached across calls.  Within one, a spectral
+result computes its ``est_error`` on the first read and keeps it: no caller
+on a hot path reads it, and it costs three of the four SVDs of a power.
 
 Also houses the root-law checks (monotonicity of roots and of rescaled
 roots, disk-function-calculus ordering).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from numbers import Integral
 
@@ -38,6 +39,7 @@ from .matrices import (
     DEFAULT_TOL,
     PIVOT_RTOL,
     Tolerances,
+    _cond_surely_within,
     _require_positive,
     as_matrix,
     frob_norm,
@@ -90,13 +92,43 @@ class DefectiveMatrixError(ValueError):
         )
 
 
-@dataclass(frozen=True)
 class PowerResult:
-    value: np.ndarray
-    method: str  # 'spectral' | 'balakrishnan' | 'series'
-    est_error: float  # a posteriori estimate, method-specific
-    nodes_or_terms: int
-    certified: bool = True
+    """One power of one matrix.
+
+    value           the power
+    method          'spectral' | 'balakrishnan' | 'series'
+    est_error       a posteriori estimate, method-specific
+    nodes_or_terms  quadrature nodes or series terms (n on the spectral route)
+    certified       whether est_error meets the route's own bound
+
+    ``est_error`` may be given as a function of no arguments, which runs on
+    the first read of ``est_error``; its value is kept.  Spectral results
+    take it so: their estimate costs three SVDs that few callers read.
+    """
+
+    __slots__ = ("value", "method", "_est", "nodes_or_terms", "certified")
+
+    def __init__(self, value, method, est_error, nodes_or_terms, certified=True):
+        self.value, self.method, self._est = value, method, est_error
+        self.nodes_or_terms, self.certified = nodes_or_terms, certified
+
+    @property
+    def est_error(self) -> float:
+        if callable(self._est):
+            self._est = self._est()
+        return self._est
+
+    def __repr__(self) -> str:
+        return (f"PowerResult(value={self.value!r}, method={self.method!r}, "
+                f"est_error={self.est_error!r}, nodes_or_terms={self.nodes_or_terms!r}, "
+                f"certified={self.certified!r})")
+
+
+def _require_finite(res: PowerResult, alpha: float) -> PowerResult:
+    """res, unless its value overflowed: then ValueError naming alpha."""
+    if not np.isfinite(res.value).all():
+        raise ValueError(f"x^{float(alpha)!r} overflows: its value has non-finite entries")
+    return res
 
 
 def _require_accretive(x: np.ndarray, tol: Tolerances) -> float:
@@ -116,35 +148,59 @@ class _SpectralFactor:
     Eigenvalues of magnitude at most ``EIG_RTOL * ||x||`` are mapped to 0
     (they are semisimple for accretive input); the rest are powered on the
     principal branch.  Raises :class:`DefectiveMatrixError` when the
-    eigenvector matrix has condition number above ``COND_CAP``.
+    eigenvector matrix has condition number above ``COND_CAP``.  The
+    estimate's parts, ``cond`` and ``rel_error``, are computed on first use
+    from arrays the factor owns, so writing to x afterwards changes nothing.
     """
 
     def __init__(self, x: np.ndarray):
         lam, v = np.linalg.eig(x)
-        s = np.linalg.svd(v, compute_uv=False)
-        cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-        if cond > COND_CAP:
-            raise DefectiveMatrixError(cond)
-        xnorm = max(op_norm(x), 1e-300)
-        # No singular-pivot test is needed for v^{-1}.  LU with partial
-        # pivoting takes each pivot as the largest entry in the first column
-        # of a Schur complement S, and S^{-1} is a block of v^{-1}, so
-        # |pivot| >= sigma_min(S)/sqrt(n) >= sigma_min(v)/n.  After the check
-        # above sigma_min(v) >= 1e-8 sigma_max(v), which for n <= 16 is over
-        # 6000 times solve()'s PIVOT_RTOL sigma_max(v) limit, so one plain
-        # inversion replaces solve()'s SVD and LU.
-        self.v = v
-        self.vinv = np.linalg.inv(v)
+        self.v, self.x = v, x.copy()
+        # v is inverted before its condition number is known, so that the
+        # inverse also settles cond(v) <= COND_CAP by the Frobenius bound of
+        # _cond_surely_within; the SVD of v runs only when that bound cannot
+        # settle it, when inv raises (an exactly zero pivot), or when the
+        # estimate is read.  No singular-pivot test is needed for the
+        # inverse kept: LU with partial pivoting takes each pivot as the
+        # largest entry in the first column of a Schur complement S, and
+        # S^{-1} is a block of v^{-1}, so |pivot| >= sigma_min(S)/sqrt(n) >=
+        # sigma_min(v)/n.  With cond(v) <= COND_CAP, sigma_min(v) >= 1e-8
+        # sigma_max(v), which for n <= 16 is over 6000 times solve()'s
+        # PIVOT_RTOL sigma_max(v) limit, so one plain inversion replaces
+        # solve()'s SVD and LU.  A v that makes inv raise yet passes the SVD
+        # check raises LinAlgError, as the inversion after the check did.
+        try:
+            self.vinv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            if self.cond <= COND_CAP:
+                raise
+            raise DefectiveMatrixError(self.cond) from None
+        if not _cond_surely_within(v, self.vinv, COND_CAP) and self.cond > COND_CAP:
+            raise DefectiveMatrixError(self.cond)
+        self.xnorm = max(op_norm(x), 1e-300)
         self.lam = lam.astype(complex)
-        self.cut = np.abs(lam) <= EIG_RTOL * xnorm
-        recon = op_norm(v @ (lam[:, None] * self.vinv) - x)
-        self.rel_error = recon / xnorm + np.finfo(float).eps * cond
+        self.cut = np.abs(lam) <= EIG_RTOL * self.xnorm
+
+    @cached_property
+    def cond(self) -> float:
+        """cond(v) = sigma_max / sigma_min, by the SVD of v."""
+        s = np.linalg.svd(self.v, compute_uv=False)
+        return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+
+    @cached_property
+    def rel_error(self) -> float:
+        """||v diag(lam) v^{-1} - x|| / ||x|| + eps cond(v)."""
+        recon = op_norm(self.v @ (self.lam[:, None] * self.vinv) - self.x)
+        return recon / self.xnorm + np.finfo(float).eps * self.cond
 
     def power(self, alpha: float) -> PowerResult:
-        powered = np.where(self.cut, 0.0, np.power(self.lam, alpha))
-        value = self.v @ (powered[:, None] * self.vinv)
-        est = self.rel_error * max(1.0, op_norm(value))
-        return PowerResult(value, "spectral", float(est), self.v.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # callers refuse an overflow
+            powered = np.where(self.cut, 0.0, np.power(self.lam, alpha))
+            value = self.v @ (powered[:, None] * self.vinv)
+        held = value.copy()  # the caller may write to value before reading est_error
+        return PowerResult(value, "spectral",
+                           lambda: float(self.rel_error * max(1.0, op_norm(held))),
+                           self.v.shape[0])
 
 
 def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
@@ -156,7 +212,7 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     x = as_matrix(x)
     _require_positive(alpha, "alpha")
     _require_accretive(x, tol)
-    return _SpectralFactor(x).power(alpha)
+    return _require_finite(_SpectralFactor(x).power(alpha), alpha)
 
 
 def _require_count(value, name: str, low: int, high: int, what: str) -> None:
@@ -364,23 +420,27 @@ def power_all(
         except DefectiveMatrixError:
             pass
     results = []
-    for m, r in parts:
-        if r < 1e-14:
-            results.append(PowerResult(np.linalg.matrix_power(x, m), "spectral", 0.0, 0))
-            continue
-        frac = factor.power(r) if factor is not None else power_balakrishnan(x, r, nodes, tol)
-        if m == 0:
-            results.append(frac)
-            continue
-        xm = np.linalg.matrix_power(x, m)
-        results.append(PowerResult(
-            xm @ frac.value,
-            frac.method,
-            frac.est_error * max(1.0, op_norm(xm)),
-            frac.nodes_or_terms,
-            frac.certified,
-        ))
+    for alpha, (m, r) in zip(alphas, parts):
+        if r >= 1e-14:
+            frac = factor.power(r) if factor is not None else power_balakrishnan(x, r, nodes, tol)
+            if m == 0:
+                results.append(_require_finite(frac, alpha))
+                continue
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _require_finite
+            xm = np.linalg.matrix_power(x, m)
+            if r < 1e-14:
+                res = PowerResult(xm, "spectral", 0.0, 0)
+            else:
+                res = PowerResult(xm @ frac.value, frac.method, _scaled_estimate(frac, xm.copy()),
+                                  frac.nodes_or_terms, frac.certified)
+        results.append(_require_finite(res, alpha))
     return results
+
+
+def _scaled_estimate(frac: PowerResult, xm: np.ndarray):
+    """The est_error of x^m x^r, run on its first read: frac's times
+    max(1, ||x^m||).  xm is the result's own copy of x^m."""
+    return lambda: frac.est_error * max(1.0, op_norm(xm))
 
 
 def power(x, alpha: float, nodes: int = 96, tol: Tolerances = DEFAULT_TOL) -> PowerResult:

@@ -134,6 +134,19 @@ def test_power_command(tmp_path, capsys):
             assert "alpha" in err
 
 
+@pytest.mark.parametrize("m, alpha, method", [
+    (2.1 * np.eye(2) + 0.1 * np.ones((2, 2)), "2000.5", "spectral"),
+    (2.1 * np.eye(2) + 0.1 * np.ones((2, 2)), "2000.5", "auto"),
+    (3.0 * np.array([[1.0, 1.0], [0.0, 1.0]]), "900.5", "auto"),  # the quadrature route
+])
+def test_an_overflowing_power_exits_2(tmp_path, capsys, m, alpha, method):
+    src = _write_matrix(tmp_path / "x.json", m)
+    assert main(["power", src, "--alpha", alpha, "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: x^{alpha} overflows: its value has non-finite entries\n"
+
+
 def test_quadrature_power_near_one_is_accurate(tmp_path, capsys):
     src = _write_matrix(tmp_path / "x.json", np.diag([1.0, 4.0]))
     r = 0.999999999997

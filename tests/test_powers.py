@@ -580,3 +580,167 @@ def test_disk_order_check():
     assert conclusion == pytest.approx(min_real_eig(x), abs=1e-10)
     with pytest.raises(ValueError):
         disk_order_check([0.0], [1.0], 5.0 * np.eye(2))
+
+
+class _EagerSpectralFactor:
+    # _SpectralFactor as it stood with an eager estimate: cond(v) by the SVD
+    # before v is inverted, and four SVDs per power.  The deferred estimate
+    # and the Frobenius conditioning verdict must keep its bits, its routes
+    # and its DefectiveMatrixError.cond.
+    def __init__(self, x):
+        lam, v = np.linalg.eig(x)
+        s = np.linalg.svd(v, compute_uv=False)
+        cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+        if cond > powers_module.COND_CAP:
+            raise DefectiveMatrixError(cond)
+        xnorm = max(op_norm(x), 1e-300)
+        self.v = v
+        self.vinv = np.linalg.inv(v)
+        self.lam = lam.astype(complex)
+        self.cut = np.abs(lam) <= powers_module.EIG_RTOL * xnorm
+        recon = op_norm(v @ (lam[:, None] * self.vinv) - x)
+        self.rel_error = recon / xnorm + np.finfo(float).eps * cond
+
+    def power(self, alpha):
+        powered = np.where(self.cut, 0.0, np.power(self.lam, alpha))
+        value = self.v @ (powered[:, None] * self.vinv)
+        est = self.rel_error * max(1.0, op_norm(value))
+        return powers_module.PowerResult(value, "spectral", float(est), self.v.shape[0])
+
+
+EXPONENT_SETS = [(0.5,), (0.3, 0.7), tuple(1.0 / k for k in range(1, 9)), (1.5, 2.75, 1e-3, 2.0)]
+
+
+def _outcome(fn, *args):
+    # every field of each result, or the type, message and cond of the error
+    try:
+        results = fn(*args)
+    except DefectiveMatrixError as exc:
+        return ("defective", str(exc), exc.cond)
+    results = results if isinstance(results, list) else [results]
+    return [(r.value.tobytes(), r.method, r.est_error, r.nodes_or_terms, r.certified)
+            for r in results]
+
+
+def _assert_eager_bits(monkeypatch, inputs, exponent_sets=EXPONENT_SETS):
+    calls = [(power_all, x, alphas) for x in inputs for alphas in exponent_sets]
+    calls += [(power_spectral, x, 0.5) for x in inputs]
+    got = [_outcome(fn, np.array(x), a) for fn, x, a in calls]
+    with monkeypatch.context() as m:
+        m.setattr(powers_module, "_SpectralFactor", _EagerSpectralFactor)
+        want = [_outcome(fn, np.array(x), a) for fn, x, a in calls]
+    for (fn, x, a), g, w in zip(calls, got, want):
+        assert g == w, (fn.__name__, x, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+def test_spectral_results_keep_the_eager_bits(monkeypatch, n):
+    inputs = [gen_accretive(n, 600 + n), gen_half_f(n, 620 + n),
+              gen_accretive(n, 640 + n, rank=max(1, n // 2))]
+    _assert_eager_bits(monkeypatch, inputs)
+
+
+def _near_cap_inputs(n):
+    # I + N + diag(k e): the eigenvector condition number crosses COND_CAP
+    # as e falls, plain and rotated
+    u = gen_unitary(n, 1000 + n)
+    for e in np.logspace(-2, -14, 49):
+        x = (np.eye(n) + np.eye(n, k=1) + np.diag(np.arange(n) * e)).astype(complex)
+        yield x
+        yield u @ x @ dagger(u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_near_cap_inputs_keep_their_route_and_cond(monkeypatch, n):
+    _assert_eager_bits(monkeypatch, list(_near_cap_inputs(n)), [(0.5, 1.25)])
+
+
+def test_the_conditioning_verdict_holds_at_a_cap_on_each_condition_number(monkeypatch):
+    # With COND_CAP moved onto an input's own SVD condition number c, the
+    # route flips between c and the float below it; the Frobenius verdict
+    # must flip with it.  Rotated 2 x 2 inputs have a computed c above the
+    # computed Frobenius bound by up to 5e-9, so a zero margin fails here.
+    moved, cond_cap = 0, powers_module.COND_CAP
+    for n in (2, 3, 4):
+        for x in _near_cap_inputs(n):
+            s = np.linalg.svd(np.linalg.eig(x)[1], compute_uv=False)
+            c = float(s[0] / s[-1])
+            if c > cond_cap:
+                continue
+            moved += 1
+            for cap in (c, np.nextafter(c, 0.0)):
+                monkeypatch.setattr(powers_module, "COND_CAP", cap)
+                _assert_eager_bits(monkeypatch, [x], [(0.5,)])
+    assert moved > 40
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_singular_eigenvector_matrix_is_defective(monkeypatch, n):
+    # c N (N the nilpotent shift) is accretive within psd_slack, and eig
+    # returns an exactly singular v for it: inv raises, and the SVD gives
+    # cond = inf, as before
+    x = 1e-12 * np.eye(n, k=1)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.eig(x.astype(complex))[1])
+    with pytest.raises(DefectiveMatrixError) as info:
+        power_spectral(x, 0.5)
+    assert info.value.cond == np.inf
+    assert power(x, 0.5).method == "balakrishnan"
+    _assert_eager_bits(monkeypatch, [x])
+
+
+def test_the_estimate_reads_only_what_the_result_owns(monkeypatch):
+    # as_matrix hands a complex128 x through uncopied, and x^1 is x itself
+    x = gen_accretive(5, 660)
+    with monkeypatch.context() as m:
+        m.setattr(powers_module, "_SpectralFactor", _EagerSpectralFactor)
+        want = [r.est_error for r in power_all(x.copy(), (0.3, 1.3, 2.5))]
+        want.append(power_spectral(x.copy(), 0.7).est_error)
+    results = power_all(x, (0.3, 1.3, 2.5)) + [power_spectral(x, 0.7)]
+    x[...] = 7.0
+    for res in results:
+        res.value[...] = np.nan
+    assert [r.est_error for r in results] == want
+
+
+def test_an_unread_power_makes_one_svd(monkeypatch):
+    # ||x|| for the EIG_RTOL cut; cond(v), the reconstruction residual and
+    # ||value|| wait for the first read of est_error
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for n in (2, 3, 4, 5, 6, 7, 8, 16):
+        for r in (0.3, 0.5):
+            x = gen_accretive(n, 680 + n)
+            calls.clear()
+            res = power(x, r)
+            assert res.value.shape == (n, n) and len(calls) == 1, (n, r)
+            est = res.est_error
+            assert len(calls) == 4
+            assert res.est_error == est and len(calls) == 4
+    x = gen_half_f(6, 690)
+    calls.clear()
+    root_monotonicity_report(x, 8)
+    assert len(calls) == 1
+
+
+OVERFLOWS = [
+    (power_spectral, 2.1 * np.eye(2) + 0.1 * np.ones((2, 2)), 2000.5),
+    (power, 2.1 * np.eye(2) + 0.1 * np.ones((2, 2)), 2000.5),
+    (power, 3.0 * np.array([[1.0, 1.0], [0.0, 1.0]]), 900.5),  # the quadrature route
+    (power, 3.0 * np.eye(2), 900.0),
+]
+
+
+@pytest.mark.parametrize("fn, x, alpha", OVERFLOWS)
+def test_an_overflowing_power_is_refused(fn, x, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"x\\^{alpha!r} overflows"):
+            fn(x, alpha)
+
+
+def test_a_result_takes_a_plain_estimate():
+    res = powers_module.PowerResult(np.eye(2), "series", 0.25, 7)
+    assert (res.est_error, res.nodes_or_terms, res.certified) == (0.25, 7, True)
+    assert "est_error=0.25" in repr(res)
