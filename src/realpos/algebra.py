@@ -17,7 +17,8 @@ Algebra JSON is either ``{"ambient": n, "basis": [matrix, ...]}`` or
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .matrices import (
     DEFAULT_TOL,
     Tolerances,
     _kernel_complement_projection,
+    _norm_floor_one,
     _unit_within,
     _within,
     as_matrix,
@@ -60,6 +62,15 @@ __all__ = [
 
 RANK_TOL = 1e-10
 CLOSURE_TOL = 1e-8
+# The largest Frobenius norm a seed of a span may have: its square is the
+# largest float.
+NORM_CAP = math.sqrt(np.finfo(float).max)
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex 2-d array, by the operations
+    ``np.linalg.norm(m, axis=1)`` runs, without its wrapper."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=1))
 
 
 def _extend(rows: np.ndarray, dim: int, cands: np.ndarray) -> int:
@@ -68,20 +79,38 @@ def _extend(rows: np.ndarray, dim: int, cands: np.ndarray) -> int:
     ``rows[:dim]``, then two-pass Gram-Schmidt projects each survivor against
     the rows accepted since.  A residual <= ``RANK_TOL`` max(1, norm) is
     dropped, and so is all once ``rows`` is full (two passes against a basis
-    of M_n leave O(eps ||v||)).  Accepted rows never change."""
-    scale = np.linalg.norm(cands, axis=1)
-    b = rows[:dim]
-    for _ in range(2):  # a no-op on the empty basis
-        cands = cands - (cands @ np.conj(b).T) @ b
-    alive = np.linalg.norm(cands, axis=1) > RANK_TOL * np.maximum(1.0, scale)
+    of M_n leave O(eps ||v||)).  Accepted rows never change.
+
+    The norms are ``np.linalg.norm``'s own operations, and a pass against no
+    rows, an exact no-op, is skipped.  Only seeds enter on the empty basis
+    (the closure sweeps' products of unit rows and ``unitize``'s I cannot
+    overflow), and there a candidate whose squared norm overflows raises
+    ``ValueError``: its norm would read inf and drop it from the span.
+    """
+    if dim:
+        scale = _row_norms(cands)
+        b = rows[:dim]
+        for _ in range(2):
+            cands = cands - (cands @ np.conj(b).T) @ b
+        residual = _row_norms(cands)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf entries make inf norms
+            scale = residual = _row_norms(cands)
+        big = np.flatnonzero(scale == math.inf)
+        if big.size:
+            raise ValueError(f"matrix {big[0]} has a Frobenius norm above {NORM_CAP:.3g}, "
+                             "where its square overflows")
+    alive = residual > RANK_TOL * np.maximum(1.0, scale)
     start = dim
     for v, s in zip(cands[alive], scale[alive]):
         if dim == len(rows):
             break
-        b = rows[start:dim]
-        for _ in range(2):  # a no-op before the first row is accepted
-            v = v - b.T @ np.conj(b @ np.conj(v))
-        r = float(np.linalg.norm(v))
+        if dim > start:
+            b = rows[start:dim]
+            for _ in range(2):
+                v = v - b.T @ np.conj(b @ np.conj(v))
+        re, im = v.real, v.imag
+        r = math.sqrt(re.dot(re) + im.dot(im))
         if r > RANK_TOL * max(1.0, s):
             rows[dim] = v / r
             dim += 1
@@ -90,7 +119,8 @@ def _extend(rows: np.ndarray, dim: int, cands: np.ndarray) -> int:
 
 def orthonormalize(mats) -> np.ndarray:
     """Orthonormal ``(dim, n, n)`` basis of span(mats), a ``(k, n, n)`` stack or
-    list, by ``_extend`` from the empty basis; an empty stack keeps its n."""
+    list, by ``_extend`` from the empty basis; an empty stack keeps its n.
+    ``ValueError`` for a matrix whose Frobenius norm is above ``NORM_CAP``."""
     mats = np.asarray(mats, dtype=complex)
     n = mats.shape[-1] if mats.ndim == 3 else 0  # an empty list carries no n
     rows = np.empty((min(len(mats), n * n), n * n), dtype=complex)  # flattened, orthonormal
@@ -158,32 +188,74 @@ class MatrixAlgebra:
         return max((self.residual(_products(b[None], self.basis)) for b in self.basis), default=0.0)
 
 
+def _member_of(a: MatrixAlgebra, m) -> np.ndarray:
+    m = as_matrix(m)
+    if m.shape[0] != a.ambient_dim:
+        raise ValueError("dimension mismatch between algebra and matrix")
+    return m
+
+
 def contains(
     a: MatrixAlgebra, m, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Membership of m in span(a.basis); returns (verdict, residual)."""
-    m = as_matrix(m)
-    if m.shape[0] != a.ambient_dim:
-        raise ValueError("dimension mismatch between algebra and matrix")
+    m = _member_of(a, m)
     residual = op_norm(m - a.project(m))
     return residual <= tol.eq_tol * max(1.0, op_norm(m)), residual
 
 
+def _in(a: MatrixAlgebra, m, tol: Tolerances) -> bool:
+    """The verdict of ``contains(a, m, tol)`` alone, by norm verdicts: the
+    residual is compared by ``_within`` with ``eq_tol _norm_floor_one(m)``,
+    so a member of Frobenius norm below 1 costs no SVD."""
+    m = _member_of(a, m)
+    return _within(m - a.project(m), tol.eq_tol * _norm_floor_one(m))
+
+
 def _require_in(a: MatrixAlgebra, m: np.ndarray, name: str, tol: Tolerances, where: str = "the algebra") -> None:
-    """``ValueError`` naming m and its residual unless ``contains(a, m, tol)``."""
-    ok, res = contains(a, m, tol)
-    if not ok:
-        raise ValueError(f"{name} is not in {where} (residual {res:.2e})")
+    """``ValueError`` naming m and its residual unless ``contains(a, m, tol)``.
+    The verdict is reached by ``_in``; ``contains`` computes the residual
+    only for the message."""
+    if not _in(a, m, tol):
+        raise ValueError(f"{name} is not in {where} (residual {contains(a, m, tol)[1]:.2e})")
 
 
 def _algebra(basis: np.ndarray, label: str, tol: Tolerances) -> MatrixAlgebra:
     """The algebra spanned by an orthonormal ``(dim, n, n)`` basis; the one
     place ``contains_identity`` is decided, by the verdict of ``contains(A, I,
-    tol)``: op_norm(I) is 1, so it reads ``_within(I - P_A(I), eq_tol)``."""
+    tol)``: op_norm(I) is 1, so it reads ``_within(I - P_A(I), eq_tol)``.
+    The algebra is built once and its frozen field set in place, as
+    ``__post_init__`` sets ``basis``."""
     n = basis.shape[-1]
-    probe = MatrixAlgebra(n, basis, False, label)
+    alg = MatrixAlgebra(n, basis, False, label)
     eye = np.eye(n)
-    return replace(probe, contains_identity=_within(eye - probe.project(eye), tol.eq_tol))
+    object.__setattr__(alg, "contains_identity", _within(eye - alg.project(eye), tol.eq_tol))
+    return alg
+
+
+def _generator_stack(generators) -> np.ndarray:
+    """The generators as one ``(k, n, n)`` complex stack, validated at once.
+    Anything else is refused with the message of the first generator at
+    fault, as ``as_matrix`` gives it one by one, or for an empty list or
+    mixed dimensions."""
+    if not isinstance(generators, np.ndarray):
+        generators = list(generators)  # an iterator is read once
+    try:
+        stack = np.asarray(generators, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or an entry that is no number
+        stack = np.empty(0)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        # one by one: the first generator at fault raises, and square ones
+        # that did not stack (an object array) are stacked here
+        gens = [as_matrix(g, "generator") for g in generators]
+        if len({g.shape for g in gens}) > 1:
+            raise ValueError("generators must share one ambient dimension")
+        stack = np.array(gens, dtype=complex)
+    if not np.isfinite(stack).all():
+        raise ValueError("generator has non-finite entries")
+    if not len(stack):
+        raise ValueError("need at least one generator")
+    return stack
 
 
 def generate_algebra(
@@ -203,14 +275,8 @@ def generate_algebra(
     """
     if mode not in ("algebra", "cstar"):
         raise ValueError(f"unknown mode {mode!r}")
-    gens = [as_matrix(g, "generator") for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].shape[0]
-    if any(g.shape[0] != n for g in gens):
-        raise ValueError("generators must share one ambient dimension")
-
-    seed = np.array(gens)
+    seed = _generator_stack(generators)
+    n = seed.shape[1]
     if mode == "cstar":
         seed = np.concatenate([seed, dagger(seed)])
     if with_identity:
@@ -334,11 +400,10 @@ def a_h(
     if herm:
         # range [h_1 ... h_k] = ker([h_1 ... h_k]*)^perp
         q, _ = _kernel_complement_projection(dagger(np.hstack(herm)))
-        ok, residual = contains(a, q, tol)
-        if not ok:
+        if not _in(a, q, tol):
             raise ArithmeticError(
                 "the range projection of the Hermitian elements of A is not in A "
-                f"(residual {residual:.2e})"
+                f"(residual {contains(a, q, tol)[1]:.2e})"
             )
     corner = orthonormalize(q @ a.basis @ q)
     return _algebra(corner, (a.label + "_H") if a.label else "", tol), q

@@ -23,12 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, _require_in, contains, cstar, identity_of, unitize
+from .algebra import MatrixAlgebra, _in, _require_in, contains, cstar, identity_of, unitize
 from .cones import f_membership, support_function
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
+    _norm_floor_one,
     _require_positive,
+    _within,
     as_matrix,
     dagger,
     im_part,
@@ -74,7 +76,7 @@ def _require_unital(a: MatrixAlgebra, tol: Tolerances) -> np.ndarray:
     e = identity_of(a, tol)
     if e is None:
         raise ValueError("this solver needs a unital algebra")
-    if op_norm(e - dagger(e)) > tol.eq_tol:
+    if not _within(e - dagger(e), tol.eq_tol):
         raise ValueError("this solver needs a Hermitian unit (an identity of norm 1)")
     return e
 
@@ -88,7 +90,7 @@ def _require_small_psd_in_cstar(a: MatrixAlgebra, m: np.ndarray, name: str, tol:
     """m Hermitian PSD in C*(A) with ||m|| < 1 (domination, near-positive
     interpolation); returns ||m||."""
     norm = op_norm(m)
-    if op_norm(m - dagger(m)) > tol.eq_tol * max(1.0, norm):
+    if not _within(m - dagger(m), tol.eq_tol * max(1.0, norm)):
         raise ValueError(f"{name} must be Hermitian")
     if min_real_eig(m) < -tol.psd_slack:
         raise ValueError(f"{name} must be positive semidefinite")
@@ -103,9 +105,9 @@ def _require_commuting(a: MatrixAlgebra, q: np.ndarray, b: np.ndarray, tol: Tole
     (peak interpolation, Tietze lifts)."""
     _require_projection_in(unitize(a, tol), q, "q", tol)
     _require_in(a, b, "b", tol)
-    if op_norm(b @ q - q @ b) > tol.eq_tol * max(1.0, op_norm(b)):
+    if not _within(b @ q - q @ b, tol.eq_tol * _norm_floor_one(b)):
         raise ValueError("b must commute with q")
-    if op_norm(b @ q) > 1.0 + tol.eq_tol:
+    if not _within(b @ q, 1.0 + tol.eq_tol):
         raise ValueError("||b q|| <= 1 is required")
 
 
@@ -267,7 +269,7 @@ def _decompose(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     b = as_matrix(prob["b"])
     e = _require_unital(a, tol)
     _require_in(a, b, "b", tol)
-    if op_norm(b) >= 1.0 - tol.eq_tol:
+    if not _within(b, np.nextafter(1.0 - tol.eq_tol, -np.inf)):  # ||b|| < 1 - eq_tol
         raise ValueError("decomposition needs ||b|| < 1 strictly")
     x = a.project((e + b) / 2.0)
     y = x - b
@@ -323,7 +325,7 @@ def _urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     if min_real_eig(u - q) < -tol.psd_slack:
         raise ValueError("u must dominate q")
     x = a.project(q)
-    u_in_a = contains(a, u, tol)[0]
+    u_in_a = _in(a, u, tol)
     return (x,), _verify(_check_urysohn(x, q, u, u_in_a, eps, near_eps, tol), "urysohn_interpolate")
 
 
@@ -379,7 +381,7 @@ def strict_urysohn(
 def _peak(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     q, b = as_matrix(prob["q"]), as_matrix(prob["b"])
     _require_commuting(a, q, b, tol)
-    if op_norm((_eye(a.ambient_dim) - 2.0 * b) @ q) > 1.0 + tol.eq_tol:
+    if not _within((_eye(a.ambient_dim) - 2.0 * b) @ q, 1.0 + tol.eq_tol):
         raise ValueError("||(1 - 2b) q|| <= 1 is required")
     g = a.project(b @ q)
     return (g,), _verify(_check_peak(g, q, b, tol), "peak_interpolate")

@@ -5,7 +5,8 @@ is the bottom layer and the one home of the subspace kernels the others
 share: ``range_basis`` (eigenvectors of Re p above 1/2),
 ``_kernel_complement_projection`` (ker(m)^perp by singular values),
 ``_unit_defect`` (distance of e from a two-sided identity on a stack), and
-the norm verdicts ``_within`` (``op_norm(m) <= bound``) and ``_unit_within``
+the norm verdicts ``_within`` (``op_norm(m) <= bound``, and through it
+``_norm_floor_one``, ``max(1, op_norm(m))``) and ``_unit_within``
 (``_unit_defect(e, stack) <= bound``), which settle most calls by the
 Frobenius norm and run the SVD only when it cannot, and the one-sided
 conditioning verdict ``_cond_surely_within`` (``cond(m) <= bound`` from m
@@ -99,7 +100,7 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     m = np.asarray(obj, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):  # complex isfinite checks both parts
+    if not np.isfinite(m).all():  # complex isfinite checks both parts
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -226,6 +227,12 @@ def _within(m: np.ndarray, bound: float) -> bool:
         if math.sqrt(max(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN) > bound * math.sqrt(min(m.shape)):
             return False
     return op_norm(m) <= bound
+
+
+def _norm_floor_one(m: np.ndarray) -> float:
+    """``max(1, op_norm(m))``; 1 without the SVD when ``_within(m, 1)``
+    settles it."""
+    return 1.0 if _within(m, 1.0) else op_norm(m)
 
 
 def _unit_within(e: np.ndarray, stack: np.ndarray, bound: float) -> bool:
