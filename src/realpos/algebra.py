@@ -7,9 +7,13 @@ unitization, matrix amplification, the C*-algebra ``cstar(A)`` it generates
 and the largest unital corner ``q A q`` are all computed against that basis.
 
 Every builder decides ``contains_identity`` by one rule, the verdict of
-``contains(A, I, tol)``, before it constructs the algebra.
+``contains(A, I, tol)``, as it constructs the algebra.
 ``MatrixAlgebra.residual`` measures a whole stack's distance from the span at
-once, for gates.
+once, for gates.  A precondition that needs only the verdict of ``contains``
+takes it from ``_in``, whose norm verdicts (``matrices._within``) settle most
+inputs without an SVD; the residual is computed only for the error message.
+Generators are validated as one stack, and a span refuses a seed whose
+Frobenius norm is above ``NORM_CAP``, where its square overflows.
 
 Algebra JSON is either ``{"ambient": n, "basis": [matrix, ...]}`` or
 ``{"generators": [matrix, ...], "mode": "algebra"|"cstar",
@@ -189,6 +193,7 @@ class MatrixAlgebra:
 
 
 def _member_of(a: MatrixAlgebra, m) -> np.ndarray:
+    """m as a matrix of A's ambient dimension."""
     m = as_matrix(m)
     if m.shape[0] != a.ambient_dim:
         raise ValueError("dimension mismatch between algebra and matrix")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import re
 import tracemalloc
 import warnings
 
@@ -9,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realpos import algebra as algebra_module
+from realpos import interp, suites
 from realpos.algebra import (
+    NORM_CAP,
     RANK_TOL,
     MatrixAlgebra,
     _extend,
@@ -30,8 +35,10 @@ from realpos.algebra import (
     unitize,
     upper_triangular_algebra,
 )
-from realpos.generators import gen_accretive, gen_algebra, gen_unitary
+from realpos.cli import main
+from realpos.generators import ALGEBRA_KINDS, gen_accretive, gen_algebra, gen_unitary
 from realpos.matrices import (
+    DEFAULT_TOL,
     SINGULAR_RTOL,
     ZERO_FLOOR,
     Tolerances,
@@ -601,3 +608,200 @@ def test_algebra_names_and_json():
     named = algebra_from_json({"generators": [{"n": 1, "entries": [[2.0, 0.0]]}], "label": "N"})
     assert named.label == "N" and a_h(named)[0].label == "N_H"
     assert algebra_from_json({"basis": [{"n": 1, "entries": [[1.0, 0.0]]}]}).label == "span"
+
+
+# -- the algebra layer keeps its bits ----------------------------------------
+
+
+def _extend_by_linalg_norm(rows, dim, cands):
+    # _extend as it stood with np.linalg.norm for every norm and its
+    # projection passes run against no rows too; every basis, value,
+    # residual and verdict of the algebra layer must keep its bits
+    scale = np.linalg.norm(cands, axis=1)
+    b = rows[:dim]
+    for _ in range(2):
+        cands = cands - (cands @ np.conj(b).T) @ b
+    alive = np.linalg.norm(cands, axis=1) > RANK_TOL * np.maximum(1.0, scale)
+    start = dim
+    for v, s in zip(cands[alive], scale[alive]):
+        if dim == len(rows):
+            break
+        b = rows[start:dim]
+        for _ in range(2):
+            v = v - b.T @ np.conj(b @ np.conj(v))
+        r = float(np.linalg.norm(v))
+        if r > RANK_TOL * max(1.0, s):
+            rows[dim] = v / r
+            dim += 1
+    return dim
+
+
+def _rotated_sets(n, seed):
+    # ROADMAP item 4's sets: two D g_k D^-1, g_k random complex upper
+    # triangular and D = diag(logspace(0, s, n)), plain and rotated
+    rng = np.random.default_rng(seed)
+    u = gen_unitary(n, seed + 5)
+    for s in (0.0, -3.0, -6.0):
+        d = np.diag(np.logspace(0, s, n))
+        gens = [d @ np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) @ np.linalg.inv(d)
+                for _ in range(2)]
+        yield gens
+        yield [u @ g @ dagger(u) for g in gens]
+
+
+def _generator_sets():
+    for n in range(1, 7):
+        for kinds in (["accretive"], ["nilpotent"], ["rank-one"], ["accretive", "nilpotent"],
+                      ["rank-one", "nilpotent"]):
+            yield [_generator(kind, n, 700 + 10 * n + j) for j, kind in enumerate(kinds)]
+        yield from _rotated_sets(n, 770 + n)
+
+
+def _bits(x):
+    # an algebra, a matrix, a check value or a tuple of them, bit for bit
+    if isinstance(x, MatrixAlgebra):
+        return (x.ambient_dim, x.basis.shape, x.basis.tobytes(), x.contains_identity, x.label)
+    if isinstance(x, np.ndarray):
+        return (x.shape, x.tobytes())
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(y) for y in x)
+    return x
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return _bits(fn(*args, **kwargs))
+    except (ValueError, ArithmeticError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _derived(alg):
+    return [_outcome(fn, alg) for fn in (cstar, unitize, lambda a: amplify(a, 2), a_h, identity_of)]
+
+
+def _algebra_layer_outputs():
+    out = []
+    for gens in _generator_sets():
+        for mode in ("algebra", "cstar"):
+            for with_identity in (False, True):
+                out.append(_outcome(generate_algebra, gens, mode=mode, with_identity=with_identity))
+        out.append(_outcome(orthonormalize, gens))
+        out += _derived(generate_algebra(gens))
+    for kind in ALGEBRA_KINDS:  # the four canned kinds and oa
+        for n in range(1, 7):
+            alg = gen_algebra(kind, n, 790 + n)
+            out += [_bits(alg)] + _derived(alg)
+    for theorem, spec in interp.THEOREMS.items():  # the seven solvers on A11's instances
+        for k in range(12):
+            inst = suites._case_seed(0, sum(map(ord, theorem)) % 997 + 31 * k)
+            alg, problem = suites._interp_instance(theorem, k, inst, DEFAULT_TOL)
+            out.append(_outcome(spec.solve, alg, problem, DEFAULT_TOL))
+    return out
+
+
+def test_the_algebra_layer_keeps_the_bits_of_linalg_norm(monkeypatch):
+    got = _algebra_layer_outputs()
+    with monkeypatch.context() as m:
+        m.setattr(algebra_module, "_extend", _extend_by_linalg_norm)
+        want = _algebra_layer_outputs()
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g == w, k
+
+
+# -- generator validation ----------------------------------------------------
+
+_NAN, _INF = np.diag([1.0, np.nan]), np.full((2, 2), np.inf)
+# generator lists whose first generator at fault decides the message
+_GENERATOR_FAULTS = {
+    "non-square": ([np.ones((2, 3))], "generator must be square, got shape (2, 3)"),
+    "non-square pair": ([np.ones((3, 2)), np.ones((3, 2))], "generator must be square, got shape (3, 2)"),
+    "non-finite": ([np.eye(2), _NAN], "generator has non-finite entries"),
+    "mixed dimensions": ([np.eye(2), np.eye(3)], "generators must share one ambient dimension"),
+    "empty": ([], "need at least one generator"),
+    "non-square, then non-finite": ([np.ones((2, 3)), _INF], "generator must be square, got shape (2, 3)"),
+    "non-finite, then non-square": ([_NAN, np.ones((2, 3))], "generator has non-finite entries"),
+    "non-finite, then non-finite": ([_INF, _NAN], "generator has non-finite entries"),
+    "mixed dimensions, then non-finite": ([np.eye(3), np.eye(2), _INF], "generator has non-finite entries"),
+    "mixed dimensions, then non-square": ([np.eye(2), np.eye(3), np.ones((3, 2))],
+                                          "generator must be square, got shape (3, 2)"),
+}
+
+
+def _as_ndarray(mats):
+    # one stack when the shapes agree, an object array of them when not
+    if not mats:
+        return np.empty((0, 2, 2))
+    if len({m.shape for m in mats}) == 1:
+        return np.array(mats)
+    stack = np.empty(len(mats), dtype=object)
+    for k, m in enumerate(mats):
+        stack[k] = m
+    return stack
+
+
+@pytest.mark.parametrize("mats, message", _GENERATOR_FAULTS.values(), ids=_GENERATOR_FAULTS.keys())
+@pytest.mark.parametrize("given_as", [list, _as_ndarray])
+def test_generator_faults_keep_their_messages(mats, message, given_as):
+    with pytest.raises(ValueError) as exc:
+        generate_algebra(given_as(mats))
+    assert str(exc.value) == message
+
+
+def test_every_generator_container_gives_one_algebra():
+    gens = [gen_accretive(3, 11), _generator("nilpotent", 3, 12)]
+    want = _bits(generate_algebra(gens))
+    square_objects = np.empty(2, dtype=object)  # square matrices that np.asarray does not stack
+    square_objects[0], square_objects[1] = gens
+    for given in (tuple(gens), iter(gens), np.array(gens), square_objects, [g.tolist() for g in gens]):
+        assert _bits(generate_algebra(given)) == want
+
+
+@pytest.mark.parametrize("generators, message", [
+    ([np.eye(2), np.eye(3)], "generators must share one ambient dimension"),
+    ([], "need at least one generator"),
+    ([np.diag([1.0, np.nan])], "matrix has non-finite entries"),  # refused as matrix JSON
+    ([np.diag([np.nan, 1.0]), np.eye(3)], "matrix has non-finite entries"),
+])
+def test_generator_faults_exit_2_from_the_cli(tmp_path, capsys, generators, message):
+    path = tmp_path / "gens.json"
+    entries = [{"n": len(g), "entries": [[z.real, z.imag] for z in np.ravel(g).astype(complex)]} for g in generators]
+    path.write_text(json.dumps({"generators": entries}))  # NaN is written as a bare NaN
+    for op in ("generate", "identity"):
+        assert main(["algebra", op, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# -- seeds whose norm overflows ----------------------------------------------
+
+_OVERFLOWS = {
+    "generate": lambda m: generate_algebra([m]),
+    "generate with identity": lambda m: generate_algebra([m], with_identity=True),
+    "generate cstar": lambda m: generate_algebra([np.eye(m.shape[0]), m], mode="cstar"),
+    "orthonormalize": lambda m: orthonormalize([m]),
+    "span": lambda m: span_algebra([m]),
+}
+
+
+@pytest.mark.parametrize("build", _OVERFLOWS.values(), ids=_OVERFLOWS.keys())
+@pytest.mark.parametrize("m", [1e200 * unit(2, 0, 0), np.full((16, 16), 1e153), np.array([[1.4e154]])],
+                         ids=["1e200 E11", "1e153 at n = 16", "1.4e154 at n = 1"])
+def test_a_seed_whose_norm_overflows_is_refused(build, m):
+    # its norm would read inf, and the rank test would drop it: a silent zero algebra
+    with pytest.raises(ValueError, match=re.escape(f"Frobenius norm above {NORM_CAP:.3g}, where its square overflows")):
+        build(m)
+
+
+def test_a_large_seed_below_the_cap_still_spans():
+    for m in (np.full((2, 2), 1e153), np.array([[1e154]]), 1e150 * unit(3, 0, 1)):
+        assert generate_algebra([m]).dim == 1 and orthonormalize([m]).shape[0] == 1
+    assert NORM_CAP == np.sqrt(np.finfo(float).max)
+
+
+def test_an_overflowing_generator_exits_2_from_the_cli(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"generators": [{"n": 2, "entries": [[1e308, 0], [1e308, 0], [0, 0], [0, 0]]}]}))
+    assert main(["algebra", "generate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: matrix 0 has a Frobenius norm above {NORM_CAP:.3g}, where its square overflows\n"

@@ -588,3 +588,90 @@ def test_region_half_planes_are_computed_once():
     region = ConvexRegion(np.array([0 - 0.25j, 1 - 0.25j, 1 + 0.25j, 1 + 0.25j, 0 + 0.25j]))
     planes = region.half_planes()
     assert planes is region.half_planes() and len(planes) == 4  # the repeated vertex has no edge
+
+
+# -- preconditions settle by norm verdicts -----------------------------------
+
+
+def _count_svds(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+# SVDs per solve on A11's instances at seed 0, k = 0..7 (the solvers made 8,
+# 9, 8 and 12 when ||m|| and each residual of a precondition took an SVD)
+_SOLVER_SVDS = {
+    "dominate": (lambda a, p: dominate(a, p["b"], p["eps"]), 4),
+    "decompose": (lambda a, p: decompose(a, p["b"]), 5),
+    "np": (lambda a, p: interp_np(a, p["c"], p["near_eps"]), 4),
+    "peak": (lambda a, p: peak_interpolate(a, p["q"], p["b"]), 5),
+}
+
+
+def test_preconditions_settle_membership_without_svds(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    full = full_algebra(3)
+    for m in (0.3 * full.basis[4], 0.5 * np.eye(3) + 0.1j * unit(3, 2, 0), np.zeros((3, 3))):
+        calls.clear()
+        algebra._require_in(full, m, "m", DEFAULT_TOL)  # a member with ||m||_F < 1
+        assert calls == []  # 2 when ||m|| and the residual took an SVD each
+    for theorem, (solver, count) in _SOLVER_SVDS.items():
+        for k in range(8):
+            inst = suites._case_seed(0, sum(map(ord, theorem)) % 997 + 31 * k)
+            alg, problem = suites._interp_instance(theorem, k, inst, DEFAULT_TOL)
+            calls.clear()
+            solver(alg, problem)
+            assert len(calls) == count, (theorem, k)
+
+
+def test_a_non_member_keeps_its_message_and_verdict():
+    # m = E11 + t E21 in upper:2 has residual t and ||m|| = sqrt(1 + t^2), so
+    # t around eq_tol puts the verdict at its threshold, plain and rotated
+    w = gen_unitary(2, 9)
+    up, rotated = upper_triangular_algebra(2), generate_algebra([w @ b @ dagger(w) for b in
+                                                                 upper_triangular_algebra(2).basis])
+    eq_tol, verdicts = DEFAULT_TOL.eq_tol, set()
+    for t in [eq_tol * (1.0 + k * 2.0 ** -52) for k in range(-4, 5)] + [0.5, 2.0]:
+        m = unit(2, 0, 0) + t * unit(2, 1, 0)
+        for alg, x in ((up, m), (rotated, w @ m @ dagger(w))):
+            inside, residual = contains(alg, x)
+            verdicts.add(inside)
+            try:
+                algebra._require_in(alg, x, "b", DEFAULT_TOL)
+            except ValueError as exc:
+                assert not inside and str(exc) == f"b is not in the algebra (residual {residual:.2e})"
+            else:
+                assert inside
+            if not inside:
+                with pytest.raises(ValueError) as exc:
+                    decompose(alg, x)
+                assert str(exc.value) == f"b is not in the algebra (residual {residual:.2e})"
+    assert verdicts == {True, False}
+    with pytest.raises(ValueError) as exc:
+        decompose(up, 0.5 * unit(2, 1, 0))
+    assert str(exc.value) == "b is not in the algebra (residual 5.00e-01)"
+
+
+def test_decompose_refuses_a_norm_at_one_minus_eq_tol_and_not_below():
+    # ||b|| < 1 - eq_tol strictly: b = t E11 plain and rotated, t from a few
+    # floats below the bound to a few above, each decided as op_norm(b) >= bound
+    w = gen_unitary(2, 10)
+    full, bound = full_algebra(2), 1.0 - DEFAULT_TOL.eq_tol
+    refused = set()
+    for k in range(-3, 4):
+        t = bound
+        for _ in range(abs(k)):
+            t = np.nextafter(t, np.inf if k > 0 else 0.0)
+        for b in (t * unit(2, 0, 0), w @ (t * unit(2, 0, 0)) @ dagger(w), t * np.eye(2)):
+            too_big = op_norm(b) >= bound
+            refused.add(too_big)
+            if too_big:
+                with pytest.raises(ValueError) as exc:
+                    decompose(full, b)
+                assert str(exc.value) == "decomposition needs ||b|| < 1 strictly"
+            else:
+                x, y = decompose(full, b)
+                assert op_norm(b - (x - y)) <= 1e-12
+    assert refused == {True, False}
