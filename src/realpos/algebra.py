@@ -211,7 +211,7 @@ def contains(
 
 def _in(a: MatrixAlgebra, m, tol: Tolerances) -> bool:
     """The verdict of ``contains(a, m, tol)`` alone, by norm verdicts: the
-    residual is compared by ``_within`` with ``eq_tol _norm_floor_one(m)``,
+    residual is compared by ``_within`` with ``eq_tol * _norm_floor_one(m)``,
     so a member of Frobenius norm below 1 costs no SVD."""
     m = _member_of(a, m)
     return _within(m - a.project(m), tol.eq_tol * _norm_floor_one(m))
