@@ -12,7 +12,11 @@ Every builder decides ``contains_identity`` by one rule, the verdict of
 once, for gates.  A precondition that needs only the verdict of ``contains``
 takes it from ``_in``, whose norm verdicts (``matrices._within``) settle most
 inputs without an SVD; the residual is computed only for the error message.
-Generators are validated as one stack, and a span refuses a seed whose
+``generate_algebra`` validates the caller's generators one by one and
+hands them to ``_closure``, the one closure routine; ``cstar`` hands it A's
+own basis and its adjoints, which are trusted and not validated again.
+Products with a stack go through its column block (``_columns``), formed
+once per stack.  A span refuses a seed with a NaN or inf entry, or whose
 Frobenius norm is above ``NORM_CAP``, where its square overflows.
 
 Algebra JSON is either ``{"ambient": n, "basis": [matrix, ...]}`` or
@@ -88,8 +92,9 @@ def _extend(rows: np.ndarray, dim: int, cands: np.ndarray) -> int:
     The norms are ``np.linalg.norm``'s own operations, and a pass against no
     rows, an exact no-op, is skipped.  Only seeds enter on the empty basis
     (the closure sweeps' products of unit rows and ``unitize``'s I cannot
-    overflow), and there a candidate whose squared norm overflows raises
-    ``ValueError``: its norm would read inf and drop it from the span.
+    overflow), and there a candidate with a NaN or inf entry, or whose
+    squared norm overflows, raises ``ValueError``: its norm would read NaN or
+    inf and drop it from the span.
     """
     if dim:
         scale = _row_norms(cands)
@@ -98,11 +103,14 @@ def _extend(rows: np.ndarray, dim: int, cands: np.ndarray) -> int:
             cands = cands - (cands @ np.conj(b).T) @ b
         residual = _row_norms(cands)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf entries make inf norms
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf entries make NaN and inf norms
             scale = residual = _row_norms(cands)
-        big = np.flatnonzero(scale == math.inf)
-        if big.size:
-            raise ValueError(f"matrix {big[0]} has a Frobenius norm above {NORM_CAP:.3g}, "
+        bad = np.flatnonzero(~np.isfinite(scale))
+        if bad.size:
+            k = bad[0]
+            if not np.isfinite(cands[k]).all():
+                raise ValueError(f"matrix {k} has non-finite entries")
+            raise ValueError(f"matrix {k} has a Frobenius norm above {NORM_CAP:.3g}, "
                              "where its square overflows")
     alive = residual > RANK_TOL * np.maximum(1.0, scale)
     start = dim
@@ -124,7 +132,8 @@ def _extend(rows: np.ndarray, dim: int, cands: np.ndarray) -> int:
 def orthonormalize(mats) -> np.ndarray:
     """Orthonormal ``(dim, n, n)`` basis of span(mats), a ``(k, n, n)`` stack or
     list, by ``_extend`` from the empty basis; an empty stack keeps its n.
-    ``ValueError`` for a matrix whose Frobenius norm is above ``NORM_CAP``."""
+    ``ValueError`` for a matrix with a NaN or inf entry or whose Frobenius
+    norm is above ``NORM_CAP``."""
     mats = np.asarray(mats, dtype=complex)
     n = mats.shape[-1] if mats.ndim == 3 else 0  # an empty list carries no n
     rows = np.empty((min(len(mats), n * n), n * n), dtype=complex)  # flattened, orthonormal
@@ -132,10 +141,17 @@ def orthonormalize(mats) -> np.ndarray:
     return rows[:dim].reshape(dim, n, n)
 
 
-def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The products ``l r`` of a (p, n, n) and a (q, n, n) stack, l-major, by one GEMM."""
-    p, q, n = len(left), len(right), right.shape[-1]
-    cols = right.transpose(1, 0, 2).reshape(n, q * n)  # [r_1 ... r_q]
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """The ``(n, q n)`` column block ``[r_1 ... r_q]`` of a (q, n, n) stack."""
+    q, n = len(stack), stack.shape[-1]
+    return stack.transpose(1, 0, 2).reshape(n, q * n)
+
+
+def _products(left: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The products ``l r`` of a (p, n, n) stack and the stack whose column
+    block ``_columns`` gives ``cols``, l-major, by one GEMM."""
+    p, n = len(left), len(cols)
+    q = cols.shape[1] // n
     return (left.reshape(p * n, n) @ cols).reshape(p, n, q, n).transpose(0, 2, 1, 3).reshape(p * q, n, n)
 
 
@@ -189,7 +205,8 @@ class MatrixAlgebra:
 
     def closure_defect(self) -> float:
         """Largest residual of a basis product outside the span, by left factor."""
-        return max((self.residual(_products(b[None], self.basis)) for b in self.basis), default=0.0)
+        cols = _columns(self.basis)
+        return max((self.residual(_products(b[None], cols)) for b in self.basis), default=0.0)
 
 
 def _member_of(a: MatrixAlgebra, m) -> np.ndarray:
@@ -238,31 +255,6 @@ def _algebra(basis: np.ndarray, label: str, tol: Tolerances) -> MatrixAlgebra:
     return alg
 
 
-def _generator_stack(generators) -> np.ndarray:
-    """The generators as one ``(k, n, n)`` complex stack, validated at once.
-    Anything else is refused with the message of the first generator at
-    fault, as ``as_matrix`` gives it one by one, or for an empty list or
-    mixed dimensions."""
-    if not isinstance(generators, np.ndarray):
-        generators = list(generators)  # an iterator is read once
-    try:
-        stack = np.asarray(generators, dtype=complex)
-    except (TypeError, ValueError):  # ragged, or an entry that is no number
-        stack = np.empty(0)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        # one by one: the first generator at fault raises, and square ones
-        # that did not stack (an object array) are stacked here
-        gens = [as_matrix(g, "generator") for g in generators]
-        if len({g.shape for g in gens}) > 1:
-            raise ValueError("generators must share one ambient dimension")
-        stack = np.array(gens, dtype=complex)
-    if not np.isfinite(stack).all():
-        raise ValueError("generator has non-finite entries")
-    if not len(stack):
-        raise ValueError("need at least one generator")
-    return stack
-
-
 def generate_algebra(
     generators,
     mode: str = "algebra",
@@ -270,38 +262,53 @@ def generate_algebra(
     tol: Tolerances = DEFAULT_TOL,
     label: str = "",
 ) -> MatrixAlgebra:
-    """Span closure of words in the generators.
+    """Span closure of words in the generators (``_closure``), each validated
+    by ``as_matrix``.
 
     ``mode='cstar'`` also includes the adjoints of the generators, so the
     result is the C*-algebra they generate.  ``with_identity`` adjoins the
-    ambient identity.  Each sweep takes the basis b_1..b_d it starts from and,
-    for a = 1..d in turn, ``_extend``s it by b_a b_1, ..., b_a b_d (one GEMM).
-    It stops after a sweep that adds nothing, or at once at a basis of M_n.
+    ambient identity.
     """
     if mode not in ("algebra", "cstar"):
         raise ValueError(f"unknown mode {mode!r}")
-    seed = _generator_stack(generators)
-    n = seed.shape[1]
+    gens = [as_matrix(g, "generator") for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    n = gens[0].shape[0]
+    if any(g.shape[0] != n for g in gens):
+        raise ValueError("generators must share one ambient dimension")
+    seed = np.array(gens)
     if mode == "cstar":
         seed = np.concatenate([seed, dagger(seed)])
     if with_identity:
         seed = np.concatenate([seed, np.eye(n, dtype=complex)[None]])
+    return _closure(seed, label, tol)
 
+
+def _closure(seed: np.ndarray, label: str, tol: Tolerances) -> MatrixAlgebra:
+    """The algebra generated by a finite ``(k, n, n)`` seed, not validated.
+    Each sweep takes the basis b_1..b_d it starts from and, for a = 1..d in
+    turn, ``_extend``s it by b_a b_1, ..., b_a b_d (one GEMM on its column
+    block).  It stops after a sweep that adds nothing, or at once at a basis
+    of M_n; an empty or zero seed gives the zero algebra."""
+    n = seed.shape[-1]
     rows = np.empty((n * n, n * n), dtype=complex)  # flattened, orthonormal
     dim, top = _extend(rows, 0, seed.reshape(len(seed), n * n)), 0
-    while top < dim < n * n:  # zero generators generate the zero algebra
+    while top < dim < n * n:
         top = dim
         basis = rows[:top].reshape(top, n, n)
+        cols = _columns(basis)
         for b in basis:
-            dim = _extend(rows, dim, _products(b[None], basis).reshape(top, n * n))
+            dim = _extend(rows, dim, _products(b[None], cols).reshape(top, n * n))
             if dim == n * n:
                 break
     return _algebra(rows[:dim].reshape(dim, n, n), label, tol)
 
 
 def cstar(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
-    """C*(A), the C*-algebra generated by A: the span closure of A and A*."""
-    return generate_algebra(a.basis, mode="cstar", tol=tol)
+    """C*(A), the C*-algebra generated by A: the closure of A's own basis and
+    its adjoints, which need no validation; C*(0) = 0."""
+    return _closure(np.concatenate([a.basis, dagger(a.basis)]), "", tol)
 
 
 def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
@@ -320,7 +327,7 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     if d == 0:
         return None
     flat = a.basis.reshape(d, n * n)
-    cols = a.basis.transpose(1, 0, 2).reshape(n, d * n)  # [b_1 ... b_d]
+    cols = _columns(a.basis)
     w = cols @ dagger(cols)
     gram = np.conj(flat) @ (a.basis.reshape(d * n, n) @ w).reshape(d, n * n).T
     c, *_ = np.linalg.lstsq(gram, np.conj(flat) @ w.reshape(n * n), rcond=None)
@@ -349,8 +356,9 @@ def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
 
 
 def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
-    """The algebra of k x k block matrices with blocks in A."""
-    if k <= 0:
+    """The algebra of k x k block matrices with blocks in A; k is a positive
+    integer, a Python or numpy one but not a bool."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
         raise ValueError("k must be a positive integer")
     n = a.ambient_dim
     check_dim(k * n, f"the {k}-fold amplification")
@@ -473,7 +481,8 @@ def span_algebra(mats, tol: Tolerances = DEFAULT_TOL, label: str = "span") -> Ma
 
 
 def algebra_from_name(name: str) -> MatrixAlgebra:
-    """Resolve canned names: full:n, upper:n, diag:n, blockupper:n1,n2.
+    """Resolve canned names: full:n, upper:n, diag:n, blockupper:n1,n2 with
+    n1, n2 >= 1.
 
     The ambient dimension is checked against ``REALPOS_MAX_DIM`` before the
     basis (n**2 matrices of size n for ``full:n``) is built.
@@ -486,7 +495,7 @@ def algebra_from_name(name: str) -> MatrixAlgebra:
         dims = [int(s) for s in arg.split(",")]
     except ValueError as exc:
         raise ValueError(malformed) from exc
-    if len(dims) != (2 if kind == "blockupper" else 1):
+    if len(dims) != (2 if kind == "blockupper" else 1) or (kind == "blockupper" and min(dims) < 1):
         raise ValueError(malformed)
     check_dim(sum(dims), f"algebra {name!r}")
     try:

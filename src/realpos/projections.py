@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _algebra, _products, _require_in, orthonormalize
+from .algebra import _algebra, _columns, _products, _require_in, orthonormalize
 from .matrices import (
     DEFAULT_TOL,
     SINGULAR_RTOL,
@@ -373,7 +373,8 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
     ideal = _algebra(orthonormalize(np.concatenate([x @ a, x[None]])), "xA+Cx", tol)
 
     d = hsa.basis
-    worst = max((hsa.residual(_products(_products(b[None], a), d)) for b in d), default=0.0)
+    a_cols, d_cols = _columns(a), _columns(d)
+    worst = max((hsa.residual(_products(_products(b[None], a_cols), d_cols)) for b in d), default=0.0)
     if worst > 1e-7:
         raise ArithmeticError(f"D A D escapes D (residual {worst:.2e})")
 

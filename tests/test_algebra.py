@@ -364,6 +364,55 @@ def test_cstar_spans_the_generated_c_star_algebra():
     assert diagonal_algebra(3).residual(diag.basis) <= 1e-12
 
 
+def test_cstar_closes_the_basis_without_generate_algebra(monkeypatch):
+    # A's basis is trusted: C*(A) keeps the bits of the public route, which it
+    # no longer takes
+    algebras = [upper_triangular_algebra(3), gen_algebra("oa", 4, 5), span_algebra([_E12])]
+    want = [_bits(generate_algebra(a.basis, mode="cstar")) for a in algebras]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("C*(A) validated A's basis as generators")
+
+    monkeypatch.setattr(algebra_module, "generate_algebra", refused)
+    assert [_bits(cstar(a)) for a in algebras] == want
+
+
+def test_cstar_of_the_zero_algebra_is_the_zero_algebra():
+    c = cstar(generate_algebra([np.zeros((3, 3))], label="Z"))
+    assert c.ambient_dim == 3 and c.basis.shape == (0, 3, 3)
+    assert not c.contains_identity and c.label == ""
+
+
+def test_each_closure_sweep_forms_one_column_block(monkeypatch):
+    calls, widths = [], set()
+    e12, upper = span_algebra([_E12]), upper_triangular_algebra(4)
+    columns, extend = algebra_module._columns, algebra_module._extend
+
+    def extend_recorded(rows, dim, cands):
+        if dim:  # a sweep's candidates, as many as its basis, which grows from sweep to sweep
+            widths.add(len(cands))
+        return extend(rows, dim, cands)
+
+    monkeypatch.setattr(algebra_module, "_columns", lambda stack: calls.append(len(stack)) or columns(stack))
+    monkeypatch.setattr(algebra_module, "_extend", extend_recorded)
+    cases = [(lambda: generate_algebra([_E12]), 1),  # E12^2 = 0
+             (lambda: generate_algebra([unit(3, 0, 1), unit(3, 1, 2)]), 2),  # E12 E23 = E13, then nothing
+             (lambda: generate_algebra([gen_accretive(4, 1)]), None),
+             (lambda: generate_algebra([_generator("nilpotent", 5, 3), _generator("rank-one", 5, 4)],
+                                       with_identity=True), None),
+             (lambda: cstar(e12), 1)]  # E12 E21 = E11, then all of M_2
+    for build, sweeps in cases:
+        calls.clear()
+        widths.clear()
+        build()
+        assert len(calls) == len(widths) >= 1
+        assert sweeps is None or len(calls) == sweeps
+    calls.clear()
+    upper.closure_defect()
+    identity_of(upper)
+    assert calls == [10, 10]
+
+
 def test_batched_residuals_match_their_loop_references():
     rng = np.random.default_rng(0)
     for alg in _reference_algebras() + [span_algebra([_E11, _E12]), generate_algebra([_E12])]:
@@ -792,6 +841,25 @@ def test_a_seed_whose_norm_overflows_is_refused(build, m):
         build(m)
 
 
+@pytest.mark.parametrize("mats, k", [
+    ([[[np.nan, 0], [0, 1]], np.eye(2)], 0),
+    ([np.eye(2), np.full((2, 2), np.inf)], 1),
+    ([np.eye(2), np.diag([1.0, 1j * np.inf])], 1),
+    (np.array([np.eye(2), _NAN, _INF]), 1),
+    ([_INF, 1e200 * unit(2, 0, 0)], 0),
+], ids=["NaN", "inf", "imaginary inf", "stack", "inf, then an overflow"])
+def test_a_seed_with_non_finite_entries_is_refused(mats, k):
+    # its norm would read NaN or inf: a NaN norm drops it from the span silently
+    with pytest.raises(ValueError) as exc:
+        orthonormalize(mats)
+    assert str(exc.value) == f"matrix {k} has non-finite entries"
+
+
+def test_an_overflow_before_a_non_finite_seed_names_the_overflow():
+    with pytest.raises(ValueError, match=re.escape(f"matrix 0 has a Frobenius norm above {NORM_CAP:.3g}")):
+        orthonormalize([1e200 * unit(2, 0, 0), _NAN])
+
+
 def test_a_large_seed_below_the_cap_still_spans():
     for m in (np.full((2, 2), 1e153), np.array([[1e154]]), 1e150 * unit(3, 0, 1)):
         assert generate_algebra([m]).dim == 1 and orthonormalize([m]).shape[0] == 1
@@ -805,3 +873,30 @@ def test_an_overflowing_generator_exits_2_from_the_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: matrix 0 has a Frobenius norm above {NORM_CAP:.3g}, where its square overflows\n"
+
+
+# -- entry points ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["blockupper:3,-1", "blockupper:-1,3", "blockupper:0,2", "blockupper:2,0",
+                                  "blockupper:0,0"])
+def test_block_sizes_below_one_make_a_malformed_name(name):
+    with pytest.raises(ValueError) as exc:
+        algebra_from_name(name)
+    assert str(exc.value) == f"malformed algebra name {name!r}"
+
+
+def test_a_block_size_below_one_exits_2_from_the_cli(capsys):
+    assert main(["algebra", "identity", "blockupper:3,-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: malformed algebra name 'blockupper:3,-1'\n"
+
+
+def test_amplify_takes_a_positive_integer_only():
+    a = upper_triangular_algebra(2)
+    for k in (2.5, 2.0, np.float64(2.0), True, False, "2", 0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            amplify(a, k)
+    want = _bits(amplify(a, 2))
+    for k in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert _bits(amplify(a, k)) == want
