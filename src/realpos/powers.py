@@ -29,8 +29,8 @@ roots, disk-function-calculus ordering).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import isqrt
-from numbers import Integral
+from math import isfinite, isqrt
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,15 +38,16 @@ from .cones import f_membership
 from .matrices import (
     DEFAULT_TOL,
     PIVOT_RTOL,
+    SingularMatrixError,
     Tolerances,
     _cond_surely_within,
     _require_positive,
+    _within,
     as_matrix,
     frob_norm,
     min_real_eig,
     op_norm,
     re_part,
-    solve,
 )
 
 __all__ = [
@@ -240,12 +241,20 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Z and s with s[:, :, k] = (u_k + (1 - u_k) T)^{-1} T, where x = Z T Z*
     is the complex Schur form (LAPACK zgees; Z unitary, T upper triangular).
 
+    The pivots u_k + (1 - u_k) t_ii of the triangular systems M_k = u_k +
+    (1 - u_k) T are formed once, and solve()'s rule refuses them: the first
+    node with a pivot at or below PIVOT_RTOL (u_k + (1 - u_k) ||x||_F), a
+    bound on ||M_k|| = ||u_k + (1 - u_k) x||, raises
+    :class:`SingularMatrixError` naming its row of T.  zgees and back
+    substitution are backward stable (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 8), so a node that passes is served as well
+    as by an LU solve.
+
     Every node's system shares the off-diagonal coefficients of T, so back
     substitution takes row i of all of them at once: one matrix-vector
     product with the rows below it.  Each S_k is upper triangular, like T
     (zgees leaves its strictly lower triangle exactly 0), so only that
-    triangle is computed, in place; the lower one stays 0.  The caller
-    guarantees nonzero diagonals u_k + (1 - u_k) t_ii.
+    triangle is computed, in place; the lower one stays 0.
     """
     import scipy.linalg  # kept off the import path, like solve()'s
 
@@ -253,66 +262,46 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     t, z = scipy.linalg.schur(x, output="complex", check_finite=False)
     n, k = x.shape[0], len(u)
     v = 1.0 - u
+    d = np.multiply(v, np.diag(t)[:, None])
+    np.add(u, d, out=d)
+    scale = u + v * frob_norm(x)
+    bad = np.abs(d) <= PIVOT_RTOL * scale
+    if bad.any():
+        node = int(bad.any(axis=0).argmax())
+        row = int(bad[:, node].argmax())
+        raise SingularMatrixError(row, float(abs(d[row, node])), float(scale[node]))
     s = np.zeros((n, n, k), dtype=complex)
-    d = np.empty(k, dtype=complex)
     buf = np.empty(n * k, dtype=complex)
     for i in range(n - 1, -1, -1):
         m = n - i - 1
-        np.multiply(v, t[i, i], out=d)
-        np.add(u, d, out=d)
-        np.divide(t[i, i], d, out=s[i, i])
+        np.divide(t[i, i], d[i], out=s[i, i])
         if m:
             # s[i+1:, i+1:] merges to an (m, m k) view with row stride n k
             below = np.matmul(t[i, i + 1:], s[i + 1:, i + 1:].reshape(m, m * k),
                               out=buf[:m * k]).reshape(m, k)
             np.multiply(v, below, out=below)
             np.subtract(t[i, i + 1:, None], below, out=below)
-            np.divide(below, d, out=s[i, i + 1:])
+            np.divide(below, d[i], out=s[i, i + 1:])
     return z, s
 
 
-def _balakrishnan_sums(
-    x: np.ndarray, r: float, nodes: int, margin: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _balakrishnan_sums(x: np.ndarray, r: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``nodes``-point rule and the ``nodes // 2``-point rule, whose
-    1.5 ``nodes`` resolvents come from one Schur form of x in the usual
-    case (see :func:`_schur_resolvents`) and from solve() node by node
-    otherwise."""
+    1.5 ``nodes`` resolvents, fine rule first, come from one Schur form of x
+    (see :func:`_schur_resolvents`, which refuses a node by its pivots)."""
     # After t = u/(1-u) and u = (1+xi)/2 the integral becomes a Gauss-Jacobi
     # quadrature with weight (1-xi)^{-r} (1+xi)^{r-1}; the smooth factor is
     # F(u) = (u + (1-u) x)^{-1} x.
     (xi, w), (xi_c, w_c) = _jacobi_rule(nodes, r), _jacobi_rule(nodes // 2, r)
     u = (1.0 + np.concatenate([xi, xi_c])) / 2.0
     n = x.shape[0]
-    # solve() rejects M_k = u_k + (1-u_k) x when an LU pivot is at most
-    # PIVOT_RTOL ||M_k||.  The Schur route shows no such pivots, so it is
-    # taken only when a bound proves that no node can fail that test:
-    # * each pivot of LU with partial pivoting is the largest entry in the
-    #   first column of a Schur complement S, and S^{-1} is a block of
-    #   M_k^{-1}, so |pivot| >= sigma_min(S)/sqrt(n) >= sigma_min(M_k)/n;
-    # * sigma_min(M_k) >= lambda_min(Re M_k) = u_k + (1-u_k) margin, since
-    #   ||M v|| >= Re<M v, v> for unit v;
-    # * ||M_k|| <= u_k + (1-u_k) ||x||_F.
-    # The factor 100 covers rounding in the bounds and in the factorization.
-    # The same bound keeps the triangular diagonals u_k + (1-u_k) lambda_i
-    # away from 0: Re lambda_i >= margin, as eigenvalues lie in the
-    # numerical range.  When any node misses the bound, every node goes
-    # through solve(), fine rule first, so the node that fails raises
-    # SingularMatrixError with its own pivot index.
-    low = (u + (1.0 - u) * margin) / n
-    high = u + (1.0 - u) * frob_norm(x)
-    if np.all(low > 100.0 * PIVOT_RTOL * high):
-        z, s = _schur_resolvents(x, u)
-    else:
-        eye = np.eye(n)
-        z, s = None, np.stack([solve((1.0 - uk) * x + uk * eye, x) for uk in u], axis=-1)
+    z, s = _schur_resolvents(x, u)
     # Both rules' sums by one product: column 0 of the weights holds the
     # fine rule's, column 1 the half-node rule's.
     weights = np.zeros((len(u), 2))
     weights[:nodes, 0], weights[nodes:, 1] = w, w_c
     sums = np.moveaxis((s.reshape(n * n, -1) @ weights).reshape(n, n, 2), -1, 0)
-    if z is not None:
-        sums = z @ sums @ z.conj().T
+    sums = z @ sums @ z.conj().T
     # sin(r pi) = sin((1 - r) pi), and for r > 1/2 the difference 1 - r is
     # exact while r * pi would round next to pi and lose eps / (1 - r).
     angle = (1.0 - r) * np.pi if r > 0.5 else r * np.pi
@@ -327,8 +316,9 @@ def power_balakrishnan(
 
     Works for defective matrices: the resolvents at the nodes are triangular
     solves in one unitary Schur form of x (backward stable, no eigenvectors
-    formed), or LU solves when the pivot bound of :func:`_balakrishnan_sums`
-    misses a node, so this route checks the spectral one independently.  The
+    formed), so this route checks the spectral one independently.  A node
+    whose triangular pivot is negligible raises :class:`SingularMatrixError`
+    naming its row of the Schur form (see :func:`_schur_resolvents`).  The
     error estimate compares against the half-node rule; the result is
     flagged uncertified when that estimate is above ``1e-6 max(1,
     ||value||_F)``, or above 1e-6 when the input sits on the accretivity
@@ -344,7 +334,7 @@ def power_balakrishnan(
         )
     _require_nodes(nodes)
     margin = _require_accretive(x, tol)
-    value, coarse = _balakrishnan_sums(x, r, nodes, margin)
+    value, coarse = _balakrishnan_sums(x, r, nodes)
     est = op_norm(value - coarse)
     # The rule integrates against the weight exponent fl(r - 1) = (r - d) - 1,
     # so the value is off by a relative d / r that the half-node estimate,
@@ -369,7 +359,7 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
     about 2 sqrt(terms) matrix products, 630 at ``MAX_TERMS``.
     """
     x = as_matrix(x)
-    if m < 2 or int(m) != m:
+    if not (isinstance(m, Real) and isfinite(m) and m >= 2 and int(m) == m):
         raise ValueError("m must be an integer >= 2")
     _require_count(terms, "terms", 1, MAX_TERMS, "series terms")
     y = np.eye(x.shape[0], dtype=complex) - x
@@ -479,7 +469,7 @@ def rescaled_root_check(x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.nda
     x = as_matrix(x)
     # power() checks accretivity; a margin below -psd_slack makes ||x|| exceed
     # psd_slack >= eq_tol, so the nonzero check cannot pre-empt that error.
-    if op_norm(x) <= tol.eq_tol:
+    if _within(x, tol.eq_tol):
         raise ValueError("x must be nonzero")
     half = power(x, 0.5, tol=tol).value
     c = (2.0 * op_norm(re_part(half))) ** 2
@@ -510,6 +500,18 @@ def _matrix_polyval(coeffs, m: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _coefficients(coeffs, name: str) -> np.ndarray:
+    """coeffs as a complex vector; ValueError naming it unless it is a
+    non-empty 1-d list of finite numbers."""
+    try:
+        c = np.asarray(coeffs, dtype=complex)
+        if c.ndim == 1 and c.size and np.isfinite(c).all():
+            return c
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a non-empty 1-d list of finite numbers")
+
+
 def disk_order_check(f_coeffs, g_coeffs, x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
     """Disk-algebra functional calculus preserves the accretive order.
 
@@ -522,12 +524,13 @@ def disk_order_check(f_coeffs, g_coeffs, x, tol: Tolerances = DEFAULT_TOL) -> tu
     exact.
     """
     x = as_matrix(x)
+    f_coeffs, g_coeffs = _coefficients(f_coeffs, "f_coeffs"), _coefficients(g_coeffs, "g_coeffs")
     eye = np.eye(x.shape[0], dtype=complex)
     if op_norm(eye - x) > 1.0 + tol.eq_tol:
         raise ValueError("disk order check needs x in F (||1 - x|| <= 1)")
     diff = np.zeros(max(len(f_coeffs), len(g_coeffs)), dtype=complex)
-    diff[: len(g_coeffs)] += np.asarray(g_coeffs, dtype=complex)
-    diff[: len(f_coeffs)] -= np.asarray(f_coeffs, dtype=complex)
+    diff[: len(g_coeffs)] += g_coeffs
+    diff[: len(f_coeffs)] -= f_coeffs
     z = np.exp(2j * np.pi * np.arange(4096) / 4096)
     premise = float(np.polynomial.polynomial.polyval(z, diff).real.min())
     conclusion = min_real_eig(_matrix_polyval(diff, eye - x))

@@ -30,6 +30,7 @@ from .matrices import (
     ZERO_FLOOR,
     Tolerances,
     _kernel_complement_projection,
+    _norm_floor_one,
     _unit_defect,
     _unit_within,
     _within,
@@ -208,7 +209,7 @@ def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     v = as_matrix(v)
     _require_accretive(a, tol)
     s = support_projection(a, method="oracle", tol=tol).proj
-    if op_norm(dagger(v) @ v - s) > 1e-7 * max(1.0, op_norm(s)):
+    if not _within(dagger(v) @ v - s, 1e-7 * _norm_floor_one(s)):
         raise ValueError("v*v must equal the support projection of a")
     integer = abs(r - round(r)) < 1e-14 and round(r) >= 1
     if not integer and not 0.0 < r < 1.0:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .matrices import DEFAULT_TOL, Tolerances, as_matrix, op_norm, solve
+from .matrices import DEFAULT_TOL, Tolerances, _norm_floor_one, _within, as_matrix, op_norm, solve
 
 __all__ = ["cayley", "f_transform", "f_inverse"]
 
@@ -34,7 +34,7 @@ def f_transform(x) -> np.ndarray:
     eye = np.eye(x.shape[0], dtype=complex)
     value, cay = solve(x + eye, np.stack([x, x - eye]))
     alt = (eye + cay) / 2.0
-    if op_norm(value - alt) > 1e-10 * max(1.0, op_norm(value)):
+    if not _within(value - alt, 1e-10 * _norm_floor_one(value)):
         raise ArithmeticError(
             "resolvent and Cayley forms of the transform disagree; "
             "input is badly conditioned"

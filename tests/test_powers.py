@@ -30,6 +30,7 @@ from realpos.powers import (
     root_series,
 )
 from realpos.projections import support_projection, vav_identity_check
+from realpos.transforms import f_transform
 
 
 def test_spectral_values(lemerdy):
@@ -325,15 +326,12 @@ def test_counts_must_be_integers():
 
 
 @pytest.mark.parametrize("scale, nodes", [(1.0, 64), (1e7, 64), (1e7, 128), (1e8, 128)])
-def test_balakrishnan_route_one_schur_or_solve_on_every_node(monkeypatch, scale, nodes):
-    # When the pivot bound clears every node, one Schur form serves them all
-    # and nothing is solved.  On the accretivity boundary at large norm it
-    # misses the smallest nodes, and then every node of both rules goes
-    # through solve() (at 1e7 with 64 nodes the half-node rule alone would
-    # clear the bound).
+def test_balakrishnan_takes_one_schur_form_on_every_node(monkeypatch, scale, nodes):
+    # One Schur form serves every node of both rules, on the accretivity
+    # boundary at large norm too, and no LU factorization runs.
     import scipy.linalg
 
-    calls = {"schur": 0, "solve": 0, "np.linalg.solve": 0}
+    calls = {"schur": 0, "lu_factor": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -341,18 +339,90 @@ def test_balakrishnan_route_one_schur_or_solve_on_every_node(monkeypatch, scale,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-    monkeypatch.setattr(powers_module, "solve", counted("solve", solve))
-    monkeypatch.setattr(np.linalg, "solve", counted("np.linalg.solve", np.linalg.solve))
     x = np.diag([scale, 0.0]).astype(complex)
-    res = power_balakrishnan(x, 0.5, nodes)
-    clear = scale == 1.0
-    assert calls == {"schur": 1 if clear else 0, "solve": 0 if clear else nodes + nodes // 2,
-                     "np.linalg.solve": 0}
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+        patch.setattr(scipy.linalg, "lu_factor", counted("lu_factor", scipy.linalg.lu_factor))
+        res = power_balakrishnan(x, 0.5, nodes)
+    assert calls == {"schur": 1, "lu_factor": 0}
     fine = _per_node_reference(x, 0.5, nodes)
     coarse = _per_node_reference(x, 0.5, nodes // 2)
     assert op_norm(res.value - fine) <= 1e-13 * op_norm(fine)
     assert res.est_error == pytest.approx(op_norm(fine - coarse), rel=1e-6, abs=1e-12)
+
+
+def test_balakrishnan_refuses_a_rotated_boundary_input():
+    # ||x|| = 1e9 on the accretivity boundary, not diagonal in the standard
+    # basis: at the smallest node u the pivot u + (1 - u) lambda of the
+    # eigenvalue lambda ~ 0 is below PIVOT_RTOL ||M||, so no value comes back
+    u = gen_unitary(2, 3)
+    x = u @ np.diag([1e9, 0.0]) @ u.conj().T
+    with pytest.raises(SingularMatrixError):
+        power_balakrishnan(x, 0.25, 64)
+
+
+def test_balakrishnan_refuses_an_exactly_singular_node():
+    # at the smallest node u, M = u + (1 - u) x = diag(1, 0): the refusal
+    # comes before the back substitution could divide by that zero pivot
+    u = (1.0 + powers_module._jacobi_rule(4096, 1e-3)[0][0]) / 2.0
+    x = np.diag([1.0, -u / (1.0 - u)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularMatrixError) as info:
+            power_balakrishnan(x, 1e-3, 4096)
+    assert info.value.pivot_index == 1 and info.value.pivot == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [[], [np.nan], [np.inf], [[1.0, 2.0]], [[1.0], [2.0, 3.0]], ["a"], None])
+def test_disk_order_check_refuses_bad_coefficients(coeffs):
+    # an empty list raised IndexError, NaN a RuntimeWarning and a 2-d list
+    # a broadcast error; each is refused by name before any arithmetic
+    x = gen_half_f(3, 53)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^f_coeffs must be a non-empty 1-d list"):
+            disk_order_check(coeffs, [0.0], x)
+        with pytest.raises(ValueError, match="^g_coeffs must be a non-empty 1-d list"):
+            disk_order_check([0.0], coeffs, x)
+
+
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan, "2", 2.5, 1, 0, -3, True, 2 + 0j, None])
+def test_root_series_refuses_every_non_integer_m(m):
+    with pytest.raises(ValueError, match=r"^m must be an integer >= 2$"):
+        root_series(np.eye(2), m)
+
+
+def test_root_series_takes_integral_floats_and_numpy_integers():
+    x = 2.0 * gen_half_f(3, 81)
+    for m in (2, 3):
+        ref = root_series(x, m)
+        for same in (float(m), np.int64(m), np.int32(m), np.float64(m)):
+            assert _same_result(root_series(x, same), ref)
+
+
+def test_verdict_only_norm_sites_take_no_svd_when_frobenius_settles(monkeypatch):
+    # f_transform's two-form self-check, rescaled_root_check's nonzero test
+    # and vav_identity_check's v*v = s precondition only compare a norm with
+    # a threshold; solve()'s own op_norm is the one SVD of a small transform
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for n in (2, 3, 5):
+        x = 0.1 * gen_accretive(n, 820 + n)
+        calls.clear()
+        f_transform(x)
+        assert len(calls) == 1, n
+    calls.clear()
+    with pytest.raises(ValueError, match="nonzero"):
+        rescaled_root_check(np.zeros((3, 3)))
+    assert calls == []
+    # the oracle support takes two SVDs and ||s|| = 1 one more; v*v - s =
+    # E22 is settled by its Frobenius norm
+    a = np.diag([1.0, 0.0]).astype(complex)
+    calls.clear()
+    with pytest.raises(ValueError, match="support projection"):
+        vav_identity_check(a, np.eye(2), 0.5)
+    assert len(calls) == 3
 
 
 def test_power_general():
