@@ -32,9 +32,11 @@ import numpy as np
 
 from .matrices import (
     DEFAULT_TOL,
+    MAX_DIM,
     Tolerances,
     _kernel_complement_projection,
     _norm_floor_one,
+    _require_count,
     _unit_within,
     _within,
     as_matrix,
@@ -356,10 +358,9 @@ def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
 
 
 def amplify(a: MatrixAlgebra, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
-    """The algebra of k x k block matrices with blocks in A; k is a positive
-    integer, a Python or numpy one but not a bool."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
-        raise ValueError("k must be a positive integer")
+    """The algebra of k x k block matrices with blocks in A; k is an integer
+    from 1 to ``MAX_DIM``, a Python or numpy one but not a bool."""
+    _require_count(k, "k", 1, MAX_DIM)
     n = a.ambient_dim
     check_dim(k * n, f"the {k}-fold amplification")
     units = np.eye(k * k, dtype=complex).reshape(k, k, k, k)  # units[i, j] = E_ij
@@ -484,7 +485,7 @@ def algebra_from_name(name: str) -> MatrixAlgebra:
     """Resolve canned names: full:n, upper:n, diag:n, blockupper:n1,n2 with
     n1, n2 >= 1.
 
-    The ambient dimension is checked against ``REALPOS_MAX_DIM`` before the
+    The ambient dimension is checked against ``MAX_DIM`` before the
     basis (n**2 matrices of size n for ``full:n``) is built.
     """
     kind, _, arg = name.partition(":")
@@ -514,7 +515,7 @@ def algebra_to_json(a: MatrixAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:
-    """Algebra from its JSON; every matrix is held to ``REALPOS_MAX_DIM``
+    """Algebra from its JSON; every matrix is held to ``MAX_DIM``
     before the span or the generated algebra is built."""
     if not isinstance(data, dict):
         raise ValueError(f"algebra JSON must be an object, got {type(data).__name__}")

@@ -65,7 +65,7 @@ def _load_json(path: str):
 
 def _load_matrix(path: str) -> np.ndarray:
     m = matrix_from_json(_load_json(path))
-    check_dim(m.shape[0], "matrix")
+    check_dim(m.shape[0], "the input matrix")
     return m
 
 

@@ -21,6 +21,7 @@ from .algebra import MatrixAlgebra, _require_in, cstar, identity_of
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
+    _require_count,
     as_matrix,
     dagger,
     im_part,
@@ -183,8 +184,7 @@ def support_function(x, thetas) -> np.ndarray:
 
 def numerical_range(x, grid_size: int = 720) -> NumericalRange:
     """Support function and boundary points of W(x) on an angle grid."""
-    if not 8 <= grid_size <= MAX_GRID:
-        raise ValueError(f"grid_size must be between 8 and {MAX_GRID}, got {grid_size}")
+    _require_count(grid_size, "grid_size", 8, MAX_GRID)
     x = as_matrix(x)
     thetas = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     w, v = np.linalg.eigh(_rotations(x, thetas))

@@ -1,19 +1,19 @@
 """Seeded random instance generators for tests, suites and the CLI.
 
 All randomness flows through ``numpy.random.default_rng(seed)``; identical
-seeds give identical instances.  The ambient dimension is capped by the
-``REALPOS_MAX_DIM`` environment variable (default 16).
+seeds give identical instances.  The ambient dimension is an integer from 1
+to ``MAX_DIM`` (16).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .algebra import CANNED, MatrixAlgebra, generate_algebra
-from .matrices import DEFAULT_TOL, Tolerances, check_dim, dagger, max_dim, op_norm
+from .matrices import DEFAULT_TOL, MAX_DIM, Tolerances, check_dim, dagger, op_norm
 from .transforms import f_transform
 
 __all__ = [
-    "max_dim",
+    "MAX_DIM",
     "gen_accretive",
     "gen_half_f",
     "gen_peaked_half_f",

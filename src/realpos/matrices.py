@@ -21,9 +21,9 @@ All functions here are pure; arrays are never mutated in place.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
     "max_op_norm",
     "solve",
     "min_real_eig",
-    "max_dim",
+    "MAX_DIM",
     "check_dim",
     "matrix_to_json",
     "matrix_from_json",
@@ -84,14 +84,16 @@ PIVOT_RTOL = 1e-13
 
 
 class SingularMatrixError(ValueError):
-    """Raised by :func:`solve` when elimination hits a negligible pivot."""
+    """Raised by :func:`solve` when elimination hits a negligible pivot, and
+    by the quadrature route of ``powers`` when a node's triangular system
+    does; ``what`` heads the message."""
 
-    def __init__(self, pivot_index: int, pivot: float, scale: float):
+    def __init__(self, pivot_index: int, pivot: float, scale: float,
+                 what: str = "matrix numerically singular"):
         self.pivot_index = pivot_index
         self.pivot = pivot
         super().__init__(
-            f"matrix numerically singular: pivot {pivot_index} has magnitude "
-            f"{pivot:.3e} against scale {scale:.3e}"
+            f"{what}: pivot {pivot_index} has magnitude {pivot:.3e} against scale {scale:.3e}"
         )
 
 
@@ -313,20 +315,21 @@ def min_real_eig(m) -> float:
     return float(np.linalg.eigvalsh(re_part(m))[0])
 
 
-def max_dim() -> int:
-    """The ambient-dimension cap REALPOS_MAX_DIM (default 16)."""
-    try:
-        return int(os.environ.get("REALPOS_MAX_DIM", "16"))
-    except ValueError:
-        return 16
+# The largest ambient dimension.  powers.MAX_NODES and the cap-size CI steps
+# are sized for it.
+MAX_DIM = 16
+
+
+def _require_count(value, name: str, low: int, high: int) -> None:
+    """Refuse a size or count unless it is an integer in [low, high], naming
+    the parameter; a bool is refused and a numpy integer passes."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer, at least {low} and at most {high}; got {value!r}")
 
 
 def check_dim(n: int, what: str) -> None:
-    """Refuse an ambient dimension below 1 or above REALPOS_MAX_DIM before building."""
-    if n < 1:
-        raise ValueError(f"{what} has dimension {n}; it must be at least 1")
-    if n > max_dim():
-        raise ValueError(f"{what} has dimension {n} above REALPOS_MAX_DIM={max_dim()}")
+    """Refuse an ambient dimension outside 1..MAX_DIM before building."""
+    _require_count(n, f"the dimension of {what}", 1, MAX_DIM)
 
 
 def matrix_to_json(m) -> dict:

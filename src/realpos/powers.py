@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import isfinite, isqrt
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .matrices import (
     SingularMatrixError,
     Tolerances,
     _cond_surely_within,
+    _require_count,
     _require_positive,
     _within,
     as_matrix,
@@ -216,19 +217,6 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     return _require_finite(_SpectralFactor(x).power(alpha), alpha)
 
 
-def _require_count(value, name: str, low: int, high: int, what: str) -> None:
-    """Refuse a count that is not an integer (bools included) or lies
-    outside [low, high], naming the parameter; numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not low <= value <= high:
-        raise ValueError(f"need between {low} and {high} {what}, got {value}")
-
-
-def _require_nodes(nodes: int) -> None:
-    _require_count(nodes, "nodes", 16, MAX_NODES, "quadrature nodes")
-
-
 @lru_cache(maxsize=256)
 def _jacobi_rule(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
     from scipy.special import roots_jacobi  # scipy loads on the quadrature route only
@@ -245,10 +233,10 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     (1 - u_k) T are formed once, and solve()'s rule refuses them: the first
     node with a pivot at or below PIVOT_RTOL (u_k + (1 - u_k) ||x||_F), a
     bound on ||M_k|| = ||u_k + (1 - u_k) x||, raises
-    :class:`SingularMatrixError` naming its row of T.  zgees and back
-    substitution are backward stable (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 8), so a node that passes is served as well
-    as by an LU solve.
+    :class:`SingularMatrixError` naming the node (its index in u), its u_k
+    and its row of T.  zgees and back substitution are backward stable
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 8), so a
+    node that passes is served as well as by an LU solve.
 
     Every node's system shares the off-diagonal coefficients of T, so back
     substitution takes row i of all of them at once: one matrix-vector
@@ -269,7 +257,9 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     if bad.any():
         node = int(bad.any(axis=0).argmax())
         row = int(bad[:, node].argmax())
-        raise SingularMatrixError(row, float(abs(d[row, node])), float(scale[node]))
+        raise SingularMatrixError(row, float(abs(d[row, node])), float(scale[node]),
+                                  f"the quadrature route refused node {node} (u_k = {u[node]:.3e}) "
+                                  "as numerically singular")
     s = np.zeros((n, n, k), dtype=complex)
     buf = np.empty(n * k, dtype=complex)
     for i in range(n - 1, -1, -1):
@@ -318,12 +308,12 @@ def power_balakrishnan(
     solves in one unitary Schur form of x (backward stable, no eigenvectors
     formed), so this route checks the spectral one independently.  A node
     whose triangular pivot is negligible raises :class:`SingularMatrixError`
-    naming its row of the Schur form (see :func:`_schur_resolvents`).  The
-    error estimate compares against the half-node rule; the result is
-    flagged uncertified when that estimate is above ``1e-6 max(1,
-    ||value||_F)``, or above 1e-6 when the input sits on the accretivity
-    boundary, or when the rounding of the weight exponent r - 1 moves r by
-    more than 1e-6 r.
+    naming the node, its u_k and its row of the Schur form (see
+    :func:`_schur_resolvents`).  The error estimate compares against the
+    half-node rule; the result is flagged uncertified when that estimate is
+    above ``1e-6 max(1, ||value||_F)``, or above 1e-6 when the input sits on
+    the accretivity boundary, or when the rounding of the weight exponent
+    r - 1 moves r by more than 1e-6 r.
     """
     x = as_matrix(x)
     if not 0.0 < r < 1.0:
@@ -332,7 +322,7 @@ def power_balakrishnan(
         raise ValueError(
             f"r = {r!r} is too small for the quadrature route: r - 1 rounds to -1"
         )
-    _require_nodes(nodes)
+    _require_count(nodes, "nodes", 16, MAX_NODES)
     margin = _require_accretive(x, tol)
     value, coarse = _balakrishnan_sums(x, r, nodes)
     est = op_norm(value - coarse)
@@ -361,7 +351,7 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
     x = as_matrix(x)
     if not (isinstance(m, Real) and isfinite(m) and m >= 2 and int(m) == m):
         raise ValueError("m must be an integer >= 2")
-    _require_count(terms, "terms", 1, MAX_TERMS, "series terms")
+    _require_count(terms, "terms", 1, MAX_TERMS)
     y = np.eye(x.shape[0], dtype=complex) - x
     if op_norm(y) > 1.0 + tol.eq_tol:
         raise ValueError("series route needs ||1 - x|| <= 1")
@@ -400,7 +390,7 @@ def power_all(
     alphas = tuple(alphas)
     for alpha in alphas:
         _require_positive(alpha, "alpha")
-    _require_nodes(nodes)
+    _require_count(nodes, "nodes", 16, MAX_NODES)
     _require_accretive(x, tol)
     parts = [_split(alpha) for alpha in alphas]
     factor = None  # stays None when no part is fractional or x is defective
@@ -453,8 +443,7 @@ def root_monotonicity_report(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> np
     can be genuinely negative.
     """
     x = as_matrix(x)
-    if n_max > 12:
-        raise ValueError("n_max capped at 12")
+    _require_count(n_max, "n_max", 0, 12)
     roots = power_all(x, [1.0 / n for n in range(1, n_max + 1)], tol=tol)
     return _increment_margins([root.value for root in roots])
 

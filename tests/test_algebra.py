@@ -895,7 +895,7 @@ def test_a_block_size_below_one_exits_2_from_the_cli(capsys):
 def test_amplify_takes_a_positive_integer_only():
     a = upper_triangular_algebra(2)
     for k in (2.5, 2.0, np.float64(2.0), True, False, "2", 0, -1, np.int64(0)):
-        with pytest.raises(ValueError, match="k must be a positive integer"):
+        with pytest.raises(ValueError, match="^k must be an integer, at least 1 and at most 16"):
             amplify(a, k)
     want = _bits(amplify(a, 2))
     for k in (np.int64(2), np.int32(2), np.uint8(2)):

@@ -186,6 +186,16 @@ def test_counts_above_their_caps_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and argv[-1] in err
 
 
+def test_a_refused_quadrature_node_exits_2_naming_the_route(tmp_path, capsys):
+    # diag(1e12, 0) is accretive, but the quadrature route refuses its
+    # smallest node; the message named only a pivot of "the matrix"
+    src = _write_matrix(tmp_path / "x.json", np.diag([1e12, 0.0]))
+    assert main(["power", src, "--alpha", "0.5", "--method", "balakrishnan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the quadrature route refused node 0 (u_k = ") and err.count("\n") == 1
+    assert "pivot 1 has magnitude" in err
+
+
 @pytest.mark.parametrize("nodes", ["5", str(MAX_NODES + 1)])
 def test_power_checks_nodes_on_every_matrix(tmp_path, capsys, nodes):
     # diag(1, 4) takes the spectral route and the Jordan block the quadrature
@@ -327,9 +337,9 @@ def test_algebra_commands(tmp_path, capsys):
     assert len(data["basis"]) == 4
 
     assert main(["algebra", "identity", "bogus:9"]) == 2
-    # canned names obey REALPOS_MAX_DIM like matrices read from files
+    # canned names obey MAX_DIM like matrices read from files
     assert main(["algebra", "identity", "full:20"]) == 2
-    assert "REALPOS_MAX_DIM" in capsys.readouterr().err
+    assert "at most 16; got 20" in capsys.readouterr().err
     assert main(["algebra", "identity", "blockupper:10,10"]) == 2
     # ... and so do span files, algebra JSON and amplification
     big = matrix_to_json(np.eye(20, dtype=complex))
@@ -341,7 +351,7 @@ def test_algebra_commands(tmp_path, capsys):
                  ["algebra", "amplify", "upper:8", "--k", "5"]):
         capsys.readouterr()
         assert main(argv) == 2
-        assert "REALPOS_MAX_DIM" in capsys.readouterr().err
+        assert "at most 16" in capsys.readouterr().err
     # generator JSON keeps its label, and zero generators give the zero algebra
     spec.write_text(json.dumps({"generators": [matrix_to_json(np.zeros((2, 2)))],
                                 "label": "Z"}))
@@ -399,7 +409,7 @@ def test_interp_command(tmp_path, capsys):
     cases = [({"algebra": 5, "b": b}, "dominate", "must be an object"),
              ({"algebra": [1, 2], "b": b}, "dominate", "must be an object"),
              ({"algebra": {"basis": 3}, "b": b}, "dominate", "must be a list"),
-             ({"algebra": "full:20", "b": b}, "dominate", "REALPOS_MAX_DIM"),
+             ({"algebra": "full:20", "b": b}, "dominate", "at most 16"),
              ([1, 2], "dominate", "must be an object"),
              ({"algebra": "diag:2", "b": b, "seed": [0]}, "dominate", "must be numbers"),
              ({"algebra": "diag:2", "q": e11}, "urysohn", "missing u"),

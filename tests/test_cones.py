@@ -105,6 +105,13 @@ def test_numerical_range_grid_validation():
         numerical_range(np.eye(2), MAX_GRID + 1)
 
 
+@pytest.mark.parametrize("grid_size", [8.0, 8.5])
+def test_numerical_range_grid_must_be_an_integer(grid_size):
+    # both raised TypeError from np.linspace
+    with pytest.raises(ValueError, match=f"^grid_size must be an integer, at least 8 and at most {MAX_GRID}"):
+        numerical_range(np.eye(2), grid_size)
+
+
 def test_strictly_real_positive(e11):
     full = full_algebra(2)
     assert is_strictly_real_positive(full, np.eye(2))

@@ -12,7 +12,7 @@ from realpos.generators import (
     gen_peaked_half_f,
     gen_sectorial,
     gen_unitary,
-    max_dim,
+    MAX_DIM,
 )
 from realpos.matrices import dagger, min_real_eig, op_norm
 
@@ -32,8 +32,8 @@ def test_gen_accretive_options():
     assert (w <= 1e-10).sum() >= 2
     with pytest.raises(ValueError):
         gen_accretive(5, 0, min_margin=0.1, rank=2)
-    with pytest.raises(ValueError, match="REALPOS_MAX_DIM"):
-        gen_accretive(max_dim() + 1, 0)
+    with pytest.raises(ValueError, match=f"at most {MAX_DIM}"):
+        gen_accretive(MAX_DIM + 1, 0)
     with pytest.raises(ValueError, match="at least 1"):
         gen_accretive(0, 0)
 
@@ -82,10 +82,33 @@ def test_gen_algebra():
         gen_algebra("bogus", 3, 0)
 
 
-def test_max_dim_env(monkeypatch):
+def test_max_dim_is_a_constant(monkeypatch):
+    # the environment neither lifts the cap nor lowers it
+    monkeypatch.setenv("REALPOS_MAX_DIM", "64")
+    with pytest.raises(ValueError, match="at most 16; got 17"):
+        gen_accretive(17, 0)
     monkeypatch.setenv("REALPOS_MAX_DIM", "4")
-    assert max_dim() == 4
-    with pytest.raises(ValueError):
-        gen_accretive(5, 0)
-    monkeypatch.setenv("REALPOS_MAX_DIM", "junk")
-    assert max_dim() == 16
+    assert gen_accretive(5, 0).shape == (5, 5)
+
+
+GENERATORS = {
+    "gen_accretive": lambda n: gen_accretive(n, 0),
+    "gen_half_f": lambda n: gen_half_f(n, 0),
+    "gen_peaked_half_f": lambda n: np.stack(gen_peaked_half_f(n, 0)),
+    "gen_sectorial": lambda n: gen_sectorial(n, 0, 0.5),
+    "gen_unitary": lambda n: gen_unitary(n, 0),
+    "gen_algebra": lambda n: gen_algebra("upper", n, 0).basis,
+}
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_a_dimension_must_be_an_integer(name):
+    # each raised a TypeError from numpy, but True in gen_peaked_half_f,
+    # which was read as n = 1
+    gen = GENERATORS[name]
+    for n in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=r"^the dimension of a generated (matrix|algebra) must be an integer"):
+            gen(n)
+    want = gen(3).tobytes()
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert gen(n).tobytes() == want

@@ -126,6 +126,17 @@ def test_balakrishnan_singular_node_raises_at_its_pivot():
     assert info.value.pivot_index == 1
 
 
+def test_balakrishnan_refusal_names_the_route_and_its_node():
+    # the route's smallest node u_0 is the one refused on diag(1e12, 0)
+    u0 = (1.0 + powers_module._jacobi_rule(64, 0.5)[0][0]) / 2.0
+    with pytest.raises(SingularMatrixError) as info:
+        power_balakrishnan(np.diag([1e12, 0.0]), 0.5)
+    assert str(info.value).startswith(f"the quadrature route refused node 0 (u_k = {u0:.3e}) "
+                                      "as numerically singular: pivot 1 has magnitude ")
+    assert info.value.pivot_index == 1 and info.value.pivot == pytest.approx(u0, rel=1e-12)
+    assert "spectral" not in str(info.value)
+
+
 def _per_node_reference(x, r, nodes):
     with np.errstate(invalid="ignore"):  # benign internal scipy divide
         xi, w = roots_jacobi(nodes, -r, r - 1.0)
@@ -491,7 +502,7 @@ def test_method_agreement_spot():
 
 
 def test_methods_at_dimension_cap():
-    # the default REALPOS_MAX_DIM boundary still behaves
+    # the MAX_DIM boundary still behaves
     x = gen_accretive(16, 43, min_margin=0.1)
     gap = op_norm(power_spectral(x, 0.5).value - power_balakrishnan(x, 0.5, 128).value)
     assert gap <= 1e-6 * max(1.0, op_norm(x) ** 0.5)
@@ -526,6 +537,21 @@ def test_vav_identity_integer_powers_match_matrix_power(n):
         for x, v in ((a, gen_unitary(n, seed + 300)), (singular, s)):
             for r in (1.0, 2.0, 3.0, 5.0, 2.0 + 4e-15, 3.0 - 4e-15):
                 assert vav_identity_check(x, v, r) == reference(x, v, round(r))
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
+def test_vav_identity_refuses_a_non_finite_r(r):
+    # inf raised OverflowError and NaN "cannot convert float NaN to integer"
+    a = gen_accretive(3, 43, min_margin=0.1)
+    with pytest.raises(ValueError, match=r"^r must be in \(0, 1\) or a positive integer$"):
+        vav_identity_check(a, gen_unitary(3, 44), r)
+
+
+@pytest.mark.parametrize("n_max", [2.5, -1, True, 13])
+def test_root_monotonicity_report_takes_an_integer_n_max_to_12(n_max):
+    # 2.5 raised TypeError, and -1 and True returned an empty margin array
+    with pytest.raises(ValueError, match=f"^n_max must be an integer, at least 0 and at most 12; got {n_max!r}$"):
+        root_monotonicity_report(gen_half_f(3, 59), n_max)
 
 
 def test_root_monotonicity(lemerdy):
