@@ -6,11 +6,13 @@ share: ``range_basis`` (eigenvectors of Re p above 1/2),
 ``_kernel_complement_projection`` (ker(m)^perp by singular values),
 ``_unit_defect`` (distance of e from a two-sided identity on a stack), and
 the norm verdicts ``_within`` (``op_norm(m) <= bound``, and through it
-``_norm_floor_one``, ``max(1, op_norm(m))``) and ``_unit_within``
-(``_unit_defect(e, stack) <= bound``), which settle most calls by the
-Frobenius norm and run the SVD only when it cannot, and the one-sided
-conditioning verdict ``_cond_surely_within`` (``cond(m) <= bound`` from m
-and its computed inverse, by Frobenius norms, without an SVD).
+``_norm_floor_one``, ``max(1, op_norm(m))``), ``_at_most_rtol_norm``
+(``a <= rtol * op_norm(m)`` for each entry of a vector a) and
+``_unit_within`` (``_unit_defect(e, stack) <= bound``), which settle most
+calls by the Frobenius bounds of ``_op_norm_bounds`` and run the SVD only
+when those cannot, and the one-sided conditioning verdict
+``_cond_surely_within`` (``cond(m) <= bound`` from m and its computed
+inverse, by Frobenius norms, without an SVD).
 
 The JSON wire format for a matrix is ``{"n": n, "entries": [[re, im],
 ...]}`` with ``n`` a JSON integer and the entries row-major (length
@@ -204,31 +206,56 @@ def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
     return max_op_norm(np.concatenate([e @ stack - stack, stack @ e - stack]))
 
 
-# _within and _unit_within trust the Frobenius norm f outside a relative
-# band of FROB_MARGIN, and take f^2 to within FROB_UNDERFLOW absolutely (the
-# squares of entries below about 1e-162 underflow).
+# _op_norm_bounds trusts the Frobenius norm f outside a relative band of
+# FROB_MARGIN, and takes f^2 to within FROB_UNDERFLOW absolutely (the squares
+# of entries below about 1e-162 underflow); _unit_within does the same for a
+# stack at once.
 FROB_MARGIN = 1e-8
 FROB_UNDERFLOW = 1e-300
 
 
-def _within(m: np.ndarray, bound: float) -> bool:
-    """Exactly the verdict ``op_norm(m) <= bound``, mostly without the SVD.
+def _op_norm_bounds(m: np.ndarray) -> tuple[float, float]:
+    """Bounds ``lo <= op_norm(m) <= hi`` from the Frobenius norm of m alone.
 
     With f = ||m||_F and r = min(m.shape), ||m||_2 <= f <= sqrt(r) ||m||_2
-    (Golub & Van Loan, *Matrix Computations*, 2.3).  So f (1 + 1e-8) <= bound
-    answers True and f (1 - 1e-8) > bound sqrt(r) answers False; only in the
-    band between (or for a non-finite f^2) does the SVD run.  The margin 1e-8
-    is about 1e5 times the rounding of either norm at n <= 16: f^2 is a sum of
-    n^2 nonnegative squares, and the SVD is backward stable, so each is
-    within O(n^2 eps), about 3e-14, of the exact value.
+    (Golub & Van Loan, *Matrix Computations*, 2.3), so lo = f (1 - 1e-8) /
+    sqrt(r) and hi = f (1 + 1e-8).  The margin 1e-8 is about 1e5 times the
+    rounding of either norm at n <= 16: f^2 is a sum of n^2 nonnegative
+    squares, and the SVD is backward stable, so each is within O(n^2 eps),
+    about 3e-14, of the exact value.  A non-finite f^2 (NaN, or overflow)
+    gives NaN bounds, which every comparison leaves undecided.
     """
-    s = float(np.vdot(m, m).real)  # ||m||_F^2; NaN and overflow fall through
-    if s < math.inf:
-        if math.sqrt(s + FROB_UNDERFLOW) * (1.0 + FROB_MARGIN) <= bound:
-            return True
-        if math.sqrt(max(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN) > bound * math.sqrt(min(m.shape)):
-            return False
+    s = float(np.vdot(m, m).real)  # ||m||_F^2
+    if not s < math.inf:
+        return math.nan, math.nan
+    return (math.sqrt(max(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN) / math.sqrt(min(m.shape)),
+            math.sqrt(s + FROB_UNDERFLOW) * (1.0 + FROB_MARGIN))
+
+
+def _within(m: np.ndarray, bound: float) -> bool:
+    """Exactly the verdict ``op_norm(m) <= bound``, mostly without the SVD:
+    the SVD runs only when ``bound`` falls between the bounds of
+    :func:`_op_norm_bounds`."""
+    lo, hi = _op_norm_bounds(m)
+    if hi <= bound:
+        return True
+    if lo > bound:
+        return False
     return op_norm(m) <= bound
+
+
+def _at_most_rtol_norm(a: np.ndarray, rtol: float, m: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Exactly ``a <= rtol * max(op_norm(m), floor)``, entry by entry, mostly
+    without the SVD.  The product rounds monotonically, so an entry at or
+    below the threshold of the lower bound of :func:`_op_norm_bounds` is
+    below the SVD's too, and one above the upper bound's threshold is above
+    it; the SVD runs only when an entry falls between the two."""
+    lo, hi = _op_norm_bounds(m)
+    # max(nan, floor) is nan, so NaN bounds decide no entry
+    surely = a <= rtol * max(lo, floor)
+    if (surely | (a > rtol * max(hi, floor))).all():
+        return surely
+    return a <= rtol * max(op_norm(m), floor)
 
 
 def _norm_floor_one(m: np.ndarray) -> float:
@@ -291,16 +318,15 @@ def solve(m, b):
 
     m = as_matrix(m, "solve lhs")
     b = np.asarray(b, dtype=complex)
-    scale = op_norm(m)
     with warnings.catch_warnings():
         # singularity is detected below via the pivot magnitudes
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(m, check_finite=True)
     diag = np.abs(np.diag(lu))
-    bad = np.nonzero(diag <= PIVOT_RTOL * scale)[0]
+    bad = np.nonzero(_at_most_rtol_norm(diag, PIVOT_RTOL, m))[0]
     if bad.size:
         k = int(bad[0])
-        raise SingularMatrixError(k, float(diag[k]), scale)
+        raise SingularMatrixError(k, float(diag[k]), op_norm(m))
     if b.ndim == 3:
         return np.array([scipy.linalg.lu_solve((lu, piv), rhs) for rhs in b])
     return scipy.linalg.lu_solve((lu, piv), b)

@@ -19,9 +19,13 @@ the fractional parts all power one eigendecomposition (Higham, *Functions
 of Matrices*, 2008, ch. 4), or all take the quadrature route when x is
 defective.  ``power(x, alpha)`` is ``power_all(x, (alpha,))[0]``, and
 ``power_spectral`` powers the same factorization, so there is one spectral
-implementation.  Nothing is cached across calls.  Within one, a spectral
-result computes its ``est_error`` on the first read and keeps it: no caller
-on a hot path reads it, and it costs three of the four SVDs of a power.
+implementation.  Nothing is cached across calls but the quadrature rules.
+Within one, a result of either route computes its ``est_error`` on the first
+read and keeps it: no caller on a hot path reads it, and it is the only SVD
+work of a power.  The verdicts a power turns on (the spectral route's
+eigenvalue cut, the quadrature route's ``certified``, the series route's
+``||1 - x|| <= 1``) are settled by the Frobenius verdicts of ``matrices``,
+which run an SVD only when the Frobenius norm cannot settle them.
 
 Also houses the root-law checks (monotonicity of roots and of rescaled
 roots, disk-function-calculus ordering).
@@ -40,6 +44,7 @@ from .matrices import (
     PIVOT_RTOL,
     SingularMatrixError,
     Tolerances,
+    _at_most_rtol_norm,
     _cond_surely_within,
     _require_count,
     _require_positive,
@@ -104,8 +109,9 @@ class PowerResult:
     certified       whether est_error meets the route's own bound
 
     ``est_error`` may be given as a function of no arguments, which runs on
-    the first read of ``est_error``; its value is kept.  Spectral results
-    take it so: their estimate costs three SVDs that few callers read.
+    the first read of ``est_error``; its value is kept.  Spectral and
+    quadrature results take it so: their estimates cost SVDs (three and one)
+    that few callers read.
     """
 
     __slots__ = ("value", "method", "_est", "nodes_or_terms", "certified")
@@ -149,10 +155,12 @@ class _SpectralFactor:
 
     Eigenvalues of magnitude at most ``EIG_RTOL * ||x||`` are mapped to 0
     (they are semisimple for accretive input); the rest are powered on the
-    principal branch.  Raises :class:`DefectiveMatrixError` when the
-    eigenvector matrix has condition number above ``COND_CAP``.  The
-    estimate's parts, ``cond`` and ``rel_error``, are computed on first use
-    from arrays the factor owns, so writing to x afterwards changes nothing.
+    principal branch.  ``_at_most_rtol_norm`` settles that cut from
+    ||x||_F, and runs the SVD of x only when ||x||_F cannot.  Raises
+    :class:`DefectiveMatrixError` when the eigenvector matrix has condition
+    number above ``COND_CAP``.  The estimate's parts, ``cond``, ``xnorm``
+    and ``rel_error``, are computed on first use from arrays the factor
+    owns, so writing to x afterwards changes nothing.
     """
 
     def __init__(self, x: np.ndarray):
@@ -179,15 +187,18 @@ class _SpectralFactor:
             raise DefectiveMatrixError(self.cond) from None
         if not _cond_surely_within(v, self.vinv, COND_CAP) and self.cond > COND_CAP:
             raise DefectiveMatrixError(self.cond)
-        self.xnorm = max(op_norm(x), 1e-300)
         self.lam = lam.astype(complex)
-        self.cut = np.abs(lam) <= EIG_RTOL * self.xnorm
+        self.cut = _at_most_rtol_norm(np.abs(lam), EIG_RTOL, x, 1e-300)
 
     @cached_property
     def cond(self) -> float:
         """cond(v) = sigma_max / sigma_min, by the SVD of v."""
         s = np.linalg.svd(self.v, compute_uv=False)
         return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+
+    @cached_property
+    def xnorm(self) -> float:
+        return max(op_norm(self.x), 1e-300)
 
     @cached_property
     def rel_error(self) -> float:
@@ -217,12 +228,26 @@ def power_spectral(x, alpha: float, tol: Tolerances = DEFAULT_TOL) -> PowerResul
     return _require_finite(_SpectralFactor(x).power(alpha), alpha)
 
 
-@lru_cache(maxsize=256)
 def _jacobi_rule(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
     from scipy.special import roots_jacobi  # scipy loads on the quadrature route only
 
     with np.errstate(invalid="ignore"):  # benign internal scipy divide
         return roots_jacobi(nodes, -r, r - 1.0)
+
+
+@lru_cache(maxsize=256)
+def _both_rules(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes u of the ``nodes``-point rule and of the ``nodes // 2``-point
+    rule, fine rule first, and their (len(u), 2) weights: column 0 holds
+    the fine rule's, column 1 the half-node rule's.  Both are read-only."""
+    # After t = u/(1-u) and u = (1+xi)/2 the integral becomes a Gauss-Jacobi
+    # quadrature with weight (1-xi)^{-r} (1+xi)^{r-1}.
+    (xi, w), (xi_c, w_c) = _jacobi_rule(nodes, r), _jacobi_rule(nodes // 2, r)
+    u = (1.0 + np.concatenate([xi, xi_c])) / 2.0
+    weights = np.zeros((len(u), 2))
+    weights[:nodes, 0], weights[nodes:, 1] = w, w_c
+    u.flags.writeable = weights.flags.writeable = False
+    return u, weights
 
 
 def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,18 +304,12 @@ def _balakrishnan_sums(x: np.ndarray, r: float, nodes: int) -> tuple[np.ndarray,
     """The ``nodes``-point rule and the ``nodes // 2``-point rule, whose
     1.5 ``nodes`` resolvents, fine rule first, come from one Schur form of x
     (see :func:`_schur_resolvents`, which refuses a node by its pivots)."""
-    # After t = u/(1-u) and u = (1+xi)/2 the integral becomes a Gauss-Jacobi
-    # quadrature with weight (1-xi)^{-r} (1+xi)^{r-1}; the smooth factor is
-    # F(u) = (u + (1-u) x)^{-1} x.
-    (xi, w), (xi_c, w_c) = _jacobi_rule(nodes, r), _jacobi_rule(nodes // 2, r)
-    u = (1.0 + np.concatenate([xi, xi_c])) / 2.0
+    # The smooth factor of the integrand is F(u) = (u + (1-u) x)^{-1} x; both
+    # rules' sums come from one product with the weights of _both_rules.
+    u, weights = _both_rules(nodes, r)
     n = x.shape[0]
     z, s = _schur_resolvents(x, u)
-    # Both rules' sums by one product: column 0 of the weights holds the
-    # fine rule's, column 1 the half-node rule's.
-    weights = np.zeros((len(u), 2))
-    weights[:nodes, 0], weights[nodes:, 1] = w, w_c
-    sums = np.moveaxis((s.reshape(n * n, -1) @ weights).reshape(n, n, 2), -1, 0)
+    sums = (s.reshape(n * n, -1) @ weights).T.reshape(2, n, n)
     sums = z @ sums @ z.conj().T
     # sin(r pi) = sin((1 - r) pi), and for r > 1/2 the difference 1 - r is
     # exact while r * pi would round next to pi and lose eps / (1 - r).
@@ -309,11 +328,13 @@ def power_balakrishnan(
     formed), so this route checks the spectral one independently.  A node
     whose triangular pivot is negligible raises :class:`SingularMatrixError`
     naming the node, its u_k and its row of the Schur form (see
-    :func:`_schur_resolvents`).  The error estimate compares against the
-    half-node rule; the result is flagged uncertified when that estimate is
-    above ``1e-6 max(1, ||value||_F)``, or above 1e-6 when the input sits on
-    the accretivity boundary, or when the rounding of the weight exponent
-    r - 1 moves r by more than 1e-6 r.
+    :func:`_schur_resolvents`).  The error estimate is the distance to the
+    half-node rule's value; the result is flagged uncertified when that
+    estimate is above ``1e-6 max(1, ||value||_F)``, or above 1e-6 when the
+    input sits on the accretivity boundary, or when the rounding of the
+    weight exponent r - 1 moves r by more than 1e-6 r.  Those verdicts are
+    settled by ``_within``; the estimate itself, one SVD, is computed on the
+    first read of ``est_error``.
     """
     x = as_matrix(x)
     if not 0.0 < r < 1.0:
@@ -325,18 +346,18 @@ def power_balakrishnan(
     _require_count(nodes, "nodes", 16, MAX_NODES)
     margin = _require_accretive(x, tol)
     value, coarse = _balakrishnan_sums(x, r, nodes)
-    est = op_norm(value - coarse)
+    diff = value - coarse
     # The rule integrates against the weight exponent fl(r - 1) = (r - d) - 1,
     # so the value is off by a relative d / r that the half-node estimate,
     # built on the same weight, cannot see.  d is the exact rounding error of
     # r - 1 (Fast2Sum, exact since |r| < 1); it is 0 for r >= 0.5.
     d = r - ((r - 1.0) + 1.0)
     certified = (
-        not (margin <= tol.psd_slack and est > 1e-6)
-        and est <= 1e-6 * max(1.0, frob_norm(value))
+        not (margin <= tol.psd_slack and not _within(diff, 1e-6))
+        and _within(diff, 1e-6 * max(1.0, frob_norm(value)))
         and abs(d) <= 1e-6 * r
     )
-    return PowerResult(value, "balakrishnan", float(est), nodes, certified)
+    return PowerResult(value, "balakrishnan", lambda: op_norm(diff), nodes, certified)
 
 
 def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
@@ -353,7 +374,7 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
         raise ValueError("m must be an integer >= 2")
     _require_count(terms, "terms", 1, MAX_TERMS)
     y = np.eye(x.shape[0], dtype=complex) - x
-    if op_norm(y) > 1.0 + tol.eq_tol:
+    if not _within(y, 1.0 + tol.eq_tol):
         raise ValueError("series route needs ||1 - x|| <= 1")
     alpha = 1.0 / m
     coeff = 1.0  # binom(alpha, k) (-1)^k at k = 0
@@ -515,7 +536,7 @@ def disk_order_check(f_coeffs, g_coeffs, x, tol: Tolerances = DEFAULT_TOL) -> tu
     x = as_matrix(x)
     f_coeffs, g_coeffs = _coefficients(f_coeffs, "f_coeffs"), _coefficients(g_coeffs, "g_coeffs")
     eye = np.eye(x.shape[0], dtype=complex)
-    if op_norm(eye - x) > 1.0 + tol.eq_tol:
+    if not _within(eye - x, 1.0 + tol.eq_tol):
         raise ValueError("disk order check needs x in F (||1 - x|| <= 1)")
     diff = np.zeros(max(len(f_coeffs), len(g_coeffs)), dtype=complex)
     diff[: len(g_coeffs)] += g_coeffs

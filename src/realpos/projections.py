@@ -207,13 +207,13 @@ def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """
     a = as_matrix(a)
     v = as_matrix(v)
+    integer = np.isfinite(r) and abs(r - round(r)) < 1e-14 and round(r) >= 1
+    if not integer and not 0.0 < r < 1.0:
+        raise ValueError("r must be in (0, 1) or a positive integer")
     _require_accretive(a, tol)
     s = support_projection(a, method="oracle", tol=tol).proj
     if not _within(dagger(v) @ v - s, 1e-7 * _norm_floor_one(s)):
         raise ValueError("v*v must equal the support projection of a")
-    integer = np.isfinite(r) and abs(r - round(r)) < 1e-14 and round(r) >= 1
-    if not integer and not 0.0 < r < 1.0:
-        raise ValueError("r must be in (0, 1) or a positive integer")
     if integer:
         r = float(round(r))  # an exact integer: power() takes np.linalg.matrix_power
     lhs = power(v @ a @ dagger(v), r, tol=tol).value

@@ -50,10 +50,10 @@ def f_inverse(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     t = as_matrix(t)
     eye = np.eye(t.shape[0], dtype=complex)
-    norm = op_norm(t)
-    if norm >= 1.0 - tol.eq_tol:
-        raise ValueError(f"inverse transform needs ||T|| < 1, got {norm:.6f}")
-    if op_norm(eye - 2.0 * t) > 1.0 + tol.psd_slack:
+    # ||T|| < 1 - eq_tol, as a verdict; the norm is computed for the message
+    if not _within(t, np.nextafter(1.0 - tol.eq_tol, -np.inf)):
+        raise ValueError(f"inverse transform needs ||T|| < 1, got {op_norm(t):.6f}")
+    if not _within(eye - 2.0 * t, 1.0 + tol.psd_slack):
         warnings.warn(
             "input is outside the half-F set; the inverse transform is "
             "defined but its output may not be accretive",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from realpos.matrices import (
     SingularMatrixError,
     Tolerances,
+    _at_most_rtol_norm,
     _unit_defect,
     _unit_within,
     _within,
@@ -67,6 +68,24 @@ def test_solve_singular_reports_pivot():
     with pytest.raises(SingularMatrixError) as err:
         solve(np.diag([1.0, 0.0]), np.eye(2))
     assert err.value.pivot_index == 1
+
+
+def test_solve_refuses_a_pivot_by_the_svd_threshold():
+    # pivots about both ends of the Frobenius band around PIVOT_RTOL ||m||:
+    # refused exactly when at or below it, with ||m|| in the message
+    from realpos.matrices import PIVOT_RTOL
+
+    for end in (1.0, 1.0 / math.sqrt(2.0)):
+        for c in (end * (1.0 - 1e-9), end, end * (1.0 + 1e-9), np.nextafter(end, 2.0)):
+            m = np.diag([1.0, c * PIVOT_RTOL])
+            refused = c * PIVOT_RTOL <= PIVOT_RTOL * op_norm(m)
+            try:
+                solve(m, np.eye(2))
+            except SingularMatrixError as exc:
+                assert refused and exc.pivot_index == 1, c
+                assert str(exc).endswith(f"against scale {op_norm(m):.3e}")
+            else:
+                assert not refused, c
 
 
 def test_solve_reports_residual():
@@ -219,6 +238,20 @@ def test_within_is_the_op_norm_verdict(n, seed, kind, exponent):
     norm = op_norm(m)
     for bound in _bounds(norm, range(-30, 31)):
         assert _within(m, bound) == (norm <= bound), (bound, norm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), kind=_SHAPES, exponent=_EXPONENTS,
+       floor=st.sampled_from([0.0, 1e-300]))
+def test_at_most_rtol_norm_is_the_svd_verdict(n, seed, kind, exponent, floor):
+    # entries about rtol max(||m||, floor), together and one at a time, so
+    # that the verdict holds when one entry alone sits in the band
+    m = _shaped(n, seed, kind, exponent)
+    threshold = 1e-12 * max(op_norm(m), floor)
+    a = np.array(_bounds(threshold, range(-30, 31)))
+    assert np.array_equal(_at_most_rtol_norm(a, 1e-12, m, floor), a <= threshold)
+    for entry in a:
+        assert _at_most_rtol_norm(np.array([entry]), 1e-12, m, floor)[0] == (entry <= threshold), entry
 
 
 def test_within_on_zero_and_non_finite_input():

@@ -13,8 +13,8 @@ from realpos import powers as powers_module
 from realpos.algebra import contains, generate_algebra
 from realpos.cones import sector_angle
 from realpos.generators import gen_accretive, gen_half_f, gen_sectorial, gen_unitary
-from realpos.matrices import (DEFAULT_TOL, SingularMatrixError, Tolerances, dagger, im_part,
-                              min_real_eig, op_norm, solve)
+from realpos.matrices import (DEFAULT_TOL, SingularMatrixError, Tolerances, _op_norm_bounds, dagger,
+                              im_part, min_real_eig, op_norm, solve)
 from realpos.powers import (
     MAX_NODES,
     MAX_TERMS,
@@ -30,7 +30,7 @@ from realpos.powers import (
     root_series,
 )
 from realpos.projections import support_projection, vav_identity_check
-from realpos.transforms import f_transform
+from realpos.transforms import f_inverse, f_transform
 
 
 def test_spectral_values(lemerdy):
@@ -412,17 +412,34 @@ def test_root_series_takes_integral_floats_and_numpy_integers():
 
 
 def test_verdict_only_norm_sites_take_no_svd_when_frobenius_settles(monkeypatch):
-    # f_transform's two-form self-check, rescaled_root_check's nonzero test
-    # and vav_identity_check's v*v = s precondition only compare a norm with
-    # a threshold; solve()'s own op_norm is the one SVD of a small transform
+    # f_transform's two-form self-check, solve()'s pivot test, f_inverse's
+    # two tests, the ||1 - x|| <= 1 preconditions of root_series and
+    # disk_order_check, rescaled_root_check's nonzero test and
+    # vav_identity_check's v*v = s precondition only compare a norm with a
+    # threshold
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     for n in (2, 3, 5):
-        x = 0.1 * gen_accretive(n, 820 + n)
+        # T = f(x) is near I / 3, so ||T||_F and ||1 - 2T||_F are below 1
+        x = 0.5 * np.eye(n) + 0.05 * gen_accretive(n, 820 + n)
+        y = gen_accretive(n, 830 + n)
+        near_one = np.eye(n) - 0.5 * y / np.linalg.norm(y)  # ||1 - x||_F = 0.5
         calls.clear()
-        f_transform(x)
-        assert len(calls) == 1, n
+        f_inverse(f_transform(x))
+        root_series(near_one, 2)
+        disk_order_check([0.0], [1.0, 1.0], near_one)
+        assert calls == [], n
+        for fn, args in ((root_series, (-np.eye(n), 2)), (disk_order_check, ([0.0], [1.0], -np.eye(n)))):
+            with pytest.raises(ValueError, match=r"\|\|1 - x\|\| <= 1"):
+                fn(*args)
+        assert calls == [], n
+        # a norm that goes into a message is computed when the call raises
+        with pytest.raises(ValueError, match="got 2.000000"):
+            f_inverse(2.0 * np.eye(n))
+        with pytest.raises(SingularMatrixError, match="against scale 1.000e"):
+            solve(np.diag([1.0] + [0.0] * (n - 1)), np.eye(n))
+        assert len(calls) == 2, n
     calls.clear()
     with pytest.raises(ValueError, match="nonzero"):
         rescaled_root_check(np.zeros((3, 3)))
@@ -545,6 +562,21 @@ def test_vav_identity_refuses_a_non_finite_r(r):
     a = gen_accretive(3, 43, min_margin=0.1)
     with pytest.raises(ValueError, match=r"^r must be in \(0, 1\) or a positive integer$"):
         vav_identity_check(a, gen_unitary(3, 44), r)
+
+
+def test_vav_identity_checks_r_before_any_svd(monkeypatch):
+    # r is refused before the accretivity check, the support projection and
+    # the v*v = s test, so a call with a bad v too gets the message on r
+    a = gen_accretive(3, 43, min_margin=0.1)
+    v, bad_v = gen_unitary(3, 44), np.diag([1.0, 0.0, 0.0]).astype(complex)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for r in (math.inf, math.nan, -math.inf, 0.0, 1.5, -2.0):
+        for w in (v, bad_v):
+            with pytest.raises(ValueError, match=r"^r must be in \(0, 1\) or a positive integer$"):
+                vav_identity_check(a, w, r)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_max", [2.5, -1, True, 13])
@@ -711,8 +743,8 @@ def _outcome(fn, *args):
     # every field of each result, or the type, message and cond of the error
     try:
         results = fn(*args)
-    except DefectiveMatrixError as exc:
-        return ("defective", str(exc), exc.cond)
+    except ValueError as exc:  # DefectiveMatrixError, SingularMatrixError
+        return (type(exc).__name__, str(exc), getattr(exc, "cond", None))
     results = results if isinstance(results, list) else [results]
     return [(r.value.tobytes(), r.method, r.est_error, r.nodes_or_terms, r.certified)
             for r in results]
@@ -770,6 +802,36 @@ def test_the_conditioning_verdict_holds_at_a_cap_on_each_condition_number(monkey
     assert moved > 40
 
 
+def _cut_band_inputs(n):
+    # diag(1, c 1e-12, 0, ...) and diag(1, ..., 1, c 1e-12), whose ||x||_F
+    # is 1 and sqrt(n - 1), with c about either end of the cut's Frobenius
+    # band: 1, where the SVD's threshold EIG_RTOL ||x|| lies, and
+    # ||x||_F / sqrt(n), where the lower bound's does; plain and rotated
+    u = gen_unitary(n, 1040 + n)
+    for ones in {1, n - 1}:
+        for end in (1.0, math.sqrt(ones / n)):
+            for rel in (0.0, 1e-9, 3e-9, 2e-8, 1e-6, 1e-4, 1e-3):
+                for c in (end * (1.0 - rel), end * (1.0 + rel)):
+                    x = np.diag([1.0] * ones + [c * 1e-12] + [0.0] * (n - 1 - ones)).astype(complex)
+                    yield x
+                    yield u @ x @ dagger(u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_the_frobenius_cut_is_the_svd_cut(monkeypatch, n):
+    inputs = list(_cut_band_inputs(n))
+    in_band = set()  # the SVD's verdicts on eigenvalues the Frobenius bounds leave open
+    for x in inputs:
+        factor = powers_module._SpectralFactor(x)
+        size = np.abs(factor.lam)
+        svd_cut = size <= powers_module.EIG_RTOL * max(op_norm(x), 1e-300)
+        assert np.array_equal(factor.cut, svd_cut)
+        lo, hi = (powers_module.EIG_RTOL * b for b in _op_norm_bounds(x))
+        in_band.update(svd_cut[(size > lo) & (size <= hi)].tolist())
+    assert in_band == {True, False}
+    _assert_eager_bits(monkeypatch, inputs, [(0.5,), (0.25, 1.5)])
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_singular_eigenvector_matrix_is_defective(monkeypatch, n):
     # c N (N the nilpotent shift) is accretive within psd_slack, and eig
@@ -799,9 +861,9 @@ def test_the_estimate_reads_only_what_the_result_owns(monkeypatch):
     assert [r.est_error for r in results] == want
 
 
-def test_an_unread_power_makes_one_svd(monkeypatch):
-    # ||x|| for the EIG_RTOL cut; cond(v), the reconstruction residual and
-    # ||value|| wait for the first read of est_error
+def test_an_unread_power_makes_no_svd(monkeypatch):
+    # ||x||_F settles the EIG_RTOL cut; cond(v), ||x||, the reconstruction
+    # residual and ||value|| wait for the first read of est_error
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
@@ -810,14 +872,104 @@ def test_an_unread_power_makes_one_svd(monkeypatch):
             x = gen_accretive(n, 680 + n)
             calls.clear()
             res = power(x, r)
-            assert res.value.shape == (n, n) and len(calls) == 1, (n, r)
+            assert res.value.shape == (n, n) and len(calls) == 0, (n, r)
             est = res.est_error
             assert len(calls) == 4
             assert res.est_error == est and len(calls) == 4
     x = gen_half_f(6, 690)
     calls.clear()
     root_monotonicity_report(x, 8)
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def _eager_balakrishnan(x, r, nodes=64, tol=DEFAULT_TOL):
+    # power_balakrishnan as it stood with an eager estimate: the SVD of the
+    # two rules' difference, then the verdicts on it.  The _within verdicts
+    # and the deferred estimate must keep its bits and its certified.
+    x = np.asarray(x, dtype=complex)
+    margin = powers_module._require_accretive(x, tol)
+    value, coarse = powers_module._balakrishnan_sums(x, r, nodes)
+    est = op_norm(value - coarse)
+    d = r - ((r - 1.0) + 1.0)
+    certified = (
+        not (margin <= tol.psd_slack and est > 1e-6)
+        and est <= 1e-6 * max(1.0, np.linalg.norm(value))
+        and abs(d) <= 1e-6 * r
+    )
+    return powers_module.PowerResult(value, "balakrishnan", float(est), nodes, certified)
+
+
+def _in_band_quadrature_inputs():
+    # diag(0, e, e) on the accretivity boundary and diag(e, e, 1) off it,
+    # with e set by bisection so that ||value - coarse|| is 0.9 times the
+    # certification bound (1e-6 and 1e-6 max(1, ||value||_F)): the Frobenius
+    # norm of the difference, sqrt(2) times that, is above the bound, so
+    # only the SVD's verdict certifies them
+    def ratio(x):
+        value, coarse = powers_module._balakrishnan_sums(x, 0.5, 64)
+        return op_norm(value - coarse) / (1e-6 * max(1.0, np.linalg.norm(value)))
+
+    for head, tail in (([0.0], []), ([], [1.0])):
+        lo, hi = 1e-3, 1e-1  # the ratio falls from about 1e3 to 1e-9 here
+        for _ in range(50):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if ratio(np.diag(head + [mid, mid] + tail)) > 0.9 else (lo, mid)
+        yield np.diag(head + [hi, hi] + tail)
+
+
+def _quadrature_inputs():
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for scale in (1e7, 1e8):  # on the accretivity boundary at a large norm
+        yield np.diag([scale, 0.0])
+    yield np.diag([1.0, 0.0])
+    yield np.diag([1.0, 1e-8, 0.0])
+    for n in (2, 5, 8):
+        yield gen_accretive(n, 1100 + n, rank=1)  # margin <= psd_slack
+    for k in (-20, -8, 0, 8, 20):
+        for x in (gen_accretive(3, 1110), gen_accretive(6, 1116), jordan,
+                  np.eye(3) + np.eye(3, k=1) + 0.5 * np.eye(3, k=2)):
+            yield 2.0 ** k * x
+
+
+def test_quadrature_results_keep_the_eager_bits(monkeypatch):
+    # each call by name, so that power_all takes the patched route too
+    calls = []
+    for x in _quadrature_inputs():
+        for r in (0.5, 0.3, 1e-3, 0.999, 1e-12):
+            for nodes in (64, 128):
+                calls.append(("power_balakrishnan", x, r, nodes))
+        calls.append(("power_all", x, (0.5, 1.25, 2.75), 64))  # the defective ones take the quadrature route
+    got = [_outcome(getattr(powers_module, fn), np.array(x), a, k) for fn, x, a, k in calls]
+    with monkeypatch.context() as m:
+        m.setattr(powers_module, "power_balakrishnan", _eager_balakrishnan)
+        want = [_outcome(getattr(powers_module, fn), np.array(x), a, k) for fn, x, a, k in calls]
+    certified = set()
+    for (fn, x, a, k), g, w in zip(calls, got, want):
+        assert g == w, (fn, x, a, k)
+        if fn == "power_balakrishnan" and isinstance(g, list):
+            certified.add(g[0][4])
+    assert certified == {True, False}
+    for x in _in_band_quadrature_inputs():
+        res, eager = power_balakrishnan(x, 0.5), _eager_balakrishnan(x, 0.5)
+        assert res.certified and (res.certified, res.est_error) == (eager.certified, eager.est_error)
+
+
+def test_an_unread_quadrature_result_makes_no_svd(monkeypatch):
+    # certified is settled by _within; the SVD of the rules' difference waits
+    # for the first read of est_error
+    inputs = [gen_accretive(n, 1130 + n) for n in (1, 2, 3, 8, 16)]
+    inputs += [np.diag([1.0, 0.0]), np.diag([1e7, 0.0])]  # on the accretivity boundary
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for x in inputs:
+        for r in (0.3, 0.5):
+            calls.clear()
+            res = power_balakrishnan(x, r)
+            assert len(calls) == 0, (x, r)
+            est = res.est_error
+            assert len(calls) == 1
+            assert res.est_error == est and len(calls) == 1
 
 
 OVERFLOWS = [
