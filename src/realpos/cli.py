@@ -29,7 +29,7 @@ from .algebra import (
     identity_of,
     unitize,
 )
-from .cones import cone_report, numerical_range
+from .cones import cone_report, f_membership, is_accretive, numerical_range
 from .matrices import (Tolerances, check_dim, complex_entries, json_number, matrix_from_json,
                        matrix_to_json)
 from .powers import power, power_balakrishnan, power_spectral, root_series
@@ -111,10 +111,11 @@ def _cmd_check(args) -> int:
     _emit(report.to_json(), args)
     if not args.require:
         return 0
+    fm = f_membership(x, tol)
     verdicts = {
-        "accretive": report.accretive_margin >= -tol.psd_slack,
-        "f": report.f_gap >= -tol.psd_slack,
-        "half-f": report.half_f_gap >= -tol.psd_slack,
+        "accretive": is_accretive(x, tol)[0],
+        "f": fm.in_f,
+        "half-f": fm.in_half_f,
         "c": report.c_constant is not None,
         "sector": report.sector_angle is not None
         and report.sector_angle < np.pi / 2.0 - 1e-9,

@@ -13,6 +13,7 @@ Every predicate returns its raw margin alongside the verdict.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import isfinite
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -82,10 +83,43 @@ class FMembership(NamedTuple):
     half_f_gap: float
 
 
-def is_accretive(x, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
-    """Accretivity verdict and the raw margin lambda_min((x + x*)/2)."""
-    margin = min_real_eig(as_matrix(x))
+class NotAccretiveError(ValueError):
+    """Input is outside the accretive cone (beyond psd_slack)."""
+
+
+def _accretive(m: np.ndarray, tol: Tolerances) -> tuple[bool, float]:
+    """The accretive order's one rule, ``(margin >= -psd_slack, margin)`` with
+    margin = lambda_min(Re m), on a validated m: x <= y iff y - x passes.  A
+    Hermitian part that overflows makes a NaN margin, which raises ValueError.
+
+    Not this rule: ``c_certificate``'s PSD test, scaled by max(1, ||x||^2);
+    ``sector_angle``'s rotated tests at machine precision;
+    ``interp._psd_check`` at ``SOLVER_TOL``; the F and half-F norm gaps.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        margin = float(np.linalg.eigvalsh(re_part(m))[0])
+    if not isfinite(margin):
+        raise ValueError("the Hermitian part of the matrix overflows")
     return margin >= -tol.psd_slack, margin
+
+
+def _require_accretive(x: np.ndarray, tol: Tolerances) -> float:
+    """The margin lambda_min(Re x), or NotAccretiveError below -psd_slack."""
+    accretive, margin = _accretive(x, tol)
+    if not accretive:
+        raise NotAccretiveError(f"matrix is not accretive (margin {margin:.3e})")
+    return margin
+
+
+def _on_boundary(margin: float, tol: Tolerances) -> bool:
+    """Whether an accretivity margin lies within psd_slack of the boundary."""
+    return margin <= tol.psd_slack
+
+
+def is_accretive(x, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
+    """Accretivity verdict and the raw margin lambda_min((x + x*)/2), by
+    _accretive: ValueError when the Hermitian part overflows."""
+    return _accretive(as_matrix(x), tol)
 
 
 def f_membership(x, tol: Tolerances = DEFAULT_TOL) -> FMembership:
@@ -121,7 +155,10 @@ def c_certificate(x, tol: Tolerances = DEFAULT_TOL) -> Optional[float]:
     if not keep.any():
         return 0.0
     whiten = v[:, keep] / np.sqrt(w[keep])
-    c = op_norm(x @ whiten) ** 2
+    try:
+        c = op_norm(x @ whiten) ** 2
+    except OverflowError:  # an ArithmeticError, which would read as a failed verdict
+        raise ValueError("the constant C with x*x <= C (x + x*) overflows") from None
     # Direct PSD check; nudge across the pseudo-inverse cliff if needed.
     for cand in (c, c * (1.0 + 1e-10) + tol.psd_slack):
         if min_real_eig(cand * h - dagger(x) @ x) >= -tol.psd_slack * max(1.0, norm**2):
@@ -138,8 +175,7 @@ def sector_angle(x, tol: Tolerances = DEFAULT_TOL) -> Optional[float]:
     angle is capped at pi/2.
     """
     x = as_matrix(x)
-    accretive, _ = is_accretive(x, tol)
-    if not accretive:
+    if not _accretive(x, tol)[0]:
         return None
     norm = op_norm(x)
     if norm <= tol.eq_tol:
@@ -211,13 +247,12 @@ def is_strictly_real_positive(
     e = identity_of(cstar(a, tol), tol)
     if e is None:
         raise ArithmeticError("generated C*-algebra has no computable unit")
-    h = re_part(x)
-    if min_real_eig(x) < -tol.psd_slack:
+    if not _accretive(x, tol)[0]:
         return False
     rng_vecs = range_basis(e)
     if rng_vecs.shape[1] == 0:
         return False
-    compressed = dagger(rng_vecs) @ h @ rng_vecs
+    compressed = dagger(rng_vecs) @ re_part(x) @ rng_vecs
     return float(np.linalg.eigvalsh(compressed)[0]) > tol.psd_slack
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import MatrixAlgebra, _in, _require_in, contains, cstar, identity_of, unitize
-from .cones import f_membership, support_function
+from .cones import _accretive, f_membership, support_function
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
@@ -92,7 +92,7 @@ def _require_small_psd_in_cstar(a: MatrixAlgebra, m: np.ndarray, name: str, tol:
     norm = op_norm(m)
     if not _within(m - dagger(m), tol.eq_tol * max(1.0, norm)):
         raise ValueError(f"{name} must be Hermitian")
-    if min_real_eig(m) < -tol.psd_slack:
+    if not _accretive(m, tol)[0]:
         raise ValueError(f"{name} must be positive semidefinite")
     if norm >= 1.0 - tol.eq_tol:
         raise ValueError(f"||{name}|| < 1 is required strictly")
@@ -322,7 +322,7 @@ def _urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     if u.shape[0] != a.ambient_dim:
         raise ValueError("dimension mismatch between algebra and matrix")
     _require_projection(u, "u")
-    if min_real_eig(u - q) < -tol.psd_slack:
+    if not _accretive(u - q, tol)[0]:
         raise ValueError("u must dominate q")
     x = a.project(q)
     u_in_a = _in(a, u, tol)
@@ -352,7 +352,7 @@ def _strict_urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     q, p = as_matrix(prob["q"]), as_matrix(prob["p"])
     _require_projection_in(a, q, "q", tol)
     _require_projection_in(a, p, "p", tol)
-    if min_real_eig(p - q) < -tol.psd_slack:
+    if not _accretive(p - q, tol)[0]:
         raise ValueError("p must dominate q")
     x = (p + q) / 2.0
     return (x,), _verify(_check_strict_urysohn(a, x, q, p, tol), "strict_urysohn")

@@ -63,7 +63,9 @@ class Tolerances:
     """Numeric thresholds used by every approximate predicate.
 
     eq_tol     equality of matrices in operator norm
-    psd_slack  allowed magnitude of a negative eigenvalue in PSD checks
+    psd_slack  the accretive order's slack: its one rule, ``cones._accretive``,
+               accepts lambda_min(Re m) >= -psd_slack; the F and half-F
+               gaps and the unit-scale norm tests take the same slack
     iter_tol   stopping threshold for fixed-point iterations
     """
 
@@ -333,9 +335,9 @@ def solve(m, b):
 
 
 def min_real_eig(m) -> float:
-    """Smallest eigenvalue of the Hermitian part (m + m*)/2.
+    """Smallest eigenvalue of the Hermitian part (m + m*)/2, for a report.
 
-    ``m`` is accretive iff this is >= -psd_slack.
+    The accretive order's verdict on it has one owner, ``cones._accretive``.
     """
     m = as_matrix(m, "min_real_eig input")
     return float(np.linalg.eigvalsh(re_part(m))[0])

@@ -38,7 +38,7 @@ from numbers import Real
 
 import numpy as np
 
-from .cones import f_membership
+from .cones import NotAccretiveError, _accretive, _on_boundary, _require_accretive, f_membership
 from .matrices import (
     DEFAULT_TOL,
     PIVOT_RTOL,
@@ -51,7 +51,6 @@ from .matrices import (
     _within,
     as_matrix,
     frob_norm,
-    min_real_eig,
     op_norm,
     re_part,
 )
@@ -78,10 +77,6 @@ EIG_RTOL = 1e-12
 # at n = 16), and MAX_TERMS series terms take about 630 matrix products.
 MAX_NODES = 4096
 MAX_TERMS = 100_000
-
-
-class NotAccretiveError(ValueError):
-    """Input is outside the accretive cone (beyond psd_slack)."""
 
 
 class DefectiveMatrixError(ValueError):
@@ -137,16 +132,6 @@ def _require_finite(res: PowerResult, alpha: float) -> PowerResult:
     if not np.isfinite(res.value).all():
         raise ValueError(f"x^{float(alpha)!r} overflows: its value has non-finite entries")
     return res
-
-
-def _require_accretive(x: np.ndarray, tol: Tolerances) -> float:
-    """Return the accretivity margin lambda_min(Re x), raising below -psd_slack."""
-    margin = min_real_eig(x)
-    if margin < -tol.psd_slack:
-        raise NotAccretiveError(
-            f"matrix is not accretive (margin {margin:.3e})"
-        )
-    return margin
 
 
 class _SpectralFactor:
@@ -353,7 +338,7 @@ def power_balakrishnan(
     # r - 1 (Fast2Sum, exact since |r| < 1); it is 0 for r >= 0.5.
     d = r - ((r - 1.0) + 1.0)
     certified = (
-        not (margin <= tol.psd_slack and not _within(diff, 1e-6))
+        not (_on_boundary(margin, tol) and not _within(diff, 1e-6))
         and _within(diff, 1e-6 * max(1.0, frob_norm(value)))
         and abs(d) <= 1e-6 * r
     )
@@ -543,8 +528,8 @@ def disk_order_check(f_coeffs, g_coeffs, x, tol: Tolerances = DEFAULT_TOL) -> tu
     diff[: len(f_coeffs)] -= f_coeffs
     z = np.exp(2j * np.pi * np.arange(4096) / 4096)
     premise = float(np.polynomial.polynomial.polyval(z, diff).real.min())
-    conclusion = min_real_eig(_matrix_polyval(diff, eye - x))
-    if premise >= 0.0 and conclusion < -tol.psd_slack:
+    accretive, conclusion = _accretive(_matrix_polyval(diff, eye - x), tol)
+    if premise >= 0.0 and not accretive:
         raise ArithmeticError(
             f"disk ordering violated numerically (premise {premise:.2e}, "
             f"conclusion {conclusion:.2e})"

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import _algebra, _columns, _products, _require_in, orthonormalize
+from .cones import NotAccretiveError, _accretive, _require_accretive
 from .matrices import (
     DEFAULT_TOL,
     SINGULAR_RTOL,
@@ -36,12 +37,11 @@ from .matrices import (
     _within,
     as_matrix,
     dagger,
-    min_real_eig,
     op_norm,
     op_norms,
     range_basis,
 )
-from .powers import EIG_RTOL, NotAccretiveError, _require_accretive, power
+from .powers import EIG_RTOL, power
 
 __all__ = [
     "ProjectionResult",
@@ -131,7 +131,7 @@ def support_projection(
     holds the defect before each step and at the end.
     """
     x = as_matrix(x)
-    if min_real_eig(x) < -tol.psd_slack:
+    if not _accretive(x, tol)[0]:
         raise NotAccretiveError("support projections need accretive input")
     if method not in ("iterative", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -338,7 +338,7 @@ def join(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Lattice join: support of the accretive sum p + q."""
     p, q = _require_projections([p, q])
     out = support_projection(p + q, method="oracle", tol=tol).proj
-    if min(min_real_eig(out - p), min_real_eig(out - q)) < -tol.psd_slack:
+    if not (_accretive(out - p, tol)[0] and _accretive(out - q, tol)[0]):
         raise ArithmeticError("join does not dominate its arguments")
     return out
 
@@ -366,7 +366,7 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
     """
     x = as_matrix(x)
     _require_in(algebra, x, "x", tol)
-    if min_real_eig(x) < -tol.psd_slack:
+    if not _accretive(x, tol)[0]:
         raise NotAccretiveError("hereditary subalgebras here require accretive x")
 
     a = algebra.basis

@@ -40,6 +40,27 @@ def test_check_reports_and_exit_codes(tmp_path, capsys):
     assert main(["check", ii, "--require", "accretive"]) == 0
     assert main(["check", ii, "--require", "f"]) == 1
 
+    # margin exactly -psd_slack, and one ulp below it
+    for low, code in ((-1e-7, 0), (np.nextafter(-1e-7, -np.inf), 1)):
+        slack = _write_matrix(tmp_path / "slack.json", np.diag([low, 1.0]))
+        assert main(["check", slack, "--require", "accretive"]) == code
+
+
+@pytest.mark.parametrize("argv, m, message", [
+    (["check", "{}", "--require", "accretive"], 1e308 * np.ones((2, 2)),
+     "the Hermitian part of the matrix overflows"),
+    (["project", "{}", "--kind", "support"], 1e308 * np.ones((2, 2)),
+     "the Hermitian part of the matrix overflows"),
+    (["power", "{}", "--alpha", "0.5", "--method", "spectral"], [[1e308, 1e308], [-1e308, 1e308]],
+     "the Hermitian part of the matrix overflows"),
+    (["check", "{}"], [[1.0, 1e160], [-1e160, 1.0]],
+     "the constant C with x*x <= C (x + x*) overflows"),
+])
+def test_an_overflow_exits_2(tmp_path, capsys, argv, m, message):
+    path = _write_matrix(tmp_path / "x.json", m)
+    assert main([arg.format(path) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 def test_check_invalid_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"

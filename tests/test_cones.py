@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from realpos.algebra import full_algebra, span_algebra
+from realpos import interp
+from realpos.algebra import algebra_from_name, full_algebra, span_algebra
 from realpos.cones import (
     MAX_GRID,
     c_certificate,
@@ -16,8 +17,10 @@ from realpos.cones import (
     support_function,
 )
 from realpos.generators import gen_accretive, gen_sectorial
-from realpos.matrices import dagger, min_real_eig, op_norm, re_part
-from realpos.powers import power
+from realpos.matrices import DEFAULT_TOL, Tolerances, dagger, min_real_eig, op_norm, re_part
+from realpos.powers import (NotAccretiveError, disk_order_check, power, power_all,
+                            power_balakrishnan, power_spectral)
+from realpos.projections import hsa_and_ideal, support_projection, vav_identity_check
 
 
 def test_is_accretive(lemerdy):
@@ -229,3 +232,94 @@ def test_cone_report_fields(lemerdy):
         "accretive_margin", "norm", "f_gap", "half_f_gap",
         "c_constant", "sector_angle", "im_norm",
     }
+
+
+# -- the accretive order's one rule ------------------------------------------
+
+# diag(m, 1) has margin exactly m: at -psd_slack, and one ulp below it
+AT_SLACK = np.diag([-DEFAULT_TOL.psd_slack, 1.0])
+PAST_SLACK = np.diag([np.nextafter(-DEFAULT_TOL.psd_slack, -np.inf), 1.0])
+# Hermitian parts that overflow: a nonzero PSD matrix and an accretive one
+PSD308 = 1e308 * np.ones((2, 2))
+ACC308 = np.array([[1e308, 1e308], [-1e308, 1e308]])
+
+
+def _refused(call, error, match) -> bool:
+    """Whether call() raises error with match in its message.  Any other
+    outcome, a later check's failure included, is not this refusal."""
+    try:
+        call()
+    except error as exc:
+        return match in str(exc)
+    except interp.VerificationFailedError:
+        pass
+    return False
+
+
+def test_is_accretive_turns_at_minus_psd_slack():
+    assert is_accretive(AT_SLACK) == (True, -DEFAULT_TOL.psd_slack)
+    assert is_accretive(PAST_SLACK) == (False, PAST_SLACK[0, 0])
+
+
+@pytest.mark.parametrize("site, error, match", [
+    (lambda x: power_spectral(x, 0.5), NotAccretiveError, "not accretive"),
+    (lambda x: power_balakrishnan(x, 0.5), NotAccretiveError, "not accretive"),
+    (lambda x: power_all(x, (0.5, 1.5)), NotAccretiveError, "not accretive"),
+    (lambda x: power(x, 0.5), NotAccretiveError, "not accretive"),
+    (lambda x: vav_identity_check(x, np.eye(2), 0.5), NotAccretiveError, "not accretive"),
+    (support_projection, NotAccretiveError, "accretive input"),
+    (lambda x: hsa_and_ideal(algebra_from_name("diag:2"), x), NotAccretiveError, "accretive x"),
+    (lambda x: interp.dominate(full_algebra(2), np.diag([x[0, 0], 0.5])), ValueError,
+     "b must be positive semidefinite"),
+    (lambda x: interp.interp_np(full_algebra(2), np.diag([x[0, 0], 0.5])), ValueError,
+     "c must be positive semidefinite"),
+])
+def test_every_site_turns_where_is_accretive_does(site, error, match):
+    # join's out >= p, q and is_strictly_real_positive are left out: their
+    # preconditions (projections; x in A) admit no margin at -psd_slack
+    assert not _refused(lambda: site(AT_SLACK), error, match)
+    assert _refused(lambda: site(PAST_SLACK), error, match)
+
+
+def test_order_sites_on_differences_turn_where_is_accretive_does():
+    # u - q, p - q and the disk calculus's conclusion have a margin of -d for
+    # a d set by rounding; psd_slack = d serves them, one ulp less refuses
+    full = full_algebra(2)
+    q, u = np.diag([1.0 + 1e-9, 0.0]), np.diag([1.0, 0.0])
+    d = -is_accretive(u - q)[1]
+    for slack, refused in ((d, False), (np.nextafter(d, 0.0), True)):
+        tol = Tolerances(eq_tol=1e-9, psd_slack=slack)
+        assert is_accretive(u - q, tol)[0] is not refused
+        assert _refused(lambda: interp.urysohn_interpolate(full, q, u, tol=tol), ValueError,
+                        "u must dominate q") is refused
+        assert _refused(lambda: interp.strict_urysohn(full, q, u, tol=tol), ValueError,
+                        "p must dominate q") is refused
+    # g(1 - x) - f(1 - x) = 1 + (1 - x) = diag(-d, 1), with x in F within eq_tol = d
+    x = np.diag([2.0 + 1e-7, 1.0])
+    d = x[0, 0] - 2.0
+    for slack, refused in ((d, False), (np.nextafter(d, 0.0), True)):
+        tol = Tolerances(eq_tol=slack, psd_slack=slack)
+        assert is_accretive(np.diag([-d, 1.0]), tol)[0] is not refused
+        assert _refused(lambda: disk_order_check([0.0], [1.0, 1.0], x, tol), ArithmeticError,
+                        "disk ordering violated") is refused
+
+
+@pytest.mark.parametrize("x", [PSD308, ACC308], ids=["psd308", "acc308"])
+@pytest.mark.parametrize("site", [
+    is_accretive,
+    lambda x: power_spectral(x, 0.5),
+    lambda x: power_balakrishnan(x, 0.5),
+    lambda x: power(x, 0.5),
+    support_projection,
+    lambda x: hsa_and_ideal(full_algebra(2), x),
+    lambda x: is_strictly_real_positive(full_algebra(2), x),
+    cone_report,
+])
+def test_an_overflowing_hermitian_part_is_refused(site, x):
+    with pytest.raises(ValueError, match="^the Hermitian part of the matrix overflows$"):
+        site(x)
+
+
+def test_an_overflowing_c_constant_is_refused():
+    with pytest.raises(ValueError, match=r"^the constant C with x\*x <= C \(x \+ x\*\) overflows$"):
+        c_certificate(np.array([[1.0, 1e160], [-1e160, 1.0]]))

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from scipy.special import roots_jacobi
 
+from realpos import cones as cones_module
 from realpos import powers as powers_module
 from realpos.algebra import contains, generate_algebra
 from realpos.cones import sector_angle
@@ -679,13 +680,14 @@ def test_rescaled_root_check(lemerdy):
 
 def test_rescaled_root_check_tests_accretivity_once_per_matrix(monkeypatch):
     # x itself is checked inside power(x, 0.5) and x / c inside power_all
-    margins = []
+    margins, owner = [], cones_module._accretive
 
-    def counted(m):
-        margins.append(min_real_eig(m))
-        return margins[-1]
+    def counted(m, tol):
+        out = owner(m, tol)
+        margins.append(out[1])
+        return out
 
-    monkeypatch.setattr(powers_module, "min_real_eig", counted)
+    monkeypatch.setattr(cones_module, "_accretive", counted)
     rescaled_root_check(gen_half_f(4, 3))
     assert len(margins) == 2
     # a margin below -psd_slack makes ||x|| > psd_slack >= eq_tol, so the
