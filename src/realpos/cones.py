@@ -5,7 +5,8 @@ The cones, ordered by inclusion ``half_F subset F subset c subset r``:
 * ``r`` (accretive): x + x* positive semidefinite;
 * ``c``: x*x <= C (x + x*) for some finite C, with the minimal C reported;
 * ``F``: ||1 - x|| <= 1, ``half_F``: ||1 - 2x|| <= 1 (the ambient identity
-  realizes the unitization);
+  realizes the unitization), decided by ``_in_f`` and measured by
+  ``_f_gap``;
 * sectorial of angle rho: numerical range inside the sector |arg z| <= rho.
 
 Every predicate returns its raw margin alongside the verdict.
@@ -23,6 +24,7 @@ from .matrices import (
     DEFAULT_TOL,
     Tolerances,
     _require_count,
+    _within,
     as_matrix,
     dagger,
     im_part,
@@ -94,7 +96,7 @@ def _accretive(m: np.ndarray, tol: Tolerances) -> tuple[bool, float]:
 
     Not this rule: ``c_certificate``'s PSD test, scaled by max(1, ||x||^2);
     ``sector_angle``'s rotated tests at machine precision;
-    ``interp._psd_check`` at ``SOLVER_TOL``; the F and half-F norm gaps.
+    ``interp._psd_check`` at ``SOLVER_TOL``; F and half-F (``_in_f``).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         margin = float(np.linalg.eigvalsh(re_part(m))[0])
@@ -122,12 +124,39 @@ def is_accretive(x, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     return _accretive(as_matrix(x), tol)
 
 
+def _f_gap(x: np.ndarray) -> float:
+    """F's gap ``1 - ||1 - x||`` on a validated x, by one SVD; half-F's gap
+    is ``_f_gap(2 x)``."""
+    return 1.0 - op_norm(np.eye(x.shape[0], dtype=complex) - x)
+
+
+def _in_f(x: np.ndarray, tol: Tolerances) -> bool:
+    """F's one rule, exactly ``_f_gap(x) >= -psd_slack``, on a validated x;
+    half-F is asked as ``_in_f(2 x)``.
+
+    ``_within`` settles it against the largest float not above
+    1 + psd_slack, mostly without the SVD, and that is the gap's verdict:
+    1 - a is exact for a = ||1 - x|| in [1/2, 2^53), and below 1/2 both
+    verdicts hold, above both fail (for psd_slack < 2^52).
+
+    Not this rule: ``root_series``' and ``disk_order_check``'s
+    ``||1 - x|| <= 1 + eq_tol`` (the series' domain with a rounding
+    allowance) and the series route's ``certified``, ``||1 - x|| <= 1``;
+    ``interp._peak``'s ``||(1 - 2b) q|| <= 1 + eq_tol``; interp's half-F
+    checks, which read ``_f_gap`` against ``SOLVER_TOL``.
+    """
+    bound = 1.0 + tol.psd_slack
+    if bound - 1.0 > tol.psd_slack:  # exact: 1 + psd_slack rounded up
+        bound = float(np.nextafter(bound, 0.0))
+    return _within(np.eye(x.shape[0], dtype=complex) - x, bound)
+
+
 def f_membership(x, tol: Tolerances = DEFAULT_TOL) -> FMembership:
-    """Membership in F (||1 - x|| <= 1) and half-F (||1 - 2x|| <= 1)."""
+    """Membership in F (||1 - x|| <= 1) and half-F (||1 - 2x|| <= 1), each
+    ``_f_gap >= -psd_slack`` on the gap it reports (the rule of
+    :func:`_in_f`)."""
     x = as_matrix(x)
-    eye = np.eye(x.shape[0], dtype=complex)
-    f_gap = 1.0 - op_norm(eye - x)
-    half_gap = 1.0 - op_norm(eye - 2.0 * x)
+    f_gap, half_gap = _f_gap(x), _f_gap(2.0 * x)
     return FMembership(
         f_gap >= -tol.psd_slack, half_gap >= -tol.psd_slack, f_gap, half_gap
     )

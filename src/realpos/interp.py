@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import MatrixAlgebra, _in, _require_in, contains, cstar, identity_of, unitize
-from .cones import _accretive, f_membership, support_function
+from .cones import _accretive, _f_gap, support_function
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
@@ -143,8 +143,8 @@ def _psd_check(label: str, m: np.ndarray) -> tuple:
     return (label, -low, low >= -SOLVER_TOL)
 
 
-def _half_f_check(x: np.ndarray, tol: Tolerances, label: str = "half-F") -> tuple:
-    gap = f_membership(x, tol).half_f_gap
+def _half_f_check(x: np.ndarray, label: str = "half-F") -> tuple:
+    gap = _f_gap(2.0 * x)
     return (label, -gap, gap >= -SOLVER_TOL)
 
 
@@ -153,35 +153,35 @@ def _sided_checks(x: np.ndarray, m: np.ndarray, target: np.ndarray, labels: tupl
     return [_eq_check(labels[0], x @ m, target), _eq_check(labels[1], m @ x, target)]
 
 
-def _check_dominate(x: np.ndarray, b: np.ndarray, eps: float, tol: Tolerances) -> list:
+def _check_dominate(x: np.ndarray, b: np.ndarray, eps: float) -> list:
     return [
-        _half_f_check(x, tol),
+        _half_f_check(x),
         _psd_check("Re(a)-b PSD", x - b),
         _below("Im small", op_norm(im_part(x)), eps),
     ]
 
 
-def _check_decompose(x: np.ndarray, y: np.ndarray, b: np.ndarray, tol: Tolerances) -> list:
+def _check_decompose(x: np.ndarray, y: np.ndarray, b: np.ndarray) -> list:
     return [
-        _half_f_check(x, tol, "x in half-F"),
-        _half_f_check(y, tol, "y in half-F"),
+        _half_f_check(x, "x in half-F"),
+        _half_f_check(y, "y in half-F"),
         _eq_check("b = x - y", b, x - y),
     ]
 
 
-def _check_np(x: np.ndarray, c: np.ndarray, near_eps: float, tol: Tolerances) -> list:
+def _check_np(x: np.ndarray, c: np.ndarray, near_eps: float) -> list:
     eye = _eye(x.shape[0])
     return [
-        _half_f_check(x, tol),
+        _half_f_check(x),
         _psd_check("Schur block PSD", np.block([[eye - c, dagger(eye - x)], [eye - x, eye]])),
         _below("Im small", op_norm(im_part(x)), near_eps),
     ]
 
 
 def _check_urysohn(x: np.ndarray, q: np.ndarray, u: np.ndarray, u_in_a: bool, eps: float,
-                   near_eps: float, tol: Tolerances) -> list:
+                   near_eps: float) -> list:
     checks = [
-        _half_f_check(x, tol),
+        _half_f_check(x),
         *_sided_checks(x, q, q, _X_CORNER),
         _below("Im small", op_norm(im_part(x)), near_eps),
     ]
@@ -204,7 +204,7 @@ def _check_strict_urysohn(a: MatrixAlgebra, x: np.ndarray, q: np.ndarray, p: np.
                               op_norm(prod.proj - (p - q)))
     return [
         ("in algebra", res, inside),
-        _half_f_check(x, tol),
+        _half_f_check(x),
         *_sided_checks(x, q, q, _X_CORNER),
         *_sided_checks(x, p, x, ("x p = x", "p x = x")),
         ("u(x) = q", d_peak, peak.status != "diverged" and d_peak <= 1e-5),
@@ -213,8 +213,8 @@ def _check_strict_urysohn(a: MatrixAlgebra, x: np.ndarray, q: np.ndarray, p: np.
     ]
 
 
-def _check_peak(g: np.ndarray, q: np.ndarray, b: np.ndarray, tol: Tolerances) -> list:
-    return [_half_f_check(g, tol), *_sided_checks(g, q, b @ q, _G_CORNER)]
+def _check_peak(g: np.ndarray, q: np.ndarray, b: np.ndarray) -> list:
+    return [_half_f_check(g), *_sided_checks(g, q, b @ q, _G_CORNER)]
 
 
 def _check_tietze(g: np.ndarray, q: np.ndarray, b: np.ndarray, region: ConvexRegion) -> list:
@@ -244,7 +244,7 @@ def _dominate(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     e = _require_unital(a, tol)
     norm = _require_small_psd_in_cstar(a, b, "b", tol)
     x = a.project(0.5 * (1.0 + norm) * e)
-    return (x,), _verify(_check_dominate(x, b, eps, tol), "dominate")
+    return (x,), _verify(_check_dominate(x, b, eps), "dominate")
 
 
 def dominate(
@@ -273,7 +273,7 @@ def _decompose(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
         raise ValueError("decomposition needs ||b|| < 1 strictly")
     x = a.project((e + b) / 2.0)
     y = x - b
-    return (x, y), _verify(_check_decompose(x, y, b, tol), "decompose")
+    return (x, y), _verify(_check_decompose(x, y, b), "decompose")
 
 
 def decompose(
@@ -294,7 +294,7 @@ def _interp_np(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     e = _require_unital(a, tol)
     norm = _require_small_psd_in_cstar(a, c, "c", tol)
     x = a.project(0.5 * (1.0 + norm) * e)
-    return (x,), _verify(_check_np(x, c, near_eps, tol), "interp_np")
+    return (x,), _verify(_check_np(x, c, near_eps), "interp_np")
 
 
 def interp_np(
@@ -326,7 +326,7 @@ def _urysohn(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
         raise ValueError("u must dominate q")
     x = a.project(q)
     u_in_a = _in(a, u, tol)
-    return (x,), _verify(_check_urysohn(x, q, u, u_in_a, eps, near_eps, tol), "urysohn_interpolate")
+    return (x,), _verify(_check_urysohn(x, q, u, u_in_a, eps, near_eps), "urysohn_interpolate")
 
 
 def urysohn_interpolate(
@@ -384,7 +384,7 @@ def _peak(a: MatrixAlgebra, prob: dict, tol: Tolerances) -> tuple:
     if not _within((_eye(a.ambient_dim) - 2.0 * b) @ q, 1.0 + tol.eq_tol):
         raise ValueError("||(1 - 2b) q|| <= 1 is required")
     g = a.project(b @ q)
-    return (g,), _verify(_check_peak(g, q, b, tol), "peak_interpolate")
+    return (g,), _verify(_check_peak(g, q, b), "peak_interpolate")
 
 
 def peak_interpolate(

@@ -64,8 +64,11 @@ class Tolerances:
 
     eq_tol     equality of matrices in operator norm
     psd_slack  the accretive order's slack: its one rule, ``cones._accretive``,
-               accepts lambda_min(Re m) >= -psd_slack; the F and half-F
-               gaps and the unit-scale norm tests take the same slack
+               accepts lambda_min(Re m) >= -psd_slack; F's one rule,
+               ``cones._in_f``, accepts 1 - ||1 - x|| >= -psd_slack (half-F
+               is F of 2x), and the unit-scale norm tests take the same
+               slack; the ||1 - x|| <= 1 + eq_tol guards of the series
+               route and the disk calculus take eq_tol instead
     iter_tol   stopping threshold for fixed-point iterations
     """
 

@@ -24,8 +24,9 @@ Within one, a result of either route computes its ``est_error`` on the first
 read and keeps it: no caller on a hot path reads it, and it is the only SVD
 work of a power.  The verdicts a power turns on (the spectral route's
 eigenvalue cut, the quadrature route's ``certified``, the series route's
-``||1 - x|| <= 1``) are settled by the Frobenius verdicts of ``matrices``,
-which run an SVD only when the Frobenius norm cannot settle them.
+``||1 - x|| <= 1 + eq_tol`` and its ``certified``) are settled by the
+Frobenius verdicts of ``matrices``, which run an SVD only when the
+Frobenius norm cannot settle them.
 
 Also houses the root-law checks (monotonicity of roots and of rescaled
 roots, disk-function-calculus ordering).
@@ -38,7 +39,7 @@ from numbers import Real
 
 import numpy as np
 
-from .cones import NotAccretiveError, _accretive, _on_boundary, _require_accretive, f_membership
+from .cones import NotAccretiveError, _accretive, _in_f, _on_boundary, _require_accretive
 from .matrices import (
     DEFAULT_TOL,
     PIVOT_RTOL,
@@ -349,9 +350,11 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
     """m-th root of x in F by the binomial series in (1 - x).
 
     The coefficients past k = 0 all share one sign, so the tail of their
-    absolute sum is available exactly; it bounds the truncation error since
-    ||1 - x|| <= 1.  The partial sum, a polynomial of degree ``terms`` in
-    1 - x, is evaluated by Paterson-Stockmeyer (:func:`_matrix_polyval`):
+    absolute sum is available exactly; it bounds the truncation error when
+    ||1 - x|| <= 1.  The route takes ||1 - x|| up to 1 + eq_tol, a rounding
+    allowance, and ``certified`` is ``||1 - x|| <= 1``: past it the tail
+    bound does not hold.  The partial sum, a polynomial of degree ``terms``
+    in 1 - x, is evaluated by Paterson-Stockmeyer (:func:`_matrix_polyval`):
     about 2 sqrt(terms) matrix products, 630 at ``MAX_TERMS``.
     """
     x = as_matrix(x)
@@ -359,7 +362,8 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
         raise ValueError("m must be an integer >= 2")
     _require_count(terms, "terms", 1, MAX_TERMS)
     y = np.eye(x.shape[0], dtype=complex) - x
-    if not _within(y, 1.0 + tol.eq_tol):
+    certified = _within(y, 1.0)
+    if not certified and not _within(y, 1.0 + tol.eq_tol):
         raise ValueError("series route needs ||1 - x|| <= 1")
     alpha = 1.0 / m
     coeff = 1.0  # binom(alpha, k) (-1)^k at k = 0
@@ -371,7 +375,7 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
         signed_sum += coeff
     # signed_sum is exactly the remaining absolute mass of the coefficients.
     est = abs(signed_sum)
-    return PowerResult(_matrix_polyval(coeffs, y), "series", float(est), terms)
+    return PowerResult(_matrix_polyval(coeffs, y), "series", float(est), terms, certified)
 
 
 def _split(alpha: float) -> tuple[int, float]:
@@ -469,7 +473,7 @@ def rescaled_root_check(x, tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.nda
     half = power(x, 0.5, tol=tol).value
     c = (2.0 * op_norm(re_part(half))) ** 2
     roots = [r.value for r in power_all(x / c, [1.0 / m for m in range(2, 9)], tol=tol)]
-    if not f_membership(roots[0], tol).in_half_f:
+    if not _in_f(2.0 * roots[0], tol):
         raise ArithmeticError("rescaled square root left the half-F set")
     return float(c), _increment_margins(roots)
 

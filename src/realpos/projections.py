@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import _algebra, _columns, _products, _require_in, orthonormalize
-from .cones import NotAccretiveError, _accretive, _require_accretive
+from .cones import NotAccretiveError, _accretive, _in_f, _require_accretive
 from .matrices import (
     DEFAULT_TOL,
     SINGULAR_RTOL,
@@ -131,8 +131,10 @@ def support_projection(
     holds the defect before each step and at the end.
     """
     x = as_matrix(x)
-    if not _accretive(x, tol)[0]:
-        raise NotAccretiveError("support projections need accretive input")
+    try:
+        _require_accretive(x, tol)
+    except NotAccretiveError as exc:
+        raise NotAccretiveError(f"support projections need accretive input: {exc}") from None
     if method not in ("iterative", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
 
@@ -210,7 +212,6 @@ def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     integer = np.isfinite(r) and abs(r - round(r)) < 1e-14 and round(r) >= 1
     if not integer and not 0.0 < r < 1.0:
         raise ValueError("r must be in (0, 1) or a positive integer")
-    _require_accretive(a, tol)
     s = support_projection(a, method="oracle", tol=tol).proj
     if not _within(dagger(v) @ v - s, 1e-7 * _norm_floor_one(s)):
         raise ValueError("v*v must equal the support projection of a")
@@ -246,12 +247,10 @@ def peak_projection(
 
     oracle = None
     if method in ("oracle", "both"):
-        eye = np.eye(x.shape[0], dtype=complex)
-        if op_norm(eye - 2.0 * x) > 1.0 + tol.psd_slack:
-            if method == "oracle":
-                raise ValueError("the eigenspace oracle needs x in half-F")
-        else:
+        if _in_f(2.0 * x, tol):
             oracle = _eigenspace_projection(x)
+        elif method == "oracle":
+            raise ValueError("the eigenspace oracle needs x in half-F")
     if method == "oracle":
         status = "zero" if _within(oracle, tol.eq_tol) else "converged"
         return ProjectionResult(oracle, "oracle", 0, None, status)

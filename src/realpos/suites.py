@@ -32,9 +32,9 @@ from .algebra import (
     upper_triangular_algebra,
 )
 from .cones import (
+    _f_gap,
     c_certificate,
     support_function,
-    f_membership,
     is_accretive,
     is_strictly_real_positive,
     sector_angle,
@@ -142,14 +142,13 @@ def _suite_f_bijection(rec: _Recorder, seed: int, sizes, tol: Tolerances) -> Non
     for _, s, n in _cases(seed, sizes, 300):
         x = gen_accretive(n, s)
         t = f_transform(x)
-        fm = f_membership(t, tol)
         norm_t = op_norm(t)
         roundtrip = op_norm(f_inverse(t, tol) - x)
         allowed = 1e-8 * (1.0 + op_norm(x))
         t2 = gen_half_f(n, s + 7)
         back_margin = min_real_eig(f_inverse(t2, tol))
         # ||T|| < 1 is strict: the largest float below 1 is the bound
-        margin = min(fm.half_f_gap + tol.psd_slack, np.nextafter(1.0, 0.0) - norm_t,
+        margin = min(_f_gap(2.0 * t) + tol.psd_slack, np.nextafter(1.0, 0.0) - norm_t,
                      allowed - roundtrip, back_margin + 1e-7)
         rec.case(margin, s, {"x": x})
 

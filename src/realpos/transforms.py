@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from .cones import _in_f
 from .matrices import DEFAULT_TOL, Tolerances, _norm_floor_one, _within, as_matrix, op_norm, solve
 
 __all__ = ["cayley", "f_transform", "f_inverse"]
@@ -53,7 +54,7 @@ def f_inverse(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     # ||T|| < 1 - eq_tol, as a verdict; the norm is computed for the message
     if not _within(t, np.nextafter(1.0 - tol.eq_tol, -np.inf)):
         raise ValueError(f"inverse transform needs ||T|| < 1, got {op_norm(t):.6f}")
-    if not _within(eye - 2.0 * t, 1.0 + tol.psd_slack):
+    if not _in_f(2.0 * t, tol):
         warnings.warn(
             "input is outside the half-F set; the inverse transform is "
             "defined but its output may not be accretive",

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realpos import interp
 from realpos.algebra import algebra_from_name, full_algebra, span_algebra
+from realpos.cli import main
 from realpos.cones import (
     MAX_GRID,
+    _f_gap,
+    _in_f,
     c_certificate,
     cone_report,
     f_membership,
@@ -17,10 +25,11 @@ from realpos.cones import (
     support_function,
 )
 from realpos.generators import gen_accretive, gen_sectorial
-from realpos.matrices import DEFAULT_TOL, Tolerances, dagger, min_real_eig, op_norm, re_part
+from realpos.matrices import DEFAULT_TOL, Tolerances, dagger, matrix_to_json, min_real_eig, op_norm, re_part
 from realpos.powers import (NotAccretiveError, disk_order_check, power, power_all,
                             power_balakrishnan, power_spectral)
-from realpos.projections import hsa_and_ideal, support_projection, vav_identity_check
+from realpos.projections import hsa_and_ideal, peak_projection, support_projection, vav_identity_check
+from realpos.transforms import f_inverse
 
 
 def test_is_accretive(lemerdy):
@@ -323,3 +332,57 @@ def test_an_overflowing_hermitian_part_is_refused(site, x):
 def test_an_overflowing_c_constant_is_refused():
     with pytest.raises(ValueError, match=r"^the constant C with x\*x <= C \(x \+ x\*\) overflows$"):
         c_certificate(np.array([[1.0, 1e160], [-1e160, 1.0]]))
+
+
+def test_support_and_vav_refusals_name_the_margin():
+    message = "support projections need accretive input: matrix is not accretive (margin -1.000e-07)"
+    for call in (lambda: support_projection(PAST_SLACK), lambda: vav_identity_check(PAST_SLACK, np.eye(2), 0.5)):
+        with pytest.raises(NotAccretiveError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+# -- F and half-F's one rule -------------------------------------------------
+
+# a = fl(1 + psd_slack) lies above 1 + psd_slack and the float below it does
+# not; t = diag((1 - a)/2, 1/2) has 1 - 2t = diag(a, 0) exactly, and the
+# norm-1 contraction diag((1 - a)/2, 1) has 1 - 2x = diag(a, -1)
+AT_HALF_F_BOUND = 1.0 + DEFAULT_TOL.psd_slack
+
+
+@pytest.mark.parametrize("a, inside", [(AT_HALF_F_BOUND, False),
+                                       (np.nextafter(AT_HALF_F_BOUND, 0.0), True)])
+def test_every_half_f_site_turns_where_f_membership_does(tmp_path, a, inside):
+    t, x = np.diag([(1.0 - a) / 2.0, 0.5]), np.diag([(1.0 - a) / 2.0, 1.0])
+    assert f_membership(t).in_half_f is inside and f_membership(x).in_half_f is inside
+    assert _in_f(2.0 * t, DEFAULT_TOL) is inside and _in_f(2.0 * x, DEFAULT_TOL) is inside
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f_inverse(t)
+    assert [w.category for w in caught] == ([] if inside else [RuntimeWarning])
+    assert _refused(lambda: peak_projection(x, method="oracle"), ValueError, "needs x in half-F") is not inside
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(matrix_to_json(t)))
+    assert main(["check", str(path), "--require", "half-f"]) == (0 if inside else 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), rank_one=st.booleans(),
+       slack=st.sampled_from([1e-7, 2e-7, 1e-12, 0.5]))
+def test_in_f_is_the_gap_verdict(n, seed, rank_one, slack):
+    # 1 - x = y scaled to norms a few floats either side of 1 and of
+    # 1 + slack, which rounds up at 1e-7 and 1e-12, down at 2e-7 and not at 0.5
+    tol = Tolerances(eq_tol=min(slack, 1e-9), psd_slack=slack)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if rank_one:
+        g = np.outer(g[:, 0], g[0].conj())
+    g = g / op_norm(g)
+    verdicts = set()
+    for target in (1.0, 1.0 + slack):
+        for k in range(-4, 5):
+            x = np.eye(n) - (target + k * np.spacing(target)) * g
+            inside = _f_gap(x) >= -slack
+            assert _in_f(x, tol) is inside, (target, k)
+            verdicts.add(inside)
+    assert verdicts == {True, False}

@@ -601,12 +601,13 @@ def _count_svds(monkeypatch) -> list:
 
 
 # SVDs per solve on A11's instances at seed 0, k = 0..7 (the solvers made 8,
-# 9, 8 and 12 when ||m|| and each residual of a precondition took an SVD)
+# 9, 8 and 12 when ||m|| and each residual of a precondition took an SVD,
+# and 4, 5, 4 and 5 when each half-F check also took the SVD of 1 - x)
 _SOLVER_SVDS = {
-    "dominate": (lambda a, p: dominate(a, p["b"], p["eps"]), 4),
-    "decompose": (lambda a, p: decompose(a, p["b"]), 5),
-    "np": (lambda a, p: interp_np(a, p["c"], p["near_eps"]), 4),
-    "peak": (lambda a, p: peak_interpolate(a, p["q"], p["b"]), 5),
+    "dominate": (lambda a, p: dominate(a, p["b"], p["eps"]), 3),
+    "decompose": (lambda a, p: decompose(a, p["b"]), 3),
+    "np": (lambda a, p: interp_np(a, p["c"], p["near_eps"]), 3),
+    "peak": (lambda a, p: peak_interpolate(a, p["q"], p["b"]), 4),
 }
 
 

@@ -247,6 +247,23 @@ def test_balakrishnan_defective_fallback():
     assert np.allclose(s.value, [[1.0, 0.5], [0.0, 1.0]], atol=1e-12)
 
 
+def test_root_series_certifies_only_inside_f(monkeypatch):
+    # ||1 - x|| = 1.0005 passes the guard at eq_tol = 1e-3, but the tail bound
+    # needs ||1 - x|| <= 1: the sum runs to about -9.4e16 where the root is 0.0224i
+    res = root_series(np.diag([-5e-4, 1.0]), 2, terms=100_000, tol=Tolerances(eq_tol=1e-3, psd_slack=1e-3))
+    assert not res.certified and abs(res.value[0, 0]) > 1e16
+    assert res.est_error == root_series(np.eye(2), 2, terms=100_000).est_error
+    # ||1 - x|| at 1 and one float past it, inside the default guard
+    assert root_series(np.diag([0.0, 1.0]), 2).certified
+    assert not root_series(np.diag([1.0 - np.nextafter(1.0, 2.0), 1.0]), 2).certified
+    # ||1 - x|| <= 1 is tested first: diag(0, 1) is in the band of both tests
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    root_series(np.diag([0.0, 1.0]), 2)
+    assert len(calls) == 1
+
+
 def test_root_series_values():
     assert np.allclose(root_series(np.eye(2), 2).value, np.eye(2))
     # boundary eigenvalue: the partial sum converges only at the tail rate
