@@ -14,7 +14,7 @@ Every predicate returns its raw margin alongside the verdict.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import isfinite
+from math import frexp, isfinite, ldexp
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -188,9 +188,15 @@ def c_certificate(x, tol: Tolerances = DEFAULT_TOL) -> Optional[float]:
         c = op_norm(x @ whiten) ** 2
     except OverflowError:  # an ArithmeticError, which would read as a failed verdict
         raise ValueError("the constant C with x*x <= C (x + x*) overflows") from None
-    # Direct PSD check; nudge across the pseudo-inverse cliff if needed.
+    # Direct PSD check; nudge across the pseudo-inverse cliff if needed.  It
+    # runs on t x with t = 2^-k, which scales both sides by t^2 exactly, so
+    # that C h - x*x and ||x||^2 stay finite up to the largest float; k = 0,
+    # and nothing moves, below ||x|| = 2^400.
+    t = ldexp(1.0, -max(0, frexp(norm)[1] - 400))
+    xs, hs = t * x, t * h
+    bound = tol.psd_slack * (t * max(1.0, norm)) ** 2
     for cand in (c, c * (1.0 + 1e-10) + tol.psd_slack):
-        if min_real_eig(cand * h - dagger(x) @ x) >= -tol.psd_slack * max(1.0, norm**2):
+        if min_real_eig(cand * t * hs - dagger(xs) @ xs) >= -bound:
             return float(cand)
     return None
 

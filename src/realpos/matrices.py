@@ -12,7 +12,9 @@ the norm verdicts ``_within`` (``op_norm(m) <= bound``, and through it
 calls by the Frobenius bounds of ``_op_norm_bounds`` and run the SVD only
 when those cannot, and the one-sided conditioning verdict
 ``_cond_surely_within`` (``cond(m) <= bound`` from m and its computed
-inverse, by Frobenius norms, without an SVD).
+inverse, by Frobenius norms, without an SVD).  It also owns the library's
+calls into scipy's LAPACK, ``_schur`` (zgees) and ``solve`` (zgetrf and
+zgetrs), bound on first use so that scipy stays off the import path.
 
 The JSON wire format for a matrix is ``{"n": n, "entries": [[re, im],
 ...]}`` with ``n`` a JSON integer and the entries row-major (length
@@ -23,8 +25,8 @@ All functions here are pure; arrays are never mutated in place.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -311,30 +313,71 @@ def _cond_surely_within(m: np.ndarray, minv: np.ndarray, bound: float) -> bool:
     return math.sqrt(s) * (1.0 + COND_MARGIN) <= bound
 
 
+class _Lapack:
+    """scipy's LAPACK routines by name, each imported on its first use (so
+    scipy stays off the import path) and bound here as a plain attribute:
+    ``_lapack.zgetrf`` skips the checks and batching of scipy.linalg's
+    wrappers, which cost more than the factorizations at n <= 16."""
+
+    def __getattr__(self, name: str):
+        from scipy.linalg import lapack
+
+        routine = getattr(lapack, name)
+        setattr(self, name, routine)
+        return routine
+
+
+_lapack = _Lapack()
+
+
+def _unsorted(w):
+    """zgees' eigenvalue selector, which it never calls unsorted."""
+    return None
+
+
+@lru_cache(maxsize=64)
+def _gees_lwork(n: int) -> int:
+    """zgees' optimal workspace for an n x n input, by its workspace query,
+    which reads n alone (zgehrd's block size and zhseqr's query on rows
+    1..n)."""
+    return int(_lapack.zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
+
+
+def _schur(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, z)`` with x = z t z*, the complex Schur form of a validated x:
+    t upper triangular, z unitary.  This is zgees with the workspace
+    ``scipy.linalg.schur(x, output="complex")`` queries for, so the bits are
+    the same."""
+    t, _, _, z, _, info = _lapack.zgees(_unsorted, x, lwork=_gees_lwork(x.shape[0]))
+    if info:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, z
+
+
 def solve(m, b):
-    """Solve ``m @ x = b`` by LU with partial pivoting.
+    """Solve ``m @ x = b`` by LU with partial pivoting (LAPACK zgetrf and
+    zgetrs, as ``scipy.linalg.lu_factor`` and ``lu_solve`` call them).
 
     ``b`` may be a ``(k, n, p)`` stack of right-hand sides: m is factored
     once, and each of them is solved with the bits of its own call.
-    Raises :class:`SingularMatrixError` carrying the index of the first
-    pivot whose magnitude is at or below ``PIVOT_RTOL * op_norm(m)``.
+    Raises ValueError on a non-finite b, and :class:`SingularMatrixError`
+    carrying the index of the first pivot whose magnitude is at or below
+    ``PIVOT_RTOL * op_norm(m)``; an exactly zero pivot, which zgetrf
+    reports through ``info``, is one of those.
     """
-    import scipy.linalg  # for the pivots of lu_factor; kept off the import path
-
     m = as_matrix(m, "solve lhs")
     b = np.asarray(b, dtype=complex)
-    with warnings.catch_warnings():
-        # singularity is detected below via the pivot magnitudes
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=True)
+    if not np.isfinite(b).all():
+        raise ValueError("solve rhs has non-finite entries")
+    lu, piv, _ = _lapack.zgetrf(m)
     diag = np.abs(np.diag(lu))
     bad = np.nonzero(_at_most_rtol_norm(diag, PIVOT_RTOL, m))[0]
     if bad.size:
         k = int(bad[0])
         raise SingularMatrixError(k, float(diag[k]), op_norm(m))
     if b.ndim == 3:
-        return np.array([scipy.linalg.lu_solve((lu, piv), rhs) for rhs in b])
-    return scipy.linalg.lu_solve((lu, piv), b)
+        return np.array([_lapack.zgetrs(lu, piv, rhs)[0] for rhs in b])
+    return _lapack.zgetrs(lu, piv, b)[0]
 
 
 def min_real_eig(m) -> float:

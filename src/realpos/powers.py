@@ -19,14 +19,14 @@ the fractional parts all power one eigendecomposition (Higham, *Functions
 of Matrices*, 2008, ch. 4), or all take the quadrature route when x is
 defective.  ``power(x, alpha)`` is ``power_all(x, (alpha,))[0]``, and
 ``power_spectral`` powers the same factorization, so there is one spectral
-implementation.  Nothing is cached across calls but the quadrature rules.
-Within one, a result of either route computes its ``est_error`` on the first
-read and keeps it: no caller on a hot path reads it, and it is the only SVD
-work of a power.  The verdicts a power turns on (the spectral route's
-eigenvalue cut, the quadrature route's ``certified``, the series route's
-``||1 - x|| <= 1 + eq_tol`` and its ``certified``) are settled by the
-Frobenius verdicts of ``matrices``, which run an SVD only when the
-Frobenius norm cannot settle them.
+implementation.  Nothing is cached across calls but the quadrature rules
+and the series coefficients.  Within one, a result of either route computes
+its ``est_error`` on the first read and keeps it: no caller on a hot path
+reads it, and it is the only SVD work of a power.  The verdicts a power
+turns on (the spectral route's eigenvalue cut, the quadrature route's
+``certified``, the series route's ``||1 - x|| <= 1 + eq_tol`` and its
+``certified``) are settled by the Frobenius verdicts of ``matrices``, which
+run an SVD only when the Frobenius norm cannot settle them.
 
 Also houses the root-law checks (monotonicity of roots and of rescaled
 roots, disk-function-calculus ordering).
@@ -49,6 +49,7 @@ from .matrices import (
     _cond_surely_within,
     _require_count,
     _require_positive,
+    _schur,
     _within,
     as_matrix,
     frob_norm,
@@ -238,7 +239,8 @@ def _both_rules(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z and s with s[:, :, k] = (u_k + (1 - u_k) T)^{-1} T, where x = Z T Z*
-    is the complex Schur form (LAPACK zgees; Z unitary, T upper triangular).
+    is the complex Schur form (``matrices._schur``, LAPACK zgees; Z unitary, T
+    upper triangular).
 
     The pivots u_k + (1 - u_k) t_ii of the triangular systems M_k = u_k +
     (1 - u_k) T are formed once, and solve()'s rule refuses them: the first
@@ -255,10 +257,7 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     (zgees leaves its strictly lower triangle exactly 0), so only that
     triangle is computed, in place; the lower one stays 0.
     """
-    import scipy.linalg  # kept off the import path, like solve()'s
-
-    # as_matrix has already refused non-finite input
-    t, z = scipy.linalg.schur(x, output="complex", check_finite=False)
+    t, z = _schur(x)
     n, k = x.shape[0], len(u)
     v = 1.0 - u
     d = np.multiply(v, np.diag(t)[:, None])
@@ -365,17 +364,28 @@ def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> P
     certified = _within(y, 1.0)
     if not certified and not _within(y, 1.0 + tol.eq_tol):
         raise ValueError("series route needs ||1 - x|| <= 1")
+    coeffs, est = _series_coefficients(int(m), int(terms))
+    return PowerResult(_matrix_polyval(coeffs, y), "series", est, terms, certified)
+
+
+@lru_cache(maxsize=8)
+def _series_coefficients(m: int, terms: int) -> tuple[np.ndarray, float]:
+    """The coefficients binom(1/m, k) (-1)^k of the series, k = 0..terms, as
+    a read-only array, and the absolute mass of the rest, exactly.  An entry
+    at ``MAX_TERMS`` holds 800 KB."""
     alpha = 1.0 / m
-    coeff = 1.0  # binom(alpha, k) (-1)^k at k = 0
+    coeff = 1.0  # at k = 0
     coeffs = [coeff]
     signed_sum = coeff
     for k in range(terms):
         coeff = coeff * (k - alpha) / (k + 1.0)
         coeffs.append(coeff)
         signed_sum += coeff
-    # signed_sum is exactly the remaining absolute mass of the coefficients.
-    est = abs(signed_sum)
-    return PowerResult(_matrix_polyval(coeffs, y), "series", float(est), terms, certified)
+    # The coefficients past k = 0 share one sign, so signed_sum is exactly
+    # the remaining absolute mass.
+    coeffs = np.array(coeffs)
+    coeffs.flags.writeable = False
+    return coeffs, float(abs(signed_sum))
 
 
 def _split(alpha: float) -> tuple[int, float]:
@@ -482,17 +492,23 @@ def _matrix_polyval(coeffs, m: np.ndarray) -> np.ndarray:
     """Polynomial in a matrix; coefficients ascending (c0 + c1 z + ...).
 
     Paterson-Stockmeyer with block size s = isqrt(len(coeffs)): the powers
-    m^0..m^s, every block sum_i c_{js+i} m^i by one tensordot over them, and
-    Horner in m^s over the blocks, so about 2 sqrt(len(coeffs)) products.
-    With s = 1 (at most 3 coefficients) this is plain Horner in m.
+    m^0..m^s in one ``(s + 1, n, n)`` stack, every block sum_i c_{js+i} m^i
+    by one GEMM of the zero-padded coefficients, shaped ``(-1, s)``, with
+    the first s powers, shaped ``(s, n n)`` (the product ``np.tensordot``
+    would form), and Horner in m^s over the blocks, so about
+    2 sqrt(len(coeffs)) products.  With s = 1 (at most 3 coefficients)
+    this is plain Horner in m.
     """
     coeffs = np.asarray(coeffs)
-    s = isqrt(len(coeffs))
-    powers = [np.eye(m.shape[0], dtype=complex), m]
-    for _ in range(s - 1):
-        powers.append(powers[-1] @ m)
-    padded = np.pad(coeffs, (0, -len(coeffs) % s))
-    blocks = np.tensordot(padded.reshape(-1, s), np.array(powers[:s]), axes=1)
+    s, n = isqrt(len(coeffs)), m.shape[0]
+    powers = np.empty((s + 1, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    powers[1] = m
+    for i in range(2, s + 1):
+        np.matmul(powers[i - 1], m, out=powers[i])
+    padded = np.zeros(len(coeffs) + -len(coeffs) % s, dtype=coeffs.dtype)
+    padded[:len(coeffs)] = coeffs
+    blocks = np.dot(padded.reshape(-1, s), powers[:s].reshape(s, n * n)).reshape(-1, n, n)
     acc = blocks[-1]
     for block in blocks[-2::-1]:
         acc = acc @ powers[s] + block

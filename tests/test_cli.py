@@ -275,8 +275,9 @@ def _fresh_cli(argv, cwd):
 
 def test_cold_cli_loads_scipy_only_for_quadrature(tmp_path):
     # The commands a cold shell call runs most need numpy only; scipy is
-    # imported on first use by the quadrature rule (scipy.special), the
-    # quadrature route's Schur form (scipy.linalg.schur) and solve().
+    # imported on first use by the quadrature rule (scipy.special) and by
+    # the LAPACK routines matrices binds for _schur and solve()
+    # (scipy.linalg.lapack's zgees, zgetrf and zgetrs).
     x = _write_matrix(tmp_path / "x.json", gen_accretive(4, 5))
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps({

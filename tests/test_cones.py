@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -332,6 +333,30 @@ def test_an_overflowing_hermitian_part_is_refused(site, x):
 def test_an_overflowing_c_constant_is_refused():
     with pytest.raises(ValueError, match=r"^the constant C with x\*x <= C \(x \+ x\*\) overflows$"):
         c_certificate(np.array([[1.0, 1e160], [-1e160, 1.0]]))
+
+
+def test_c_certificate_past_the_square_root_of_the_largest_float(tmp_path, capsys):
+    # x*x = 1e310 overflows, so the PSD check runs on x scaled by a power of
+    # two; C = ||x||^2 / 2||x|| = 5e154, and check reports it without a warning
+    x = 1e155 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert c_certificate(x) == pytest.approx(5e154, rel=1e-12)
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(matrix_to_json(x)))
+        assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["c_constant"] == pytest.approx(5e154, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 50, 399, 400, 401, 520, 1000])
+def test_c_certificate_scales_with_powers_of_two(k):
+    # C(t x) = t C(x): x*x <= C (x + x*) scales by t^2 on the left, t on the right
+    scale = math.ldexp(1.0, k)
+    for seed in range(4):
+        x = gen_accretive(2 + seed, 870 + seed, min_margin=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert c_certificate(scale * x) == pytest.approx(scale * c_certificate(x), rel=1e-12)
 
 
 def test_support_and_vav_refusals_name_the_margin():

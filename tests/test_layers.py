@@ -50,3 +50,24 @@ def test_one_function_local_import_remains():
 
 def test_algebra_imports_nothing_from_projections():
     assert "projections" not in {target for _, target in _relative_imports("algebra")}
+
+
+def _scipy_imports(module: str) -> set:
+    """The scipy modules (and names from them) a module imports, anywhere in it."""
+    with open(os.path.join(PACKAGE, module + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "scipy":
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+    return names
+
+
+def test_matrices_owns_scipys_linear_algebra():
+    # scipy's LAPACK is bound in one place: powers takes its Schur form from
+    # matrices._schur and the transforms their LU from matrices.solve
+    users = {module for module in ORDER
+             if any(name.startswith("scipy.linalg") for name in _scipy_imports(module))}
+    assert users == {"matrices"}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from realpos.matrices import (
     SingularMatrixError,
     Tolerances,
     _at_most_rtol_norm,
+    _schur,
     _unit_defect,
     _unit_within,
     _within,
@@ -86,6 +88,59 @@ def test_solve_refuses_a_pivot_by_the_svd_threshold():
                 assert str(exc).endswith(f"against scale {op_norm(m):.3e}")
             else:
                 assert not refused, c
+
+
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_solve_keeps_the_bits_of_scipys_lu_wrappers(n):
+    # zgetrf and zgetrs bound directly give the bits of lu_factor and
+    # lu_solve, for one rhs, a block of them and a stack of blocks
+    import scipy.linalg
+
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        m = _random_complex(rng, n, n)
+        lu = scipy.linalg.lu_factor(m)
+        for b in (_random_complex(rng, n), _random_complex(rng, n, n), _random_complex(rng, n, 3)):
+            assert np.array_equal(solve(m, b), scipy.linalg.lu_solve(lu, b))
+        stack = _random_complex(rng, 2, n, n)
+        expected = np.array([scipy.linalg.lu_solve(lu, rhs) for rhs in stack])
+        assert np.array_equal(solve(m, stack), expected)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_schur_keeps_the_bits_of_scipys_schur(n):
+    # zgees with the workspace cached per n gives scipy.linalg.schur's bits,
+    # on the first call at this n and on later ones
+    import scipy.linalg
+
+    rng = np.random.default_rng(60 + n)
+    for m in (_random_complex(rng, n, n), _random_complex(rng, n, n), np.triu(_random_complex(rng, n, n))):
+        t, z = _schur(m)
+        t_ref, z_ref = scipy.linalg.schur(m, output="complex")
+        assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_solve_refuses_a_non_finite_rhs(bad):
+    b = np.ones((2, 2, 2), dtype=complex)
+    b[1, 0, 1] = bad
+    for rhs in (b, b[1], b[1, 0]):
+        with pytest.raises(ValueError, match="^solve rhs has non-finite entries$"):
+            solve(np.eye(2), rhs)
+
+
+def test_solve_refuses_an_exactly_zero_pivot_without_a_warning():
+    # zgetrf reports the zero through info; the pivot test refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, k in ((np.zeros((3, 3)), 0), (np.ones((2, 2)), 1), (np.diag([2.0, 0.0]), 1)):
+            with pytest.raises(SingularMatrixError) as err:
+                solve(m, np.eye(m.shape[0]))
+            assert (err.value.pivot_index, err.value.pivot) == (k, 0.0)
 
 
 def test_solve_reports_residual():

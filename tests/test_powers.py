@@ -10,6 +10,7 @@ import scipy.linalg
 from scipy.special import roots_jacobi
 
 from realpos import cones as cones_module
+from realpos import matrices as matrices_module
 from realpos import powers as powers_module
 from realpos.algebra import contains, generate_algebra
 from realpos.cones import sector_angle
@@ -322,6 +323,68 @@ def test_root_series_of_a_nilpotent_perturbation_is_exact(terms):
         assert np.array_equal(value, [[1.0, 1.0 / m], [0.0, 1.0]])
 
 
+def _tensordot_polyval(coeffs, m):
+    """Paterson-Stockmeyer with the powers in a list, np.pad and np.tensordot."""
+    coeffs = np.asarray(coeffs)
+    s = math.isqrt(len(coeffs))
+    powers = [np.eye(m.shape[0], dtype=complex), m]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ m)
+    padded = np.pad(coeffs, (0, -len(coeffs) % s))
+    blocks = np.tensordot(padded.reshape(-1, s), np.array(powers[:s]), axes=1)
+    acc = blocks[-1]
+    for block in blocks[-2::-1]:
+        acc = acc @ powers[s] + block
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_matrix_polyval_keeps_the_tensordot_bits(n):
+    # one stack of powers, zero padding and np.dot: the GEMM tensordot forms
+    rng = np.random.default_rng(80 + n)
+    y = np.eye(n, dtype=complex) - 2.0 * gen_half_f(n, 80 + n)
+    for length in [*range(1, 18), 201, 1001]:
+        for coeffs in (rng.standard_normal(length), rng.standard_normal(length) + 1j * rng.standard_normal(length)):
+            assert np.array_equal(powers_module._matrix_polyval(coeffs, y), _tensordot_polyval(coeffs, y))
+
+
+@pytest.mark.parametrize("f_len, g_len", [(1, 2), (3, 5), (7, 4), (10, 17)])
+def test_disk_order_check_keeps_the_tensordot_bits(f_len, g_len):
+    # disk_order_check's complex coefficient difference, evaluated at 1 - x
+    rng = np.random.default_rng(f_len * 31 + g_len)
+    x = gen_half_f(4, f_len + g_len)
+    f = rng.standard_normal(f_len) + 1j * rng.standard_normal(f_len)
+    g = rng.standard_normal(g_len) + 1j * rng.standard_normal(g_len)
+    diff = np.zeros(max(f_len, g_len), dtype=complex)
+    diff[:g_len] += g
+    diff[:f_len] -= f
+    ref = _tensordot_polyval(diff, np.eye(4, dtype=complex) - x)
+    _, conclusion = disk_order_check(list(f), list(g), x)
+    assert conclusion == min_real_eig(ref)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 200])
+@pytest.mark.parametrize("m", [2, 3])
+def test_cached_root_series_keeps_the_uncached_bits(m, terms):
+    # the coefficients by the recurrence on every call, summed by the
+    # tensordot evaluator: the cached coefficients give the same value and
+    # est_error, on the call that fills the cache and on the one that reads it
+    x = 2.0 * gen_half_f(5, 90 + m)
+    coeffs, coeff, signed_sum = [1.0], 1.0, 1.0
+    for k in range(terms):
+        coeff = coeff * (k - 1.0 / m) / (k + 1.0)
+        coeffs.append(coeff)
+        signed_sum += coeff
+    ref = _tensordot_polyval(coeffs, np.eye(5, dtype=complex) - x)
+    powers_module._series_coefficients.cache_clear()
+    for _ in range(2):
+        res = root_series(x, m, terms=terms)
+        assert np.array_equal(res.value, ref)
+        assert res.est_error == abs(signed_sum)
+    cached, est = powers_module._series_coefficients(m, terms)
+    assert not cached.flags.writeable and np.array_equal(cached, coeffs) and est == abs(signed_sum)
+
+
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_short_polynomials_are_plain_horner(length):
     # block size isqrt(length) = 1: the evaluator is the sequential Horner loop
@@ -357,23 +420,26 @@ def test_counts_must_be_integers():
 @pytest.mark.parametrize("scale, nodes", [(1.0, 64), (1e7, 64), (1e7, 128), (1e8, 128)])
 def test_balakrishnan_takes_one_schur_form_on_every_node(monkeypatch, scale, nodes):
     # One Schur form serves every node of both rules, on the accretivity
-    # boundary at large norm too, and no LU factorization runs.
-    import scipy.linalg
+    # boundary at large norm too, and no LU factorization runs: one call of
+    # the bound zgees (its workspace query at n = 2 is made beforehand) and
+    # none of zgetrf.
+    calls = {"zgees": 0, "zgetrf": 0}
 
-    calls = {"schur": 0, "lu_factor": 0}
+    def counted(name):
+        routine = getattr(matrices_module._lapack, name)
 
-    def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            return routine(*args, **kwargs)
         return wrapper
 
     x = np.diag([scale, 0.0]).astype(complex)
+    matrices_module._gees_lwork(2)
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-        patch.setattr(scipy.linalg, "lu_factor", counted("lu_factor", scipy.linalg.lu_factor))
+        for name in calls:
+            patch.setattr(matrices_module._lapack, name, counted(name))
         res = power_balakrishnan(x, 0.5, nodes)
-    assert calls == {"schur": 1, "lu_factor": 0}
+    assert calls == {"zgees": 1, "zgetrf": 0}
     fine = _per_node_reference(x, 0.5, nodes)
     coarse = _per_node_reference(x, 0.5, nodes // 2)
     assert op_norm(res.value - fine) <= 1e-13 * op_norm(fine)
