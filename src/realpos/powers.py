@@ -14,19 +14,21 @@ Three routes, kept independent so they can cross-check each other:
   summed by Paterson-Stockmeyer: a degree-d partial sum takes about
   2 sqrt(d) matrix products instead of d.
 
-``power_all(x, alphas)`` gives one result per exponent and factors x once:
-the fractional parts all power one eigendecomposition (Higham, *Functions
-of Matrices*, 2008, ch. 4), or all take the quadrature route when x is
-defective.  ``power(x, alpha)`` is ``power_all(x, (alpha,))[0]``, and
-``power_spectral`` powers the same factorization, so there is one spectral
-implementation.  Nothing is cached across calls but the quadrature rules
-and the series coefficients.  Within one, a result of either route computes
-its ``est_error`` on the first read and keeps it: no caller on a hot path
-reads it, and it is the only SVD work of a power.  The verdicts a power
-turns on (the spectral route's eigenvalue cut, the quadrature route's
-``certified``, the series route's ``||1 - x|| <= 1 + eq_tol`` and its
-``certified``) are settled by the Frobenius verdicts of ``matrices``, which
-run an SVD only when the Frobenius norm cannot settle them.
+``power_all(x, alphas)`` gives one result per exponent and makes one
+factor of x, spectral or Schur: the fractional parts all power one
+eigendecomposition (Higham, *Functions of Matrices*, 2008, ch. 4), or, when
+x is defective, one Schur form by the quadrature route; a caller holding a
+validated x calls its body, ``_powers``.  ``power(x, alpha)`` is
+``power_all(x, (alpha,))[0]``, and ``power_spectral`` and
+``power_balakrishnan`` power the same factors: one implementation a route.
+Nothing is cached across calls but the quadrature rules and the series
+coefficients.  Within one, a result of either route computes its
+``est_error`` on the first read and keeps it: no caller on a hot path reads
+it, and it is the only SVD work of a power.  The verdicts a power turns on
+(the spectral route's eigenvalue cut, the quadrature route's ``certified``,
+the series route's ``||1 - x|| <= 1 + eq_tol`` and its ``certified``) are
+settled by the Frobenius verdicts of ``matrices``, which run an SVD only
+when the Frobenius norm cannot settle them.
 
 Also houses the root-law checks (monotonicity of roots and of rescaled
 roots, disk-function-calculus ordering).
@@ -237,10 +239,10 @@ def _both_rules(nodes: int, r: float) -> tuple[np.ndarray, np.ndarray]:
     return u, weights
 
 
-def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z and s with s[:, :, k] = (u_k + (1 - u_k) T)^{-1} T, where x = Z T Z*
-    is the complex Schur form (``matrices._schur``, LAPACK zgees; Z unitary, T
-    upper triangular).
+def _schur_resolvents(t: np.ndarray, xfrob: float, u: np.ndarray) -> np.ndarray:
+    """s with s[:, :, k] = (u_k + (1 - u_k) T)^{-1} T, where x = Z T Z* is the
+    complex Schur form (``matrices._schur``, LAPACK zgees; Z unitary, T upper
+    triangular) and xfrob = ||x||_F.
 
     The pivots u_k + (1 - u_k) t_ii of the triangular systems M_k = u_k +
     (1 - u_k) T are formed once, and solve()'s rule refuses them: the first
@@ -257,12 +259,11 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     (zgees leaves its strictly lower triangle exactly 0), so only that
     triangle is computed, in place; the lower one stays 0.
     """
-    t, z = _schur(x)
-    n, k = x.shape[0], len(u)
+    n, k = t.shape[0], len(u)
     v = 1.0 - u
     d = np.multiply(v, np.diag(t)[:, None])
     np.add(u, d, out=d)
-    scale = u + v * frob_norm(x)
+    scale = u + v * xfrob
     bad = np.abs(d) <= PIVOT_RTOL * scale
     if bad.any():
         node = int(bad.any(axis=0).argmax())
@@ -282,25 +283,42 @@ def _schur_resolvents(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
             np.multiply(v, below, out=below)
             np.subtract(t[i, i + 1:, None], below, out=below)
             np.divide(below, d[i], out=s[i, i + 1:])
-    return z, s
+    return s
 
 
-def _balakrishnan_sums(x: np.ndarray, r: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``nodes``-point rule and the ``nodes // 2``-point rule, whose
-    1.5 ``nodes`` resolvents, fine rule first, come from one Schur form of x
-    (see :func:`_schur_resolvents`, which refuses a node by its pivots)."""
-    # The smooth factor of the integrand is F(u) = (u + (1-u) x)^{-1} x; both
-    # rules' sums come from one product with the weights of _both_rules.
-    u, weights = _both_rules(nodes, r)
-    n = x.shape[0]
-    z, s = _schur_resolvents(x, u)
-    sums = (s.reshape(n * n, -1) @ weights).T.reshape(2, n, n)
-    sums = z @ sums @ z.conj().T
-    # sin(r pi) = sin((1 - r) pi), and for r > 1/2 the difference 1 - r is
-    # exact while r * pi would round next to pi and lose eps / (1 - r).
-    angle = (1.0 - r) * np.pi if r > 0.5 else r * np.pi
-    scale = float(np.sin(angle) / np.pi)
-    return scale * sums[0], scale * sums[1]
+class _SchurFactor:
+    """One Schur form x = Z T Z* of an accretive x (margin lambda_min(Re x))
+    and the rule size its powers share; :meth:`power` takes one r in (0, 1)
+    from the ``nodes``- and ``nodes // 2``-point rules, whose 1.5 ``nodes``
+    resolvents, fine rule first, all come from T (:func:`_schur_resolvents`)."""
+
+    def __init__(self, x: np.ndarray, margin: float, nodes: int, tol: Tolerances):
+        self.t, self.z = _schur(x)
+        self.xfrob, self.boundary, self.nodes = frob_norm(x), _on_boundary(margin, tol), nodes
+
+    def power(self, r: float) -> PowerResult:
+        # The smooth factor of the integrand is F(u) = (u + (1-u) x)^{-1} x; both
+        # rules' sums come from one product with the weights of _both_rules.
+        u, weights = _both_rules(self.nodes, r)
+        s = _schur_resolvents(self.t, self.xfrob, u)
+        sums = self.z @ (s.reshape(-1, len(u)) @ weights).T.reshape(2, *self.t.shape) @ self.z.conj().T
+        # sin(r pi) = sin((1 - r) pi), and for r > 1/2 the difference 1 - r is
+        # exact while r * pi would round next to pi and lose eps / (1 - r).
+        angle = (1.0 - r) * np.pi if r > 0.5 else r * np.pi
+        scale = float(np.sin(angle) / np.pi)
+        value, coarse = scale * sums[0], scale * sums[1]
+        diff = value - coarse
+        # The rule integrates against the weight exponent fl(r - 1) = (r - d) - 1,
+        # so the value is off by a relative d / r that the half-node estimate,
+        # built on the same weight, cannot see.  d is the exact rounding error of
+        # r - 1 (Fast2Sum, exact since |r| < 1); it is 0 for r >= 0.5.
+        d = r - ((r - 1.0) + 1.0)
+        certified = (
+            not (self.boundary and not _within(diff, 1e-6))
+            and _within(diff, 1e-6 * max(1.0, frob_norm(value)))
+            and abs(d) <= 1e-6 * r
+        )
+        return PowerResult(value, "balakrishnan", lambda: op_norm(diff), self.nodes, certified)
 
 
 def power_balakrishnan(
@@ -329,20 +347,7 @@ def power_balakrishnan(
             f"r = {r!r} is too small for the quadrature route: r - 1 rounds to -1"
         )
     _require_count(nodes, "nodes", 16, MAX_NODES)
-    margin = _require_accretive(x, tol)
-    value, coarse = _balakrishnan_sums(x, r, nodes)
-    diff = value - coarse
-    # The rule integrates against the weight exponent fl(r - 1) = (r - d) - 1,
-    # so the value is off by a relative d / r that the half-node estimate,
-    # built on the same weight, cannot see.  d is the exact rounding error of
-    # r - 1 (Fast2Sum, exact since |r| < 1); it is 0 for r >= 0.5.
-    d = r - ((r - 1.0) + 1.0)
-    certified = (
-        not (_on_boundary(margin, tol) and not _within(diff, 1e-6))
-        and _within(diff, 1e-6 * max(1.0, frob_norm(value)))
-        and abs(d) <= 1e-6 * r
-    )
-    return PowerResult(value, "balakrishnan", lambda: op_norm(diff), nodes, certified)
+    return _SchurFactor(x, _require_accretive(x, tol), nodes, tol).power(r)
 
 
 def root_series(x, m: int, terms: int = 200, tol: Tolerances = DEFAULT_TOL) -> PowerResult:
@@ -402,27 +407,31 @@ def power_all(
     Each exponent splits into an integer part and a fractional part.  An
     exponent within 1e-14 above an integer is that integer power.  Every
     fractional part powers one eigendecomposition of x, made once per call;
-    when x is defective, every fractional part takes the quadrature route
-    instead.  ``nodes`` is checked up front, so a bad count fails whichever
-    route the matrix takes.
+    when x is defective, every fractional part powers one Schur form of x
+    instead, by the quadrature route.  ``nodes`` is checked up front, so a
+    bad count fails whichever route the matrix takes.
     """
     x = as_matrix(x)
     alphas = tuple(alphas)
     for alpha in alphas:
         _require_positive(alpha, "alpha")
     _require_count(nodes, "nodes", 16, MAX_NODES)
-    _require_accretive(x, tol)
+    return _powers(x, alphas, _require_accretive(x, tol), nodes, tol)
+
+
+def _powers(x, alphas, margin: float, nodes: int, tol: Tolerances) -> list[PowerResult]:
+    """:func:`power_all` on arguments the caller has validated, margin = lambda_min(Re x)."""
     parts = [_split(alpha) for alpha in alphas]
-    factor = None  # stays None when no part is fractional or x is defective
+    factor = None  # stays None when no part is fractional
     if any(r >= 1e-14 for _, r in parts):
         try:
             factor = _SpectralFactor(x)
         except DefectiveMatrixError:
-            pass
+            factor = _SchurFactor(x, margin, nodes, tol)
     results = []
     for alpha, (m, r) in zip(alphas, parts):
         if r >= 1e-14:
-            frac = factor.power(r) if factor is not None else power_balakrishnan(x, r, nodes, tol)
+            frac = factor.power(r)
             if m == 0:
                 results.append(_require_finite(frac, alpha))
                 continue

@@ -41,7 +41,7 @@ from .matrices import (
     op_norms,
     range_basis,
 )
-from .powers import EIG_RTOL, power
+from .powers import EIG_RTOL, _powers, power
 
 __all__ = [
     "ProjectionResult",
@@ -132,7 +132,7 @@ def support_projection(
     """
     x = as_matrix(x)
     try:
-        _require_accretive(x, tol)
+        margin = _require_accretive(x, tol)
     except NotAccretiveError as exc:
         raise NotAccretiveError(f"support projections need accretive input: {exc}") from None
     if method not in ("iterative", "oracle", "both"):
@@ -156,7 +156,8 @@ def support_projection(
         y = np.zeros_like(x)
         status = "zero"
     else:
-        y = power(x / xnorm, DEEP_ROOT, tol=tol).value
+        # validated through x: psd_slack does not scale, so x / xnorm may fail it
+        y = _powers(x / xnorm, (DEEP_ROOT,), margin / xnorm, 96, tol)[0].value
         iterations = 1
         while iterations < _MAX_STEPS:
             defect = op_norm(y @ y - y)

@@ -325,6 +325,17 @@ def test_project_support_of_tiny_inputs(tmp_path, capsys, method):
     assert not matrix_from_json(data["proj"]).any()
 
 
+def test_project_support_inside_the_accretive_slack(tmp_path, capsys):
+    # check --require accretive takes diag(-9e-8, 0.5), and so does project;
+    # x / ||x||, margin -1.8e-7, was once refused with exit 2
+    x = _write_matrix(tmp_path / "x.json", np.diag([-0.9e-7, 0.5]))
+    assert main(["check", x, "--require", "accretive"]) == 0
+    capsys.readouterr()
+    assert main(["project", x, "--kind", "support"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "converged" and np.array_equal(matrix_from_json(data["proj"]), np.eye(2))
+
+
 def test_range_command(tmp_path):
     src = _write_matrix(tmp_path / "x.json", np.array([[0.0, 1.0], [0.0, 0.0]]))
     out = tmp_path / "range.csv"

@@ -174,22 +174,21 @@ def test_balakrishnan_matches_per_node_solves_near_singular(nodes):
     assert op_norm(value - ref) <= 1e-13 * op_norm(ref)
 
 
-def _full_row_resolvents(x, u):
+def _full_row_resolvents(t, u):
     # The back substitution as it first stood: every row of s over all n
     # columns, the lower triangle included.  _schur_resolvents must keep
     # its bits.
-    t, z = scipy.linalg.schur(x, output="complex")
-    n, k = x.shape[0], len(u)
+    n, k = t.shape[0], len(u)
     v = 1.0 - u
     s = np.empty((n, n, k), dtype=complex)
     for i in range(n - 1, -1, -1):
         below = (t[i, i + 1:] @ s[i + 1:].reshape(n - i - 1, n * k)).reshape(n, k)
         s[i] = (t[i, :, None] - v * below) / (u + v * t[i, i])
-    return z, s
+    return s
 
 
 def _both_rules_nodes(nodes, r):
-    # the u_k of _balakrishnan_sums: the fine rule's, then the half rule's
+    # the u_k of _SchurFactor.power: the fine rule's, then the half rule's
     xi = powers_module._jacobi_rule(nodes, r)[0]
     xi_c = powers_module._jacobi_rule(nodes // 2, r)[0]
     return (1.0 + np.concatenate([xi, xi_c])) / 2.0
@@ -206,15 +205,17 @@ def _resolvent_inputs(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16])
 def test_schur_resolvents_keep_the_full_row_bits(n):
     # Only the upper triangle is computed now; it must equal the full-row
-    # recurrence entry for entry, and the lower triangle must be exactly 0.
+    # recurrence on scipy's Schur form entry for entry, and the lower
+    # triangle must be exactly 0.
     lower = np.tril_indices(n, -1)
     for x in _resolvent_inputs(n):
+        t_ref, z_ref = scipy.linalg.schur(x, output="complex")
+        t, z = matrices_module._schur(x)
+        assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
         for r, nodes in itertools.product((0.25, 0.5, 0.75), (16, 64, 128)):
             u = _both_rules_nodes(nodes, r)
-            z_ref, s_ref = _full_row_resolvents(x, u)
-            z, s = powers_module._schur_resolvents(x, u)
-            assert np.array_equal(z, z_ref)
-            assert np.array_equal(s, s_ref)
+            s = powers_module._schur_resolvents(t, np.linalg.norm(x), u)
+            assert np.array_equal(s, _full_row_resolvents(t_ref, u))
             assert not np.any(s[lower])
 
 
@@ -226,9 +227,9 @@ def test_balakrishnan_keeps_the_full_row_bits(monkeypatch, n):
     results = [power_balakrishnan(inputs[j], r, nodes) for j, r, nodes in cases]
     calls = []
 
-    def reference(x, u):
+    def reference(t, xfrob, u):
         calls.append(1)
-        return _full_row_resolvents(x, u)
+        return _full_row_resolvents(t, u)
 
     monkeypatch.setattr(powers_module, "_schur_resolvents", reference)
     for (j, r, nodes), res in zip(cases, results):
@@ -704,13 +705,21 @@ def test_power_all_equals_power_at_each_exponent(n):
 
 
 def test_power_all_factors_a_defective_matrix_once(monkeypatch):
+    # one eigendecomposition, found defective, then one Schur form (the
+    # bound zgees; its workspace query at n = 2 is made beforehand) and one
+    # accretivity check serve every exponent
     jordan = np.array([[4.0, 1.0], [0.0, 4.0]])
     expected = [power(jordan, alpha) for alpha in ALPHAS]
-    calls = []
-    eig = np.linalg.eig
+    calls, counts = [], {"zgees": 0, "accretive": 0}
+    eig, zgees, accretive = np.linalg.eig, matrices_module._lapack.zgees, cones_module._accretive
+    matrices_module._gees_lwork(2)
     monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    monkeypatch.setattr(matrices_module._lapack, "zgees",
+                        lambda *a, **k: counts.__setitem__("zgees", counts["zgees"] + 1) or zgees(*a, **k))
+    monkeypatch.setattr(cones_module, "_accretive",
+                        lambda *a: counts.__setitem__("accretive", counts["accretive"] + 1) or accretive(*a))
     results = power_all(jordan, ALPHAS)
-    assert len(calls) == 1
+    assert len(calls) == 1 and counts == {"zgees": 1, "accretive": 1}
     for alpha, res, ref in zip(ALPHAS, results, expected):
         assert _same_result(res, ref), alpha
         assert res.method == ("spectral" if alpha in (1.0, 2.0) else "balakrishnan")
@@ -967,13 +976,25 @@ def test_an_unread_power_makes_no_svd(monkeypatch):
     assert len(calls) == 0
 
 
+def _rule_sums(x, r, nodes):
+    # the two rules' values as power_balakrishnan first summed them: fine,
+    # then coarse, from one Schur form of x
+    t, z = matrices_module._schur(x)
+    u, weights = powers_module._both_rules(nodes, r)
+    n = x.shape[0]
+    s = powers_module._schur_resolvents(t, np.linalg.norm(x), u)
+    sums = z @ (s.reshape(n * n, -1) @ weights).T.reshape(2, n, n) @ z.conj().T
+    scale = float(np.sin((1.0 - r) * np.pi if r > 0.5 else r * np.pi) / np.pi)
+    return scale * sums[0], scale * sums[1]
+
+
 def _eager_balakrishnan(x, r, nodes=64, tol=DEFAULT_TOL):
     # power_balakrishnan as it stood with an eager estimate: the SVD of the
     # two rules' difference, then the verdicts on it.  The _within verdicts
     # and the deferred estimate must keep its bits and its certified.
     x = np.asarray(x, dtype=complex)
     margin = powers_module._require_accretive(x, tol)
-    value, coarse = powers_module._balakrishnan_sums(x, r, nodes)
+    value, coarse = _rule_sums(x, r, nodes)
     est = op_norm(value - coarse)
     d = r - ((r - 1.0) + 1.0)
     certified = (
@@ -984,6 +1005,16 @@ def _eager_balakrishnan(x, r, nodes=64, tol=DEFAULT_TOL):
     return powers_module.PowerResult(value, "balakrishnan", float(est), nodes, certified)
 
 
+class _EagerSchurFactor:
+    # _SchurFactor's interface on _eager_balakrishnan, so that every
+    # quadrature power, power_all's included, takes the eager reference
+    def __init__(self, x, margin, nodes, tol):
+        self.x, self.nodes, self.tol = x.copy(), nodes, tol
+
+    def power(self, r):
+        return _eager_balakrishnan(self.x, r, self.nodes, self.tol)
+
+
 def _in_band_quadrature_inputs():
     # diag(0, e, e) on the accretivity boundary and diag(e, e, 1) off it,
     # with e set by bisection so that ||value - coarse|| is 0.9 times the
@@ -991,7 +1022,7 @@ def _in_band_quadrature_inputs():
     # norm of the difference, sqrt(2) times that, is above the bound, so
     # only the SVD's verdict certifies them
     def ratio(x):
-        value, coarse = powers_module._balakrishnan_sums(x, 0.5, 64)
+        value, coarse = _rule_sums(x, 0.5, 64)
         return op_norm(value - coarse) / (1e-6 * max(1.0, np.linalg.norm(value)))
 
     for head, tail in (([0.0], []), ([], [1.0])):
@@ -1017,7 +1048,7 @@ def _quadrature_inputs():
 
 
 def test_quadrature_results_keep_the_eager_bits(monkeypatch):
-    # each call by name, so that power_all takes the patched route too
+    # each call by name; the patched factor serves both public routes
     calls = []
     for x in _quadrature_inputs():
         for r in (0.5, 0.3, 1e-3, 0.999, 1e-12):
@@ -1026,7 +1057,7 @@ def test_quadrature_results_keep_the_eager_bits(monkeypatch):
         calls.append(("power_all", x, (0.5, 1.25, 2.75), 64))  # the defective ones take the quadrature route
     got = [_outcome(getattr(powers_module, fn), np.array(x), a, k) for fn, x, a, k in calls]
     with monkeypatch.context() as m:
-        m.setattr(powers_module, "power_balakrishnan", _eager_balakrishnan)
+        m.setattr(powers_module, "_SchurFactor", _EagerSchurFactor)
         want = [_outcome(getattr(powers_module, fn), np.array(x), a, k) for fn, x, a, k in calls]
     certified = set()
     for (fn, x, a, k), g, w in zip(calls, got, want):

@@ -43,6 +43,16 @@ def test_support_rejects_non_accretive():
         support_projection(-np.eye(2))
 
 
+def test_support_serves_every_input_the_accretive_order_takes():
+    # margin -9e-8, inside psd_slack; the rescaled x / ||x|| has margin
+    # -1.8e-7, past it, and was once checked again before the deep root
+    x = np.diag([-0.9e-7, 0.5])
+    for method in ("iterative", "both"):
+        res = support_projection(x, method=method)
+        assert res.status == "converged" and np.array_equal(res.proj, np.eye(2)), method
+    assert res.oracle_residual == 0.0
+
+
 def test_support_iterative_vs_oracle_random():
     for k in range(40):
         n = 2 + k % 6
