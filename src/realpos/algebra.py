@@ -35,6 +35,7 @@ from .matrices import (
     MAX_DIM,
     Tolerances,
     _kernel_complement_projection,
+    _linalg,
     _norm_floor_one,
     _require_count,
     _unit_within,
@@ -380,7 +381,7 @@ def hermitian_elements(a: MatrixAlgebra) -> list[np.ndarray]:
     # above imaginary rows
     bh = dagger(a.basis)
     cols = np.concatenate([a.basis - bh, 1j * (a.basis + bh)]).reshape(2 * d, -1)
-    _, s, vt = np.linalg.svd(np.concatenate([cols.real, cols.imag], axis=1).T, full_matrices=False)
+    _, s, vt = _linalg.svd(np.concatenate([cols.real, cols.imag], axis=1).T, full_matrices=False)
     out = []
     for u in vt[s <= RANK_TOL * max(1.0, s[0])]:
         x = a.reconstruct(u[:d] + 1j * u[d:])

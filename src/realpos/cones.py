@@ -23,6 +23,7 @@ from .algebra import MatrixAlgebra, _require_in, cstar, identity_of
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
+    _linalg,
     _require_count,
     _within,
     as_matrix,
@@ -99,7 +100,7 @@ def _accretive(m: np.ndarray, tol: Tolerances) -> tuple[bool, float]:
     ``interp._psd_check`` at ``SOLVER_TOL``; F and half-F (``_in_f``).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        margin = float(np.linalg.eigvalsh(re_part(m))[0])
+        margin = float(_linalg.eigvalsh(re_part(m))[0])
     if not isfinite(margin):
         raise ValueError("the Hermitian part of the matrix overflows")
     return margin >= -tol.psd_slack, margin
@@ -174,7 +175,7 @@ def c_certificate(x, tol: Tolerances = DEFAULT_TOL) -> Optional[float]:
     if norm <= 1e-13:
         return 0.0
     h = x + dagger(x)
-    w, v = np.linalg.eigh(h)
+    w, v = _linalg.eigh(h)
     kernel = w <= tol.psd_slack
     if kernel.any():
         imgs = x @ v[:, kernel]
@@ -250,7 +251,7 @@ def support_function(x, thetas) -> np.ndarray:
     """h(theta) = lambda_max(Re(e^{-i theta} x)) for every angle, from one
     batched eigenvalue call; W(x) lies in the half-plane
     Re(e^{-i theta} z) <= h(theta)."""
-    return np.linalg.eigvalsh(_rotations(as_matrix(x), thetas))[:, -1]
+    return _linalg.eigvalsh(_rotations(as_matrix(x), thetas))[:, -1]
 
 
 def numerical_range(x, grid_size: int = 720) -> NumericalRange:
@@ -258,7 +259,7 @@ def numerical_range(x, grid_size: int = 720) -> NumericalRange:
     _require_count(grid_size, "grid_size", 8, MAX_GRID)
     x = as_matrix(x)
     thetas = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-    w, v = np.linalg.eigh(_rotations(x, thetas))
+    w, v = _linalg.eigh(_rotations(x, thetas))
     support = w[:, -1].copy()
     top = v[:, :, -1]
     boundary = np.einsum("si,ij,sj->s", np.conj(top), x, top)
@@ -288,7 +289,7 @@ def is_strictly_real_positive(
     if rng_vecs.shape[1] == 0:
         return False
     compressed = dagger(rng_vecs) @ re_part(x) @ rng_vecs
-    return float(np.linalg.eigvalsh(compressed)[0]) > tol.psd_slack
+    return float(_linalg.eigvalsh(compressed)[0]) > tol.psd_slack
 
 
 def cone_report(x, tol: Tolerances = DEFAULT_TOL) -> ConeReport:

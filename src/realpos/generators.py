@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import CANNED, MatrixAlgebra, generate_algebra
-from .matrices import DEFAULT_TOL, MAX_DIM, Tolerances, check_dim, dagger, op_norm
+from .matrices import DEFAULT_TOL, MAX_DIM, Tolerances, _linalg, check_dim, dagger, op_norm
 from .transforms import f_transform
 
 __all__ = [
@@ -53,7 +53,7 @@ def gen_accretive(
     herm = (s + dagger(s)) / 2.0
     if rank is not None and rank < n:
         # keep the kernel of H inside the kernel of the whole matrix
-        w, v = np.linalg.eigh(h)
+        w, v = _linalg.eigh(h)
         keep = w > 1e-12 * max(w[-1], 1e-300)
         p = v[:, keep] @ dagger(v[:, keep])
         herm = p @ herm @ p
@@ -111,7 +111,7 @@ def gen_sectorial(
     k = n if rank is None else max(1, min(rank, n))
     g = _ginibre(rng, n, k)
     h = g @ dagger(g) / k
-    w, v = np.linalg.eigh(h)
+    w, v = _linalg.eigh(h)
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ dagger(v)
     s = _ginibre(rng, n, n)
     c = (s + dagger(s)) / 2.0

@@ -14,7 +14,12 @@ when those cannot, and the one-sided conditioning verdict
 ``_cond_surely_within`` (``cond(m) <= bound`` from m and its computed
 inverse, by Frobenius norms, without an SVD).  It also owns the library's
 calls into scipy's LAPACK, ``_schur`` (zgees) and ``solve`` (zgetrf and
-zgetrs), bound on first use so that scipy stays off the import path.
+zgetrs), bound on first use so that scipy stays off the import path, and
+every dense eigen-, singular-value and inverse solve: ``_linalg.svd``
+(values only, thin or full), ``_linalg.eigvalsh``, ``_linalg.eigh``,
+``_linalg.eig`` and ``_linalg.inv``, numpy.linalg's functions bound once to
+the gufuncs they wrap.  Other modules call them through ``_linalg``, which
+they look up at call time, never ``np.linalg``'s.
 
 The JSON wire format for a matrix is ``{"n": n, "entries": [[re, im],
 ...]}`` with ``n`` a JSON integer and the entries row-major (length
@@ -28,6 +33,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from numbers import Integral
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -135,6 +141,74 @@ def frob_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def _bind_linalg() -> SimpleNamespace:
+    """numpy.linalg's ``svd``, ``eigvalsh``, ``eigh``, ``eig`` and ``inv``,
+    each bound once to the gufunc of ``numpy.linalg._umath_linalg`` that the
+    public function wraps.
+
+    At n <= 16 the public wrappers cost more than LAPACK: each checks and
+    casts its input and builds a fresh ``np.errstate``.  A kernel here takes
+    a non-empty ``complex128`` ndarray (square, but for ``svd``) straight to
+    the gufunc with the wrapper's signature, under the wrapper's error state,
+    built once: a LAPACK failure raises numpy's own LinAlgError, as the
+    wrapper does, and no RuntimeWarning.  ``eig`` keeps the wrapper's test
+    for non-finite entries.  Any other input (real input runs another LAPACK
+    routine) goes to the public function, and so does every call when
+    numpy's private modules are not where numpy 2 keeps them.
+    """
+    public = SimpleNamespace(svd=np.linalg.svd, eigvalsh=np.linalg.eigvalsh,
+                             eigh=np.linalg.eigh, eig=np.linalg.eig, inv=np.linalg.inv)
+    try:
+        from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+        from numpy.linalg import _linalg as wrappers
+        from numpy.linalg import _umath_linalg as gufuncs
+
+        svd_failed = wrappers._raise_linalgerror_svd_nonconvergence
+        eig_failed = wrappers._raise_linalgerror_eigenvalues_nonconvergence
+        singular = wrappers._raise_linalgerror_singular
+        svd_values, svd_thin, svd_full = gufuncs.svd, gufuncs.svd_s, gufuncs.svd_f
+        eigvalsh, eigh, eig, inv = gufuncs.eigvalsh_lo, gufuncs.eigh_lo, gufuncs.eig, gufuncs.inv
+    except (ImportError, AttributeError):
+        return public
+    complex128 = np.dtype(complex)
+
+    def bind(gufunc, signature, on_error, fallback, square=True, finite=False):
+        extobj = _make_extobj(call=on_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+        def kernel(a):
+            if not (type(a) is np.ndarray and a.dtype is complex128 and a.size and a.ndim >= 2
+                    and (not square or a.shape[-1] == a.shape[-2])
+                    and (not finite or np.isfinite(a).all())):
+                return fallback(a)
+            token = _extobj_contextvar.set(extobj)
+            try:
+                return gufunc(a, signature=signature)
+            finally:
+                _extobj_contextvar.reset(token)
+
+        return kernel
+
+    svd_values = bind(svd_values, "D->d", svd_failed, lambda a: public.svd(a, compute_uv=False), square=False)
+    svd_thin = bind(svd_thin, "D->DdD", svd_failed, lambda a: public.svd(a, full_matrices=False), square=False)
+    svd_full = bind(svd_full, "D->DdD", svd_failed, public.svd, square=False)
+
+    def svd(a, full_matrices=True, compute_uv=True):
+        if not compute_uv:
+            return svd_values(a)
+        return svd_full(a) if full_matrices else svd_thin(a)
+
+    return SimpleNamespace(
+        svd=svd,
+        eigvalsh=bind(eigvalsh, "D->d", eig_failed, public.eigvalsh),
+        eigh=bind(eigh, "D->dD", eig_failed, public.eigh),
+        eig=bind(eig, "D->DD", eig_failed, public.eig, finite=True),
+        inv=bind(inv, "D->D", singular, public.inv))
+
+
+# Looked up at call time, as _lapack's routines are, so one patch reaches every caller.
+_linalg = _bind_linalg()
+
+
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -143,7 +217,7 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     ascending and ``v`` unitary, ``h @ v == v @ diag(w)``.
     """
     h = as_matrix(h, "herm_eig input")
-    w, v = np.linalg.eigh(re_part(h))
+    w, v = _linalg.eigh(re_part(h))
     return w, v
 
 
@@ -154,7 +228,7 @@ def op_norm(m) -> float:
         raise ValueError(f"op_norm needs a 2-d array, got shape {m.shape}")
     if m.size == 0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(_linalg.svd(m, compute_uv=False)[0])
 
 
 def op_norms(stack) -> np.ndarray:
@@ -165,7 +239,7 @@ def op_norms(stack) -> np.ndarray:
         raise ValueError(f"op_norms needs a 3-d stack, got shape {stack.shape}")
     if stack.size == 0:
         return np.zeros(stack.shape[0])
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    return _linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def max_op_norm(stack) -> float:
@@ -199,7 +273,7 @@ def _kernel_complement_projection(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Projection onto ker(m)^perp via singular values, and ||m||, the
     largest of them (0 for an empty m).  The SVD is thin: a tall m needs no
     square U."""
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    _, s, vh = _linalg.svd(m, full_matrices=False)
     norm = float(s[0]) if s.size else 0.0
     if norm <= ZERO_FLOOR:
         return np.zeros_like(m), norm
@@ -215,14 +289,14 @@ def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
 
 # _op_norm_bounds trusts the Frobenius norm f outside a relative band of
 # FROB_MARGIN, and takes f^2 to within FROB_UNDERFLOW absolutely (the squares
-# of entries below about 1e-162 underflow); _unit_within does the same for a
-# stack at once.
+# of entries below about 1e-162 underflow).
 FROB_MARGIN = 1e-8
 FROB_UNDERFLOW = 1e-300
 
 
-def _op_norm_bounds(m: np.ndarray) -> tuple[float, float]:
-    """Bounds ``lo <= op_norm(m) <= hi`` from the Frobenius norm of m alone.
+def _op_norm_bounds(m: np.ndarray):
+    """Bounds ``lo <= op_norm(m) <= hi`` from the Frobenius norm of m alone;
+    on a ``(k, r, c)`` stack, two arrays of k bounds, one pair per matrix.
 
     With f = ||m||_F and r = min(m.shape), ||m||_2 <= f <= sqrt(r) ||m||_2
     (Golub & Van Loan, *Matrix Computations*, 2.3), so lo = f (1 - 1e-8) /
@@ -230,13 +304,20 @@ def _op_norm_bounds(m: np.ndarray) -> tuple[float, float]:
     rounding of either norm at n <= 16: f^2 is a sum of n^2 nonnegative
     squares, and the SVD is backward stable, so each is within O(n^2 eps),
     about 3e-14, of the exact value.  A non-finite f^2 (NaN, or overflow)
-    gives NaN bounds, which every comparison leaves undecided.
+    gives NaN bounds, which every comparison leaves undecided.  A single
+    matrix takes f^2 from one ``vdot`` and the bounds by ``math``; a stack
+    takes them from one vectorised sum (``einsum``, which overflows to inf
+    without a warning, as the sum of its two halves may here).
     """
-    s = float(np.vdot(m, m).real)  # ||m||_F^2
-    if not s < math.inf:
-        return math.nan, math.nan
-    return (math.sqrt(max(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN) / math.sqrt(min(m.shape)),
-            math.sqrt(s + FROB_UNDERFLOW) * (1.0 + FROB_MARGIN))
+    if m.ndim == 2:
+        s = float(np.vdot(m, m).real)  # ||m||_F^2
+        s, sqrt, floor = (s if s < math.inf else math.nan), math.sqrt, max
+    else:
+        with np.errstate(over="ignore"):
+            s = np.einsum("kij,kij->k", m.real, m.real) + np.einsum("kij,kij->k", m.imag, m.imag)
+        s, sqrt, floor = np.where(s < math.inf, s, math.nan), np.sqrt, np.maximum
+    return (sqrt(floor(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN) / math.sqrt(min(m.shape[-2:])),
+            sqrt(s + FROB_UNDERFLOW) * (1.0 + FROB_MARGIN))
 
 
 def _within(m: np.ndarray, bound: float) -> bool:
@@ -273,19 +354,16 @@ def _norm_floor_one(m: np.ndarray) -> float:
 
 def _unit_within(e: np.ndarray, stack: np.ndarray, bound: float) -> bool:
     """Exactly the verdict ``_unit_defect(e, stack) <= bound``, as
-    :func:`_within` decides it for each of the 2k defect matrices: their
-    squared Frobenius norms come from one vectorised sum (``einsum``, which
-    overflows to inf without a warning, as the sum of its two halves may
-    here), and ``max_op_norm`` runs only on those in the band."""
+    :func:`_within` decides it for each of the 2k defect matrices, by the
+    bounds of :func:`_op_norm_bounds` on their stack; ``max_op_norm`` runs
+    only on those in the band or with NaN bounds, and no lower bound
+    decides while one is NaN, so that a NaN raises as ``_unit_defect``
+    does."""
     d = np.concatenate([e @ stack - stack, stack @ e - stack])
-    with np.errstate(over="ignore"):
-        s = np.einsum("kij,kij->k", d.real, d.real) + np.einsum("kij,kij->k", d.imag, d.imag)
-    sure = s < math.inf  # False for NaN and overflow
-    low = np.sqrt(np.maximum(s - FROB_UNDERFLOW, 0.0)) * (1.0 - FROB_MARGIN)
-    if sure.all() and (low > bound * math.sqrt(d.shape[-1])).any():
+    lo, hi = _op_norm_bounds(d)
+    if (lo > bound).any() and not np.isnan(lo).any():
         return False
-    band = ~(sure & (np.sqrt(s + FROB_UNDERFLOW) * (1.0 + FROB_MARGIN) <= bound))
-    return max_op_norm(d[band]) <= bound
+    return max_op_norm(d[~(hi <= bound)]) <= bound
 
 
 # _cond_surely_within answers True only below bound / (1 + COND_MARGIN).
@@ -386,7 +464,7 @@ def min_real_eig(m) -> float:
     The accretive order's verdict on it has one owner, ``cones._accretive``.
     """
     m = as_matrix(m, "min_real_eig input")
-    return float(np.linalg.eigvalsh(re_part(m))[0])
+    return float(_linalg.eigvalsh(re_part(m))[0])
 
 
 # The largest ambient dimension.  powers.MAX_NODES and the cap-size CI steps

@@ -49,6 +49,7 @@ from .matrices import (
     Tolerances,
     _at_most_rtol_norm,
     _cond_surely_within,
+    _linalg,
     _require_count,
     _require_positive,
     _schur,
@@ -153,7 +154,7 @@ class _SpectralFactor:
     """
 
     def __init__(self, x: np.ndarray):
-        lam, v = np.linalg.eig(x)
+        lam, v = _linalg.eig(x)
         self.v, self.x = v, x.copy()
         # v is inverted before its condition number is known, so that the
         # inverse also settles cond(v) <= COND_CAP by the Frobenius bound of
@@ -169,7 +170,7 @@ class _SpectralFactor:
         # solve()'s SVD and LU.  A v that makes inv raise yet passes the SVD
         # check raises LinAlgError, as the inversion after the check did.
         try:
-            self.vinv = np.linalg.inv(v)
+            self.vinv = _linalg.inv(v)
         except np.linalg.LinAlgError:
             if self.cond <= COND_CAP:
                 raise
@@ -182,7 +183,7 @@ class _SpectralFactor:
     @cached_property
     def cond(self) -> float:
         """cond(v) = sigma_max / sigma_min, by the SVD of v."""
-        s = np.linalg.svd(self.v, compute_uv=False)
+        s = _linalg.svd(self.v, compute_uv=False)
         return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
 
     @cached_property
@@ -462,7 +463,7 @@ def _increment_margins(roots) -> np.ndarray:
     roots = np.asarray(roots)
     if len(roots) < 2:
         return np.array([])
-    return np.linalg.eigvalsh(re_part(roots[1:] - roots[:-1]))[:, 0]
+    return _linalg.eigvalsh(re_part(roots[1:] - roots[:-1]))[:, 0]
 
 
 def root_monotonicity_report(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

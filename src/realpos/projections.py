@@ -31,6 +31,7 @@ from .matrices import (
     ZERO_FLOOR,
     Tolerances,
     _kernel_complement_projection,
+    _linalg,
     _norm_floor_one,
     _unit_defect,
     _unit_within,
@@ -197,7 +198,7 @@ def _verify_support(p: np.ndarray, x: np.ndarray, xnorm: Optional[float] = None)
             f"support projection fails p x = x p = x (defect {defect:.2e})",
             RuntimeWarning,
         )
-    low = np.linalg.svd(x @ range_basis(p), compute_uv=False)  # x on ran(p)
+    low = _linalg.svd(x @ range_basis(p), compute_uv=False)  # x on ran(p)
     if low.size and low[-1] <= SUPPORT_VANISH_RTOL * xnorm:
         warnings.warn(f"support projection exceeds the support of x (x vanishes on ran p: "
                       f"{low[-1]:.2e})", RuntimeWarning)
@@ -294,7 +295,7 @@ def _eigenspace_projection(x: np.ndarray) -> np.ndarray:
     """Projection onto ker(x - 1): the right singular vectors of x - 1 with
     singular value at most SINGULAR_RTOL max(||x - 1||, 1)."""
     eye = np.eye(x.shape[0], dtype=complex)
-    _, s, vh = np.linalg.svd(x - eye)
+    _, s, vh = _linalg.svd(x - eye)
     vt = vh[s <= SINGULAR_RTOL * max(s[0], 1.0)]
     return dagger(vt) @ vt
 
@@ -315,7 +316,7 @@ def is_peak_for(x, q, tol: Tolerances = DEFAULT_TOL) -> bool:
     if not _within(q @ x - q, tol.eq_tol * max(1.0, xnorm)):
         raise ValueError("q x = q must hold before testing the peak criterion")
     comp = np.eye(x.shape[0], dtype=complex) - q
-    top = float(np.linalg.eigvalsh(comp @ dagger(x) @ x @ comp)[-1])
+    top = float(_linalg.eigvalsh(comp @ dagger(x) @ x @ comp)[-1])
     return top < 1.0 - tol.psd_slack
 
 

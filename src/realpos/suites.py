@@ -43,6 +43,7 @@ from .generators import gen_accretive, gen_algebra, gen_half_f, gen_peaked_half_
 from .matrices import (
     DEFAULT_TOL,
     Tolerances,
+    _linalg,
     dagger,
     matrix_to_json,
     min_real_eig,
@@ -422,7 +423,7 @@ def _interp_instance(theorem: str, k: int, inst: int, tol: Tolerances) -> tuple:
                 if u[i, i].real < 0.5 and rng.random() < 0.5:
                     u[i, i] = 1.0
         else:
-            w_eig, v = np.linalg.eigh(re_part(q))
+            w_eig, v = _linalg.eigh(re_part(q))
             comp_vecs = v[:, w_eig < 0.5]
             m = comp_vecs.shape[1]
             u = q.copy()
@@ -514,7 +515,7 @@ def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) 
         rank = max(1, n - 1 - (k % 2)) if k % 3 else None
         x = gen_sectorial(n, s, rho, rank=rank)
         h = x + dagger(x)
-        w, v = np.linalg.eigh(h)
+        w, v = _linalg.eigh(h)
         supp = support_projection(x, method="oracle", tol=tol).proj
         slack = [1.0]
         # vectors with <(x+x*)v, v> <= 1e-12
@@ -524,7 +525,7 @@ def _suite_kernel_invariants(rec: _Recorder, seed: int, sizes, tol: Tolerances) 
                 slack.append(1e-5 - float(np.linalg.norm(x @ vec)))
                 slack.append(1e-5 - float(np.linalg.norm(supp @ vec)))
         for root in power_all(x, [1.0 / m for m in (2, 3, 4)], tol=tol):
-            wy, vy = np.linalg.eigh(re_part(root.value))
+            wy, vy = _linalg.eigh(re_part(root.value))
             for i in range(len(wy)):
                 if wy[i] <= 1e-12:
                     vec = vy[:, i]

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realpos import interp
@@ -394,19 +394,25 @@ def test_every_half_f_site_turns_where_f_membership_does(tmp_path, a, inside):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), rank_one=st.booleans(),
        slack=st.sampled_from([1e-7, 2e-7, 1e-12, 0.5]))
+@example(n=15, seed=1_874_439_103, rank_one=True, slack=0.5)  # g / op_norm(g) keeps a norm below 1
 def test_in_f_is_the_gap_verdict(n, seed, rank_one, slack):
     # 1 - x = y scaled to norms a few floats either side of 1 and of
-    # 1 + slack, which rounds up at 1e-7 and 1e-12, down at 2e-7 and not at 0.5
+    # 1 + slack, which rounds up at 1e-7 and 1e-12, down at 2e-7 and not at
+    # 0.5.  The scale steps from the computed ||g||, which may sit a few ulps
+    # off 1, and the SVD of each scaled g is a few ulps off its scale, so the
+    # sweep also reaches 64 and 1024 ulps out: it straddles 1 + slack on
+    # every draw, and stays inside _within's band, where the SVD decides.
     tol = Tolerances(eq_tol=min(slack, 1e-9), psd_slack=slack)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if rank_one:
         g = np.outer(g[:, 0], g[0].conj())
     g = g / op_norm(g)
+    norm = op_norm(g)
     verdicts = set()
     for target in (1.0, 1.0 + slack):
-        for k in range(-4, 5):
-            x = np.eye(n) - (target + k * np.spacing(target)) * g
+        for k in (-1024, -64, *range(-4, 5), 64, 1024):
+            x = np.eye(n) - (target + k * np.spacing(target)) / norm * g
             inside = _f_gap(x) >= -slack
             assert _in_f(x, tol) is inside, (target, k)
             verdicts.add(inside)

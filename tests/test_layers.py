@@ -71,3 +71,30 @@ def test_matrices_owns_scipys_linear_algebra():
     users = {module for module in ORDER
              if any(name.startswith("scipy.linalg") for name in _scipy_imports(module))}
     assert users == {"matrices"}
+
+
+# numpy.linalg's dense kernels, which matrices._linalg binds to their gufuncs.
+DENSE_KERNELS = {"svd", "eigvalsh", "eigh", "eig", "inv"}
+
+
+def _numpy_dense_kernels(module: str) -> set:
+    """The numpy.linalg dense kernels a module names (``np.linalg.svd``,
+    ``from numpy.linalg import svd``), anywhere in it."""
+    with open(os.path.join(PACKAGE, module + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in DENSE_KERNELS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name) and node.value.value.id in ("np", "numpy")):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module == "numpy.linalg":
+            names.update(a.name for a in node.names if a.name in DENSE_KERNELS)
+    return names
+
+
+def test_matrices_owns_numpys_dense_kernels():
+    # every eigen-, singular-value and inverse solve goes through
+    # matrices._linalg, the one place bound to numpy's gufuncs
+    users = {module for module in ORDER if _numpy_dense_kernels(module)}
+    assert users == {"matrices"}

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from realpos import matrices as matrices_module
 from realpos.matrices import (
     SingularMatrixError,
     Tolerances,
     _at_most_rtol_norm,
+    _linalg,
     _schur,
     _unit_defect,
     _unit_within,
@@ -345,3 +347,62 @@ def test_unit_within_raises_on_nan_as_unit_defect_does():
         _unit_defect(e, stack)
     with pytest.raises(np.linalg.LinAlgError):
         _unit_within(e, stack, 1.0)
+
+
+# Each owner in matrices._linalg and its numpy.linalg function, called alike.
+_LINALG_CALLS = {
+    "svd values": lambda linalg, a: linalg.svd(a, compute_uv=False),
+    "svd thin": lambda linalg, a: linalg.svd(a, full_matrices=False),
+    "svd full": lambda linalg, a: linalg.svd(a),
+    "eigvalsh": lambda linalg, a: linalg.eigvalsh(a),
+    "eigh": lambda linalg, a: linalg.eigh(a),
+    "eig": lambda linalg, a: linalg.eig(a),
+    "inv": lambda linalg, a: linalg.inv(a),
+}
+
+
+@pytest.mark.parametrize("name", list(_LINALG_CALLS))
+def test_the_linalg_owners_keep_numpys_bits(name):
+    # single matrices and stacks of them at n = 1..16 (tall ones too for the
+    # SVD), complex through the gufunc and real through the public function
+    call, rng = _LINALG_CALLS[name], np.random.default_rng(41)
+    for n in range(1, 17):
+        shapes = [(n, n), (3, n, n)] + ([(n + 2, n), (2, n + 2, n)] if name.startswith("svd") else [])
+        for shape in shapes:
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for a in (z, z.real.copy()):
+                got, want = call(_linalg, a), call(np.linalg, a)
+                got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+                assert len(got) == len(want), (name, shape)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape, (name, shape, a.dtype)
+                    assert g.tobytes() == w.tobytes(), (name, shape, a.dtype)
+
+
+def test_the_linalg_owners_raise_linalgerror_under_warnings_as_errors():
+    # the owners set numpy's error state for the gufuncs as the public
+    # wrappers do: a failed solve raises LinAlgError, never RuntimeWarning
+    nan = np.eye(4, dtype=complex)
+    nan[3, 0] = np.nan
+    cases = [
+        (op_norm, nan, "SVD did not converge"),
+        (op_norms, np.array([np.eye(4), nan]), "SVD did not converge"),
+        (_linalg.eig, nan, "Array must not contain infs or NaNs"),
+        (_linalg.eigvalsh, nan, "Eigenvalues did not converge"),
+        (_linalg.inv, np.diag([1.0, 1.0, 0.0, 1.0]).astype(complex), "Singular matrix"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kernel, a, message in cases:
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+                kernel(a)
+
+
+def test_the_linalg_owners_fall_back_to_numpys_functions(monkeypatch):
+    # without numpy's private error-state helper the owners are the public
+    # functions themselves
+    ufunc_config = pytest.importorskip("numpy._core._ufunc_config")
+    monkeypatch.delattr(ufunc_config, "_make_extobj")
+    public = matrices_module._bind_linalg()
+    assert [getattr(public, name) for name in ("svd", "eigvalsh", "eigh", "eig", "inv")] == [
+        np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh, np.linalg.eig, np.linalg.inv]

@@ -55,7 +55,7 @@ def test_spectral_defective_raises(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(DefectiveMatrixError):
             power_spectral(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)
-        monkeypatch.setattr(np.linalg, "eig", lambda x: (np.ones(2), np.array([[1, 1], [0, 0j]])))
+        monkeypatch.setattr(matrices_module._linalg, "eig", lambda x: (np.ones(2), np.array([[1, 1], [0, 0j]])))
         with pytest.raises(DefectiveMatrixError) as exc:
             power_spectral(np.eye(2), 0.5)
     assert exc.value.cond == math.inf
@@ -260,8 +260,8 @@ def test_root_series_certifies_only_inside_f(monkeypatch):
     assert not root_series(np.diag([1.0 - np.nextafter(1.0, 2.0), 1.0]), 2).certified
     # ||1 - x|| <= 1 is tested first: diag(0, 1) is in the band of both tests
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    svd = matrices_module._linalg.svd
+    monkeypatch.setattr(matrices_module._linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     root_series(np.diag([0.0, 1.0]), 2)
     assert len(calls) == 1
 
@@ -503,8 +503,8 @@ def test_verdict_only_norm_sites_take_no_svd_when_frobenius_settles(monkeypatch)
     # vav_identity_check's v*v = s precondition only compare a norm with a
     # threshold
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    svd = matrices_module._linalg.svd
+    monkeypatch.setattr(matrices_module._linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     for n in (2, 3, 5):
         # T = f(x) is near I / 3, so ||T||_F and ||1 - 2T||_F are below 1
         x = 0.5 * np.eye(n) + 0.05 * gen_accretive(n, 820 + n)
@@ -655,8 +655,8 @@ def test_vav_identity_checks_r_before_any_svd(monkeypatch):
     a = gen_accretive(3, 43, min_margin=0.1)
     v, bad_v = gen_unitary(3, 44), np.diag([1.0, 0.0, 0.0]).astype(complex)
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    svd = matrices_module._linalg.svd
+    monkeypatch.setattr(matrices_module._linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     for r in (math.inf, math.nan, -math.inf, 0.0, 1.5, -2.0):
         for w in (v, bad_v):
             with pytest.raises(ValueError, match=r"^r must be in \(0, 1\) or a positive integer$"):
@@ -711,9 +711,9 @@ def test_power_all_factors_a_defective_matrix_once(monkeypatch):
     jordan = np.array([[4.0, 1.0], [0.0, 4.0]])
     expected = [power(jordan, alpha) for alpha in ALPHAS]
     calls, counts = [], {"zgees": 0, "accretive": 0}
-    eig, zgees, accretive = np.linalg.eig, matrices_module._lapack.zgees, cones_module._accretive
+    eig, zgees, accretive = matrices_module._linalg.eig, matrices_module._lapack.zgees, cones_module._accretive
     matrices_module._gees_lwork(2)
-    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    monkeypatch.setattr(matrices_module._linalg, "eig", lambda m: calls.append(1) or eig(m))
     monkeypatch.setattr(matrices_module._lapack, "zgees",
                         lambda *a, **k: counts.__setitem__("zgees", counts["zgees"] + 1) or zgees(*a, **k))
     monkeypatch.setattr(cones_module, "_accretive",
@@ -742,8 +742,8 @@ def test_root_monotonicity_report_factors_x_once(monkeypatch):
     roots = [power(x, 1.0 / n).value for n in range(1, 9)]
     expected = np.array([min_real_eig(roots[n] - roots[n - 1]) for n in range(1, 8)])
     calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    eig = matrices_module._linalg.eig
+    monkeypatch.setattr(matrices_module._linalg, "eig", lambda m: calls.append(1) or eig(m))
     margins = root_monotonicity_report(x, 8)
     assert len(calls) == 1
     assert margins.tobytes() == expected.tobytes()
@@ -959,8 +959,8 @@ def test_an_unread_power_makes_no_svd(monkeypatch):
     # ||x||_F settles the EIG_RTOL cut; cond(v), ||x||, the reconstruction
     # residual and ||value|| wait for the first read of est_error
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    svd = matrices_module._linalg.svd
+    monkeypatch.setattr(matrices_module._linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     for n in (2, 3, 4, 5, 6, 7, 8, 16):
         for r in (0.3, 0.5):
             x = gen_accretive(n, 680 + n)
@@ -1070,14 +1070,39 @@ def test_quadrature_results_keep_the_eager_bits(monkeypatch):
         assert res.certified and (res.certified, res.est_error) == (eager.certified, eager.est_error)
 
 
+def test_a_boundary_input_takes_the_absolute_bound():
+    # diag(0, e, e, 1, ..., 1) at n = 16: on the accretivity boundary, with
+    # ||value||_F about sqrt(13), and e set by bisection so that
+    # ||value - coarse|| is twice 1e-6.  The relative bound
+    # 1e-6 max(1, ||value||_F) alone would certify it; the boundary's
+    # absolute bound 1e-6 does not.
+    def boundary_input(e):
+        return np.diag([0.0, e, e] + [1.0] * 13)
+
+    def ratio(x):
+        value, coarse = _rule_sums(x, 0.5, 64)
+        return op_norm(value - coarse) / 1e-6
+
+    lo, hi = 1e-3, 1e-1  # the ratio falls from about 1e3 to 1e-9 here
+    for _ in range(50):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if ratio(boundary_input(mid)) > 2.0 else (lo, mid)
+    x = boundary_input(hi)
+    res = power_balakrishnan(x, 0.5)
+    assert cones_module.is_accretive(x)[1] <= DEFAULT_TOL.psd_slack
+    assert 1e-6 < res.est_error <= 1e-6 * np.linalg.norm(res.value)
+    eager = _eager_balakrishnan(x, 0.5)
+    assert not res.certified and (res.certified, res.est_error) == (eager.certified, eager.est_error)
+
+
 def test_an_unread_quadrature_result_makes_no_svd(monkeypatch):
     # certified is settled by _within; the SVD of the rules' difference waits
     # for the first read of est_error
     inputs = [gen_accretive(n, 1130 + n) for n in (1, 2, 3, 8, 16)]
     inputs += [np.diag([1.0, 0.0]), np.diag([1e7, 0.0])]  # on the accretivity boundary
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    svd = matrices_module._linalg.svd
+    monkeypatch.setattr(matrices_module._linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     for x in inputs:
         for r in (0.3, 0.5):
             calls.clear()

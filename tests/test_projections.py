@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realpos import matrices as matrices_module
 from realpos import projections
 from realpos.algebra import contains, full_algebra, identity_of, upper_triangular_algebra
 from realpos.cones import f_membership
@@ -123,19 +124,19 @@ def test_verify_support_sees_an_over_large_support():
 def test_oracle_support_takes_two_svds(monkeypatch):
     # The oracle's full SVD also gives ||x|| for the warning thresholds;
     # the only other SVD is of x on ran(p).  A separate op_norm(x) made 3.
-    svd, calls = np.linalg.svd, []
+    svd, calls = matrices_module._linalg.svd, []
 
     def counted(m, *args, **kwargs):
         calls.append((np.shape(m), kwargs.get("compute_uv", True)))
         return svd(m, *args, **kwargs)
 
     x = gen_accretive(5, 0)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(matrices_module._linalg, "svd", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = support_projection(x, method="oracle")
     assert calls == [((5, 5), True), ((5, 5), False)]
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(matrices_module._linalg, "svd", svd)
     assert res.proj.tobytes() == projections._kernel_complement_projection(x)[0].tobytes()
 
 
@@ -238,13 +239,13 @@ def test_peak_loop_takes_one_batched_svd(monkeypatch):
     # stacked chain for the trace, beside ||x||, and at most once more for a
     # step whose verdict falls in _within's band.  One SVD per squaring
     # would make iterations + 2 calls.
-    svd, shapes = np.linalg.svd, []
+    svd, shapes = matrices_module._linalg.svd, []
 
     def counted(m, *args, **kwargs):
         shapes.append(np.shape(m))
         return svd(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(matrices_module._linalg, "svd", counted)
     for n in (2, 3, 4, 5, 6, 7, 8, 16):
         for seed in range(3):
             x, _ = gen_peaked_half_f(n, seed)
