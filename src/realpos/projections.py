@@ -16,7 +16,7 @@ the support projection it reads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,6 +57,27 @@ __all__ = [
 ]
 
 
+class _OnFirstRead:
+    """A dataclass field that takes its value or a function of no arguments;
+    the function runs on the first read of the field, and its value is kept.
+    The default is ``list``, which reads as an empty list."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return list
+        value = getattr(obj, self.slot)
+        if callable(value):
+            value = value()
+            setattr(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj, value):
+        setattr(obj, self.slot, value)
+
+
 @dataclass
 class ProjectionResult:
     proj: np.ndarray
@@ -65,8 +86,10 @@ class ProjectionResult:
     oracle_residual: Optional[float]  # ||iterative - oracle|| when both ran
     status: str  # 'converged' | 'diverged' | 'zero'
     # support: the defect ||y^2 - y|| before each step and at the end;
-    # peak: the norms ||x^{2^k}|| of the squares taken
-    trace: list = field(default_factory=list)
+    # peak: the norms ||x^{2^k}|| of the squares taken.  The iterative
+    # routes pass a function, so the trace's SVDs run on its first read:
+    # no caller but the CLI reads it.
+    trace: list = _OnFirstRead()
     purifications: int = 0  # McWeeny steps among the iterations
 
 
@@ -129,16 +152,29 @@ def support_projection(
 
     ``iterations`` counts every step, the deep root included;
     ``purifications`` counts the McWeeny steps among them, and ``trace``
-    holds the defect before each step and at the end.
+    holds the defect before each step and at the end.  Each step only
+    compares its defect with the two thresholds, so ``_within`` settles it;
+    the trace is computed on its first read, by one batched SVD of the
+    defects the result keeps.
     """
     x = as_matrix(x)
-    try:
-        margin = _require_accretive(x, tol)
-    except NotAccretiveError as exc:
-        raise NotAccretiveError(f"support projections need accretive input: {exc}") from None
+    margin = _require_support_accretive(x, tol)
     if method not in ("iterative", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
+    return _support(x, margin, method, tol)
 
+
+def _require_support_accretive(x: np.ndarray, tol: Tolerances) -> float:
+    """lambda_min(Re x), or NotAccretiveError naming the support projection."""
+    try:
+        return _require_accretive(x, tol)
+    except NotAccretiveError as exc:
+        raise NotAccretiveError(f"support projections need accretive input: {exc}") from None
+
+
+def _support(x: np.ndarray, margin: float, method: str, tol: Tolerances) -> ProjectionResult:
+    """:func:`support_projection` on arguments the caller has validated,
+    margin = lambda_min(Re x)."""
     oracle = None
     if method in ("oracle", "both"):
         oracle, oracle_norm = _kernel_complement_projection(x)
@@ -150,7 +186,7 @@ def support_projection(
         return result
 
     xnorm = op_norm(x)
-    trace: list[float] = []
+    defects = []
     status = "diverged"
     iterations = purifications = 0
     if xnorm <= ZERO_FLOOR:
@@ -161,13 +197,13 @@ def support_projection(
         y = _powers(x / xnorm, (DEEP_ROOT,), margin / xnorm, 96, tol)[0].value
         iterations = 1
         while iterations < _MAX_STEPS:
-            defect = op_norm(y @ y - y)
-            trace.append(float(defect))
-            if defect <= tol.iter_tol:
+            y2 = y @ y
+            d = y2 - y
+            defects.append(d)
+            if _within(d, tol.iter_tol):
                 status = "converged"
                 break
-            if defect <= PURIFY_START:
-                y2 = y @ y
+            if _within(d, PURIFY_START):
                 y = 3.0 * y2 - 2.0 * (y2 @ y)
                 purifications += 1
             else:
@@ -177,12 +213,19 @@ def support_projection(
     if status == "converged" and _within(proj, tol.eq_tol):
         status = "zero"
     residual = op_norm(proj - oracle) if oracle is not None else None
-    result = ProjectionResult(
-        proj, "iterative", iterations, residual, status, trace, purifications
-    )
+    result = ProjectionResult(proj, "iterative", iterations, residual, status,
+                              _norms_on_read(defects, x.shape[0]), purifications)
     if status != "diverged":
         _verify_support(result.proj, x, xnorm)
     return result
+
+
+def _norms_on_read(mats: list, n: int, head: tuple = ()):
+    """A trace for :class:`ProjectionResult`: the floats ``head`` followed by
+    the op_norm of each of the (n, n) arrays ``mats``, by one batched SVD
+    when it is first read.  The arrays must be the result's own, so that
+    writing to the caller's input or to the result changes nothing."""
+    return lambda: [*head, *op_norms(np.reshape(mats, (-1, n, n))).tolist()]
 
 
 def _verify_support(p: np.ndarray, x: np.ndarray, xnorm: Optional[float] = None) -> None:
@@ -214,13 +257,14 @@ def vav_identity_check(a, v, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     integer = np.isfinite(r) and abs(r - round(r)) < 1e-14 and round(r) >= 1
     if not integer and not 0.0 < r < 1.0:
         raise ValueError("r must be in (0, 1) or a positive integer")
-    s = support_projection(a, method="oracle", tol=tol).proj
+    margin = _require_support_accretive(a, tol)  # checked once, for s and a^r
+    s = _support(a, margin, "oracle", tol).proj
     if not _within(dagger(v) @ v - s, 1e-7 * _norm_floor_one(s)):
         raise ValueError("v*v must equal the support projection of a")
     if integer:
-        r = float(round(r))  # an exact integer: power() takes np.linalg.matrix_power
+        r = float(round(r))  # an exact integer: _powers takes np.linalg.matrix_power
     lhs = power(v @ a @ dagger(v), r, tol=tol).value
-    rhs = v @ power(a, r, tol=tol).value @ dagger(v)
+    rhs = v @ _powers(a, (r,), margin, 96, tol)[0].value @ dagger(v)
     return op_norm(lhs - rhs)
 
 
@@ -237,8 +281,9 @@ def peak_projection(
     The iteration squares z_0 = x, z_{k+1} = z_k^2 until ||z_k|| < 1e-8
     (zero), ||z_k|| > 10 (diverged) or ||z_k^2 - z_k|| <= ``iter_tol``
     (converged).  ``trace`` holds the norms ||z_k|| = ||x^{2^k}|| of the
-    squares it took, not the defects; ``iterations`` is the last k (the
-    squaring cap when none of the three happens).
+    squares it took, not the defects; it is computed on its first read.
+    ``iterations`` is the last k (the squaring cap when none of the three
+    happens).
     """
     x = as_matrix(x)
     xnorm = op_norm(x)
@@ -258,8 +303,10 @@ def peak_projection(
         return ProjectionResult(oracle, "oracle", 0, None, status)
 
     # Each step only compares norms with thresholds, so _within decides it
-    # (the strict zero test reads ||z|| only once it is at most 1e-8); the
-    # norms of the trace come from one batched SVD of the whole chain.
+    # (the strict zero test reads ||z|| only once it is at most 1e-8).  The
+    # norms of the trace come from one batched SVD of the chain on its first
+    # read.  chain[0] is the caller's x (as_matrix does not copy it), so the
+    # trace keeps only the squares and takes ||z_0|| = ||x|| from xnorm.
     z = x
     chain = []
     status = "diverged"
@@ -278,7 +325,7 @@ def peak_projection(
         z = z2
     else:
         iterations = _MAX_SQUARINGS
-    trace = op_norms(np.stack(chain)).tolist()
+    trace = _norms_on_read(chain[1:], x.shape[0], (xnorm,))
 
     proj = _round_to_projection(z) if status == "converged" else np.zeros_like(z)
     if status == "converged":

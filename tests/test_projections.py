@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 from realpos import matrices as matrices_module
 from realpos import projections
 from realpos.algebra import contains, full_algebra, identity_of, upper_triangular_algebra
-from realpos.cones import f_membership
+from realpos.cones import _in_f, _require_accretive, f_membership
 from realpos.generators import gen_accretive, gen_half_f, gen_peaked_half_f, gen_sectorial, gen_unitary
-from realpos.matrices import dagger, op_norm
-from realpos.powers import NotAccretiveError, power, root_series
+from realpos.matrices import DEFAULT_TOL, as_matrix, dagger, op_norm, op_norms
+from realpos.powers import NotAccretiveError, _powers, power, root_series
 from realpos.projections import (
     hsa_and_ideal,
     is_peak_for,
@@ -235,10 +237,11 @@ def test_peak_zero_and_diverged_paths(x, status, iterations, length):
 
 
 def test_peak_loop_takes_one_batched_svd(monkeypatch):
-    # The squaring steps decide by Frobenius norms; the SVD runs once on the
-    # stacked chain for the trace, beside ||x||, and at most once more for a
-    # step whose verdict falls in _within's band.  One SVD per squaring
-    # would make iterations + 2 calls.
+    # The squaring steps decide by Frobenius norms, so the call runs the SVD
+    # for ||x|| and at most once more for a step whose verdict falls in
+    # _within's band.  The trace's norms come from one batched SVD of the
+    # squares on its first read, and a second read runs none.  One SVD per
+    # squaring would make iterations + 2 calls.
     svd, shapes = matrices_module._linalg.svd, []
 
     def counted(m, *args, **kwargs):
@@ -252,8 +255,169 @@ def test_peak_loop_takes_one_batched_svd(monkeypatch):
             shapes.clear()
             res = peak_projection(x)
             assert res.status == "converged" and res.iterations >= 4
-            assert [s for s in shapes if len(s) == 3] == [(len(res.trace), n, n)]
-            assert len(shapes) <= 3 < res.iterations + 2
+            assert [s for s in shapes if len(s) == 3] == []
+            assert len(shapes) <= 2 < res.iterations + 2
+            shapes.clear()
+            trace = res.trace
+            assert shapes == [(len(trace) - 1, n, n)] and len(trace) == res.iterations + 1
+            assert res.trace is trace and len(shapes) == 1
+
+
+# The functions through which an SVD settles a norm verdict in its band:
+# the Frobenius bounds could not decide it.  `cond` is the spectral factor's
+# conditioning verdict.
+_VERDICT_SITES = {"_within", "_unit_within", "_at_most_rtol_norm", "cond"}
+
+
+def test_support_loop_takes_the_svd_of_x_alone(monkeypatch):
+    # Each step compares the defect ||y^2 - y|| with iter_tol and
+    # PURIFY_START only, so _within decides it.  The support iteration's own
+    # SVDs are ||x|| and _verify_support's singular values of x on ran(p);
+    # every other SVD comes from a verdict kernel's band.  One SVD per step
+    # would give the iteration 1 + iterations of its own.  The trace's
+    # defects come from one batched SVD on its first read.
+    svd, sites = matrices_module._linalg.svd, []
+
+    def counted(m, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in ("op_norm", "op_norms", "max_op_norm"):
+            frame = frame.f_back
+        sites.append((frame.f_code.co_name, np.ndim(m)))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(matrices_module._linalg, "svd", counted)
+    for n in (2, 3, 4, 5, 8, 16):
+        for x in (gen_accretive(n, 7500 + n), gen_accretive(n, 7520 + n, rank=max(1, n // 2))):
+            sites.clear()
+            res = support_projection(x, method="iterative")
+            assert res.status == "converged" and res.iterations >= 3
+            own = Counter(site for site, _ in sites if site not in _VERDICT_SITES)
+            assert own == Counter({"_support": 1, "_verify_support": 1}), (n, sites)
+            assert all(ndim == 2 for _, ndim in sites)
+            sites.clear()
+            assert len(res.trace) == res.iterations and [ndim for _, ndim in sites] == [3]
+
+
+def _eager_support(x, method="iterative", tol=DEFAULT_TOL):
+    # support_projection's iterative route as it stood with an eager trace:
+    # op_norm(y^2 - y) at every step.  The deferred trace and the _within
+    # verdicts must keep its bits.
+    x = as_matrix(x)
+    margin = _require_accretive(x, tol)
+    oracle = projections._kernel_complement_projection(x)[0] if method == "both" else None
+    xnorm = op_norm(x)
+    trace = []
+    status = "diverged"
+    iterations = purifications = 0
+    if xnorm <= projections.ZERO_FLOOR:
+        y = np.zeros_like(x)
+        status = "zero"
+    else:
+        y = _powers(x / xnorm, (projections.DEEP_ROOT,), margin / xnorm, 96, tol)[0].value
+        iterations = 1
+        while iterations < projections._MAX_STEPS:
+            defect = op_norm(y @ y - y)
+            trace.append(float(defect))
+            if defect <= tol.iter_tol:
+                status = "converged"
+                break
+            if defect <= projections.PURIFY_START:
+                y2 = y @ y
+                y = 3.0 * y2 - 2.0 * (y2 @ y)
+                purifications += 1
+            else:
+                y = power(y, 0.5, tol=tol).value
+            iterations += 1
+    proj = projections._round_to_projection(y)
+    if status == "converged" and projections._within(proj, tol.eq_tol):
+        status = "zero"
+    residual = op_norm(proj - oracle) if oracle is not None else None
+    if status != "diverged":
+        projections._verify_support(proj, x, xnorm)
+    return projections.ProjectionResult(proj, "iterative", iterations, residual, status, trace,
+                                        purifications)
+
+
+def _eager_peak(x, method="iterative", tol=DEFAULT_TOL):
+    # peak_projection's iterative route as it stood with an eager trace: one
+    # batched SVD of the whole chain, x included, before the call returns.
+    x = as_matrix(x)
+    xnorm = op_norm(x)
+    oracle = None
+    if method == "both" and _in_f(2.0 * x, tol):
+        oracle = projections._eigenspace_projection(x)
+    z, chain, status = x, [], "diverged"
+    for iterations in range(projections._MAX_SQUARINGS):
+        chain.append(z)
+        z2 = z @ z
+        if projections._within(z, 1e-8) and op_norm(z) < 1e-8:
+            status = "zero"
+            z = np.zeros_like(z)
+            break
+        if not projections._within(z, 10.0):
+            break
+        if projections._within(z2 - z, tol.iter_tol):
+            status = "converged"
+            break
+        z = z2
+    else:
+        iterations = projections._MAX_SQUARINGS
+    trace = op_norms(np.stack(chain)).tolist()
+    proj = projections._round_to_projection(z) if status == "converged" else np.zeros_like(z)
+    if status == "converged" and not projections._unit_within(x, proj[None], 1e-7 * max(1.0, xnorm)):
+        status = "diverged"
+        proj = np.zeros_like(z)
+    residual = op_norm(proj - oracle) if (oracle is not None and status != "diverged") else None
+    return projections.ProjectionResult(proj, "iterative", iterations, residual, status, trace)
+
+
+def _fields(fn, x, method):
+    # every field of the result, bytes for the projection, and the warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = fn(np.array(x, dtype=complex), method)
+        return (res.proj.tobytes(), res.method, res.iterations, res.oracle_residual, res.status,
+                res.trace, res.purifications, [str(w.message) for w in caught])
+
+
+PEAK_EDGE_CASES = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0]),
+                   np.diag([np.exp(0.7j), 1.0]), np.eye(2)]
+
+
+@pytest.mark.parametrize("deep_root", [projections.DEEP_ROOT, 0.5])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_projections_keep_the_eager_bits(monkeypatch, n, deep_root):
+    # deep_root 0.5 leaves the first root far from a projection, so the
+    # square-root branch runs before McWeeny's
+    monkeypatch.setattr(projections, "DEEP_ROOT", deep_root)
+    supports = [gen_accretive(n, 7600 + n), gen_accretive(n, 7620 + n, rank=max(1, n // 2)),
+                np.zeros((n, n))]
+    peaks = [0.9 * gen_half_f(n, 7640 + n), np.zeros((n, n))]
+    peaks += [gen_peaked_half_f(n, 7660 + n)[0]] if n > 1 else []
+    if n == 2:
+        peaks += PEAK_EDGE_CASES
+    calls = [(support_projection, _eager_support, x) for x in supports]
+    calls += [(peak_projection, _eager_peak, x) for x in peaks]
+    for fn, eager, x in calls:
+        for method in ("iterative", "both"):
+            assert _fields(fn, x, method) == _fields(eager, x, method), (fn.__name__, method)
+
+
+@pytest.mark.parametrize("fn, x", [
+    (support_projection, gen_accretive(5, 7700, rank=3)),
+    (peak_projection, gen_peaked_half_f(5, 7701)[0]),
+    (peak_projection, np.diag([np.exp(0.7j), 1.0])),
+])
+def test_a_deferred_trace_reads_only_arrays_the_result_owns(fn, x):
+    # as_matrix does not copy a complex128 array, so the loops start from the
+    # caller's own x; writing to x or to the projection before the first
+    # read of the trace must not change it
+    x = np.array(x, dtype=complex)
+    want = fn(x.copy()).trace
+    res = fn(x)
+    x[...] = 0.0
+    res.proj[...] = 7.0
+    assert res.trace == want and len(want) > 1
 
 
 def test_peak_iterative_vs_oracle():
