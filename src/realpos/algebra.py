@@ -38,7 +38,7 @@ from .matrices import (
     _linalg,
     _norm_floor_one,
     _require_count,
-    _unit_within,
+    _unit_defects,
     _within,
     as_matrix,
     check_dim,
@@ -323,8 +323,8 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     = P_A(W): G c = h, G[j, i] = <b_i W, b_j>, h[j] = <W, b_j> (three GEMMs and
     a d x d ``lstsq``).  For unital A, ||x||_F = ||x u||_F <= ||u||_F ||(x b_k)_k||
     and ||W|| <= tr W = d give cond(G) <= d ||u||_F^2 (<= d n if u is a projection).
-    ``_unit_defect <= eq_tol`` decides (``_unit_within``), rejecting the left identity E11
-    of span{E11, E12}.
+    ``_unit_defect <= eq_tol`` decides (``_within`` on ``_unit_defects``), rejecting the
+    left identity E11 of span{E11, E12}.
     """
     d, n = a.dim, a.ambient_dim
     if d == 0:
@@ -335,7 +335,7 @@ def identity_of(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL):
     gram = np.conj(flat) @ (a.basis.reshape(d * n, n) @ w).reshape(d, n * n).T
     c, *_ = np.linalg.lstsq(gram, np.conj(flat) @ w.reshape(n * n), rcond=None)
     e = a.reconstruct(c)
-    return e if _unit_within(e, a.basis, tol.eq_tol) else None
+    return e if _within(_unit_defects(e, a.basis), tol.eq_tol) else None
 
 
 def unitize(a: MatrixAlgebra, tol: Tolerances = DEFAULT_TOL) -> MatrixAlgebra:

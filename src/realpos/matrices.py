@@ -4,22 +4,22 @@ Everything operates on plain square complex ``numpy`` arrays.  This module
 is the bottom layer and the one home of the subspace kernels the others
 share: ``range_basis`` (eigenvectors of Re p above 1/2),
 ``_kernel_complement_projection`` (ker(m)^perp by singular values),
-``_unit_defect`` (distance of e from a two-sided identity on a stack), and
-the norm verdicts ``_within`` (``op_norm(m) <= bound``, and through it
-``_norm_floor_one``, ``max(1, op_norm(m))``), ``_at_most_rtol_norm``
-(``a <= rtol * op_norm(m)`` for each entry of a vector a) and
-``_unit_within`` (``_unit_defect(e, stack) <= bound``), which settle most
-calls by the Frobenius bounds of ``_op_norm_bounds`` and run the SVD only
-when those cannot, and the one-sided conditioning verdict
-``_cond_surely_within`` (``cond(m) <= bound`` from m and its computed
-inverse, by Frobenius norms, without an SVD).  It also owns the library's
-calls into scipy's LAPACK, ``_schur`` (zgees) and ``solve`` (zgetrf and
-zgetrs), bound on first use so that scipy stays off the import path, and
-every dense eigen-, singular-value and inverse solve: ``_linalg.svd``
-(values only, thin or full), ``_linalg.eigvalsh``, ``_linalg.eigh``,
-``_linalg.eig`` and ``_linalg.inv``, numpy.linalg's functions bound once to
-the gufuncs they wrap.  Other modules call them through ``_linalg``, which
-they look up at call time, never ``np.linalg``'s.
+``_unit_defects`` (the stack of e b - b and b e - b, which vanishes when e
+is a two-sided identity on a stack of b) and ``_unit_defect`` (its largest
+norm), the norm verdicts ``_within`` (``op_norm(m) <= bound``, and on a
+stack ``max_op_norm(m) <= bound``; through it ``_norm_floor_one``,
+``max(1, op_norm(m))``) and ``_at_most_rtol_norm`` (``a <= rtol *
+op_norm(m)`` for each entry of a vector a), which settle most calls by the
+Frobenius bounds of ``_op_norm_bounds`` and run the SVD only when those
+cannot, and the one-sided conditioning verdict ``_cond_surely_within``
+(``cond(m) <= bound`` from m and its computed inverse, by Frobenius norms,
+without an SVD).  It also owns every dense kernel, in one table,
+``_linalg``: numpy.linalg's ``svd`` (values only or thin), ``eigvalsh``,
+``eigh``, ``eig`` and ``inv``, each bound once to the gufunc it wraps, and
+scipy's LAPACK routines ``zgees`` (for ``_schur``), ``zgetrf`` and
+``zgetrs`` (for ``solve``), each bound on its first use so that scipy stays
+off the import path.  Other modules call them through ``_linalg``, which
+they look up at call time, never ``np.linalg``'s or scipy's.
 
 The JSON wire format for a matrix is ``{"n": n, "entries": [[re, im],
 ...]}`` with ``n`` a JSON integer and the entries row-major (length
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral
 from types import SimpleNamespace
 
@@ -113,10 +113,12 @@ class SingularMatrixError(ValueError):
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
-    """Validate and return a square, finite, complex 2-d array."""
+    """Validate and return a square, non-empty, finite, complex 2-d array."""
     m = np.asarray(obj, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"{name} is empty")
     if not np.isfinite(m).all():  # complex isfinite checks both parts
         raise ValueError(f"{name} has non-finite entries")
     return m
@@ -141,10 +143,29 @@ def frob_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def _bind_linalg() -> SimpleNamespace:
-    """numpy.linalg's ``svd``, ``eigvalsh``, ``eigh``, ``eig`` and ``inv``,
-    each bound once to the gufunc of ``numpy.linalg._umath_linalg`` that the
-    public function wraps.
+def _lapack_routine(name: str) -> cached_property:
+    """scipy.linalg.lapack's routine ``name``, imported on its first read."""
+    def routine(table):
+        from scipy.linalg import lapack
+        return getattr(lapack, name)
+
+    return cached_property(routine)
+
+
+class _Kernels(SimpleNamespace):
+    """The kernel table: numpy's kernels as :func:`_bind_linalg` binds them,
+    and scipy's LAPACK ``zgees``, ``zgetrf`` and ``zgetrs``, each imported on
+    its first read (scipy stays off the import path) and kept as a plain
+    attribute, which skips scipy.linalg's wrappers: at n <= 16 they cost more
+    than the factorizations.  Other names raise AttributeError."""
+
+    zgees, zgetrf, zgetrs = map(_lapack_routine, ("zgees", "zgetrf", "zgetrs"))
+
+
+def _bind_linalg() -> _Kernels:
+    """The kernel table, with numpy.linalg's ``svd``, ``eigvalsh``, ``eigh``,
+    ``eig`` and ``inv`` each bound once to the gufunc of
+    ``numpy.linalg._umath_linalg`` that the public function wraps.
 
     At n <= 16 the public wrappers cost more than LAPACK: each checks and
     casts its input and builds a fresh ``np.errstate``.  A kernel here takes
@@ -154,10 +175,11 @@ def _bind_linalg() -> SimpleNamespace:
     wrapper does, and no RuntimeWarning.  ``eig`` keeps the wrapper's test
     for non-finite entries.  Any other input (real input runs another LAPACK
     routine) goes to the public function, and so does every call when
-    numpy's private modules are not where numpy 2 keeps them.
+    numpy's private modules are not where numpy 2 keeps them.  No caller
+    takes the full SVD, so ``svd(a)`` is the public function's.
     """
-    public = SimpleNamespace(svd=np.linalg.svd, eigvalsh=np.linalg.eigvalsh,
-                             eigh=np.linalg.eigh, eig=np.linalg.eig, inv=np.linalg.inv)
+    public = _Kernels(svd=np.linalg.svd, eigvalsh=np.linalg.eigvalsh,
+                      eigh=np.linalg.eigh, eig=np.linalg.eig, inv=np.linalg.inv)
     try:
         from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
         from numpy.linalg import _linalg as wrappers
@@ -166,7 +188,7 @@ def _bind_linalg() -> SimpleNamespace:
         svd_failed = wrappers._raise_linalgerror_svd_nonconvergence
         eig_failed = wrappers._raise_linalgerror_eigenvalues_nonconvergence
         singular = wrappers._raise_linalgerror_singular
-        svd_values, svd_thin, svd_full = gufuncs.svd, gufuncs.svd_s, gufuncs.svd_f
+        svd_values, svd_thin = gufuncs.svd, gufuncs.svd_s
         eigvalsh, eigh, eig, inv = gufuncs.eigvalsh_lo, gufuncs.eigh_lo, gufuncs.eig, gufuncs.inv
     except (ImportError, AttributeError):
         return public
@@ -190,14 +212,13 @@ def _bind_linalg() -> SimpleNamespace:
 
     svd_values = bind(svd_values, "D->d", svd_failed, lambda a: public.svd(a, compute_uv=False), square=False)
     svd_thin = bind(svd_thin, "D->DdD", svd_failed, lambda a: public.svd(a, full_matrices=False), square=False)
-    svd_full = bind(svd_full, "D->DdD", svd_failed, public.svd, square=False)
 
     def svd(a, full_matrices=True, compute_uv=True):
         if not compute_uv:
             return svd_values(a)
-        return svd_full(a) if full_matrices else svd_thin(a)
+        return public.svd(a) if full_matrices else svd_thin(a)
 
-    return SimpleNamespace(
+    return _Kernels(
         svd=svd,
         eigvalsh=bind(eigvalsh, "D->d", eig_failed, public.eigvalsh),
         eigh=bind(eigh, "D->dD", eig_failed, public.eigh),
@@ -205,7 +226,7 @@ def _bind_linalg() -> SimpleNamespace:
         inv=bind(inv, "D->D", singular, public.inv))
 
 
-# Looked up at call time, as _lapack's routines are, so one patch reaches every caller.
+# Looked up at call time, so one patch reaches every caller.
 _linalg = _bind_linalg()
 
 
@@ -281,10 +302,16 @@ def _kernel_complement_projection(m: np.ndarray) -> tuple[np.ndarray, float]:
     return dagger(vt) @ vt, norm
 
 
+def _unit_defects(e: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The ``(2k, n, n)`` stack of ``e b - b`` and ``b e - b`` over the b of a
+    ``(k, n, n)`` stack; e is a two-sided identity on it when they vanish."""
+    return np.concatenate([e @ stack - stack, stack @ e - stack])
+
+
 def _unit_defect(e: np.ndarray, stack: np.ndarray) -> float:
     """How far e is from a two-sided identity on a ``(k, n, n)`` stack:
     the largest of ``||e b - b||`` and ``||b e - b||``."""
-    return max_op_norm(np.concatenate([e @ stack - stack, stack @ e - stack]))
+    return max_op_norm(_unit_defects(e, stack))
 
 
 # _op_norm_bounds trusts the Frobenius norm f outside a relative band of
@@ -321,15 +348,20 @@ def _op_norm_bounds(m: np.ndarray):
 
 
 def _within(m: np.ndarray, bound: float) -> bool:
-    """Exactly the verdict ``op_norm(m) <= bound``, mostly without the SVD:
-    the SVD runs only when ``bound`` falls between the bounds of
-    :func:`_op_norm_bounds`."""
+    """Exactly ``op_norm(m) <= bound``, or on a ``(k, n, n)`` stack
+    ``max_op_norm(m) <= bound``, mostly without the SVD: it runs only on the
+    matrices whose :func:`_op_norm_bounds` straddle ``bound`` or are NaN (on a
+    stack no lower bound decides while one is NaN, so that a NaN raises)."""
     lo, hi = _op_norm_bounds(m)
-    if hi <= bound:
-        return True
-    if lo > bound:
+    if m.ndim == 2:
+        if hi <= bound:
+            return True
+        if lo > bound:
+            return False
+        return op_norm(m) <= bound
+    if (lo > bound).any() and not np.isnan(lo).any():
         return False
-    return op_norm(m) <= bound
+    return max_op_norm(m[~(hi <= bound)]) <= bound
 
 
 def _at_most_rtol_norm(a: np.ndarray, rtol: float, m: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -350,20 +382,6 @@ def _norm_floor_one(m: np.ndarray) -> float:
     """``max(1, op_norm(m))``; 1 without the SVD when ``_within(m, 1)``
     settles it."""
     return 1.0 if _within(m, 1.0) else op_norm(m)
-
-
-def _unit_within(e: np.ndarray, stack: np.ndarray, bound: float) -> bool:
-    """Exactly the verdict ``_unit_defect(e, stack) <= bound``, as
-    :func:`_within` decides it for each of the 2k defect matrices, by the
-    bounds of :func:`_op_norm_bounds` on their stack; ``max_op_norm`` runs
-    only on those in the band or with NaN bounds, and no lower bound
-    decides while one is NaN, so that a NaN raises as ``_unit_defect``
-    does."""
-    d = np.concatenate([e @ stack - stack, stack @ e - stack])
-    lo, hi = _op_norm_bounds(d)
-    if (lo > bound).any() and not np.isnan(lo).any():
-        return False
-    return max_op_norm(d[~(hi <= bound)]) <= bound
 
 
 # _cond_surely_within answers True only below bound / (1 + COND_MARGIN).
@@ -391,23 +409,6 @@ def _cond_surely_within(m: np.ndarray, minv: np.ndarray, bound: float) -> bool:
     return math.sqrt(s) * (1.0 + COND_MARGIN) <= bound
 
 
-class _Lapack:
-    """scipy's LAPACK routines by name, each imported on its first use (so
-    scipy stays off the import path) and bound here as a plain attribute:
-    ``_lapack.zgetrf`` skips the checks and batching of scipy.linalg's
-    wrappers, which cost more than the factorizations at n <= 16."""
-
-    def __getattr__(self, name: str):
-        from scipy.linalg import lapack
-
-        routine = getattr(lapack, name)
-        setattr(self, name, routine)
-        return routine
-
-
-_lapack = _Lapack()
-
-
 def _unsorted(w):
     """zgees' eigenvalue selector, which it never calls unsorted."""
     return None
@@ -418,7 +419,7 @@ def _gees_lwork(n: int) -> int:
     """zgees' optimal workspace for an n x n input, by its workspace query,
     which reads n alone (zgehrd's block size and zhseqr's query on rows
     1..n)."""
-    return int(_lapack.zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
+    return int(_linalg.zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
 
 
 def _schur(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +427,7 @@ def _schur(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t upper triangular, z unitary.  This is zgees with the workspace
     ``scipy.linalg.schur(x, output="complex")`` queries for, so the bits are
     the same."""
-    t, _, _, z, _, info = _lapack.zgees(_unsorted, x, lwork=_gees_lwork(x.shape[0]))
+    t, _, _, z, _, info = _linalg.zgees(_unsorted, x, lwork=_gees_lwork(x.shape[0]))
     if info:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     return t, z
@@ -447,15 +448,15 @@ def solve(m, b):
     b = np.asarray(b, dtype=complex)
     if not np.isfinite(b).all():
         raise ValueError("solve rhs has non-finite entries")
-    lu, piv, _ = _lapack.zgetrf(m)
+    lu, piv, _ = _linalg.zgetrf(m)
     diag = np.abs(np.diag(lu))
     bad = np.nonzero(_at_most_rtol_norm(diag, PIVOT_RTOL, m))[0]
     if bad.size:
         k = int(bad[0])
         raise SingularMatrixError(k, float(diag[k]), op_norm(m))
     if b.ndim == 3:
-        return np.array([_lapack.zgetrs(lu, piv, rhs)[0] for rhs in b])
-    return _lapack.zgetrs(lu, piv, b)[0]
+        return np.array([_linalg.zgetrs(lu, piv, rhs)[0] for rhs in b])
+    return _linalg.zgetrs(lu, piv, b)[0]
 
 
 def min_real_eig(m) -> float:

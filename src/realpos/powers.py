@@ -99,6 +99,28 @@ class DefectiveMatrixError(ValueError):
         )
 
 
+class _OnFirstRead:
+    """A field (``PowerResult.est_error``, ``ProjectionResult.trace``) that
+    takes its value or a function of no arguments, run on the field's first
+    read; the value is kept in the slot ``_<name>``.  A dataclass field's
+    default is ``list``, which reads as an empty list."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return list
+        value = getattr(obj, self.slot)
+        if callable(value):
+            value = value()
+            setattr(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj, value):
+        setattr(obj, self.slot, value)
+
+
 class PowerResult:
     """One power of one matrix.
 
@@ -114,17 +136,13 @@ class PowerResult:
     that few callers read.
     """
 
-    __slots__ = ("value", "method", "_est", "nodes_or_terms", "certified")
+    __slots__ = ("value", "method", "_est_error", "nodes_or_terms", "certified")
+    est_error = _OnFirstRead()
 
     def __init__(self, value, method, est_error, nodes_or_terms, certified=True):
-        self.value, self.method, self._est = value, method, est_error
+        # the slot directly: __set__ costs a Python call on every power
+        self.value, self.method, self._est_error = value, method, est_error
         self.nodes_or_terms, self.certified = nodes_or_terms, certified
-
-    @property
-    def est_error(self) -> float:
-        if callable(self._est):
-            self._est = self._est()
-        return self._est
 
     def __repr__(self) -> str:
         return (f"PowerResult(value={self.value!r}, method={self.method!r}, "

@@ -34,7 +34,7 @@ from .matrices import (
     _linalg,
     _norm_floor_one,
     _unit_defect,
-    _unit_within,
+    _unit_defects,
     _within,
     as_matrix,
     dagger,
@@ -42,7 +42,7 @@ from .matrices import (
     op_norms,
     range_basis,
 )
-from .powers import EIG_RTOL, _powers, power
+from .powers import EIG_RTOL, _OnFirstRead, _powers, power
 
 __all__ = [
     "ProjectionResult",
@@ -55,27 +55,6 @@ __all__ = [
     "hsa_and_ideal",
     "vav_identity_check",
 ]
-
-
-class _OnFirstRead:
-    """A dataclass field that takes its value or a function of no arguments;
-    the function runs on the first read of the field, and its value is kept.
-    The default is ``list``, which reads as an empty list."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return list
-        value = getattr(obj, self.slot)
-        if callable(value):
-            value = value()
-            setattr(obj, self.slot, value)
-        return value
-
-    def __set__(self, obj, value):
-        setattr(obj, self.slot, value)
 
 
 @dataclass
@@ -235,7 +214,7 @@ def _verify_support(p: np.ndarray, x: np.ndarray, xnorm: Optional[float] = None)
     ``xnorm`` is ||x|| when the caller has it."""
     if xnorm is None:
         xnorm = op_norm(x)
-    if not _unit_within(p, x[None], SUPPORT_DEFECT_RTOL * max(1.0, xnorm)):
+    if not _within(_unit_defects(p, x[None]), SUPPORT_DEFECT_RTOL * max(1.0, xnorm)):
         defect = _unit_defect(p, x[None])
         warnings.warn(
             f"support projection fails p x = x p = x (defect {defect:.2e})",
@@ -331,7 +310,7 @@ def peak_projection(
     if status == "converged":
         # Squaring only sees the powers x^{2^k}; the candidate is a genuine
         # limit of the full power sequence iff it absorbs x on both sides.
-        if not _unit_within(x, proj[None], 1e-7 * max(1.0, xnorm)):
+        if not _within(_unit_defects(x, proj[None]), 1e-7 * max(1.0, xnorm)):
             status = "diverged"
             proj = np.zeros_like(z)
     residual = op_norm(proj - oracle) if (oracle is not None and status != "diverged") else None
@@ -342,7 +321,7 @@ def _eigenspace_projection(x: np.ndarray) -> np.ndarray:
     """Projection onto ker(x - 1): the right singular vectors of x - 1 with
     singular value at most SINGULAR_RTOL max(||x - 1||, 1)."""
     eye = np.eye(x.shape[0], dtype=complex)
-    _, s, vh = _linalg.svd(x - eye)
+    _, s, vh = _linalg.svd(x - eye, full_matrices=False)
     vt = vh[s <= SINGULAR_RTOL * max(s[0], 1.0)]
     return dagger(vt) @ vt
 
@@ -428,6 +407,6 @@ def hsa_and_ideal(algebra, x, tol: Tolerances = DEFAULT_TOL):
         raise ArithmeticError(f"D A D escapes D (residual {worst:.2e})")
 
     s = support_projection(x, method="oracle", tol=tol).proj
-    if not _unit_within(s, d, 1e-7):
+    if not _within(_unit_defects(s, d), 1e-7):
         raise ArithmeticError("s(x) is not an identity on the hereditary subalgebra")
     return hsa, ideal

@@ -798,6 +798,16 @@ def test_generator_faults_keep_their_messages(mats, message, given_as):
     assert str(exc.value) == message
 
 
+def test_generate_algebra_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'banach'"):
+        generate_algebra([np.eye(2)], mode="banach")
+
+
+def test_span_algebra_refuses_mixed_sizes():
+    with pytest.raises(ValueError, match="span matrices must share one ambient dimension"):
+        span_algebra([np.eye(2), np.eye(3)])
+
+
 def test_every_generator_container_gives_one_algebra():
     gens = [gen_accretive(3, 11), _generator("nilpotent", 3, 12)]
     want = _bits(generate_algebra(gens))

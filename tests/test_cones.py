@@ -129,6 +129,8 @@ def test_strictly_real_positive(e11):
     full = full_algebra(2)
     assert is_strictly_real_positive(full, np.eye(2))
     assert not is_strictly_real_positive(full, np.diag([1.0, 1j]))
+    # -I lies in the unital upper:2 and fails the accretive order itself
+    assert not is_strictly_real_positive(algebra_from_name("upper:2"), -np.eye(2))
     corner = span_algebra([e11])
     assert is_strictly_real_positive(corner, (1.0 + 1j) * e11)
     with pytest.raises(ValueError):

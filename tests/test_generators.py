@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,14 @@ def test_gen_peaked_half_f():
         assert f_membership(x).in_half_f
         assert op_norm(q @ q - q) <= 1e-12
         assert op_norm(x @ q - q) <= 1e-10
+
+
+def test_generators_refuse_parameters_out_of_range():
+    with pytest.raises(ValueError, match="need n >= 2 for a nontrivial peak"):
+        gen_peaked_half_f(1, 0)
+    for rho in (-0.1, np.pi / 2.0, 2.0):
+        with pytest.raises(ValueError, match=re.escape("rho must be in [0, pi/2)")):
+            gen_sectorial(3, 0, rho)
 
 
 def test_gen_sectorial():

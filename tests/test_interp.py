@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,9 @@ def test_peak_interpolate(e11):
 
     with pytest.raises(ValueError):
         peak_interpolate(full_algebra(2), q, np.array([[0.0, 1.0], [0.0, 0.0]]))  # no commuting
+    # b = -I/2 commutes with q and ||b q|| = 1/2, but ||(1 - 2b) q|| = 2
+    with pytest.raises(ValueError, match=re.escape("||(1 - 2b) q|| <= 1 is required")):
+        peak_interpolate(diagonal_algebra(2), q, -0.5 * np.eye(2))
 
 
 def test_convex_region_validation():
@@ -506,9 +510,13 @@ def test_tietze_lift(e11):
         top = np.linalg.eigvalsh((np.exp(-1j * theta) * g + dagger(np.exp(-1j * theta) * g)) / 2.0)[-1]
         assert top <= h + 1e-6
 
-    # compression numerical range escaping the region is a precondition error
+    # ||b q|| = 5 is refused before the region is read
     with pytest.raises(ValueError):
         tietze_lift(full_algebra(2), q, np.diag([5.0, 0.0]).astype(complex), square)
+    # compression numerical range escaping the region is a precondition
+    # error: ||b q|| = 1/2 passes, and W(comp) = {-1/2} lies left of the square
+    with pytest.raises(ValueError, match="numerical range of the compression leaves the region"):
+        tietze_lift(full_algebra(2), q, np.diag([-0.5, 0.0]).astype(complex), square)
 
 
 def test_tietze_nonunital_needs_zero_in_region(e11, e12):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import realpos
 from realpos import matrices as matrices_module
+from realpos.cones import c_certificate, cone_report, f_membership, is_accretive
 from realpos.matrices import (
     SingularMatrixError,
     Tolerances,
@@ -17,7 +23,7 @@ from realpos.matrices import (
     _linalg,
     _schur,
     _unit_defect,
-    _unit_within,
+    _unit_defects,
     _within,
     as_matrix,
     herm_eig,
@@ -29,6 +35,9 @@ from realpos.matrices import (
     op_norms,
     solve,
 )
+from realpos.powers import power, root_series
+from realpos.projections import peak_projection, support_projection
+from realpos.transforms import f_transform
 
 
 def test_herm_eig_diagonal():
@@ -328,25 +337,27 @@ def test_within_on_zero_and_non_finite_input():
 @given(n=st.integers(1, 16), k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
        kind=_SHAPES, exponent=_EXPONENTS)
 @example(n=5, k=3, seed=82, kind="diagonal", exponent=160)  # finite real and imaginary halves whose sum overflows
-def test_unit_within_is_the_unit_defect_verdict(n, k, seed, kind, exponent):
+@example(n=3, k=0, seed=0, kind="full", exponent=0)  # the empty stack, whose defect is 0
+def test_within_on_unit_defects_is_the_unit_defect_verdict(n, k, seed, kind, exponent):
     # e = I + a perturbation, and a stack whose defects span many scales:
     # the largest sits in the band at a bound near it, the small ones clear.
+    # _within decides a stack's verdict as it decides each matrix's.
     rng = np.random.default_rng(seed)
     e = np.eye(n) + _shaped(n, seed, kind, exponent)
     stack = np.array([_shaped(n, seed + j + 1, "full", 0) * 10.0 ** -rng.integers(0, 12)
                       for j in range(k)]).reshape(k, n, n)
     defect = _unit_defect(e, stack)
     for bound in _bounds(defect, range(-30, 31, 3)):
-        assert _unit_within(e, stack, bound) == (defect <= bound), (bound, defect)
+        assert _within(_unit_defects(e, stack), bound) == (defect <= bound), (bound, defect)
 
 
-def test_unit_within_raises_on_nan_as_unit_defect_does():
+def test_within_on_unit_defects_raises_on_nan_as_unit_defect_does():
     stack = np.array([np.eye(3), 1e6 * np.eye(3)], dtype=complex)
     e = np.diag([1.0, 1.0, np.nan]).astype(complex)
     with pytest.raises(np.linalg.LinAlgError):
         _unit_defect(e, stack)
     with pytest.raises(np.linalg.LinAlgError):
-        _unit_within(e, stack, 1.0)
+        _within(_unit_defects(e, stack), 1.0)
 
 
 # Each owner in matrices._linalg and its numpy.linalg function, called alike.
@@ -406,3 +417,53 @@ def test_the_linalg_owners_fall_back_to_numpys_functions(monkeypatch):
     public = matrices_module._bind_linalg()
     assert [getattr(public, name) for name in ("svd", "eigvalsh", "eigh", "eig", "inv")] == [
         np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh, np.linalg.eig, np.linalg.inv]
+
+
+# Reads names that the kernel table does not bind, copies the table, and
+# prints the scipy modules loaded by then; then binds zgees.
+KERNEL_TABLE_PROBE = """
+import copy, json, sys
+from realpos import matrices
+try:
+    matrices._linalg.zgesv
+    refused = False
+except AttributeError:
+    refused = True
+copy.deepcopy(matrices._linalg)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from scipy.linalg import lapack
+print(json.dumps([refused, hasattr(matrices._linalg, "x"), loaded, matrices._linalg.zgees is lapack.zgees]))
+"""
+
+
+def test_the_kernel_table_imports_scipy_for_its_lapack_routines_alone():
+    # in a fresh interpreter: an unknown name is an AttributeError, and
+    # neither it nor hasattr nor a deep copy imports scipy
+    src = os.path.dirname(os.path.dirname(realpos.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", KERNEL_TABLE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, False, [], True]
+
+
+# Each public entry point that takes a matrix, called on a 0 x 0 one.
+_ON_EMPTY = {
+    "is_accretive": is_accretive,
+    "power": lambda x: power(x, 0.5),
+    "support_projection": support_projection,
+    "cone_report": cone_report,
+    "min_real_eig": min_real_eig,
+    "peak_projection": peak_projection,
+    "root_series": lambda x: root_series(x, 2),
+    "f_transform": f_transform,
+    "c_certificate": c_certificate,
+    "f_membership": f_membership,
+}
+
+
+@pytest.mark.parametrize("entry", _ON_EMPTY.values(), ids=_ON_EMPTY.keys())
+def test_entry_points_refuse_an_empty_matrix(entry):
+    # as_matrix refuses it, before any kernel sees it
+    with pytest.raises(ValueError, match=" is empty$"):
+        entry(np.zeros((0, 0)))

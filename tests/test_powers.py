@@ -427,7 +427,7 @@ def test_balakrishnan_takes_one_schur_form_on_every_node(monkeypatch, scale, nod
     calls = {"zgees": 0, "zgetrf": 0}
 
     def counted(name):
-        routine = getattr(matrices_module._lapack, name)
+        routine = getattr(matrices_module._linalg, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -438,7 +438,7 @@ def test_balakrishnan_takes_one_schur_form_on_every_node(monkeypatch, scale, nod
     matrices_module._gees_lwork(2)
     with monkeypatch.context() as patch:
         for name in calls:
-            patch.setattr(matrices_module._lapack, name, counted(name))
+            patch.setattr(matrices_module._linalg, name, counted(name))
         res = power_balakrishnan(x, 0.5, nodes)
     assert calls == {"zgees": 1, "zgetrf": 0}
     fine = _per_node_reference(x, 0.5, nodes)
@@ -711,10 +711,10 @@ def test_power_all_factors_a_defective_matrix_once(monkeypatch):
     jordan = np.array([[4.0, 1.0], [0.0, 4.0]])
     expected = [power(jordan, alpha) for alpha in ALPHAS]
     calls, counts = [], {"zgees": 0, "accretive": 0}
-    eig, zgees, accretive = matrices_module._linalg.eig, matrices_module._lapack.zgees, cones_module._accretive
+    eig, zgees, accretive = matrices_module._linalg.eig, matrices_module._linalg.zgees, cones_module._accretive
     matrices_module._gees_lwork(2)
     monkeypatch.setattr(matrices_module._linalg, "eig", lambda m: calls.append(1) or eig(m))
-    monkeypatch.setattr(matrices_module._lapack, "zgees",
+    monkeypatch.setattr(matrices_module._linalg, "zgees",
                         lambda *a, **k: counts.__setitem__("zgees", counts["zgees"] + 1) or zgees(*a, **k))
     monkeypatch.setattr(cones_module, "_accretive",
                         lambda *a: counts.__setitem__("accretive", counts["accretive"] + 1) or accretive(*a))

@@ -236,6 +236,28 @@ def test_peak_zero_and_diverged_paths(x, status, iterations, length):
     assert res.trace[0] == 1.0 and op_norm(res.proj) == 0.0
 
 
+def test_the_peak_loop_stops_at_its_cap():
+    # the 3-cycle's squares alternate between it and its inverse, exactly:
+    # no limit, no zero and no growth, so the loop runs to its cap
+    cycle = np.roll(np.eye(3), 1, axis=0)
+    res = peak_projection(cycle)
+    assert (res.status, res.iterations) == ("diverged", 200)
+    assert len(res.trace) == 200 and op_norm(res.proj) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_the_peak_oracle_keeps_the_bits_of_the_full_svd(n):
+    # on square input the thin SVD is the full one: the oracle's projection
+    # onto ker(x - 1) keeps the bits it had from numpy's full SVD
+    xs = [0.9 * gen_half_f(n, 7800 + n), gen_unitary(n, 7820 + n), np.eye(n)]
+    xs += [gen_peaked_half_f(n, 7840 + n)[0]] if n > 1 else []
+    for x in xs:
+        x = np.asarray(x, dtype=complex)
+        _, s, vh = np.linalg.svd(x - np.eye(n))
+        vt = vh[s <= projections.SINGULAR_RTOL * max(s[0], 1.0)]
+        assert projections._eigenspace_projection(x).tobytes() == (dagger(vt) @ vt).tobytes()
+
+
 def test_peak_loop_takes_one_batched_svd(monkeypatch):
     # The squaring steps decide by Frobenius norms, so the call runs the SVD
     # for ||x|| and at most once more for a step whose verdict falls in
@@ -266,7 +288,7 @@ def test_peak_loop_takes_one_batched_svd(monkeypatch):
 # The functions through which an SVD settles a norm verdict in its band:
 # the Frobenius bounds could not decide it.  `cond` is the spectral factor's
 # conditioning verdict.
-_VERDICT_SITES = {"_within", "_unit_within", "_at_most_rtol_norm", "cond"}
+_VERDICT_SITES = {"_within", "_at_most_rtol_norm", "cond"}
 
 
 def test_support_loop_takes_the_svd_of_x_alone(monkeypatch):
@@ -364,7 +386,8 @@ def _eager_peak(x, method="iterative", tol=DEFAULT_TOL):
         iterations = projections._MAX_SQUARINGS
     trace = op_norms(np.stack(chain)).tolist()
     proj = projections._round_to_projection(z) if status == "converged" else np.zeros_like(z)
-    if status == "converged" and not projections._unit_within(x, proj[None], 1e-7 * max(1.0, xnorm)):
+    if status == "converged" and not projections._within(projections._unit_defects(x, proj[None]),
+                                                          1e-7 * max(1.0, xnorm)):
         status = "diverged"
         proj = np.zeros_like(z)
     residual = op_norm(proj - oracle) if (oracle is not None and status != "diverged") else None
@@ -454,6 +477,22 @@ def test_is_peak_for():
         assert not is_peak_for(x, smaller)
     with pytest.raises(ValueError):
         is_peak_for(np.diag([1.0, 0.5]), np.diag([0.0, 1.0]))  # q x != q
+    with pytest.raises(ValueError, match="x must be a contraction"):
+        is_peak_for(np.diag([1.5, 0.5]), np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("fn", [support_projection, peak_projection])
+def test_projections_refuse_an_unknown_method(fn):
+    with pytest.raises(ValueError, match="unknown method 'newton'"):
+        fn(0.5 * np.eye(2), method="newton")
+
+
+def test_verify_support_warns_when_p_fails_to_absorb_x():
+    # p = diag(1, 0) is too small for x = I: p x = p, a defect of 1, which
+    # the stack verdict on the unit defects finds; x does not vanish on ran p
+    with pytest.warns(RuntimeWarning) as caught:
+        projections._verify_support(np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex))
+    assert [str(w.message) for w in caught] == ["support projection fails p x = x p = x (defect 1.00e+00)"]
 
 
 def test_join_meet():
